@@ -20,6 +20,7 @@ from .discrepancy import (
     chisq_quantile,
     f_from_rmsea,
     f_ml,
+    f_ml_stack,
     fit_indices,
     gradient,
     hessian,

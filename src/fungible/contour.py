@@ -8,11 +8,16 @@ confidence level) to the level T.  Widths are full axis lengths (twice the
 half-length), measured either from the focal Hessian block (quadratic
 approximation) or by sweeping rays and solving each crossing exactly.
 
+Every ray solve goes through one lockstep engine: all rays of a call (a
+whole sweep, or both golden-section refinements' rays) advance together, one
+stacked evaluation of F over a ``(k, q)`` stack of parameter vectors per
+step, and each ray takes the iterates its own scalar search would take.
+
 These functions only use ``theta_hat``, ``f_hat``, ``n``, ``hessian_at_opt``
 and ``objective(theta)`` from the fit argument, so any object exposing those
 (e.g. a test surrogate) works in place of a :class:`~fungible.fit.FitResult`.
-Direction solves are independent; results are indexed by direction angle and
-merged deterministically.
+An optional ``objectives(thetas)`` returning F for each row, NaN where F is
+undefined, is used when present; otherwise ``objective`` is mapped over rows.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._solve import bracketed_root, golden_max
+from ._solve import bracketed_root, domain_edge, golden_max
 from .discrepancy import chisq_quantile, f_from_rmsea, rmsea_from_f
 from .errors import ContourEscapesDomain, NotPositiveDefinite, SingularStructure
 
@@ -119,80 +124,100 @@ def f_target(target: ContourTarget, fit, df: int | None = None, *, n_focal: int 
     return f_hat + chisq_quantile(n_focal, target.confidence) / (fit.n - 1)
 
 
-def _focal_unit(fit, direction, focal):
-    focal = tuple(int(i) for i in focal)
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (len(focal),):
-        raise ValueError("direction must live in the focal subspace")
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ValueError("direction must be a nonzero finite vector")
-    u_full = np.zeros_like(np.asarray(fit.theta_hat, dtype=float))
-    u_full[list(focal)] = direction / norm
-    return focal, u_full
+def _objectives(fit):
+    """The fit's ``objectives(thetas)``, or else its scalar ``objective``
+    mapped over the rows with NaN where it raises a domain error."""
+    if hasattr(fit, "objectives"):
+        return fit.objectives
+
+    def mapped(thetas):
+        out = np.full(len(thetas), np.nan)
+        for k, theta in enumerate(thetas):
+            try:
+                out[k] = fit.objective(theta)
+            except (NotPositiveDefinite, SingularStructure):
+                pass
+        return out
+
+    return mapped
 
 
-def _quadratic_radius(fit, u_full, focal, c):
-    hess = getattr(fit, "hessian_at_opt", None)
-    if hess is None:
-        return 1.0
-    d = np.asarray(u_full)[list(focal)]
-    curv = float(d @ np.asarray(hess)[np.ix_(focal, focal)] @ d)
-    if curv > 0:
-        return math.sqrt(2.0 * c / curv)
-    return 1.0
+def _units(angles):
+    d = np.column_stack([np.cos(angles), np.sin(angles)])
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def _solve_ray(fit, u_full, focal, t_target, f_tol):
-    """Radius r > 0 with F(theta_hat + r u) = t_target along one ray."""
+def _embed(fit, units, focal):
+    u_full = np.zeros((len(units), np.size(fit.theta_hat)))
+    u_full[:, list(focal)] = units
+    return u_full
+
+
+def _solve_rays(fit, units, focal, t_target, f_tol):
+    """Radii r > 0 with F(theta_hat + r u) = t_target along every row u of
+    ``units`` (unit focal-plane directions); NaN where the ray escapes.
+
+    All rays advance in lockstep, one stacked objective evaluation per step:
+    exponential bracketing out from the quadratic-approximation radius,
+    bisection to the domain edge for rays that left the evaluable region,
+    then the safeguarded secant/bisection root.  A ray escapes when the level
+    lies beyond its domain edge or is not reached in 90 doublings.
+    """
     theta_hat = np.asarray(fit.theta_hat, dtype=float)
+    u_full = _embed(fit, units, focal)
+    objectives = _objectives(fit)
     c = t_target - fit.f_hat
 
-    def f_at(r):
-        return fit.objective(theta_hat + r * u_full)
+    def gaps(r, which):
+        return objectives(theta_hat + r[:, None] * u_full[which]) - t_target
 
-    lo, g_lo = 0.0, -c
-    hi = _quadratic_radius(fit, u_full, focal, c)
-    g_hi = None
+    k = len(units)
+    lo, g_lo, hi, g_hi = np.zeros(k), np.full(k, -c), np.ones(k), np.full(k, np.nan)
+    hess = getattr(fit, "hessian_at_opt", None)
+    if hess is not None:
+        curv = np.sum(units @ np.asarray(hess)[np.ix_(focal, focal)] * units, axis=1)
+        hi[curv > 0] = np.sqrt(2.0 * c / curv[curv > 0])
+    climbing = np.arange(k)
     for _ in range(90):
-        try:
-            g_hi = f_at(hi) - t_target
-        except (NotPositiveDefinite, SingularStructure):
-            hi, g_hi = _domain_edge(f_at, lo, hi)
-            g_hi -= t_target
-            if g_hi < 0:
-                raise ContourEscapesDomain(
-                    "implied covariance loses positive definiteness before the "
-                    "contour level is reached"
-                ) from None
+        g = gaps(hi[climbing], climbing)
+        g_hi[climbing[g >= 0]] = g[g >= 0]
+        climbing, g = climbing[g < 0], g[g < 0]
+        lo[climbing], g_lo[climbing] = hi[climbing], g
+        hi[climbing] *= 2.0
+        if not climbing.size:
             break
-        if g_hi >= 0:
-            break
-        lo, g_lo = hi, g_hi
-        hi *= 2.0
-    else:
-        raise ContourEscapesDomain(
-            "discrepancy never reaches the contour level along this ray"
+    escaped = np.isin(np.arange(k), climbing)
+
+    edge = np.flatnonzero(np.isnan(g_hi) & ~escaped)
+    if edge.size:
+        hi[edge], g_hi[edge] = domain_edge(
+            lambda r, which: gaps(r, edge[which]), lo[edge], hi[edge], g_lo[edge], iters=80
         )
+        escaped[edge] = g_hi[edge] < 0
 
-    def gap(r):
-        return f_at(r) - t_target
+    live = np.flatnonzero(~escaped)
 
-    return bracketed_root(gap, lo, hi, g_lo, g_hi, f_tol=f_tol)
+    def root_gaps(r, which):
+        g = gaps(r, live[which])
+        if np.isnan(g).any():
+            raise NotPositiveDefinite("sigma_theta", "Sigma fails inside a bracketed ray")
+        return g
+
+    radii = np.full(k, np.nan)
+    radii[live] = bracketed_root(root_gaps, lo[live], hi[live], g_lo[live], g_hi[live], f_tol=f_tol)
+    return radii
 
 
-def _domain_edge(f_at, good, bad, iters=80):
-    """Bisect to the largest radius where the objective still evaluates."""
-    f_good = f_at(good)
-    for _ in range(iters):
-        mid = 0.5 * (good + bad)
-        try:
-            f_mid = f_at(mid)
-        except (NotPositiveDefinite, SingularStructure):
-            bad = mid
-        else:
-            good, f_good = mid, f_mid
-    return good, f_good
+def _sweep_directions(focal, n_directions):
+    """An even number of equally spaced angles, and their unit directions."""
+    if len(focal) != 2:
+        raise ValueError("direction sweeps need exactly two focal parameters")
+    n = int(n_directions)
+    if n < 4:
+        raise ValueError("n_directions must be at least 4")
+    n += n % 2
+    angles = 2.0 * math.pi * np.arange(n) / n
+    return angles, _units(angles)
 
 
 def radial_contour_point(fit, direction, t_target: float, focal, *, f_tol: float = 1e-9) -> np.ndarray:
@@ -205,46 +230,33 @@ def radial_contour_point(fit, direction, t_target: float, focal, *, f_tol: float
     """
     if t_target <= fit.f_hat:
         raise ValueError("t_target must exceed the fitted discrepancy")
-    focal, u_full = _focal_unit(fit, direction, focal)
-    r = _solve_ray(fit, u_full, focal, t_target, f_tol)
-    return np.asarray(fit.theta_hat, dtype=float) + r * u_full
+    focal = tuple(int(i) for i in focal)
+    direction = np.asarray(direction, dtype=float)
+    if direction.shape != (len(focal),):
+        raise ValueError("direction must live in the focal subspace")
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0 or not np.isfinite(norm):
+        raise ValueError("direction must be a nonzero finite vector")
+    units = direction[None, :] / norm
+    r = _solve_rays(fit, units, focal, t_target, f_tol)[0]
+    if np.isnan(r):
+        raise ContourEscapesDomain("the contour level is not reached along this ray")
+    return np.asarray(fit.theta_hat, dtype=float) + r * _embed(fit, units, focal)[0]
 
 
 def sweep_contour(fit, t_target: float, focal, n_directions: int = 360, *, f_tol: float = 1e-9):
     """Solve the contour along ``n_directions`` equally spaced focal-plane
     rays; returns the list of :class:`ContourPoint` for the directions that
     reached the level (escaped directions are simply absent)."""
-    angles, radii = _sweep_radii(fit, t_target, focal, n_directions, f_tol)
-    theta_hat = np.asarray(fit.theta_hat, dtype=float)
-    points = []
-    for angle, r in zip(angles, radii):
-        if not np.isfinite(r):
-            continue
-        _, u_full = _focal_unit(fit, (math.cos(angle), math.sin(angle)), focal)
-        theta = theta_hat + r * u_full
-        points.append(ContourPoint(angle=float(angle), r=float(r), theta=theta, f_value=t_target))
-    return points
-
-
-def _sweep_radii(fit, t_target, focal, n_directions, f_tol):
     focal = tuple(int(i) for i in focal)
-    if len(focal) != 2:
-        raise ValueError("direction sweeps need exactly two focal parameters")
-    n = int(n_directions)
-    if n < 4:
-        raise ValueError("n_directions must be at least 4")
-    if n % 2:
-        n += 1
-    angles = 2.0 * math.pi * np.arange(n) / n
-    radii = np.full(n, np.nan)
-    for k, angle in enumerate(angles):
-        direction = (math.cos(angle), math.sin(angle))
-        _, u_full = _focal_unit(fit, direction, focal)
-        try:
-            radii[k] = _solve_ray(fit, u_full, focal, t_target, f_tol)
-        except ContourEscapesDomain:
-            continue
-    return angles, radii
+    angles, units = _sweep_directions(focal, n_directions)
+    radii = _solve_rays(fit, units, focal, t_target, f_tol)
+    thetas = np.asarray(fit.theta_hat, dtype=float) + radii[:, None] * _embed(fit, units, focal)
+    return [
+        ContourPoint(angle=float(angle), r=float(r), theta=theta, f_value=t_target)
+        for angle, r, theta in zip(angles, radii, thetas)
+        if np.isfinite(r)
+    ]
 
 
 def axis_widths_quadratic(fit, t_target: float, focal) -> AxisWidths:
@@ -306,7 +318,8 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = 360, *, f
             minor_direction=np.array([0.0, 1.0]),
             focal=focal,
         )
-    angles, radii = _sweep_radii(fit, t_target, focal, n_directions, f_tol)
+    angles, units = _sweep_directions(focal, n_directions)
+    radii = _solve_rays(fit, units, focal, t_target, f_tol)
     n = len(angles)
     half = n // 2
     widths = radii[:half] + radii[half:]
@@ -315,42 +328,26 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = 360, *, f
     if not np.any(valid):
         raise ContourEscapesDomain("no direction reached the contour level")
 
-    def width_at(phi):
-        try:
-            _, u1 = _focal_unit(fit, (math.cos(phi), math.sin(phi)), focal)
-            _, u2 = _focal_unit(fit, (-math.cos(phi), -math.sin(phi)), focal)
-            return _solve_ray(fit, u1, focal, t_target, f_tol) + _solve_ray(
-                fit, u2, focal, t_target, f_tol
-            )
-        except ContourEscapesDomain:
-            return None
+    # search 0 maximizes the width near the widest swept direction, search 1
+    # maximizes minus the width near the narrowest; both advance together
+    k_max = int(np.argmax(np.where(valid, widths, -np.inf)))
+    k_min = int(np.argmin(np.where(valid, widths, np.inf)))
+    sign = np.array([1.0, -1.0])
+
+    def signed_widths(phi, which):
+        u = _units(phi)
+        r = _solve_rays(fit, np.vstack([u, -u]), focal, t_target, f_tol)
+        w = r[: len(phi)] + r[len(phi):]
+        return np.where(np.isnan(w), -np.inf, sign[which] * w)
 
     delta = 2.0 * math.pi / n
-    w_masked = np.where(valid, widths, -np.inf)
-    k_max = int(np.argmax(w_masked))
-    phi_max, w_major = golden_max(
-        lambda phi: -math.inf if (w := width_at(phi)) is None else w,
-        angles[k_max] - delta,
-        angles[k_max] + delta,
-        x_tol=angle_tol,
-    )
-    w_major = max(w_major, float(w_masked[k_max]))
-
-    w_masked = np.where(valid, widths, np.inf)
-    k_min = int(np.argmin(w_masked))
-    phi_min, w_minor_neg = golden_max(
-        lambda phi: -math.inf if (w := width_at(phi)) is None else -w,
-        angles[k_min] - delta,
-        angles[k_min] + delta,
-        x_tol=angle_tol,
-    )
-    w_minor = min(-w_minor_neg, float(np.where(valid, widths, np.inf)[k_min]))
-
+    centers = angles[[k_max, k_min]]
+    phi, best = golden_max(signed_widths, centers - delta, centers + delta, x_tol=angle_tol)
     return AxisWidths(
-        major=float(w_major),
-        minor=float(w_minor),
-        major_direction=np.array([math.cos(phi_max), math.sin(phi_max)]),
-        minor_direction=np.array([math.cos(phi_min), math.sin(phi_min)]),
+        major=max(float(best[0]), float(widths[k_max])),
+        minor=min(-float(best[1]), float(widths[k_min])),
+        major_direction=np.array([math.cos(phi[0]), math.sin(phi[0])]),
+        minor_direction=np.array([math.cos(phi[1]), math.sin(phi[1])]),
         focal=focal,
         skipped=skipped,
         partial=skipped > 0.05 * n,

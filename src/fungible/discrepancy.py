@@ -1,5 +1,5 @@
-"""Scalar math core: ML discrepancy with derivatives, RMSEA conversions,
-and chi-square quantiles.
+"""Math core: ML discrepancy with derivatives, the discrepancy over a stack
+of parameter vectors, RMSEA conversions, and chi-square quantiles.
 
 All functions are pure and reentrant.  Positive definiteness is always
 established by attempting a Cholesky factorization; there is no eigenvalue
@@ -18,6 +18,7 @@ from .model import ModelSpec, _implied
 
 __all__ = [
     "f_ml",
+    "f_ml_stack",
     "gradient",
     "hessian",
     "rmsea_from_f",
@@ -39,6 +40,16 @@ def _logdet_from_chol(chol_factor):
     return 2.0 * float(np.sum(np.log(np.diag(chol_factor))))
 
 
+def _f_from_sigma(model, sigma, s, ld_s):
+    ld_sigma = _logdet_from_chol(_chol(sigma, "sigma_theta"))
+    try:
+        trace = float(np.trace(np.linalg.solve(sigma, s)))
+    except np.linalg.LinAlgError:
+        # LU can meet an exact zero pivot on a Sigma whose Cholesky passed
+        raise NotPositiveDefinite("sigma_theta") from None
+    return max(0.0, ld_sigma - ld_s + trace - model.n_observed)
+
+
 def f_ml(model: ModelSpec, theta, s) -> float:
     """ML discrepancy between a covariance s and the model-implied Sigma(theta):
 
@@ -46,14 +57,74 @@ def f_ml(model: ModelSpec, theta, s) -> float:
 
     Nonnegative, zero iff Sigma(theta) = s.  Raises
     :class:`NotPositiveDefinite` naming whichever of ``s`` or ``Sigma(theta)``
-    fails its Cholesky factorization.
+    fails its Cholesky factorization (or, for Sigma, its solve).
     """
     s = np.asarray(s, dtype=float)
     ld_s = _logdet_from_chol(_chol(s, "s"))
-    sigma = _implied(model, theta)[4]
-    ld_sigma = _logdet_from_chol(_chol(sigma, "sigma_theta"))
-    trace = float(np.trace(np.linalg.solve(sigma, s)))
-    return max(0.0, ld_sigma - ld_s + trace - model.n_observed)
+    return _f_from_sigma(model, _implied(model, theta)[4], s, ld_s)
+
+
+def _rows_or_nan(fn, mats, *args):
+    """fn over a (k, n, n) stack in one call; only when that call raises,
+    one call per matrix, with NaN for the matrices where it raises."""
+    try:
+        return fn(mats, *args)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(mats.shape, np.nan)
+    for i, mat in enumerate(mats):
+        try:
+            out[i] = fn(mat, *args)
+        except np.linalg.LinAlgError:
+            pass
+    return out
+
+
+def f_ml_stack(model: ModelSpec, thetas, s, *, ld_s: float | None = None) -> np.ndarray:
+    """:func:`f_ml` at every row of a ``(k, q)`` stack of parameter vectors.
+
+    A and S are assembled for all rows at once; (I - A) is solved, Sigma is
+    Cholesky-factored and solved against s as stacked numpy calls.  Returns a
+    ``(k,)`` array holding NaN wherever :func:`f_ml` raises a domain error
+    for that row ((I - A) singular, Sigma not positive definite).  ``ld_s``
+    is ln|s|, passed by callers that evaluate against one s many times;
+    without it s is factored here, raising :class:`NotPositiveDefinite` for
+    an s that is not positive definite.
+    """
+    s = np.asarray(s, dtype=float)
+    if ld_s is None:
+        ld_s = _logdet_from_chol(_chol(s, "s"))
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != model.q:
+        raise ValueError(f"parameter stack must have shape (k, {model.q}), got {thetas.shape}")
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("parameter vectors must be finite")
+    k, m, p = len(thetas), model.m, model.n_observed
+    eye = np.eye(m)
+    a = np.repeat(model.directed_fixed[None], k, axis=0)
+    free = model.directed_param >= 0
+    a[:, free] = thetas[:, model.directed_param[free]]
+    sym = np.repeat(model.symmetric_fixed[None], k, axis=0)
+    free = model.symmetric_param >= 0
+    sym[:, free] = thetas[:, model.symmetric_param[free]]
+
+    # the same singularity tests as model._implied, row by row
+    im_a = eye - a
+    g = _rows_or_nan(np.linalg.solve, im_a, eye)
+    resid = np.abs(im_a @ g - eye).max(axis=(1, 2))
+    g_max = np.abs(g).max(axis=(1, 2))
+    rows = np.flatnonzero(np.isfinite(g_max) & (resid <= 1e-8 * np.maximum(1.0, g_max)))
+    if len(rows) < k:
+        g, sym = g[rows], sym[rows]
+    sigma = (g @ sym @ g.transpose(0, 2, 1))[:, :p, :p]
+    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+
+    chol = _rows_or_nan(np.linalg.cholesky, sigma)
+    ld_sigma = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    trace = np.trace(_rows_or_nan(np.linalg.solve, sigma, s), axis1=1, axis2=2)
+    out = np.full(k, np.nan)
+    out[rows] = np.maximum(0.0, ld_sigma - ld_s + trace - p)
+    return out
 
 
 def _grad_from_implied(model, s, g_mat, c_mat, sigma):
@@ -86,9 +157,7 @@ def _value_and_gradient(model, theta, s):
     s = np.asarray(s, dtype=float)
     ld_s = _logdet_from_chol(_chol(s, "s"))
     _, _, g_mat, c_mat, sigma = _implied(model, theta)
-    ld_sigma = _logdet_from_chol(_chol(sigma, "sigma_theta"))
-    trace = float(np.trace(np.linalg.solve(sigma, s)))
-    value = max(0.0, ld_sigma - ld_s + trace - model.n_observed)
+    value = _f_from_sigma(model, sigma, s, ld_s)
     return value, _grad_from_implied(model, s, g_mat, c_mat, sigma)
 
 

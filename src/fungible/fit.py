@@ -17,7 +17,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .discrepancy import _value_and_gradient, f_ml, hessian, rmsea_from_f
+from .discrepancy import (
+    _chol,
+    _logdet_from_chol,
+    _value_and_gradient,
+    f_ml,
+    f_ml_stack,
+    hessian,
+    rmsea_from_f,
+)
 from .errors import NoConvergence, NotPositiveDefinite, SingularStructure
 from .model import ModelSpec, _frozen_array, as_theta
 
@@ -67,6 +75,15 @@ class FitResult:
     def objective(self, theta) -> float:
         """ML discrepancy at theta against this fit's analyzed covariance."""
         return f_ml(self.model, theta, self.s)
+
+    @cached_property
+    def _logdet_s(self) -> float:
+        return _logdet_from_chol(_chol(self.s, "s"))
+
+    def objectives(self, thetas) -> np.ndarray:
+        """:meth:`objective` at every row of a ``(k, q)`` stack in one stacked
+        evaluation; NaN where it would raise a domain error."""
+        return f_ml_stack(self.model, thetas, self.s, ld_s=self._logdet_s)
 
     @cached_property
     def indices(self):

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._solve import bracketed_root
+from ._solve import bracketed_root, domain_edge
 from .errors import (
     NoConvergence,
     NotPositiveDefinite,
@@ -583,6 +583,20 @@ def misspecify_to_epsilon(
     def gap(t):
         return population_rmsea(cond.model, base + t * direction, df) - epsilon_target
 
+    def gaps(ts, _which):
+        return np.array([gap(t) for t in ts])
+
+    def evaluable_gaps(ts, _which):
+        # NaN past the region where the perturbed covariance is pd and
+        # cleanly fittable
+        out = np.full(len(ts), np.nan)
+        for k, t in enumerate(ts):
+            try:
+                out[k] = gap(t)
+            except (NotPositiveDefinite, NoConvergence):
+                pass
+        return out
+
     lo, g_lo = 0.0, gap(0.0)
     if g_lo > 0:
         raise ValueError(
@@ -596,7 +610,8 @@ def misspecify_to_epsilon(
         except (NotPositiveDefinite, NoConvergence):
             # walked past the region where the perturbed covariance is pd
             # and cleanly fittable; pull back to its edge
-            hi, g_hi = _largest_evaluable(gap, lo, hi)
+            edge, g_edge = domain_edge(evaluable_gaps, [lo], [hi], [g_lo], iters=40)
+            hi, g_hi = float(edge[0]), float(g_edge[0])
             if g_hi < 0:
                 raise TargetUnreachable(
                     f"population covariance loses positive definiteness before "
@@ -613,7 +628,7 @@ def misspecify_to_epsilon(
             f"no perturbation in the search bracket attains RMSEA {epsilon_target}"
         )
 
-    t = bracketed_root(gap, lo, hi, g_lo, g_hi, f_tol=2e-7)
+    t = bracketed_root(gaps, [lo], [hi], [g_lo], [g_hi], f_tol=2e-7)[0]
     sigma_t = base + t * direction
     sigma_t = 0.5 * (sigma_t + sigma_t.T)
     return replace(
@@ -623,17 +638,3 @@ def misspecify_to_epsilon(
         perturbation=float(t),
     )
 
-
-def _largest_evaluable(fun, good, bad, iters=40):
-    """Bisect toward the edge of fun's domain; returns (x, fun(x)) at the
-    largest point that evaluates cleanly."""
-    g_good = fun(good)
-    for _ in range(iters):
-        mid = 0.5 * (good + bad)
-        try:
-            g_mid = fun(mid)
-        except (NotPositiveDefinite, NoConvergence):
-            bad = mid
-        else:
-            good, g_good = mid, g_mid
-    return good, g_good

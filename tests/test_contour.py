@@ -9,15 +9,20 @@ from fungible import (
     ContourEscapesDomain,
     ContourTarget,
     NotPositiveDefinite,
+    SingularStructure,
     axis_widths_exact,
     axis_widths_quadratic,
     chisq_quantile,
+    condition_at,
     f_from_rmsea,
     f_ml,
     f_target,
+    fit_ml,
     fpe_sample,
     radial_contour_point,
+    replication_rng,
     sweep_contour,
+    wishart_sample,
 )
 from helpers import QuadraticSurrogate
 
@@ -320,3 +325,111 @@ class TestSampleSizeScaling:
         big = axis_widths_quadratic(big_fit, f_target(target, big_fit), focal)
         assert small.major == big.major
         assert small.minor == big.minor
+
+
+def _scalar_root(g, lo, hi, g_lo, g_hi, f_tol, max_iter=200):
+    """Safeguarded secant/bisection on one bracket, one g call per step."""
+    if abs(g_lo) <= f_tol:
+        return lo
+    if abs(g_hi) <= f_tol:
+        return hi
+    a, b = lo, hi
+    x0, gx0, x1, gx1 = lo, g_lo, hi, g_hi
+    best_x, best_g = (lo, g_lo) if abs(g_lo) < abs(g_hi) else (hi, g_hi)
+    for _ in range(max_iter):
+        denom = gx1 - gx0
+        x = x1 - gx1 * (x1 - x0) / denom if denom != 0.0 and math.isfinite(denom) else 0.5 * (a + b)
+        if not (a < x < b) or not math.isfinite(x):
+            x = 0.5 * (a + b)
+        gx = g(x)
+        if abs(gx) <= f_tol:
+            return x
+        if abs(gx) < abs(best_g):
+            best_x, best_g = x, gx
+        if gx < 0.0:
+            a = x
+        else:
+            b = x
+        x0, gx0, x1, gx1 = x1, gx1, x, gx
+        if b - a <= 1e-16 * max(1.0, abs(a), abs(b)):
+            break
+    assert abs(best_g) <= f_tol
+    return best_x
+
+
+def _reference_radius(res, unit, focal, t, f_tol=1e-9):
+    """One ray solved on its own with the scalar f_ml: exponential bracketing
+    from the quadratic radius, bisection to the domain edge, then the root;
+    NaN when the ray escapes."""
+    u_full = np.zeros(res.model.q)
+    u_full[list(focal)] = unit
+
+    def gap(r):
+        try:
+            return f_ml(res.model, res.theta_hat + r * u_full, res.s) - t
+        except (NotPositiveDefinite, SingularStructure):
+            return math.nan
+
+    c = t - res.f_hat
+    curv = float(unit @ res.hessian_at_opt[np.ix_(focal, focal)] @ unit)
+    lo, g_lo = 0.0, -c
+    hi = math.sqrt(2.0 * c / curv) if curv > 0 else 1.0
+    for _ in range(90):
+        g_hi = gap(hi)
+        if math.isnan(g_hi):
+            good, g_good, bad = lo, g_lo, hi
+            for _ in range(80):
+                mid = 0.5 * (good + bad)
+                g_mid = gap(mid)
+                if math.isnan(g_mid):
+                    bad = mid
+                else:
+                    good, g_good = mid, g_mid
+            hi, g_hi = good, g_good
+            if g_hi < 0:
+                return math.nan
+            break
+        if g_hi >= 0:
+            break
+        lo, g_lo, hi = hi, g_hi, 2.0 * hi
+    else:
+        return math.nan
+    return _scalar_root(gap, lo, hi, g_lo, g_hi, f_tol)
+
+
+def _selftest_case():
+    """Sigma3, N=50, epsilon .09, replication 0 of seed 1, raw delta_f 2.0:
+    many of its rays end at the domain edge."""
+    cond = condition_at("Sigma3", 0.09)
+    s = wishart_sample(cond.sigma_pop, 50, replication_rng(1, "Sigma3", 50, 0.09, 0))
+    res = fit_ml(cond.model, s, n=50)
+    names = res.model.theta_names
+    focal = (names.index("gamma1"), names.index("gamma2"))
+    target = ContourTarget(mode="delta_f", delta_f=2.0, scaling="raw")
+    return res, focal, f_target(target, res, n_focal=2)
+
+
+class TestLockstepEngine:
+    def test_matches_per_ray_reference(self, popfits, focal):
+        cases = [_selftest_case()]
+        res = popfits["Sigma1"]
+        cases.append((res, focal, f_target(ContourTarget(mode="confidence"), res, n_focal=2)))
+        for res, focal_pair, t in cases:
+            solved = {pt.angle: pt.r for pt in sweep_contour(res, t, focal_pair, 16)}
+            for k in range(16):
+                angle = 2.0 * math.pi * k / 16
+                unit = np.array([math.cos(angle), math.sin(angle)])
+                want = _reference_radius(res, unit / np.linalg.norm(unit), focal_pair, t)
+                if math.isnan(want):
+                    assert angle not in solved
+                else:
+                    assert solved[angle] == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_domain_edge_case_solves(self):
+        # this case used to end in numpy's LinAlgError during the domain-edge
+        # bisection, which no caller caught
+        res, focal, t = _selftest_case()
+        widths = axis_widths_exact(res, t, focal, 90)
+        assert widths.major >= widths.minor > 0.0
+        for pt in sweep_contour(res, t, focal, 90):
+            assert abs(f_ml(res.model, pt.theta, res.s) - t) <= 1e-9

@@ -8,14 +8,21 @@ from hypothesis import strategies as st
 from fungible import (
     FitIndices,
     NotPositiveDefinite,
+    SingularStructure,
     chisq_quantile,
+    condition_at,
     f_from_rmsea,
     f_ml,
+    f_ml_stack,
     fit_indices,
+    fit_ml,
     gradient,
     hessian,
+    make_model,
+    replication_rng,
     rmsea_from_f,
     sigma_of_theta,
+    wishart_sample,
 )
 from helpers import (
     diag_model,
@@ -67,6 +74,85 @@ class TestFml:
             assert f_ml(pmodel, theta, ps) == pytest.approx(
                 f_ml(model, theta, s), rel=1e-12, abs=1e-12
             )
+
+
+def _f_ml_or_nan(model, theta, s):
+    try:
+        return f_ml(model, theta, s)
+    except (NotPositiveDefinite, SingularStructure):
+        return math.nan
+
+
+def _assert_matches_scalar(model, thetas, s):
+    got = f_ml_stack(model, thetas, s)
+    want = np.array([_f_ml_or_nan(model, theta, s) for theta in thetas])
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    np.testing.assert_allclose(got[ok], want[ok], rtol=1e-12, atol=0.0)
+    return want
+
+
+class TestFmlStack:
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_scalar_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        model, theta, s = random_model(rng)
+        # moves of growing size away from theta; the large ones often turn
+        # variances negative, and the last row always does (Sigma not pd)
+        scales = np.repeat([0.0, 0.05, 0.5, 2.0], 5)
+        thetas = theta + scales[:, None] * rng.standard_normal((len(scales), model.q))
+        broken = theta.copy()
+        broken[model.variance_param_mask] = -1.0
+        want = _assert_matches_scalar(model, np.vstack([thetas, broken]), s)
+        assert np.isnan(want[-1]) and not np.isnan(want[0])
+
+    def test_singular_structure_rows(self):
+        # x <-> y feedback loop: (I - A) is singular where b1 * b2 = 1
+        model = make_model(
+            ["x", "y"],
+            [],
+            [{"row": "y", "col": "x", "param": "b1"}, {"row": "x", "col": "y", "param": "b2"}],
+            [{"row": "x", "col": "x", "value": 1.0}, {"row": "y", "col": "y", "value": 1.0}],
+        )
+        s = np.array([[1.0, 0.3], [0.3, 1.0]])
+        thetas = np.array([[0.3, 0.2], [2.0, 0.5], [0.5, 0.5], [1.0, 1.0], [-0.4, 0.1]])
+        want = _assert_matches_scalar(model, thetas, s)
+        assert list(np.isnan(want)) == [False, True, False, True, False]
+
+    def test_lu_failure_after_cholesky(self):
+        # A point on a contour ray's domain edge, met while bisecting toward
+        # it on one replication of Sigma3 at N=50, epsilon .09: Sigma passes
+        # its Cholesky test, but LU in the trace solve can meet an exact zero
+        # pivot there.  That used to escape as numpy's LinAlgError.
+        cond = condition_at("Sigma3", 0.09)
+        s = wishart_sample(cond.sigma_pop, 50, replication_rng(1, "Sigma3", 50, 0.09, 0))
+        res = fit_ml(cond.model, s, n=50)
+        theta = np.array([float.fromhex(h) for h in (
+            "0x1.158ee243f56f1p-1", "0x1.bebf031369e35p-1", "0x1.8ffe837dbbbbbp-1",
+            "0x1.43a5173f55267p+0", "0x1.bc01de2867485p-3", "-0x1.b5d7cad70afe0p-6",
+            "0x1.b9ae6b8487df8p-1", "0x1.36b53a078102ap-1", "0x1.e7ad107fed809p-2",
+            "0x1.e96a2d3ac2821p-2", "-0x1.750acb6c0101fp-1", "0x1.957968a994543p-1",
+            "0x1.6af3aa36bfcdap-1", "0x1.4f52cdfb7a97cp-2",
+        )])
+        try:
+            f_ml(cond.model, theta, res.s)
+        except NotPositiveDefinite as err:
+            assert err.which == "sigma_theta"
+        _assert_matches_scalar(cond.model, theta[None, :], res.s)
+        np.testing.assert_array_equal(
+            res.objectives(theta[None, :]), f_ml_stack(cond.model, theta[None, :], res.s)
+        )
+
+    def test_shape_and_finiteness_checked(self):
+        model = diag_model(2)
+        with pytest.raises(ValueError):
+            f_ml_stack(model, np.ones(2), np.eye(2))
+        with pytest.raises(ValueError):
+            f_ml_stack(model, np.array([[1.0, np.inf]]), np.eye(2))
+        with pytest.raises(NotPositiveDefinite):
+            f_ml_stack(model, np.ones((1, 2)), [[1.0, 2.0], [2.0, 1.0]])
+        assert f_ml_stack(model, np.empty((0, 2)), np.eye(2)).shape == (0,)
 
 
 class TestGradient:

@@ -10,6 +10,7 @@ from fungible import (
     TargetUnreachable,
     builtin_conditions,
     canonical_model,
+    condition_at,
     condition_from_label,
     load_model,
     make_model,
@@ -219,6 +220,25 @@ class TestMisspecify:
         ]
         assert ts[0] == 0.0
         assert all(abs(ts[i]) < abs(ts[i + 1]) for i in range(3))
+
+    # perturbations as solved before model and contour shared one
+    # domain-edge bisector; study set-up and its reference table depend on
+    # them bit for bit
+    PINNED = {
+        ("Sigma1", 0.03): "0x1.22e287aeb8b34p-4",
+        ("Sigma1", 0.09): "0x1.bcf9d354a638bp-3",
+        ("Sigma2", 0.03): "0x1.6492c8264123cp-5",
+        ("Sigma2", 0.09): "0x1.070fe9c85b656p-3",
+        ("Sigma3", 0.03): "0x1.0159832d01e5cp-4",
+        ("Sigma3", 0.09): "0x1.7d37836a28563p-3",
+        ("Sigma4", 0.03): "0x1.465de426b52dbp-5",
+        ("Sigma4", 0.09): "0x1.e4051e4b9aa59p-4",
+    }
+
+    @pytest.mark.parametrize("label,eps", sorted(PINNED))
+    def test_perturbation_pinned(self, label, eps):
+        got = condition_at(label, eps).perturbation
+        assert got.hex() == self.PINNED[label, eps]
 
     def test_unreachable_target(self, conditions):
         with pytest.raises(TargetUnreachable):
