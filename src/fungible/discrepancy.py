@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
-from .model import ModelSpec, _implied
+from .errors import NotPositiveDefinite, SingularStructure
+from .model import ModelSpec, _implied, as_theta
 
 __all__ = [
     "f_ml",
@@ -50,6 +50,13 @@ def _f_from_sigma(model, sigma, s, ld_s):
     return max(0.0, ld_sigma - ld_s + trace - model.n_observed)
 
 
+def _value_and_implied(model, theta, s, ld_s):
+    """:func:`f_ml` at theta against s, given ln|s|, together with the
+    implied matrices ``(G, GSG', Sigma)`` it was computed from."""
+    _, _, g_mat, c_mat, sigma = _implied(model, theta)
+    return _f_from_sigma(model, sigma, s, ld_s), (g_mat, c_mat, sigma)
+
+
 def f_ml(model: ModelSpec, theta, s) -> float:
     """ML discrepancy between a covariance s and the model-implied Sigma(theta):
 
@@ -61,7 +68,7 @@ def f_ml(model: ModelSpec, theta, s) -> float:
     """
     s = np.asarray(s, dtype=float)
     ld_s = _logdet_from_chol(_chol(s, "s"))
-    return _f_from_sigma(model, _implied(model, theta)[4], s, ld_s)
+    return _value_and_implied(model, theta, s, ld_s)[0]
 
 
 def _rows_or_nan(fn, mats, *args):
@@ -80,20 +87,13 @@ def _rows_or_nan(fn, mats, *args):
     return out
 
 
-def f_ml_stack(model: ModelSpec, thetas, s, *, ld_s: float | None = None) -> np.ndarray:
-    """:func:`f_ml` at every row of a ``(k, q)`` stack of parameter vectors.
+def _implied_stack(model, thetas):
+    """``model._implied`` over a ``(k, q)`` stack of parameter vectors.
 
-    A and S are assembled for all rows at once; (I - A) is solved, Sigma is
-    Cholesky-factored and solved against s as stacked numpy calls.  Returns a
-    ``(k,)`` array holding NaN wherever :func:`f_ml` raises a domain error
-    for that row ((I - A) singular, Sigma not positive definite).  ``ld_s``
-    is ln|s|, passed by callers that evaluate against one s many times;
-    without it s is factored here, raising :class:`NotPositiveDefinite` for
-    an s that is not positive definite.
+    Returns ``(rows, G, GSG', Sigma)``: ``rows`` indexes the vectors whose
+    (I - A) passes the singularity tests of ``model._implied``, and the
+    ``(len(rows), ., .)`` matrix stacks belong to those vectors.
     """
-    s = np.asarray(s, dtype=float)
-    if ld_s is None:
-        ld_s = _logdet_from_chol(_chol(s, "s"))
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != model.q:
         raise ValueError(f"parameter stack must have shape (k, {model.q}), got {thetas.shape}")
@@ -108,7 +108,6 @@ def f_ml_stack(model: ModelSpec, thetas, s, *, ld_s: float | None = None) -> np.
     free = model.symmetric_param >= 0
     sym[:, free] = thetas[:, model.symmetric_param[free]]
 
-    # the same singularity tests as model._implied, row by row
     im_a = eye - a
     g = _rows_or_nan(np.linalg.solve, im_a, eye)
     resid = np.abs(im_a @ g - eye).max(axis=(1, 2))
@@ -116,30 +115,51 @@ def f_ml_stack(model: ModelSpec, thetas, s, *, ld_s: float | None = None) -> np.
     rows = np.flatnonzero(np.isfinite(g_max) & (resid <= 1e-8 * np.maximum(1.0, g_max)))
     if len(rows) < k:
         g, sym = g[rows], sym[rows]
-    sigma = (g @ sym @ g.transpose(0, 2, 1))[:, :p, :p]
-    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    c = g @ sym @ g.transpose(0, 2, 1)
+    sigma = c[:, :p, :p]
+    return rows, g, c, 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
+
+def f_ml_stack(model: ModelSpec, thetas, s, *, ld_s: float | None = None) -> np.ndarray:
+    """:func:`f_ml` at every row of a ``(k, q)`` stack of parameter vectors.
+
+    A and S are assembled for all rows at once; (I - A) is solved, Sigma is
+    Cholesky-factored and solved against s as stacked numpy calls.  Returns a
+    ``(k,)`` array holding NaN wherever :func:`f_ml` raises a domain error
+    for that row ((I - A) singular, Sigma not positive definite).  ``ld_s``
+    is ln|s|, passed by callers that evaluate against one s many times;
+    without it s is factored here, raising :class:`NotPositiveDefinite` for
+    an s that is not positive definite.
+    """
+    s = np.asarray(s, dtype=float)
+    if ld_s is None:
+        ld_s = _logdet_from_chol(_chol(s, "s"))
+    rows, _, _, sigma = _implied_stack(model, thetas)
     chol = _rows_or_nan(np.linalg.cholesky, sigma)
     ld_sigma = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
     trace = np.trace(_rows_or_nan(np.linalg.solve, sigma, s), axis1=1, axis2=2)
-    out = np.full(k, np.nan)
-    out[rows] = np.maximum(0.0, ld_sigma - ld_s + trace - p)
+    out = np.full(len(thetas), np.nan)
+    out[rows] = np.maximum(0.0, ld_sigma - ld_s + trace - model.n_observed)
     return out
 
 
-def _grad_from_implied(model, s, g_mat, c_mat, sigma):
+def _grad_from_implied(model, s, g_mat, c_mat, sigma, sigma_inv):
+    """Gradient of F from the implied matrices at one point, or from
+    ``(k, ., .)`` stacks of them at k points (then ``(k, q)``)."""
     p = model.n_observed
-    sigma_inv = np.linalg.inv(sigma)
     w = sigma_inv @ (sigma - s) @ sigma_inv
-    w = 0.5 * (w + w.T)
-    g_obs = g_mat[:p, :]                       # F G
-    q_mat = (c_mat[:, :p] @ w @ g_obs).T       # transpose of G S G' F' W F G
-    d_mat = g_obs.T @ w @ g_obs                # G' F' W F G
-    grad = np.zeros(model.q)
-    for k, i, j in model._a_entries:
-        grad[k] += 2.0 * q_mat[i, j]
-    for k, i, j in model._s_entries:
-        grad[k] += d_mat[i, i] if i == j else 2.0 * d_mat[i, j]
+    w = 0.5 * (w + np.swapaxes(w, -1, -2))
+    g_obs = g_mat[..., :p, :]                  # F G
+    # transpose of G S G' F' W F G, and G' F' W F G
+    q_mat = np.swapaxes(c_mat[..., :, :p] @ w @ g_obs, -1, -2)
+    d_mat = np.swapaxes(g_obs, -1, -2) @ w @ g_obs
+    params, a_rows, a_cols, s_rows, s_cols, factor = model._gradient_gather
+    terms = factor * np.concatenate(
+        [q_mat[..., a_rows, a_cols], d_mat[..., s_rows, s_cols]], axis=-1
+    )
+    grad = np.zeros(terms.shape[:-1] + (model.q,))
+    # entries sharing a parameter add up in entry order
+    np.add.at(grad.T, params, terms.T)
     return grad
 
 
@@ -150,30 +170,52 @@ def gradient(model: ModelSpec, theta, s) -> np.ndarray:
     _chol(s, "s")
     _, _, g_mat, c_mat, sigma = _implied(model, theta)
     _chol(sigma, "sigma_theta")
-    return _grad_from_implied(model, s, g_mat, c_mat, sigma)
+    return _grad_from_implied(model, s, g_mat, c_mat, sigma, np.linalg.inv(sigma))
 
 
-def _value_and_gradient(model, theta, s):
-    s = np.asarray(s, dtype=float)
-    ld_s = _logdet_from_chol(_chol(s, "s"))
-    _, _, g_mat, c_mat, sigma = _implied(model, theta)
-    value = _f_from_sigma(model, sigma, s, ld_s)
-    return value, _grad_from_implied(model, s, g_mat, c_mat, sigma)
+def _gradient_stack(model, thetas, s):
+    """:func:`gradient` at every row of a ``(k, q)`` stack in one stacked
+    evaluation.  Where it raises for some rows, raises what :func:`gradient`
+    raises at the first of them: :class:`SingularStructure`,
+    :class:`NotPositiveDefinite` ``("sigma_theta")``, or numpy's
+    ``LinAlgError`` from inverting a Sigma that passed its Cholesky test."""
+    rows, g_mat, c_mat, sigma = _implied_stack(model, thetas)
+    not_pd = np.isnan(_rows_or_nan(np.linalg.cholesky, sigma)).any(axis=(1, 2))
+    sigma_inv = _rows_or_nan(np.linalg.inv, sigma)
+    no_inverse = np.isnan(sigma_inv).any(axis=(1, 2))
+    # per row, in the order gradient tests them: 1 (I - A) singular,
+    # 2 Sigma not positive definite, 3 Sigma not invertible; 0 no fault
+    fault = np.ones(len(thetas), dtype=int)
+    fault[rows] = np.where(not_pd, 2, np.where(no_inverse, 3, 0))
+    bad = np.flatnonzero(fault)
+    if len(bad):
+        kind = fault[bad[0]]
+        if kind == 1:
+            raise SingularStructure("(I - A) is numerically singular")
+        if kind == 2:
+            raise NotPositiveDefinite("sigma_theta")
+        raise np.linalg.LinAlgError("Singular matrix")
+    return _grad_from_implied(model, s, g_mat, c_mat, sigma, sigma_inv)
 
 
 def hessian(model: ModelSpec, theta, s) -> np.ndarray:
     """Hessian of :func:`f_ml` by central finite differences of the analytic
-    gradient, step 1e-5 * max(1, |theta_i|) per coordinate, symmetrized."""
-    theta = np.asarray(theta, dtype=float)
-    q = model.q
-    h_mat = np.empty((q, q))
-    for i in range(q):
-        h = 1e-5 * max(1.0, abs(theta[i]))
-        step = np.zeros(q)
-        step[i] = h
-        g_plus = gradient(model, theta + step, s)
-        g_minus = gradient(model, theta - step, s)
-        h_mat[:, i] = (g_plus - g_minus) / (2.0 * h)
+    gradient, step 1e-5 * max(1, |theta_i|) per coordinate, symmetrized.
+
+    The 2q gradients at theta + h_i e_i and theta - h_i e_i are one stacked
+    evaluation.  Where some of those points leave the domain, raises the
+    error :func:`gradient` raises at the first of them in the order
+    +e_1, -e_1, +e_2, -e_2, ...
+    """
+    s = np.asarray(s, dtype=float)
+    _chol(s, "s")
+    theta = as_theta(model, theta)
+    h = 1e-5 * np.maximum(1.0, np.abs(theta))
+    points = np.empty((2 * model.q, model.q))
+    points[0::2] = theta + np.diag(h)
+    points[1::2] = theta - np.diag(h)
+    grads = _gradient_stack(model, points, s)
+    h_mat = ((grads[0::2] - grads[1::2]) / (2.0 * h)[:, None]).T
     return 0.5 * (h_mat + h_mat.T)
 
 

@@ -6,6 +6,13 @@ lose positive definiteness of the implied covariance are rejected by the
 line search (treated as an infinite objective) rather than penalized, so the
 objective stays the exact ML discrepancy.
 
+Each line-search trial evaluates the model once, returning the implied
+matrices with the value; the gradient at an accepted step is computed from
+the matrices of that same evaluation, so an accepted step costs one
+evaluation of the model, not two.  The minimization factors S once, when
+it is validated.  The Hessian at the optimum is one stacked evaluation of
+its 2q gradients (:func:`~fungible.discrepancy.hessian`).
+
 There are no parameter bounds: improper solutions (negative unique
 variances) are reported via ``FitResult.improper``, not prevented.
 """
@@ -19,8 +26,9 @@ import numpy as np
 
 from .discrepancy import (
     _chol,
+    _grad_from_implied,
     _logdet_from_chol,
-    _value_and_gradient,
+    _value_and_implied,
     f_ml,
     f_ml_stack,
     hessian,
@@ -102,11 +110,7 @@ def _validate_cov(s, p):
     if asym > 1e-10 * max(1.0, np.abs(s).max()):
         raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asym:.2e})")
     s = 0.5 * (s + s.T)
-    try:
-        np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("s") from None
-    return s
+    return s, _logdet_from_chol(_chol(s, "s"))
 
 
 def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = None) -> FitResult:
@@ -119,7 +123,7 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
     """
     opts = opts or FitOptions()
     p = model.n_observed
-    s = _validate_cov(s, p)
+    s, ld_s = _validate_cov(s, p)
     if n is not None:
         n = int(n)
         if n < 2:
@@ -131,7 +135,8 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
     else:
         theta = model.default_start(s)
 
-    f, g = _value_and_gradient(model, theta, s)
+    f, implied = _value_and_implied(model, theta, s, ld_s)
+    g = _grad_from_implied(model, s, *implied, np.linalg.inv(implied[-1]))
     f_trace = [f]
     q = model.q
     eye = np.eye(q)
@@ -157,7 +162,7 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
         for _ in range(60):
             candidate = theta + step * direction
             try:
-                f_new = f_ml(model, candidate, s)
+                f_new, implied = _value_and_implied(model, candidate, s, ld_s)
             except (NotPositiveDefinite, SingularStructure):
                 f_new = np.inf
             if f_new <= f + 1e-4 * step * slope:
@@ -172,7 +177,7 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
                 continue
             break
 
-        f_new, g_new = _value_and_gradient(model, candidate, s)
+        g_new = _grad_from_implied(model, s, *implied, np.linalg.inv(implied[-1]))
         s_vec = candidate - theta
         y_vec = g_new - g
         sy = float(s_vec @ y_vec)

@@ -192,6 +192,18 @@ class ModelSpec:
         )
 
     @cached_property
+    def _gradient_gather(self) -> tuple[np.ndarray, ...]:
+        """Index arrays for the analytic gradient: the parameter of every free
+        A entry, then of every free S entry (upper triangle), the A entries'
+        rows and columns, the S entries' rows and columns, and the factor each
+        entry's derivative term carries (1 on the S diagonal, else 2)."""
+        a = np.array(self._a_entries, dtype=int).reshape(-1, 3)
+        s = np.array(self._s_entries, dtype=int).reshape(-1, 3)
+        params = np.concatenate([a[:, 0], s[:, 0]])
+        factor = np.concatenate([np.full(len(a), 2.0), np.where(s[:, 1] == s[:, 2], 1.0, 2.0)])
+        return params, a[:, 1], a[:, 2], s[:, 1], s[:, 2], factor
+
+    @cached_property
     def variance_param_mask(self) -> np.ndarray:
         """Boolean theta mask of parameters appearing on the S diagonal."""
         mask = np.zeros(self.q, dtype=bool)

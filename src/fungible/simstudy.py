@@ -14,7 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -87,16 +87,13 @@ class StudyTable:
     epsilons: tuple[float, ...]
     cells: tuple[StudyCell, ...]
 
+    @cached_property
+    def _by_key(self) -> dict[tuple, StudyCell]:
+        # reversed, so the first of any cells sharing a key wins
+        return {(c.condition, c.n, c.mode, c.epsilon): c for c in reversed(self.cells)}
+
     def cell(self, condition, n, mode, epsilon=0.0) -> StudyCell | None:
-        for c in self.cells:
-            if (
-                c.condition == condition
-                and c.n == n
-                and c.mode == mode
-                and c.epsilon == epsilon
-            ):
-                return c
-        return None
+        return self._by_key.get((condition, n, mode, epsilon))
 
 
 def replication_rng(seed: int, condition: str, n: int, epsilon: float, rep: int) -> np.random.Generator:

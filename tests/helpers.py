@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fungible import ModelSpec, f_ml, make_model
+from fungible import ModelSpec, f_ml, gradient, make_model
 
 
 def saturated_1var():
@@ -93,6 +93,22 @@ def finite_diff_gradient(model, theta, s, rel_step=1e-6):
         step[i] = h
         grad[i] = (f_ml(model, theta + step, s) - f_ml(model, theta - step, s)) / (2 * h)
     return grad
+
+
+def loop_hessian(model, theta, s):
+    """Hessian as 2q scalar :func:`gradient` calls, one per point
+    theta +- h_i e_i, in the order +e_1, -e_1, +e_2, ...; the oracle for the
+    stacked ``hessian``."""
+    theta = np.asarray(theta, dtype=float)
+    h_mat = np.empty((model.q, model.q))
+    for i in range(model.q):
+        h = 1e-5 * max(1.0, abs(theta[i]))
+        step = np.zeros(model.q)
+        step[i] = h
+        g_plus = gradient(model, theta + step, s)
+        g_minus = gradient(model, theta - step, s)
+        h_mat[:, i] = (g_plus - g_minus) / (2.0 * h)
+    return 0.5 * (h_mat + h_mat.T)
 
 
 class QuadraticSurrogate:

@@ -27,6 +27,7 @@ from fungible import (
 from helpers import (
     diag_model,
     finite_diff_gradient,
+    loop_hessian,
     permute_observed,
     random_model,
     saturated_1var,
@@ -171,6 +172,22 @@ class TestGradient:
             err = np.abs(g_a - g_fd).max()
             assert err <= 1e-6 * max(1.0, np.abs(g_a).max())
 
+    def test_shared_parameter_entries(self):
+        # one loading and one unique variance shared by three indicators:
+        # each parameter's derivative sums the terms of its three entries
+        model = make_model(
+            ["x1", "x2", "x3"],
+            ["f"],
+            [{"row": f"x{i}", "col": "f", "param": "l"} for i in (1, 2, 3)],
+            [{"row": f"x{i}", "col": f"x{i}", "param": "u"} for i in (1, 2, 3)]
+            + [{"row": "f", "col": "f", "value": 1.0}],
+        )
+        s = np.array([[1.0, 0.4, 0.3], [0.4, 1.1, 0.35], [0.3, 0.35, 0.9]])
+        theta = np.array([0.6, 0.5])
+        g_a = gradient(model, theta, s)
+        assert np.abs(g_a - finite_diff_gradient(model, theta, s)).max() <= 1e-6
+        np.testing.assert_array_equal(hessian(model, theta, s), loop_hessian(model, theta, s))
+
     def test_zero_at_minimizer(self):
         rng = np.random.default_rng(5)
         model, theta, _ = random_model(rng)
@@ -195,6 +212,42 @@ class TestHessian:
         cond = conditions["Sigma1"]
         h = hessian(cond.model, cond.theta_star, cond.sigma_pop)
         assert np.linalg.eigvalsh(h).min() > -1e-8
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_gradient_loop(self, seed):
+        model, theta, s = random_model(np.random.default_rng(seed))
+        got = hessian(model, theta, s)
+        want = loop_hessian(model, theta, s)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "theta, expected",
+        [
+            # theta - h e_3 turns the free variance negative: Sigma not pd
+            ([0.5, 0.5, 1e-6], NotPositiveDefinite),
+            # theta + h e_1 puts b1 * b2 at 1, before that -h e_3 point
+            ([0.99999, 1.0, 1e-6], SingularStructure),
+            # Sigma passes its Cholesky test but not the inversion
+            ([1.0, 0.99999, 1e-6], np.linalg.LinAlgError),
+        ],
+    )
+    def test_domain_errors_match_gradient_loop(self, theta, expected):
+        # x <-> y feedback loop with a free unique variance for y
+        model = make_model(
+            ["x", "y"],
+            [],
+            [{"row": "y", "col": "x", "param": "b1"}, {"row": "x", "col": "y", "param": "b2"}],
+            [{"row": "x", "col": "x", "value": 1.0}, {"row": "y", "col": "y", "param": "vy"}],
+        )
+        s = np.array([[1.0, 0.3], [0.3, 1.0]])
+        errors = []
+        for fn in (hessian, loop_hessian):
+            with pytest.raises((NotPositiveDefinite, SingularStructure, np.linalg.LinAlgError)) as err:
+                fn(model, theta, s)
+            errors.append((err.type, getattr(err.value, "which", None)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is expected
 
 
 class TestRmseaConversions:

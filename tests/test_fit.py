@@ -5,10 +5,14 @@ from fungible import (
     FitOptions,
     NoConvergence,
     NotPositiveDefinite,
+    f_ml,
     fit_ml,
+    gradient,
     make_model,
     misspecify_to_epsilon,
     population_rmsea,
+    replication_rng,
+    wishart_sample,
 )
 
 
@@ -107,6 +111,24 @@ class TestFitMl:
         assert res.df == conditions["Sigma1"].model.df == 7
         assert res.objective(res.theta_hat) == pytest.approx(res.f_hat, abs=1e-14)
         assert res.hessian_at_opt.shape == (14, 14)
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_result_belongs_to_final_point(self, conditions, n):
+        # f_hat and the gradient come from the line search's matrices at the
+        # accepted point; the scalar entry points recompute them from theta_hat
+        for label, cond in conditions.items():
+            s = wishart_sample(cond.sigma_pop, n, replication_rng(3, label, n, 0.0, 0))
+            res = fit_ml(cond.model, s, n=n)
+            assert res.converged
+            assert res.f_hat == f_ml(cond.model, res.theta_hat, res.s)
+            assert res.grad_norm == np.abs(gradient(cond.model, res.theta_hat, res.s)).max()
+
+    def test_pinned_sample_fit(self, conditions):
+        cond = conditions["Sigma1"]
+        s = wishart_sample(cond.sigma_pop, 50, replication_rng(3, "Sigma1", 50, 0.0, 0))
+        res = fit_ml(cond.model, s, n=50)
+        assert res.iterations == 25
+        assert res.f_hat == float.fromhex("0x1.52a70faefd280p-4")
 
 
 class TestPopulationRmsea:
