@@ -124,10 +124,12 @@ def cmd_fpe(args):
     header = ["angle", "r"] + [f"theta_{k + 1}" for k in range(res.model.q)] + ["f_value"]
     lines = [",".join(header)]
     if level > res.f_hat:
-        for pt in sweep_contour(res, level, focal, args.directions):
+        points = sweep_contour(res, level, focal, args.directions)
+        thetas = np.array([pt.theta for pt in points]).reshape(len(points), res.model.q)
+        for pt, f_value in zip(points, res.objectives(thetas)):
             row = [repr(pt.angle), repr(pt.r)]
             row += [repr(float(v)) for v in pt.theta]
-            row.append(repr(res.objective(pt.theta)))
+            row.append(repr(float(f_value)))
             lines.append(",".join(row))
     else:
         for _ in range(args.directions):

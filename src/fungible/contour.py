@@ -12,6 +12,10 @@ Every ray solve goes through one lockstep engine: all rays of a call (a
 whole sweep, or both golden-section refinements' rays) advance together, one
 stacked evaluation of F over a ``(k, q)`` stack of parameter vectors per
 step, and each ray takes the iterates its own scalar search would take.
+For a :class:`~fungible.fit.FitResult` that evaluation is
+:meth:`~fungible.fit.FitResult.objectives`, the discrepancy kernel of
+:mod:`fungible.discrepancy`, whose rows equal :func:`~fungible.discrepancy.f_ml`
+bit for bit.
 
 These functions only use ``theta_hat``, ``f_hat``, ``n``, ``hessian_at_opt``
 and ``objective(theta)`` from the fit argument, so any object exposing those

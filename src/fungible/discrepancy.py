@@ -1,5 +1,11 @@
-"""Math core: ML discrepancy with derivatives, the discrepancy over a stack
-of parameter vectors, RMSEA conversions, and chi-square quantiles.
+"""Math core: ML discrepancy with derivatives, RMSEA conversions, and
+chi-square quantiles.
+
+F and its gradient come from one kernel, :func:`evaluate_stack`, over a
+``(k, q)`` stack of parameter vectors, with one fault code per row.
+:func:`f_ml` and :func:`gradient` are its one-row views and raise the fault
+as a domain error; :func:`f_ml_stack` gives NaN at faulted rows, and
+:func:`hessian` evaluates its 2q gradient points as one stack.
 
 All functions are pure and reentrant.  Positive definiteness is always
 established by attempting a Cholesky factorization; there is no eigenvalue
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, SingularStructure
-from .model import ModelSpec, _implied, as_theta
+from .model import ModelSpec, _rows_or_nan, as_theta, implied_stack
 
 __all__ = [
     "f_ml",
@@ -28,33 +34,58 @@ __all__ = [
     "fit_indices",
 ]
 
+# per-row fault codes of :func:`evaluate_stack`
+SINGULAR_STRUCTURE = 1  # (I - A) numerically singular
+SIGMA_NOT_PD = 2        # Sigma fails its Cholesky test or its solve
 
-def _chol(mat, which):
+
+def _logdet_s(s):
+    """ln|s| from the Cholesky factor of s; raises
+    :class:`NotPositiveDefinite` ``("s")`` when s is not positive definite."""
     try:
-        return np.linalg.cholesky(mat)
+        chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(which) from None
+        raise NotPositiveDefinite("s") from None
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def _logdet_from_chol(chol_factor):
-    return 2.0 * float(np.sum(np.log(np.diag(chol_factor))))
+def evaluate_stack(model: ModelSpec, thetas, s, ld_s):
+    """F against s, given ln|s|, at every row of a validated ``(k, q)`` stack.
+
+    Sigma is Cholesky-factored for ln|Sigma| and solved against s for the
+    trace, each as one stacked call.  Returns ``(fault, f, implied)``: per
+    row 0, ``SINGULAR_STRUCTURE`` or ``SIGMA_NOT_PD``; F, NaN where faulted;
+    the ``(G, GSG', Sigma)`` stacks of the rows whose (I - A) is regular.
+    """
+    ok, g_mat, c_mat, sigma = implied_stack(model, thetas)
+    chol = _rows_or_nan(np.linalg.cholesky, sigma)
+    ld_sigma = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    trace = np.trace(_rows_or_nan(np.linalg.solve, sigma, s), axis1=1, axis2=2)
+    f = np.maximum(0.0, ld_sigma - ld_s + trace - model.n_observed)
+    fault = np.where(np.isnan(f), SIGMA_NOT_PD, 0)
+    if len(f) < len(thetas):
+        # widen to every row; (I - A) was singular at the rows not in ok
+        f_ok, fault_ok = f, fault
+        f = np.full(len(thetas), np.nan)
+        fault = np.full(len(thetas), SINGULAR_STRUCTURE)
+        f[ok], fault[ok] = f_ok, fault_ok
+    return fault, f, (g_mat, c_mat, sigma)
 
 
-def _f_from_sigma(model, sigma, s, ld_s):
-    ld_sigma = _logdet_from_chol(_chol(sigma, "sigma_theta"))
-    try:
-        trace = float(np.trace(np.linalg.solve(sigma, s)))
-    except np.linalg.LinAlgError:
-        # LU can meet an exact zero pivot on a Sigma whose Cholesky passed
-        raise NotPositiveDefinite("sigma_theta") from None
-    return max(0.0, ld_sigma - ld_s + trace - model.n_observed)
+def _raise_fault(code):
+    """The domain error a row's fault code stands for; none for 0."""
+    if code == SINGULAR_STRUCTURE:
+        raise SingularStructure("(I - A) is numerically singular")
+    if code == SIGMA_NOT_PD:
+        raise NotPositiveDefinite("sigma_theta")
 
 
-def _value_and_implied(model, theta, s, ld_s):
-    """:func:`f_ml` at theta against s, given ln|s|, together with the
-    implied matrices ``(G, GSG', Sigma)`` it was computed from."""
-    _, _, g_mat, c_mat, sigma = _implied(model, theta)
-    return _f_from_sigma(model, sigma, s, ld_s), (g_mat, c_mat, sigma)
+def _evaluate_one(model, theta, s, ld_s):
+    """:func:`evaluate_stack` at one parameter vector: F and the one-row
+    stacks of ``(G, GSG', Sigma)`` there, or the domain error of its fault."""
+    fault, f, implied = evaluate_stack(model, as_theta(model, theta)[None], s, ld_s)
+    _raise_fault(fault[0])
+    return float(f[0]), implied
 
 
 def f_ml(model: ModelSpec, theta, s) -> float:
@@ -64,89 +95,39 @@ def f_ml(model: ModelSpec, theta, s) -> float:
 
     Nonnegative, zero iff Sigma(theta) = s.  Raises
     :class:`NotPositiveDefinite` naming whichever of ``s`` or ``Sigma(theta)``
-    fails its Cholesky factorization (or, for Sigma, its solve).
+    fails its Cholesky factorization (or, for Sigma, its solve), and
+    :class:`SingularStructure` when (I - A) is numerically singular.
     """
     s = np.asarray(s, dtype=float)
-    ld_s = _logdet_from_chol(_chol(s, "s"))
-    return _value_and_implied(model, theta, s, ld_s)[0]
-
-
-def _rows_or_nan(fn, mats, *args):
-    """fn over a (k, n, n) stack in one call; only when that call raises,
-    one call per matrix, with NaN for the matrices where it raises."""
-    try:
-        return fn(mats, *args)
-    except np.linalg.LinAlgError:
-        pass
-    out = np.full(mats.shape, np.nan)
-    for i, mat in enumerate(mats):
-        try:
-            out[i] = fn(mat, *args)
-        except np.linalg.LinAlgError:
-            pass
-    return out
-
-
-def _implied_stack(model, thetas):
-    """``model._implied`` over a ``(k, q)`` stack of parameter vectors.
-
-    Returns ``(rows, G, GSG', Sigma)``: ``rows`` indexes the vectors whose
-    (I - A) passes the singularity tests of ``model._implied``, and the
-    ``(len(rows), ., .)`` matrix stacks belong to those vectors.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != model.q:
-        raise ValueError(f"parameter stack must have shape (k, {model.q}), got {thetas.shape}")
-    if not np.all(np.isfinite(thetas)):
-        raise ValueError("parameter vectors must be finite")
-    k, m, p = len(thetas), model.m, model.n_observed
-    eye = np.eye(m)
-    a = np.repeat(model.directed_fixed[None], k, axis=0)
-    free = model.directed_param >= 0
-    a[:, free] = thetas[:, model.directed_param[free]]
-    sym = np.repeat(model.symmetric_fixed[None], k, axis=0)
-    free = model.symmetric_param >= 0
-    sym[:, free] = thetas[:, model.symmetric_param[free]]
-
-    im_a = eye - a
-    g = _rows_or_nan(np.linalg.solve, im_a, eye)
-    resid = np.abs(im_a @ g - eye).max(axis=(1, 2))
-    g_max = np.abs(g).max(axis=(1, 2))
-    rows = np.flatnonzero(np.isfinite(g_max) & (resid <= 1e-8 * np.maximum(1.0, g_max)))
-    if len(rows) < k:
-        g, sym = g[rows], sym[rows]
-    c = g @ sym @ g.transpose(0, 2, 1)
-    sigma = c[:, :p, :p]
-    return rows, g, c, 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    return _evaluate_one(model, theta, s, _logdet_s(s))[0]
 
 
 def f_ml_stack(model: ModelSpec, thetas, s, *, ld_s: float | None = None) -> np.ndarray:
     """:func:`f_ml` at every row of a ``(k, q)`` stack of parameter vectors.
 
-    A and S are assembled for all rows at once; (I - A) is solved, Sigma is
-    Cholesky-factored and solved against s as stacked numpy calls.  Returns a
-    ``(k,)`` array holding NaN wherever :func:`f_ml` raises a domain error
-    for that row ((I - A) singular, Sigma not positive definite).  ``ld_s``
-    is ln|s|, passed by callers that evaluate against one s many times;
-    without it s is factored here, raising :class:`NotPositiveDefinite` for
-    an s that is not positive definite.
+    Returns a ``(k,)`` array holding NaN wherever :func:`f_ml` raises a
+    domain error for that row; the other rows equal :func:`f_ml` bit for
+    bit.  ``ld_s`` is ln|s|, passed by callers that evaluate against one s
+    many times; without it s is factored here, raising
+    :class:`NotPositiveDefinite` for an s that is not positive definite.
     """
     s = np.asarray(s, dtype=float)
     if ld_s is None:
-        ld_s = _logdet_from_chol(_chol(s, "s"))
-    rows, _, _, sigma = _implied_stack(model, thetas)
-    chol = _rows_or_nan(np.linalg.cholesky, sigma)
-    ld_sigma = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    trace = np.trace(_rows_or_nan(np.linalg.solve, sigma, s), axis1=1, axis2=2)
-    out = np.full(len(thetas), np.nan)
-    out[rows] = np.maximum(0.0, ld_sigma - ld_s + trace - model.n_observed)
-    return out
+        ld_s = _logdet_s(s)
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != model.q:
+        raise ValueError(f"parameter stack must have shape (k, {model.q}), got {thetas.shape}")
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("parameter vectors must be finite")
+    return evaluate_stack(model, thetas, s, ld_s)[1]
 
 
-def _grad_from_implied(model, s, g_mat, c_mat, sigma, sigma_inv):
-    """Gradient of F from the implied matrices at one point, or from
-    ``(k, ., .)`` stacks of them at k points (then ``(k, q)``)."""
+def _grad_from_implied(model, s, g_mat, c_mat, sigma):
+    """Gradient of F from the implied matrices at one point where Sigma is
+    invertible, or from ``(k, ., .)`` stacks of them at k such points (then
+    ``(k, q)``)."""
     p = model.n_observed
+    sigma_inv = np.linalg.inv(sigma)
     w = sigma_inv @ (sigma - s) @ sigma_inv
     w = 0.5 * (w + np.swapaxes(w, -1, -2))
     g_obs = g_mat[..., :p, :]                  # F G
@@ -165,37 +146,10 @@ def _grad_from_implied(model, s, g_mat, c_mat, sigma, sigma_inv):
 
 def gradient(model: ModelSpec, theta, s) -> np.ndarray:
     """Analytic gradient of :func:`f_ml` in theta (chain rule through the
-    RAM structure)."""
+    RAM structure); raises the domain errors :func:`f_ml` raises."""
     s = np.asarray(s, dtype=float)
-    _chol(s, "s")
-    _, _, g_mat, c_mat, sigma = _implied(model, theta)
-    _chol(sigma, "sigma_theta")
-    return _grad_from_implied(model, s, g_mat, c_mat, sigma, np.linalg.inv(sigma))
-
-
-def _gradient_stack(model, thetas, s):
-    """:func:`gradient` at every row of a ``(k, q)`` stack in one stacked
-    evaluation.  Where it raises for some rows, raises what :func:`gradient`
-    raises at the first of them: :class:`SingularStructure`,
-    :class:`NotPositiveDefinite` ``("sigma_theta")``, or numpy's
-    ``LinAlgError`` from inverting a Sigma that passed its Cholesky test."""
-    rows, g_mat, c_mat, sigma = _implied_stack(model, thetas)
-    not_pd = np.isnan(_rows_or_nan(np.linalg.cholesky, sigma)).any(axis=(1, 2))
-    sigma_inv = _rows_or_nan(np.linalg.inv, sigma)
-    no_inverse = np.isnan(sigma_inv).any(axis=(1, 2))
-    # per row, in the order gradient tests them: 1 (I - A) singular,
-    # 2 Sigma not positive definite, 3 Sigma not invertible; 0 no fault
-    fault = np.ones(len(thetas), dtype=int)
-    fault[rows] = np.where(not_pd, 2, np.where(no_inverse, 3, 0))
-    bad = np.flatnonzero(fault)
-    if len(bad):
-        kind = fault[bad[0]]
-        if kind == 1:
-            raise SingularStructure("(I - A) is numerically singular")
-        if kind == 2:
-            raise NotPositiveDefinite("sigma_theta")
-        raise np.linalg.LinAlgError("Singular matrix")
-    return _grad_from_implied(model, s, g_mat, c_mat, sigma, sigma_inv)
+    implied = _evaluate_one(model, theta, s, _logdet_s(s))[1]
+    return _grad_from_implied(model, s, *(mat[0] for mat in implied))
 
 
 def hessian(model: ModelSpec, theta, s) -> np.ndarray:
@@ -208,13 +162,17 @@ def hessian(model: ModelSpec, theta, s) -> np.ndarray:
     +e_1, -e_1, +e_2, -e_2, ...
     """
     s = np.asarray(s, dtype=float)
-    _chol(s, "s")
+    ld_s = _logdet_s(s)
     theta = as_theta(model, theta)
     h = 1e-5 * np.maximum(1.0, np.abs(theta))
     points = np.empty((2 * model.q, model.q))
     points[0::2] = theta + np.diag(h)
     points[1::2] = theta - np.diag(h)
-    grads = _gradient_stack(model, points, s)
+    fault, _, implied = evaluate_stack(model, points, s, ld_s)
+    faulted = np.flatnonzero(fault)
+    if len(faulted):
+        _raise_fault(fault[faulted[0]])
+    grads = _grad_from_implied(model, s, *implied)
     h_mat = ((grads[0::2] - grads[1::2]) / (2.0 * h)[:, None]).T
     return 0.5 * (h_mat + h_mat.T)
 

@@ -6,12 +6,12 @@ lose positive definiteness of the implied covariance are rejected by the
 line search (treated as an infinite objective) rather than penalized, so the
 objective stays the exact ML discrepancy.
 
-Each line-search trial evaluates the model once, returning the implied
-matrices with the value; the gradient at an accepted step is computed from
-the matrices of that same evaluation, so an accepted step costs one
-evaluation of the model, not two.  The minimization factors S once, when
-it is validated.  The Hessian at the optimum is one stacked evaluation of
-its 2q gradients (:func:`~fungible.discrepancy.hessian`).
+Each line-search trial is a one-row evaluation of the discrepancy kernel
+(:func:`~fungible.discrepancy.evaluate_stack`): a fault code rejects the
+trial, and an accepted trial's implied matrices give its gradient, so an
+accepted step costs one evaluation of the model.  S is factored once per
+minimization.  The Hessian at the optimum is one stacked evaluation of its
+2q gradients (:func:`~fungible.discrepancy.hessian`).
 
 There are no parameter bounds: improper solutions (negative unique
 variances) are reported via ``FitResult.improper``, not prevented.
@@ -25,16 +25,16 @@ from functools import cached_property
 import numpy as np
 
 from .discrepancy import (
-    _chol,
+    _evaluate_one,
     _grad_from_implied,
-    _logdet_from_chol,
-    _value_and_implied,
+    _logdet_s,
+    evaluate_stack,
     f_ml,
     f_ml_stack,
     hessian,
     rmsea_from_f,
 )
-from .errors import NoConvergence, NotPositiveDefinite, SingularStructure
+from .errors import NoConvergence
 from .model import ModelSpec, _frozen_array, as_theta
 
 
@@ -85,13 +85,13 @@ class FitResult:
         return f_ml(self.model, theta, self.s)
 
     @cached_property
-    def _logdet_s(self) -> float:
-        return _logdet_from_chol(_chol(self.s, "s"))
+    def _ld_s(self) -> float:
+        return _logdet_s(self.s)
 
     def objectives(self, thetas) -> np.ndarray:
         """:meth:`objective` at every row of a ``(k, q)`` stack in one stacked
         evaluation; NaN where it would raise a domain error."""
-        return f_ml_stack(self.model, thetas, self.s, ld_s=self._logdet_s)
+        return f_ml_stack(self.model, thetas, self.s, ld_s=self._ld_s)
 
     @cached_property
     def indices(self):
@@ -110,7 +110,7 @@ def _validate_cov(s, p):
     if asym > 1e-10 * max(1.0, np.abs(s).max()):
         raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asym:.2e})")
     s = 0.5 * (s + s.T)
-    return s, _logdet_from_chol(_chol(s, "s"))
+    return s, _logdet_s(s)
 
 
 def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = None) -> FitResult:
@@ -135,8 +135,8 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
     else:
         theta = model.default_start(s)
 
-    f, implied = _value_and_implied(model, theta, s, ld_s)
-    g = _grad_from_implied(model, s, *implied, np.linalg.inv(implied[-1]))
+    f, implied = _evaluate_one(model, theta, s, ld_s)
+    g = _grad_from_implied(model, s, *(mat[0] for mat in implied))
     f_trace = [f]
     q = model.q
     eye = np.eye(q)
@@ -161,10 +161,8 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
         accepted = False
         for _ in range(60):
             candidate = theta + step * direction
-            try:
-                f_new, implied = _value_and_implied(model, candidate, s, ld_s)
-            except (NotPositiveDefinite, SingularStructure):
-                f_new = np.inf
+            fault, f_row, implied = evaluate_stack(model, candidate[None], s, ld_s)
+            f_new = float(f_row[0]) if fault[0] == 0 else np.inf
             if f_new <= f + 1e-4 * step * slope:
                 accepted = True
                 break
@@ -177,7 +175,7 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
                 continue
             break
 
-        g_new = _grad_from_implied(model, s, *implied, np.linalg.inv(implied[-1]))
+        g_new = _grad_from_implied(model, s, *(mat[0] for mat in implied))
         s_vec = candidate - theta
         y_vec = g_new - g
         sy = float(s_vec @ y_vec)

@@ -16,8 +16,11 @@ simulation study (``Sigma1`` .. ``Sigma4``, a 2 x 2 grid of unique-variance
 and structural-effect magnitudes) and controlled injection of population
 misfit at a target RMSEA via an omitted residual covariance.
 
-Parameter vectors are plain 1-d numpy arrays of length ``q`` in
-``theta_names`` order; they are validated at every entry point.
+Sigma(theta) is computed only by :func:`implied_stack`, over a ``(k, q)``
+stack of parameter vectors with a per-row (I - A) singularity mask;
+:func:`sigma_of_theta` is its one-row view.  Parameter vectors are plain 1-d
+numpy arrays of length ``q`` in ``theta_names`` order; they are validated
+once at every entry point.
 """
 
 from __future__ import annotations
@@ -140,9 +143,7 @@ class ModelSpec:
             if not np.all(np.isfinite(self.start)):
                 raise ValueError("start vector must be finite")
         theta0 = self.start if self.start is not None else self.default_start()
-        A, _ = self.build_matrices(theta0)
-        im_a = np.eye(m) - A
-        if abs(np.linalg.det(im_a)) < 1e-12:
+        if not implied_stack(self, theta0[None])[0][0]:
             raise ValueError("(I - A) is singular at the model's default start vector")
 
     @property
@@ -213,16 +214,27 @@ class ModelSpec:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def _assembly(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A's then S's fixed values as one flat row, the flat positions of
+        their free entries, and those entries' parameter indices."""
+        fixed = np.concatenate([self.directed_fixed.ravel(), self.symmetric_fixed.ravel()])
+        param = np.concatenate([self.directed_param.ravel(), self.symmetric_param.ravel()])
+        free = np.flatnonzero(param >= 0)
+        return fixed, free, param[free]
+
     def build_matrices(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Assemble (A, S) at a parameter vector."""
-        theta = as_theta(self, theta)
-        a = self.directed_fixed.copy()
-        free = self.directed_param >= 0
-        a[free] = theta[self.directed_param[free]]
-        s = self.symmetric_fixed.copy()
-        free = self.symmetric_param >= 0
-        s[free] = theta[self.symmetric_param[free]]
-        return a, s
+        a, s = self._assemble(as_theta(self, theta)[None])
+        return a[0], s[0]
+
+    def _assemble(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """(A, S) stacks at the rows of a validated ``(k, q)`` stack."""
+        fixed, free, params = self._assembly
+        mats = np.repeat(fixed[None], len(thetas), axis=0)
+        mats[:, free] = thetas[:, params]
+        mats = mats.reshape(len(thetas), 2, self.m, self.m)
+        return mats[:, 0], mats[:, 1]
 
     def default_start(self, s=None) -> np.ndarray:
         """Fitting start vector: free variances at half the matching observed
@@ -254,28 +266,44 @@ def as_theta(model: ModelSpec, theta) -> np.ndarray:
     return theta
 
 
-def _implied(model: ModelSpec, theta):
-    """Internal: (A, S, G, GSG', Sigma) at theta, with G = (I - A)^-1."""
-    theta = as_theta(model, theta)
-    a, s = model.build_matrices(theta)
-    m = model.m
-    im_a = np.eye(m) - a
+def _rows_or_nan(fn, mats, *args):
+    """fn over a (k, n, n) stack in one call; only when that call raises,
+    one call per matrix, with NaN for the matrices where it raises."""
     try:
-        g = np.linalg.solve(im_a, np.eye(m))
+        return fn(mats, *args)
     except np.linalg.LinAlgError:
-        raise SingularStructure("(I - A) is singular") from None
-    if not np.all(np.isfinite(g)):
-        raise SingularStructure("(I - A) solve produced non-finite entries")
-    resid = np.abs(im_a @ g - np.eye(m)).max()
-    if resid > 1e-8 * max(1.0, np.abs(g).max()):
-        raise SingularStructure(
-            f"(I - A) is numerically singular (solve residual {resid:.2e})"
-        )
-    c = g @ s @ g.T
+        pass
+    out = np.full(mats.shape, np.nan)
+    if len(mats) == 1:
+        return out  # the stacked call already raised for the only matrix
+    for i, mat in enumerate(mats):
+        try:
+            out[i] = fn(mat, *args)
+        except np.linalg.LinAlgError:
+            pass
+    return out
+
+
+def implied_stack(model: ModelSpec, thetas):
+    """Sigma(theta) at every row of a validated ``(k, q)`` parameter stack.
+
+    Returns ``(ok, G, GSG', Sigma)``, G = (I - A)^-1, where the ``(k,)`` mask
+    ``ok`` marks the rows whose (I - A) solve is finite with residual at most
+    1e-8 max(1, max|G|), and the matrix stacks hold those rows only.
+    """
+    a, s = model._assemble(thetas)
+    eye = np.eye(model.m)
+    im_a = eye - a
+    g = _rows_or_nan(np.linalg.solve, im_a, eye)
+    resid = np.abs(im_a @ g - eye).max(axis=(1, 2))
+    g_max = np.abs(g).max(axis=(1, 2))
+    ok = np.isfinite(g_max) & (resid <= 1e-8 * np.maximum(1.0, g_max))
+    if not ok.all():
+        g, s = g[ok], s[ok]
+    c = g @ s @ g.transpose(0, 2, 1)
     p = model.n_observed
-    sigma = c[:p, :p]
-    sigma = 0.5 * (sigma + sigma.T)
-    return a, s, g, c, sigma
+    sigma = c[:, :p, :p]
+    return ok, g, c, 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
 
 def sigma_of_theta(model: ModelSpec, theta) -> np.ndarray:
@@ -285,7 +313,10 @@ def sigma_of_theta(model: ModelSpec, theta) -> np.ndarray:
     S(theta) is positive definite and the model is recursive.  Raises
     :class:`SingularStructure` when (I - A) is numerically singular.
     """
-    return _implied(model, theta)[4]
+    ok, _, _, sigma = implied_stack(model, as_theta(model, theta)[None])
+    if not ok[0]:
+        raise SingularStructure("(I - A) is numerically singular")
+    return sigma[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,19 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fungible import canonical_model, condition_from_label, save_model
+from fungible import (
+    canonical_model,
+    condition_from_label,
+    replication_rng,
+    save_model,
+    wishart_sample,
+)
 from fungible.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +75,29 @@ def test_fpe_points_csv(workdir, tmp_path):
     assert len(lines) == 13
     first = lines[1].split(",")
     assert len(first) == q + 3
+
+
+def test_fpe_csv_pinned(tmp_path):
+    # fpe on a sampled covariance, byte for byte against the CSV written when
+    # each point's f_value was a separate scalar evaluation
+    cond = condition_from_label("Sigma3")
+    s = wishart_sample(cond.sigma_pop, 50, replication_rng(1, "Sigma3", 50, 0.0, 0))
+    save_model(canonical_model(), tmp_path / "model.json")
+    np.savetxt(tmp_path / "cov.csv", s, delimiter=",")
+    out = tmp_path / "points.csv"
+    code = main(
+        [
+            "fpe",
+            "--model", str(tmp_path / "model.json"),
+            "--cov", str(tmp_path / "cov.csv"),
+            "--n", "50",
+            "--mode", "delta-f",
+            "--directions", "24",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert out.read_bytes() == (DATA / "fpe_sigma3_n50.csv").read_bytes()
 
 
 def test_fpe_focal_by_index(workdir, capsys):

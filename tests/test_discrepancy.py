@@ -30,6 +30,7 @@ from helpers import (
     loop_hessian,
     permute_observed,
     random_model,
+    reference_f_ml,
     saturated_1var,
 )
 
@@ -87,9 +88,11 @@ def _f_ml_or_nan(model, theta, s):
 def _assert_matches_scalar(model, thetas, s):
     got = f_ml_stack(model, thetas, s)
     want = np.array([_f_ml_or_nan(model, theta, s) for theta in thetas])
-    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    # each row of the stack is the one-row evaluation, bit for bit
+    np.testing.assert_array_equal(got, want)
     ok = ~np.isnan(want)
-    np.testing.assert_allclose(got[ok], want[ok], rtol=1e-12, atol=0.0)
+    reference = [reference_f_ml(model, theta, s) for theta in thetas[ok]]
+    np.testing.assert_allclose(got[ok], reference, rtol=1e-10, atol=0.0)
     return want
 
 
@@ -156,6 +159,16 @@ class TestFmlStack:
         assert f_ml_stack(model, np.empty((0, 2)), np.eye(2)).shape == (0,)
 
 
+def _feedback_model():
+    """x <-> y feedback loop with a free unique variance for y."""
+    return make_model(
+        ["x", "y"],
+        [],
+        [{"row": "y", "col": "x", "param": "b1"}, {"row": "x", "col": "y", "param": "b2"}],
+        [{"row": "x", "col": "x", "value": 1.0}, {"row": "y", "col": "y", "param": "vy"}],
+    )
+
+
 class TestGradient:
     def test_saturated_scalar(self):
         # d/dtheta [ln theta + s/theta] = 1/theta - s/theta^2 = 1 - 2 = -1
@@ -187,6 +200,17 @@ class TestGradient:
         g_a = gradient(model, theta, s)
         assert np.abs(g_a - finite_diff_gradient(model, theta, s)).max() <= 1e-6
         np.testing.assert_array_equal(hessian(model, theta, s), loop_hessian(model, theta, s))
+
+    def test_sigma_not_invertible_after_cholesky(self):
+        # x <-> y feedback loop: Sigma passes its Cholesky test but LU meets
+        # an exact zero pivot; f_ml and gradient name the same fault
+        model = _feedback_model()
+        s = np.array([[1.0, 0.3], [0.3, 1.0]])
+        theta = [1.00001, 0.99999, 1e-6]
+        for fn in (f_ml, gradient):
+            with pytest.raises(NotPositiveDefinite) as err:
+                fn(model, theta, s)
+            assert err.value.which == "sigma_theta"
 
     def test_zero_at_minimizer(self):
         rng = np.random.default_rng(5)
@@ -229,17 +253,11 @@ class TestHessian:
             # theta + h e_1 puts b1 * b2 at 1, before that -h e_3 point
             ([0.99999, 1.0, 1e-6], SingularStructure),
             # Sigma passes its Cholesky test but not the inversion
-            ([1.0, 0.99999, 1e-6], np.linalg.LinAlgError),
+            ([1.0, 0.99999, 1e-6], NotPositiveDefinite),
         ],
     )
     def test_domain_errors_match_gradient_loop(self, theta, expected):
-        # x <-> y feedback loop with a free unique variance for y
-        model = make_model(
-            ["x", "y"],
-            [],
-            [{"row": "y", "col": "x", "param": "b1"}, {"row": "x", "col": "y", "param": "b2"}],
-            [{"row": "x", "col": "x", "value": 1.0}, {"row": "y", "col": "y", "param": "vy"}],
-        )
+        model = _feedback_model()
         s = np.array([[1.0, 0.3], [0.3, 1.0]])
         errors = []
         for fn in (hessian, loop_hessian):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,22 @@ class TestFitMl:
         res = fit_ml(cond.model, s, n=50)
         assert res.iterations == 25
         assert res.f_hat == float.fromhex("0x1.52a70faefd280p-4")
+
+    def test_pinned_fit_digest(self, conditions):
+        # theta_hat, f_hat, iterations and hessian_at_opt of the Sigma1-4 x
+        # N 50/200 sample fits, bit for bit, as one digest
+        digest = hashlib.sha256()
+        for label, cond in conditions.items():
+            for n in (50, 200):
+                s = wishart_sample(cond.sigma_pop, n, replication_rng(3, label, n, 0.0, 0))
+                res = fit_ml(cond.model, s, n=n)
+                digest.update(np.asarray(res.theta_hat, dtype="<f8").tobytes())
+                digest.update(float(res.f_hat).hex().encode())
+                digest.update(str(res.iterations).encode())
+                digest.update(np.asarray(res.hessian_at_opt, dtype="<f8").tobytes())
+        assert digest.hexdigest() == (
+            "8666b501a007b60c62d41e41fb1a4b098eaed896ed122ae40ec711de85811f29"
+        )
 
 
 class TestPopulationRmsea:

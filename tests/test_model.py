@@ -102,6 +102,17 @@ class TestModelSpecValidation:
                 [{"row": "z", "col": "z", "param": "v"}],
             )
 
+    def test_singular_start_rejected(self):
+        # x <-> y feedback loop started at b1 * b2 = 1
+        with pytest.raises(ValueError, match="singular at the model's default start"):
+            make_model(
+                ["x", "y"],
+                [],
+                [{"row": "y", "col": "x", "param": "b1"}, {"row": "x", "col": "y", "param": "b2"}],
+                [{"row": "x", "col": "x", "value": 1.0}, {"row": "y", "col": "y", "value": 1.0}],
+                start_values=[{"param": "b1", "value": 2.0}, {"param": "b2", "value": 0.5}],
+            )
+
     def test_duplicate_directed_entry_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             make_model(
