@@ -11,7 +11,13 @@ approximation) or by sweeping rays and solving each crossing exactly.
 Every ray solve goes through one lockstep engine: all rays of a call (a
 whole sweep, or both golden-section refinements' rays) advance together, one
 stacked evaluation of F over a ``(k, q)`` stack of parameter vectors per
-step, and each ray takes the iterates its own scalar search would take.
+step, and each ray takes the iterates its own scalar search would take.  A
+ray whose root fails gets a fault code and leaves the others to finish; a
+sweep raises for any faulted ray.  The refinement's golden search looks
+ahead (:func:`~fungible._solve.golden_max`): each ray solve also covers the
+angles the next two golden steps can reach, so one solve commits up to three
+steps, at the angles of the step-by-step search.  Only faults at committed
+angles raise, as the step-by-step search would.
 For a :class:`~fungible.fit.FitResult` that evaluation is
 :meth:`~fungible.fit.FitResult.objectives`, the discrepancy kernel of
 :mod:`fungible.discrepancy`, whose rows equal :func:`~fungible.discrepancy.f_ml`
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._solve import bracketed_root, domain_edge, golden_max
+from ._solve import UNDEFINED, bracketed_root, domain_edge, golden_max
 from .discrepancy import chisq_quantile, f_from_rmsea, rmsea_from_f
 from .errors import ContourEscapesDomain, NotPositiveDefinite, SingularStructure
 
@@ -159,13 +165,15 @@ def _embed(fit, units, focal):
 
 def _solve_rays(fit, units, focal, t_target, f_tol):
     """Radii r > 0 with F(theta_hat + r u) = t_target along every row u of
-    ``units`` (unit focal-plane directions); NaN where the ray escapes.
+    ``units`` (unit focal-plane directions), and a fault code per ray.
 
     All rays advance in lockstep, one stacked objective evaluation per step:
     exponential bracketing out from the quadratic-approximation radius,
     bisection to the domain edge for rays that left the evaluable region,
-    then the safeguarded secant/bisection root.  A ray escapes when the level
-    lies beyond its domain edge or is not reached in 90 doublings.
+    then the safeguarded secant/bisection root.  A ray escapes (radius NaN,
+    fault 0) when the level lies beyond its domain edge or is not reached in
+    90 doublings.  A ray whose root fails has radius NaN and a nonzero fault
+    (:func:`_raise_faults` names it); it never stops the other rays.
     """
     theta_hat = np.asarray(fit.theta_hat, dtype=float)
     u_full = _embed(fit, units, focal)
@@ -200,16 +208,21 @@ def _solve_rays(fit, units, focal, t_target, f_tol):
         escaped[edge] = g_hi[edge] < 0
 
     live = np.flatnonzero(~escaped)
+    radii, fault = np.full(k, np.nan), np.zeros(k, dtype=int)
+    radii[live], fault[live] = bracketed_root(
+        lambda r, which: gaps(r, live[which]), lo[live], hi[live], g_lo[live], g_hi[live], f_tol=f_tol
+    )
+    return radii, fault
 
-    def root_gaps(r, which):
-        g = gaps(r, live[which])
-        if np.isnan(g).any():
-            raise NotPositiveDefinite("sigma_theta", "Sigma fails inside a bracketed ray")
-        return g
 
-    radii = np.full(k, np.nan)
-    radii[live] = bracketed_root(root_gaps, lo[live], hi[live], g_lo[live], g_hi[live], f_tol=f_tol)
-    return radii
+def _raise_faults(fault, f_tol):
+    """Raise for a batch of rays with these fault codes, as for one failing
+    ray of the batch: a Sigma failure inside a bracket before a root
+    residual above tolerance.  Returns when no ray faulted."""
+    if np.any(fault == UNDEFINED):
+        raise NotPositiveDefinite("sigma_theta", "Sigma fails inside a bracketed ray")
+    if np.any(fault):
+        raise RuntimeError(f"root residual above tolerance {f_tol:.1e}")
 
 
 def _sweep_directions(focal, n_directions):
@@ -242,7 +255,9 @@ def radial_contour_point(fit, direction, t_target: float, focal, *, f_tol: float
     if norm == 0.0 or not np.isfinite(norm):
         raise ValueError("direction must be a nonzero finite vector")
     units = direction[None, :] / norm
-    r = _solve_rays(fit, units, focal, t_target, f_tol)[0]
+    radii, fault = _solve_rays(fit, units, focal, t_target, f_tol)
+    _raise_faults(fault, f_tol)
+    r = radii[0]
     if np.isnan(r):
         raise ContourEscapesDomain("the contour level is not reached along this ray")
     return np.asarray(fit.theta_hat, dtype=float) + r * _embed(fit, units, focal)[0]
@@ -254,7 +269,8 @@ def sweep_contour(fit, t_target: float, focal, n_directions: int = 360, *, f_tol
     reached the level (escaped directions are simply absent)."""
     focal = tuple(int(i) for i in focal)
     angles, units = _sweep_directions(focal, n_directions)
-    radii = _solve_rays(fit, units, focal, t_target, f_tol)
+    radii, fault = _solve_rays(fit, units, focal, t_target, f_tol)
+    _raise_faults(fault, f_tol)
     thetas = np.asarray(fit.theta_hat, dtype=float) + radii[:, None] * _embed(fit, units, focal)
     return [
         ContourPoint(angle=float(angle), r=float(r), theta=theta, f_value=t_target)
@@ -323,7 +339,8 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = 360, *, f
             focal=focal,
         )
     angles, units = _sweep_directions(focal, n_directions)
-    radii = _solve_rays(fit, units, focal, t_target, f_tol)
+    radii, fault = _solve_rays(fit, units, focal, t_target, f_tol)
+    _raise_faults(fault, f_tol)
     n = len(angles)
     half = n // 2
     widths = radii[:half] + radii[half:]
@@ -333,20 +350,23 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = 360, *, f
         raise ContourEscapesDomain("no direction reached the contour level")
 
     # search 0 maximizes the width near the widest swept direction, search 1
-    # maximizes minus the width near the narrowest; both advance together
+    # maximizes minus the width near the narrowest; both advance together,
+    # and the look-ahead points of both share each stacked ray solve
     k_max = int(np.argmax(np.where(valid, widths, -np.inf)))
     k_min = int(np.argmin(np.where(valid, widths, np.inf)))
     sign = np.array([1.0, -1.0])
 
     def signed_widths(phi, which):
         u = _units(phi)
-        r = _solve_rays(fit, np.vstack([u, -u]), focal, t_target, f_tol)
-        w = r[: len(phi)] + r[len(phi):]
-        return np.where(np.isnan(w), -np.inf, sign[which] * w)
+        r, fault = _solve_rays(fit, np.vstack([u, -u]), focal, t_target, f_tol)
+        m = len(phi)
+        w = r[:m] + r[m:]
+        return np.where(np.isnan(w), -np.inf, sign[which] * w), np.maximum(fault[:m], fault[m:])
 
     delta = 2.0 * math.pi / n
     centers = angles[[k_max, k_min]]
-    phi, best = golden_max(signed_widths, centers - delta, centers + delta, x_tol=angle_tol)
+    phi, best, fault = golden_max(signed_widths, centers - delta, centers + delta, x_tol=angle_tol)
+    _raise_faults(fault, f_tol)
     return AxisWidths(
         major=max(float(best[0]), float(widths[k_max])),
         minor=min(-float(best[1]), float(widths[k_min])),
@@ -363,11 +383,12 @@ def fpe_sample(fit, target: ContourTarget, focal, n_directions: int = 360) -> li
     direction sweep, one full-length parameter vector per solved direction.
 
     A degenerate target (level at or below the fitted discrepancy, e.g.
-    ``delta_f=0``) returns ``n_directions`` copies of theta_hat.
+    ``delta_f=0``) returns one copy of theta_hat per swept direction.
     """
     focal = tuple(int(i) for i in focal)
+    angles, _ = _sweep_directions(focal, n_directions)
     t = f_target(target, fit, n_focal=len(focal))
     theta_hat = np.asarray(fit.theta_hat, dtype=float)
     if t <= fit.f_hat:
-        return [theta_hat.copy() for _ in range(int(n_directions))]
+        return [theta_hat.copy() for _ in angles]
     return [pt.theta for pt in sweep_contour(fit, t, focal, n_directions)]

@@ -671,7 +671,10 @@ def misspecify_to_epsilon(
             f"no perturbation in the search bracket attains RMSEA {epsilon_target}"
         )
 
-    t = bracketed_root(gaps, [lo], [hi], [g_lo], [g_hi], f_tol=2e-7)[0]
+    roots, fault = bracketed_root(gaps, [lo], [hi], [g_lo], [g_hi], f_tol=2e-7)
+    if fault[0]:
+        raise RuntimeError("misfit root residual above tolerance 2.0e-07")
+    t = roots[0]
     sigma_t = base + t * direction
     sigma_t = 0.5 * (sigma_t + sigma_t.T)
     return replace(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from fungible import ModelSpec, f_ml, gradient, make_model
@@ -146,3 +148,36 @@ class QuadraticSurrogate:
     def objective(self, theta):
         d = np.asarray(theta, dtype=float) - self.theta_hat
         return self.f_hat + 0.5 * float(d @ self.hessian_at_opt @ d)
+
+
+def reference_golden_max(f, a, b, *, x_tol, max_iter=200):
+    """Step-by-step golden-section maximization of f on each [a, b], one
+    call of ``f(x, which) -> values`` per step; no package internals.  The
+    oracle for the look-ahead ``_solve.golden_max``, which must commit the
+    same points and return the same ``(x_best, f_best)``."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    n = len(a)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    both = np.asarray(f(np.concatenate([c, d]), np.tile(np.arange(n), 2)), dtype=float)
+    fc, fd = both[:n], both[n:]
+    left = fc >= fd
+    best_x = np.where(left, c, d)
+    best_f = np.where(left, fc, fd)
+    for _ in range(max_iter):
+        i = np.flatnonzero(b - a > x_tol)
+        if not i.size:
+            break
+        left = fc[i] >= fd[i]
+        li, ri = i[left], i[~left]
+        b[li], d[li], fd[li] = d[li], c[li], fc[li]
+        a[ri], c[ri], fc[ri] = c[ri], d[ri], fd[ri]
+        x = np.where(left, b[i] - invphi * (b[i] - a[i]), a[i] + invphi * (b[i] - a[i]))
+        fx = np.asarray(f(x, i), dtype=float)
+        c[li], fc[li] = x[left], fx[left]
+        d[ri], fd[ri] = x[~left], fx[~left]
+        better = fx > best_f[i]
+        best_x[i[better]] = x[better]
+        best_f[i[better]] = fx[better]
+    return best_x, best_f

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,10 @@ from fungible import (
     sweep_contour,
     wishart_sample,
 )
-from helpers import QuadraticSurrogate
+from fungible import contour
+from fungible._solve import golden_max
+from fungible.simstudy import DEFAULT_TARGETS
+from helpers import QuadraticSurrogate, reference_golden_max
 
 
 class TestFTarget:
@@ -433,3 +437,179 @@ class TestLockstepEngine:
         assert widths.major >= widths.minor > 0.0
         for pt in sweep_contour(res, t, focal, 90):
             assert abs(f_ml(res.model, pt.theta, res.s) - t) <= 1e-9
+
+
+class _Counting:
+    """A fit that counts its stacked ``objectives`` calls."""
+
+    def __init__(self, fit):
+        self._fit = fit
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(self._fit, name)
+
+    def objectives(self, thetas):
+        self.rows.append(len(thetas))
+        return self._fit.objectives(thetas)
+
+
+class _Faulty:
+    """Duck-typed fit: an anisotropic bowl whose objective fails inside
+    radius 1 within ``half_width`` of ``bad_angle``.  ``kind`` "nan" makes
+    it NaN there (a Sigma failure inside the bracket); "jump" makes it jump
+    over the level there, so no root meets the tolerance."""
+
+    theta_hat = np.zeros(2)
+    f_hat = 0.0
+    n = None
+    hessian = np.array([[3.0, 1.2], [1.2, 1.5]])
+
+    def __init__(self, bad_angle=0.0, half_width=0.0, kind="nan"):
+        self.bad_angle, self.half_width, self.kind = bad_angle, half_width, kind
+
+    def objective(self, theta):
+        value = 0.5 * float(theta @ self.hessian @ theta)
+        r = math.hypot(theta[0], theta[1])
+        off = math.remainder(math.atan2(theta[1], theta[0]) - self.bad_angle, 2.0 * math.pi)
+        if 0.0 < r < 1.0 and abs(off) < self.half_width:
+            return math.nan if self.kind == "nan" else (1.0 if value > 0.02 else 0.0)
+        return value
+
+
+_FAULTY_LEVEL, _FAULTY_DIRECTIONS = 0.02, 8
+
+
+def _sequential_golden(f, a, b, *, x_tol, max_iter=200):
+    """The step-by-step refinement: ``helpers.reference_golden_max`` over the
+    engine's stacked widths, raising as soon as a step's rays fault."""
+    def values(x, which):
+        out, fault = f(x, which)
+        contour._raise_faults(fault, 1e-9)
+        return out
+
+    x_best, f_best = reference_golden_max(values, a, b, x_tol=x_tol, max_iter=max_iter)
+    return x_best, f_best, np.zeros(len(x_best), dtype=int)
+
+
+def _golden_angles(monkeypatch, search, fit):
+    """Every refinement angle ``search`` evaluates on ``fit``, with the
+    sum of the fault codes the stacked ray solves reported."""
+    seen, faults = [], [0]
+
+    def recording(f, a, b, **kw):
+        def wrapped(x, which):
+            seen.extend(x)
+            out, fault = f(x, which)
+            faults[0] += int(np.sum(fault))
+            return out, fault
+
+        return search(wrapped, a, b, **kw)
+
+    monkeypatch.setattr(contour, "golden_max", recording)
+    axis_widths_exact(fit, _FAULTY_LEVEL, (0, 1), _FAULTY_DIRECTIONS)
+    monkeypatch.undo()
+    return np.array(seen), faults[0]
+
+
+def _distance_mod_pi(x, angles):
+    # a width at phi solves the rays at phi and phi + pi
+    return np.min(np.abs(np.remainder(np.subtract.outer(x, angles) + 0.5 * math.pi, math.pi)
+                         - 0.5 * math.pi), axis=-1)
+
+
+class TestLookaheadRefinement:
+    def test_pinned_width_digest(self):
+        # major, minor, both directions, skipped and partial of the exact
+        # widths of Sigma1-4 x N 50/200 at eps .09, for the three default
+        # targets and raw delta_f 2.0 (domain-edge rays) at 90 and 360
+        # directions, bit for bit, as one digest; the class of any error
+        targets = DEFAULT_TARGETS + (ContourTarget(mode="delta_f", delta_f=2.0, scaling="raw"),)
+        digest = hashlib.sha256()
+        for label in ("Sigma1", "Sigma2", "Sigma3", "Sigma4"):
+            cond = condition_at(label, 0.09)
+            names = cond.model.theta_names
+            focal = (names.index("gamma1"), names.index("gamma2"))
+            for n in (50, 200):
+                s = wishart_sample(cond.sigma_pop, n, replication_rng(5, label, n, 0.09, 0))
+                res = fit_ml(cond.model, s, n=n)
+                for target in targets:
+                    t = f_target(target, res, n_focal=2)
+                    for n_dir in (90, 360):
+                        try:
+                            w = axis_widths_exact(res, t, focal, n_dir)
+                        except Exception as err:  # noqa: BLE001 - the class is pinned
+                            digest.update(type(err).__name__.encode())
+                            continue
+                        for v in (w.major, w.minor):
+                            digest.update(float(v).hex().encode())
+                        for v in (w.major_direction, w.minor_direction):
+                            digest.update(np.asarray(v, dtype="<f8").tobytes())
+                        digest.update(f"{w.skipped}|{w.partial}".encode())
+        assert digest.hexdigest() == (
+            "6aab83dfda8346063686d781e2a2b186959ff4f35628f787bd3fdddb2749b7ad"
+        )
+
+    def test_stacked_evaluation_count(self, popfits, focal):
+        # the criterion-05 fit at 90 directions: the step-by-step refinement
+        # took 162 stacked evaluations (1,126 rows)
+        fit = _Counting(popfits["Sigma1"])
+        t = f_target(ContourTarget(mode="confidence", confidence=0.95), fit, n_focal=2)
+        axis_widths_exact(fit, t, focal, 90)
+        assert (len(fit.rows), sum(fit.rows)) == (66, 1862)
+
+    @pytest.mark.parametrize("kind", ["nan", "jump"])
+    def test_speculative_fault_is_discarded(self, monkeypatch, kind):
+        clean = _Faulty()
+        committed, _ = _golden_angles(monkeypatch, _sequential_golden, clean)
+        evaluated, _ = _golden_angles(monkeypatch, golden_max, clean)
+        swept = 2.0 * math.pi * np.arange(_FAULTY_DIRECTIONS) / _FAULTY_DIRECTIONS
+        avoid = np.concatenate([committed, swept])
+        gap = _distance_mod_pi(evaluated, avoid)
+        bad = int(np.argmax(gap))
+        assert gap[bad] > 1e-3
+        fit = _Faulty(evaluated[bad], 0.5 * gap[bad], kind)
+
+        _, faults = _golden_angles(monkeypatch, golden_max, fit)
+        assert faults > 0  # a speculative ray did fault
+        got = axis_widths_exact(fit, _FAULTY_LEVEL, (0, 1), _FAULTY_DIRECTIONS)
+        monkeypatch.setattr(contour, "golden_max", _sequential_golden)
+        want = axis_widths_exact(fit, _FAULTY_LEVEL, (0, 1), _FAULTY_DIRECTIONS)
+        for field in ("major", "minor", "skipped", "partial"):
+            assert getattr(got, field) == getattr(want, field)
+        np.testing.assert_array_equal(got.major_direction, want.major_direction)
+        np.testing.assert_array_equal(got.minor_direction, want.minor_direction)
+
+    @pytest.mark.parametrize("kind, error", [("nan", NotPositiveDefinite), ("jump", RuntimeError)])
+    def test_committed_fault_raises(self, monkeypatch, kind, error):
+        clean = _Faulty()
+        committed, _ = _golden_angles(monkeypatch, _sequential_golden, clean)
+        swept = 2.0 * math.pi * np.arange(_FAULTY_DIRECTIONS) / _FAULTY_DIRECTIONS
+        # a point of the third round, away from the swept directions
+        angle = committed[4 + 2 * 7]
+        assert _distance_mod_pi(np.array([angle]), swept)[0] > 1e-3
+        fit = _Faulty(angle, 1e-7, kind)
+        with pytest.raises(error):
+            axis_widths_exact(fit, _FAULTY_LEVEL, (0, 1), _FAULTY_DIRECTIONS)
+        monkeypatch.setattr(contour, "golden_max", _sequential_golden)
+        with pytest.raises(error):
+            axis_widths_exact(fit, _FAULTY_LEVEL, (0, 1), _FAULTY_DIRECTIONS)
+
+
+class TestFpeSampleDirections:
+    def test_degenerate_count_matches_sweep(self, popfits, focal):
+        res = popfits["Sigma1"]
+        live = ContourTarget(mode="confidence")
+        flat = ContourTarget(mode="delta_f", delta_f=0.0)
+        for n_dir in (7, 8):
+            assert len(fpe_sample(res, flat, focal, n_dir)) == len(
+                fpe_sample(res, live, focal, n_dir)
+            ) == n_dir + n_dir % 2
+
+    def test_degenerate_target_validates(self, popfits, focal):
+        res = popfits["Sigma1"]
+        flat = ContourTarget(mode="delta_f", delta_f=0.0)
+        with pytest.raises(ValueError, match="two focal"):
+            fpe_sample(res, flat, (*focal, 0), 24)
+        with pytest.raises(ValueError, match="at least 4"):
+            fpe_sample(res, flat, focal, 2)
