@@ -52,15 +52,22 @@ def _logdet_s(s):
 def evaluate_stack(model: ModelSpec, thetas, s, ld_s):
     """F against s, given ln|s|, at every row of a validated ``(k, q)`` stack.
 
-    Sigma is Cholesky-factored for ln|Sigma| and solved against s for the
-    trace, each as one stacked call.  Returns ``(fault, f, implied)``: per
-    row 0, ``SINGULAR_STRUCTURE`` or ``SIGMA_NOT_PD``; F, NaN where faulted;
-    the ``(G, GSG', Sigma)`` stacks of the rows whose (I - A) is regular.
+    Sigma is Cholesky-factored for ln|Sigma|, and the rows that pass are
+    solved against s for the trace, each as one stacked call.  Returns
+    ``(fault, f, implied)``: per row 0, ``SINGULAR_STRUCTURE`` or
+    ``SIGMA_NOT_PD``; F, NaN where faulted; the ``(G, GSG', Sigma)`` stacks
+    of the rows whose (I - A)^-1 is usable.
     """
     ok, g_mat, c_mat, sigma = implied_stack(model, thetas)
     chol = _rows_or_nan(np.linalg.cholesky, sigma)
     ld_sigma = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    trace = np.trace(_rows_or_nan(np.linalg.solve, sigma, s), axis1=1, axis2=2)
+    pd = np.isfinite(ld_sigma)
+    trace = np.full(len(sigma), np.nan)
+    if pd.any():
+        # numpy solves each matrix of a stack on its own: a row's trace does
+        # not depend on which other rows are in the stack
+        solved = _rows_or_nan(np.linalg.solve, sigma if pd.all() else sigma[pd], s)
+        trace[pd] = np.trace(solved, axis1=1, axis2=2)
     f = np.maximum(0.0, ld_sigma - ld_s + trace - model.n_observed)
     fault = np.where(np.isnan(f), SIGMA_NOT_PD, 0)
     if len(f) < len(thetas):

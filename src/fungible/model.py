@@ -17,10 +17,16 @@ and structural-effect magnitudes) and controlled injection of population
 misfit at a target RMSEA via an omitted residual covariance.
 
 Sigma(theta) is computed only by :func:`implied_stack`, over a ``(k, q)``
-stack of parameter vectors with a per-row (I - A) singularity mask;
-:func:`sigma_of_theta` is its one-row view.  Parameter vectors are plain 1-d
-numpy arrays of length ``q`` in ``theta_names`` order; they are validated
-once at every entry point.
+stack of parameter vectors with a per-row mask of the rows where
+(I - A)^-1 is usable; :func:`sigma_of_theta` is its one-row view.  For a
+recursive model (no directed cycle, as in the builtin conditions),
+(I - A)^-1 is the finite series I + A + ... + A^d, with d the longest
+directed path (:attr:`ModelSpec.path_depth`): (I - A) is never singular,
+and a row is masked only if that series overflows.  A non-recursive model
+solves (I - A) and tests each row for singularity.  The choice is made
+once per model from its pattern.  Parameter vectors are plain 1-d numpy
+arrays of length ``q`` in ``theta_names`` order; they are validated once
+at every entry point.
 """
 
 from __future__ import annotations
@@ -223,6 +229,19 @@ class ModelSpec:
         free = np.flatnonzero(param >= 0)
         return fixed, free, param[free]
 
+    @cached_property
+    def path_depth(self) -> int | None:
+        """Length d of the longest directed path in A's pattern (free or
+        fixed nonzero entries), so that A^(d+1) = 0 at every theta; ``None``
+        when the pattern has a cycle, a self-loop included."""
+        edges = ((self.directed_param >= 0) | (self.directed_fixed != 0.0)).astype(int)
+        reach = edges  # pattern of A^(depth + 1)
+        for depth in range(self.m):
+            if not reach.any():
+                return depth
+            reach = np.minimum(reach @ edges, 1)
+        return None  # A^m != 0: some path revisits a variable
+
     def build_matrices(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Assemble (A, S) at a parameter vector."""
         a, s = self._assemble(as_theta(self, theta)[None])
@@ -287,17 +306,32 @@ def _rows_or_nan(fn, mats, *args):
 def implied_stack(model: ModelSpec, thetas):
     """Sigma(theta) at every row of a validated ``(k, q)`` parameter stack.
 
-    Returns ``(ok, G, GSG', Sigma)``, G = (I - A)^-1, where the ``(k,)`` mask
-    ``ok`` marks the rows whose (I - A) solve is finite with residual at most
-    1e-8 max(1, max|G|), and the matrix stacks hold those rows only.
+    Returns ``(ok, G, GSG', Sigma)``, G = (I - A)^-1, and the matrix stacks
+    hold the rows of the ``(k,)`` mask ``ok`` only.  G is built one of two
+    ways, chosen by the model's pattern:
+
+    - recursive (``path_depth`` d is not None): A is nilpotent, so G is the
+      finite series I + A + ... + A^d, summed by Horner with d - 1 stacked
+      products (I + A for d <= 1, which for the builtin conditions equals
+      the LU solve's result bit for bit); ``ok`` marks the rows where G is
+      finite;
+    - non-recursive: G is the stacked (I - A) solve, and ``ok`` marks the
+      rows whose solve is finite with residual at most 1e-8 max(1, max|G|).
     """
     a, s = model._assemble(thetas)
     eye = np.eye(model.m)
-    im_a = eye - a
-    g = _rows_or_nan(np.linalg.solve, im_a, eye)
-    resid = np.abs(im_a @ g - eye).max(axis=(1, 2))
-    g_max = np.abs(g).max(axis=(1, 2))
-    ok = np.isfinite(g_max) & (resid <= 1e-8 * np.maximum(1.0, g_max))
+    depth = model.path_depth
+    if depth is not None:
+        g = eye + a
+        for _ in range(depth - 1):
+            g = eye + a @ g
+        ok = np.isfinite(g).all(axis=(1, 2))
+    else:
+        im_a = eye - a
+        g = _rows_or_nan(np.linalg.solve, im_a, eye)
+        resid = np.abs(im_a @ g - eye).max(axis=(1, 2))
+        g_max = np.abs(g).max(axis=(1, 2))
+        ok = np.isfinite(g_max) & (resid <= 1e-8 * np.maximum(1.0, g_max))
     if not ok.all():
         g, s = g[ok], s[ok]
     c = g @ s @ g.transpose(0, 2, 1)

@@ -31,6 +31,17 @@ def two_var_path(fixed_exogenous=True):
     return make_model(["x", "y"], [], [{"row": "y", "col": "x", "param": "b"}], symmetric)
 
 
+def feedback_model():
+    """x <-> y feedback loop with a free unique variance for y; (I - A) is
+    singular where b1 * b2 = 1."""
+    return make_model(
+        ["x", "y"],
+        [],
+        [{"row": "y", "col": "x", "param": "b1"}, {"row": "x", "col": "y", "param": "b2"}],
+        [{"row": "x", "col": "x", "value": 1.0}, {"row": "y", "col": "y", "param": "vy"}],
+    )
+
+
 def random_model(rng):
     """A random small recursive model plus a random theta and a random
     positive definite covariance of matching order."""
@@ -101,6 +112,38 @@ def reference_f_ml(model, theta, s):
     s = np.asarray(s, dtype=float)
     return (np.linalg.slogdet(sigma)[1] - np.linalg.slogdet(s)[1]
             + np.trace(s @ np.linalg.inv(sigma)) - p)
+
+
+def reference_implied(model, thetas):
+    """``(ok, G, GSG', Sigma)`` at every row of a ``(k, q)`` stack, with G
+    from the stacked solve of (I - A) against I for every model, recursive
+    or not, and ``ok`` the rows whose solve is finite with residual at most
+    1e-8 max(1, max|G|); numpy only.  The oracle for ``implied_stack``,
+    whose recursive path must match it byte for byte on the builtin
+    conditions."""
+    thetas = np.asarray(thetas, dtype=float)
+    k, m = len(thetas), model.m
+    a = np.repeat(model.directed_fixed[None], k, axis=0)
+    sym = np.repeat(model.symmetric_fixed[None], k, axis=0)
+    for i in range(model.q):
+        a[:, model.directed_param == i] = thetas[:, i, None]
+        sym[:, model.symmetric_param == i] = thetas[:, i, None]
+    eye = np.eye(m)
+    im_a = eye - a
+    g = np.full((k, m, m), np.nan)
+    for r in range(k):
+        try:
+            g[r] = np.linalg.solve(im_a[r], eye)
+        except np.linalg.LinAlgError:
+            pass
+    resid = np.abs(im_a @ g - eye).max(axis=(1, 2))
+    g_max = np.abs(g).max(axis=(1, 2))
+    ok = np.isfinite(g_max) & (resid <= 1e-8 * np.maximum(1.0, g_max))
+    g, sym = g[ok], sym[ok]
+    c = g @ sym @ g.transpose(0, 2, 1)
+    p = model.n_observed
+    sigma = c[:, :p, :p]
+    return ok, g, c, 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
 
 def finite_diff_gradient(model, theta, s, rel_step=1e-6):

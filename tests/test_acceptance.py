@@ -111,9 +111,19 @@ def test_criterion_04_contour_residuals():
 
 
 def _grid_oracle_major(res, t_target, focal, half_span, grid_points=2001):
-    """Independent width oracle: evaluate F on a dense focal-plane grid with
-    batched linear algebra, collect the points inside a gradient-adaptive
-    band around the level, and measure the maximum pairwise distance."""
+    """Independent width oracle: evaluate F on a dense focal-plane grid in
+    closed form, collect the points inside a gradient-adaptive band around
+    the level, and measure the maximum pairwise distance.
+
+    Both focal parameters are paths into one observed variable r that has
+    no children, so only Sigma's row and column r move over the grid: with
+    o the other observed variables, Sigma_oo is constant, Sigma_or is linear
+    and Sigma_rr quadratic in the focal pair (g1, g2).  ln|Sigma| and
+    tr(S Sigma^-1) then follow from the Schur complement
+    k = Sigma_rr - Sigma_ro Sigma_oo^-1 Sigma_or, and F is ln k plus a
+    ratio of two quadratics in (g1, g2) over the whole grid at once.  The
+    closed form is checked against the full-matrix F on one grid row and
+    the four corners."""
     from scipy.spatial import ConvexHull
 
     model = res.model
@@ -137,9 +147,9 @@ def _grid_oracle_major(res, t_target, focal, half_span, grid_points=2001):
     s_obs = np.asarray(res.s)
     ld_s = np.linalg.slogdet(s_obs)[1]
 
-    f_grid = np.empty((grid_points, grid_points))
-    for i in range(grid_points):
-        a = a_fixed[None] + g1[i] * mask1[None] + g2[:, None, None] * mask2[None]
+    def full_f(x, y):
+        """F at the points (x[i], y[i]) from the full m x m matrices."""
+        a = a_fixed[None] + x[:, None, None] * mask1[None] + y[:, None, None] * mask2[None]
         g_inv = np.linalg.inv(eye[None] - a)
         c = g_inv @ s_mat @ np.transpose(g_inv, (0, 2, 1))
         sigma = c[:, :p, :p]
@@ -147,7 +157,58 @@ def _grid_oracle_major(res, t_target, focal, half_span, grid_points=2001):
         chol = np.linalg.cholesky(sigma)
         logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
         solved = np.linalg.solve(sigma, np.broadcast_to(s_obs, sigma.shape))
-        f_grid[:, i] = logdet - ld_s + np.trace(solved, axis1=1, axis2=2) - p
+        return logdet - ld_s + np.trace(solved, axis1=1, axis2=2) - p
+
+    # the structure the closed form rests on: one observed row r of A holds
+    # both focal paths, and no variable depends on r
+    rows = np.nonzero(mask1 + mask2)[0]
+    r = int(rows[0])
+    assert (rows == r).all() and r < p
+    assert not (model.directed_param[:, r] >= 0).any() and not model.directed_fixed[:, r].any()
+
+    # C0: the implied covariance with row r of A emptied (v_r = e_r); every
+    # entry off row and column r is the grid's, whatever the focal values
+    a0 = a_fixed.copy()
+    a0[r] = 0.0
+    g0 = np.linalg.inv(eye - a0)
+    c0 = g0 @ s_mat @ g0.T
+    o = [i for i in range(p) if i != r]
+    # row r of A is basis @ (1, g1, g2); Sigma_or = u @ (1, g1, g2), and
+    # Sigma_rr = (1, g1, g2) q_rr (1, g1, g2)'
+    basis = np.array([a_fixed[r], mask1[r], mask2[r]])
+    u = c0[o] @ basis.T
+    u[:, 0] += c0[o, r]
+    w = basis @ c0[:, r]
+    q_rr = basis @ c0 @ basis.T
+    q_rr[0] += w
+    q_rr[:, 0] += w
+    q_rr[0, 0] += c0[r, r]
+    sigma_oo = c0[np.ix_(o, o)]
+    b = np.linalg.solve(sigma_oo, u)  # Sigma_oo^-1 Sigma_or = b @ (1, g1, g2)
+    q_k = q_rr - u.T @ b
+    t_oo, t_or = s_obs[np.ix_(o, o)], s_obs[o, r]
+    q_n = b.T @ t_oo @ b
+    q_n[0] -= t_or @ b
+    q_n[:, 0] -= t_or @ b
+    q_n[0, 0] += s_obs[r, r]
+    # tr(S Sigma^-1) = tr(S_oo Sigma_oo^-1) + q_n / q_k
+    const = (np.linalg.slogdet(sigma_oo)[1] - ld_s
+             + np.trace(np.linalg.solve(sigma_oo, t_oo)) - p)
+
+    x, y = g1[None, :], g2[:, None]
+
+    def quad(q):
+        """(1, g1, g2) q (1, g1, g2)' at every grid point."""
+        return (q[0, 0] + 2.0 * q[0, 1] * x + 2.0 * q[0, 2] * y
+                + q[1, 1] * x * x + 2.0 * q[1, 2] * x * y + q[2, 2] * y * y)
+
+    schur = quad(q_k)
+    f_grid = const + np.log(schur) + quad(q_n) / schur
+    check_rows = np.r_[np.full(grid_points, grid_points // 4), 0, 0, grid_points - 1, grid_points - 1]
+    check_cols = np.r_[np.arange(grid_points), 0, grid_points - 1, 0, grid_points - 1]
+    np.testing.assert_allclose(
+        f_grid[check_rows, check_cols], full_f(g1[check_cols], g2[check_rows]), rtol=1e-12, atol=0.0
+    )
 
     gy, gx = np.gradient(f_grid, h)
     band = 0.75 * h * np.sqrt(gx ** 2 + gy ** 2)

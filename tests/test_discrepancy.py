@@ -26,6 +26,7 @@ from fungible import (
 )
 from helpers import (
     diag_model,
+    feedback_model,
     finite_diff_gradient,
     loop_hessian,
     permute_observed,
@@ -148,6 +149,27 @@ class TestFmlStack:
             res.objectives(theta[None, :]), f_ml_stack(cond.model, theta[None, :], res.s)
         )
 
+    def test_trace_solves_only_pd_rows(self, conditions, monkeypatch):
+        # the canonical model is recursive, so every np.linalg.solve call of
+        # an evaluation is F's trace solve; rows that fail Cholesky skip it
+        cond = conditions["Sigma1"]
+        broken = cond.theta_star.copy()
+        broken[cond.model.variance_param_mask] = -1.0
+        solved_rows = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            solved_rows.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        f_bad = f_ml_stack(cond.model, np.tile(broken, (3, 1)), cond.sigma_pop)
+        assert np.isnan(f_bad).all() and solved_rows == []
+        mixed = np.array([cond.theta_star, broken, 1.1 * cond.theta_star, broken])
+        f_mixed = f_ml_stack(cond.model, mixed, cond.sigma_pop)
+        assert list(np.isnan(f_mixed)) == [False, True, False, True]
+        assert solved_rows == [2]
+
     def test_shape_and_finiteness_checked(self):
         model = diag_model(2)
         with pytest.raises(ValueError):
@@ -157,16 +179,6 @@ class TestFmlStack:
         with pytest.raises(NotPositiveDefinite):
             f_ml_stack(model, np.ones((1, 2)), [[1.0, 2.0], [2.0, 1.0]])
         assert f_ml_stack(model, np.empty((0, 2)), np.eye(2)).shape == (0,)
-
-
-def _feedback_model():
-    """x <-> y feedback loop with a free unique variance for y."""
-    return make_model(
-        ["x", "y"],
-        [],
-        [{"row": "y", "col": "x", "param": "b1"}, {"row": "x", "col": "y", "param": "b2"}],
-        [{"row": "x", "col": "x", "value": 1.0}, {"row": "y", "col": "y", "param": "vy"}],
-    )
 
 
 class TestGradient:
@@ -204,7 +216,7 @@ class TestGradient:
     def test_sigma_not_invertible_after_cholesky(self):
         # x <-> y feedback loop: Sigma passes its Cholesky test but LU meets
         # an exact zero pivot; f_ml and gradient name the same fault
-        model = _feedback_model()
+        model = feedback_model()
         s = np.array([[1.0, 0.3], [0.3, 1.0]])
         theta = [1.00001, 0.99999, 1e-6]
         for fn in (f_ml, gradient):
@@ -257,7 +269,7 @@ class TestHessian:
         ],
     )
     def test_domain_errors_match_gradient_loop(self, theta, expected):
-        model = _feedback_model()
+        model = feedback_model()
         s = np.array([[1.0, 0.3], [0.3, 1.0]])
         errors = []
         for fn in (hessian, loop_hessian):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fungible import (
     FIXED,
@@ -12,6 +14,7 @@ from fungible import (
     canonical_model,
     condition_at,
     condition_from_label,
+    f_ml,
     load_model,
     make_model,
     misspecify_to_epsilon,
@@ -20,7 +23,9 @@ from fungible import (
     save_model,
     sigma_of_theta,
 )
-from helpers import diag_model, two_var_path
+from fungible.discrepancy import SINGULAR_STRUCTURE, evaluate_stack
+from fungible.model import implied_stack
+from helpers import diag_model, feedback_model, random_model, reference_implied, two_var_path
 
 
 class TestSigmaOfTheta:
@@ -64,6 +69,78 @@ class TestSigmaOfTheta:
             sigma_of_theta(model, [1.0])
         with pytest.raises(ValueError):
             sigma_of_theta(model, [1.0, np.inf])
+
+
+class TestImpliedStack:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        label=st.sampled_from(["Sigma1", "Sigma2", "Sigma3", "Sigma4"]),
+        eps=st.sampled_from([0.0, 0.03, 0.09]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_builtin_conditions_match_solve_bytes(self, label, eps, seed):
+        # d = 1: I + A is what the LU solve of (I - A) returns, signed
+        # zeros included, at parameter scales from 1e-2 to 1e3
+        cond = condition_at(label, eps)
+        rng = np.random.default_rng(seed)
+        shape = (32, cond.model.q)
+        thetas = (cond.theta_star * 10.0 ** rng.uniform(-2.0, 3.0, shape)
+                  * rng.choice([-1.0, 1.0], shape))
+        got = implied_stack(cond.model, thetas)
+        want = reference_implied(cond.model, thetas)
+        assert want[0].all()
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_path_depth(self, conditions):
+        for cond in conditions.values():
+            assert cond.model.path_depth == 1
+        assert diag_model(3).path_depth == 0
+        # latent -> latent -> observed, the first path a fixed nonzero entry
+        chain = make_model(
+            ["x1", "x2", "x3"],
+            ["f1", "f2"],
+            [{"row": "f2", "col": "f1", "value": 0.5}]
+            + [{"row": x, "col": "f2", "param": f"l{x}"} for x in ("x1", "x2", "x3")],
+            [{"row": x, "col": x, "param": f"u{x}"} for x in ("x1", "x2", "x3")]
+            + [{"row": "f1", "col": "f1", "value": 1.0}, {"row": "f2", "col": "f2", "value": 0.5}],
+        )
+        assert chain.path_depth == 2
+        assert feedback_model().path_depth is None
+        self_loop = make_model(
+            ["a", "b"],
+            [],
+            [{"row": "a", "col": "a", "param": "loop"}],
+            [{"row": "a", "col": "a", "param": "v1"}, {"row": "b", "col": "b", "param": "v2"}],
+        )
+        assert self_loop.path_depth is None
+
+    def test_deeper_recursive_models_match_solve(self):
+        rng = np.random.default_rng(606)
+        depths = set()
+        for _ in range(200):
+            model, theta, s = random_model(rng)
+            depths.add(model.path_depth)
+            thetas = theta + 0.5 * rng.standard_normal((8, model.q))
+            ok, g, c, sigma = implied_stack(model, thetas)
+            ok_ref, g_ref, c_ref, sigma_ref = reference_implied(model, thetas)
+            assert ok.all() and ok_ref.all()
+            for got, want in ((g, g_ref), (c, c_ref), (sigma, sigma_ref)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            fault = evaluate_stack(model, thetas, s, np.linalg.slogdet(s)[1])[0]
+            assert not (fault == SINGULAR_STRUCTURE).any()
+        assert None not in depths and max(depths) >= 3
+
+    def test_feedback_model_keeps_singularity_test(self):
+        model = feedback_model()
+        s = np.array([[1.0, 0.3], [0.3, 1.0]])
+        thetas = np.array([[0.3, 0.2, 1.0], [2.0, 0.5, 1.0], [1.0, 1.0, 1.0]])
+        fault = evaluate_stack(model, thetas, s, np.linalg.slogdet(s)[1])[0]
+        assert list(fault == SINGULAR_STRUCTURE) == [False, True, True]
+        assert list(implied_stack(model, thetas)[0]) == [True, False, False]
+        with pytest.raises(SingularStructure):
+            f_ml(model, thetas[1], s)
 
 
 class TestModelSpecValidation:
