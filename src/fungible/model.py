@@ -18,15 +18,13 @@ misfit at a target RMSEA via an omitted residual covariance.
 
 Sigma(theta) is computed only by :func:`implied_stack`, over a ``(k, q)``
 stack of parameter vectors with a per-row mask of the rows where
-(I - A)^-1 is usable; :func:`sigma_of_theta` is its one-row view.  For a
-recursive model (no directed cycle, as in the builtin conditions),
-(I - A)^-1 is the finite series I + A + ... + A^d, with d the longest
-directed path (:attr:`ModelSpec.path_depth`): (I - A) is never singular,
-and a row is masked only if that series overflows.  A non-recursive model
-solves (I - A) and tests each row for singularity.  The choice is made
-once per model from its pattern.  Parameter vectors are plain 1-d numpy
-arrays of length ``q`` in ``theta_names`` order; they are validated once
-at every entry point.
+(I - A)^-1 is usable; :func:`sigma_of_theta` is its one-row view.  When no
+directed path of A's pattern has two steps, as in the builtin conditions
+(:attr:`ModelSpec.single_step`), (I - A)^-1 is exactly I + A: there is no
+solve, and (I - A) is never singular.  Every other model solves (I - A) and
+tests each row for singularity.  The choice is made once per model from its
+pattern.  Parameter vectors are plain 1-d numpy arrays of length ``q`` in
+``theta_names`` order; they are validated once at every entry point.
 """
 
 from __future__ import annotations
@@ -230,17 +228,12 @@ class ModelSpec:
         return fixed, free, param[free]
 
     @cached_property
-    def path_depth(self) -> int | None:
-        """Length d of the longest directed path in A's pattern (free or
-        fixed nonzero entries), so that A^(d+1) = 0 at every theta; ``None``
-        when the pattern has a cycle, a self-loop included."""
+    def single_step(self) -> bool:
+        """Whether no directed path of A's pattern (free or fixed nonzero
+        entries) has two steps, a self-loop included.  Then A @ A = 0 at
+        every theta, and (I - A)^-1 is I + A exactly."""
         edges = ((self.directed_param >= 0) | (self.directed_fixed != 0.0)).astype(int)
-        reach = edges  # pattern of A^(depth + 1)
-        for depth in range(self.m):
-            if not reach.any():
-                return depth
-            reach = np.minimum(reach @ edges, 1)
-        return None  # A^m != 0: some path revisits a variable
+        return not (edges @ edges).any()
 
     def build_matrices(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Assemble (A, S) at a parameter vector."""
@@ -310,21 +303,16 @@ def implied_stack(model: ModelSpec, thetas):
     hold the rows of the ``(k,)`` mask ``ok`` only.  G is built one of two
     ways, chosen by the model's pattern:
 
-    - recursive (``path_depth`` d is not None): A is nilpotent, so G is the
-      finite series I + A + ... + A^d, summed by Horner with d - 1 stacked
-      products (I + A for d <= 1, which for the builtin conditions equals
-      the LU solve's result bit for bit); ``ok`` marks the rows where G is
-      finite;
-    - non-recursive: G is the stacked (I - A) solve, and ``ok`` marks the
-      rows whose solve is finite with residual at most 1e-8 max(1, max|G|).
+    - ``single_step``: G = I + A, with no rounding (for the builtin
+      conditions the LU solve's result is the same bytes); ``ok`` marks the
+      rows where G is finite;
+    - otherwise: G is the stacked (I - A) solve, and ``ok`` marks the rows
+      whose solve is finite with residual at most 1e-8 max(1, max|G|).
     """
     a, s = model._assemble(thetas)
     eye = np.eye(model.m)
-    depth = model.path_depth
-    if depth is not None:
+    if model.single_step:
         g = eye + a
-        for _ in range(depth - 1):
-            g = eye + a @ g
         ok = np.isfinite(g).all(axis=(1, 2))
     else:
         im_a = eye - a

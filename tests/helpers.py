@@ -119,7 +119,7 @@ def reference_implied(model, thetas):
     from the stacked solve of (I - A) against I for every model, recursive
     or not, and ``ok`` the rows whose solve is finite with residual at most
     1e-8 max(1, max|G|); numpy only.  The oracle for ``implied_stack``,
-    whose recursive path must match it byte for byte on the builtin
+    whose single-step path must match it byte for byte on the builtin
     conditions."""
     thetas = np.asarray(thetas, dtype=float)
     k, m = len(thetas), model.m
