@@ -1,5 +1,6 @@
 """Search helpers over arrays of independent problems, advanced in lockstep:
-safeguarded root finding, golden-section maxima and domain-edge bisection.
+bracketing a level out to the edge of a function's domain, safeguarded root
+finding and golden-section maxima.
 
 Each helper takes ``fun(x, which)``, which evaluates the problems with
 indices ``which`` at the points ``x``.  Only problems still active in an
@@ -7,6 +8,10 @@ iteration are evaluated, so one call per iteration serves every problem.
 Per element, the arithmetic is that of the scalar textbook method; a single
 problem is a one-element array.  A problem that fails is reported by a fault
 code and dropped, so it never stops the others.
+
+:func:`bracket_level` is the one walk out to a level, shared by the contour
+rays and the misfit perturbation search; its domain-edge bisection runs all
+its steps on every problem that needs it.
 
 :func:`golden_max` looks ahead: each call of its ``fun`` also evaluates
 every point the next two steps can reach, so one call commits up to three
@@ -157,18 +162,40 @@ def golden_max(f, a, b, *, x_tol, max_iter=200):
     return best_x, best_f, fault
 
 
-def domain_edge(fun, good, bad, f_good, *, iters):
-    """Bisect each [good, bad] toward the edge of fun's domain, where fun
-    returns NaN outside it.  Returns ``(x, fun(x))`` at the largest point
-    that evaluated; ``f_good`` is the value at ``good``, kept when no
-    midpoint evaluates."""
-    good, bad, f_good = (np.array(v, dtype=float) for v in (good, bad, f_good))
-    every = np.arange(len(good))
-    for _ in range(iters):
+def bracket_level(g, lo, hi, g_lo, *, doublings, edge_iters):
+    """Bracket the level g(x) = 0 above each lo, given g(lo) = g_lo < 0,
+    where g returns NaN past the edge of its domain.
+
+    Doubles each hi until g(hi) >= 0, moving lo up to every hi with
+    g(hi) < 0, for at most ``doublings`` evaluations.  Where g(hi) is NaN,
+    bisects [lo, hi] toward the domain edge for ``edge_iters`` steps and
+    takes the largest point that evaluated as hi (lo when none did).
+    Returns ``(lo, hi, g_lo, g_hi, escaped)``: where ``escaped`` is false,
+    g_lo < 0 <= g_hi, ready for :func:`bracketed_root`; where it is true,
+    the level lies beyond the domain edge (g_hi finite, below 0) or was not
+    reached in ``doublings`` doublings (g_hi NaN).
+    """
+    lo, hi, g_lo = (np.array(v, dtype=float) for v in (lo, hi, g_lo))
+    g_hi = np.full(len(lo), np.nan)
+    climbing = np.arange(len(lo))
+    for _ in range(doublings):
+        g_x = np.asarray(g(hi[climbing], climbing), dtype=float)
+        g_hi[climbing[g_x >= 0]] = g_x[g_x >= 0]
+        climbing, g_x = climbing[g_x < 0], g_x[g_x < 0]
+        lo[climbing], g_lo[climbing] = hi[climbing], g_x
+        hi[climbing] *= 2.0
+        if not climbing.size:
+            break
+    escaped = np.isin(np.arange(len(lo)), climbing)
+
+    edge = np.flatnonzero(np.isnan(g_hi) & ~escaped)
+    good, bad, g_good = lo[edge], hi[edge], g_lo[edge]
+    for _ in range(edge_iters if edge.size else 0):
         mid = 0.5 * (good + bad)
-        f_mid = np.asarray(fun(mid, every), dtype=float)
-        ok = ~np.isnan(f_mid)
-        good = np.where(ok, mid, good)
-        f_good = np.where(ok, f_mid, f_good)
+        g_mid = np.asarray(g(mid, edge), dtype=float)
+        ok = ~np.isnan(g_mid)
+        good, g_good = np.where(ok, mid, good), np.where(ok, g_mid, g_good)
         bad = np.where(ok, bad, mid)
-    return good, f_good
+    hi[edge], g_hi[edge] = good, g_good
+    escaped[edge] = g_good < 0
+    return lo, hi, g_lo, g_hi, escaped

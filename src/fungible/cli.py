@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .contour import (
     DELTA_F,
     EPS_TILDE,
     ContourTarget,
+    _sweep_directions,
     axis_widths_exact,
     axis_widths_quadratic,
     f_target,
@@ -33,6 +35,7 @@ from .errors import FungibleError
 from .fit import FitOptions, fit_ml
 from .model import load_model
 from .simstudy import (
+    DEFAULT_TARGETS,
     StudyDesign,
     check_fixture_scaling,
     emit_table,
@@ -132,8 +135,9 @@ def cmd_fpe(args):
             row.append(repr(float(f_value)))
             lines.append(",".join(row))
     else:
-        for _ in range(args.directions):
-            row = [repr(0.0), repr(0.0)]
+        angles, _ = _sweep_directions(focal, args.directions)
+        for angle in angles:
+            row = [repr(float(angle)), repr(0.0)]
             row += [repr(float(v)) for v in res.theta_hat]
             row.append(repr(res.f_hat))
             lines.append(",".join(row))
@@ -165,15 +169,13 @@ def _design_from_config(doc, seed=None):
                 "seed", "directions", "focal", "population_analysis"):
         if key in doc:
             kwargs[key] = doc[key]
-    targets = doc.get("targets", {})
-    kwargs["targets"] = (
-        ContourTarget(mode=CONFIDENCE, confidence=targets.get("confidence", 0.95)),
-        ContourTarget(mode=EPS_TILDE, epsilon_tilde=targets.get("eps_tilde", 0.005)),
-        ContourTarget(
-            mode=DELTA_F,
-            delta_f=targets.get("delta_f", 0.05),
-            scaling=targets.get("delta_f_scaling", "relative"),
-        ),
+    # per default target: config key -> the ContourTarget field it overrides
+    given = doc.get("targets", {})
+    renames = ({"confidence": "confidence"}, {"eps_tilde": "epsilon_tilde"},
+               {"delta_f": "delta_f", "delta_f_scaling": "scaling"})
+    kwargs["targets"] = tuple(
+        replace(default, **{field: given[key] for key, field in rename.items() if key in given})
+        for default, rename in zip(DEFAULT_TARGETS, renames)
     )
     if seed is not None:
         kwargs["seed"] = seed

@@ -24,10 +24,11 @@ For a :class:`~fungible.fit.FitResult` that evaluation is
 bit for bit.
 
 These functions only use ``theta_hat``, ``f_hat``, ``n``, ``hessian_at_opt``
-and ``objective(theta)`` from the fit argument, so any object exposing those
+and ``objectives(thetas)`` from the fit argument, so any object exposing those
 (e.g. a test surrogate) works in place of a :class:`~fungible.fit.FitResult`.
-An optional ``objectives(thetas)`` returning F for each row, NaN where F is
-undefined, is used when present; otherwise ``objective`` is mapped over rows.
+``objectives`` takes a ``(k, q)`` stack and returns F for each row, NaN where
+F is undefined; a scalar ``objective(theta)`` is never mapped over rows, so a
+stand-in fit must provide the stacked form.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._solve import UNDEFINED, bracketed_root, domain_edge, golden_max
+from ._solve import UNDEFINED, bracket_level, bracketed_root, golden_max
 from .discrepancy import chisq_quantile, f_from_rmsea, rmsea_from_f
-from .errors import ContourEscapesDomain, NotPositiveDefinite, SingularStructure
+from .errors import ContourEscapesDomain, NotPositiveDefinite
 
 DELTA_F = "delta_f"
 EPS_TILDE = "eps_tilde"
@@ -134,24 +135,6 @@ def f_target(target: ContourTarget, fit, df: int | None = None, *, n_focal: int 
     return f_hat + chisq_quantile(n_focal, target.confidence) / (fit.n - 1)
 
 
-def _objectives(fit):
-    """The fit's ``objectives(thetas)``, or else its scalar ``objective``
-    mapped over the rows with NaN where it raises a domain error."""
-    if hasattr(fit, "objectives"):
-        return fit.objectives
-
-    def mapped(thetas):
-        out = np.full(len(thetas), np.nan)
-        for k, theta in enumerate(thetas):
-            try:
-                out[k] = fit.objective(theta)
-            except (NotPositiveDefinite, SingularStructure):
-                pass
-        return out
-
-    return mapped
-
-
 def _units(angles):
     d = np.column_stack([np.cos(angles), np.sin(angles)])
     return d / np.linalg.norm(d, axis=1, keepdims=True)
@@ -167,45 +150,31 @@ def _solve_rays(fit, units, focal, t_target, f_tol):
     """Radii r > 0 with F(theta_hat + r u) = t_target along every row u of
     ``units`` (unit focal-plane directions), and a fault code per ray.
 
-    All rays advance in lockstep, one stacked objective evaluation per step:
-    exponential bracketing out from the quadratic-approximation radius,
-    bisection to the domain edge for rays that left the evaluable region,
-    then the safeguarded secant/bisection root.  A ray escapes (radius NaN,
-    fault 0) when the level lies beyond its domain edge or is not reached in
-    90 doublings.  A ray whose root fails has radius NaN and a nonzero fault
-    (:func:`_raise_faults` names it); it never stops the other rays.
+    All rays advance in lockstep, one stacked ``fit.objectives`` evaluation
+    per step: :func:`~fungible._solve.bracket_level` doubles out from the
+    quadratic-approximation radius and bisects back to the domain edge for
+    rays that left the evaluable region, then the safeguarded secant/
+    bisection root.  A ray escapes (radius NaN, fault 0) when the level lies
+    beyond its domain edge or is not reached in 90 doublings.  A ray whose
+    root fails has radius NaN and a nonzero fault (:func:`_raise_faults`
+    names it); it never stops the other rays.
     """
     theta_hat = np.asarray(fit.theta_hat, dtype=float)
     u_full = _embed(fit, units, focal)
-    objectives = _objectives(fit)
     c = t_target - fit.f_hat
 
     def gaps(r, which):
-        return objectives(theta_hat + r[:, None] * u_full[which]) - t_target
+        return fit.objectives(theta_hat + r[:, None] * u_full[which]) - t_target
 
     k = len(units)
-    lo, g_lo, hi, g_hi = np.zeros(k), np.full(k, -c), np.ones(k), np.full(k, np.nan)
+    hi = np.ones(k)
     hess = getattr(fit, "hessian_at_opt", None)
     if hess is not None:
         curv = np.sum(units @ np.asarray(hess)[np.ix_(focal, focal)] * units, axis=1)
         hi[curv > 0] = np.sqrt(2.0 * c / curv[curv > 0])
-    climbing = np.arange(k)
-    for _ in range(90):
-        g = gaps(hi[climbing], climbing)
-        g_hi[climbing[g >= 0]] = g[g >= 0]
-        climbing, g = climbing[g < 0], g[g < 0]
-        lo[climbing], g_lo[climbing] = hi[climbing], g
-        hi[climbing] *= 2.0
-        if not climbing.size:
-            break
-    escaped = np.isin(np.arange(k), climbing)
-
-    edge = np.flatnonzero(np.isnan(g_hi) & ~escaped)
-    if edge.size:
-        hi[edge], g_hi[edge] = domain_edge(
-            lambda r, which: gaps(r, edge[which]), lo[edge], hi[edge], g_lo[edge], iters=80
-        )
-        escaped[edge] = g_hi[edge] < 0
+    lo, hi, g_lo, g_hi, escaped = bracket_level(
+        gaps, np.zeros(k), hi, np.full(k, -c), doublings=90, edge_iters=80
+    )
 
     live = np.flatnonzero(~escaped)
     radii, fault = np.full(k, np.nan), np.zeros(k, dtype=int)

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._solve import bracketed_root, domain_edge
+from ._solve import UNDEFINED, bracket_level, bracketed_root
 from .errors import (
     NoConvergence,
     NotPositiveDefinite,
@@ -621,10 +621,15 @@ def misspecify_to_epsilon(
     """Perturb a condition's population covariance to an exact RMSEA misfit.
 
     Adds magnitude t to the residual covariance at ``cond.misfit_pair`` and
-    solves for t (safeguarded 1-d root search) so that fitting the analysis
-    model to the perturbed covariance yields sqrt(F0/df) = ``epsilon_target``
-    within 1e-6.  Raises :class:`TargetUnreachable` when positive
-    definiteness fails before the target misfit is attained.
+    solves for t so that fitting the analysis model to the perturbed
+    covariance yields sqrt(F0/df) = ``epsilon_target`` within 1e-6: the
+    contour rays' walk (:func:`~fungible._solve.bracket_level`) doubles t
+    from 0.05 and bisects back to the edge of the region where the perturbed
+    covariance is positive definite and cleanly fittable, then a safeguarded
+    1-d root search solves inside the bracket.  Raises
+    :class:`TargetUnreachable` when the target misfit lies beyond that edge
+    or is not reached in 60 doublings, and :class:`NotPositiveDefinite` when
+    a fit fails strictly inside the root bracket.
     """
     from .fit import population_rmsea
 
@@ -645,55 +650,41 @@ def misspecify_to_epsilon(
     direction[i, j] = direction[j, i] = 1.0
     base = np.asarray(cond.sigma_pop)
 
-    def gap(t):
-        return population_rmsea(cond.model, base + t * direction, df) - epsilon_target
-
     def gaps(ts, _which):
-        return np.array([gap(t) for t in ts])
-
-    def evaluable_gaps(ts, _which):
         # NaN past the region where the perturbed covariance is pd and
         # cleanly fittable
         out = np.full(len(ts), np.nan)
         for k, t in enumerate(ts):
             try:
-                out[k] = gap(t)
+                out[k] = population_rmsea(cond.model, base + t * direction, df) - epsilon_target
             except (NotPositiveDefinite, NoConvergence):
                 pass
         return out
 
-    lo, g_lo = 0.0, gap(0.0)
+    g_lo = population_rmsea(cond.model, base, df) - epsilon_target
     if g_lo > 0:
         raise ValueError(
             "condition already exceeds the target misfit; start from the base condition"
         )
-    hi = 0.05
-    g_hi = None
-    for _ in range(60):
-        try:
-            g_hi = gap(hi)
-        except (NotPositiveDefinite, NoConvergence):
-            # walked past the region where the perturbed covariance is pd
-            # and cleanly fittable; pull back to its edge
-            edge, g_edge = domain_edge(evaluable_gaps, [lo], [hi], [g_lo], iters=40)
-            hi, g_hi = float(edge[0]), float(g_edge[0])
-            if g_hi < 0:
-                raise TargetUnreachable(
-                    f"population covariance loses positive definiteness before "
-                    f"RMSEA {epsilon_target} is reached (max attainable "
-                    f"{g_hi + epsilon_target:.4f})"
-                ) from None
-            break
-        if g_hi >= 0:
-            break
-        lo, g_lo = hi, g_hi
-        hi *= 2.0
-    else:
+    lo, hi, g_lo, g_hi, escaped = bracket_level(
+        gaps, [0.0], [0.05], [g_lo], doublings=60, edge_iters=40
+    )
+    if escaped[0]:
+        if np.isnan(g_hi[0]):
+            raise TargetUnreachable(
+                f"no perturbation in the search bracket attains RMSEA {epsilon_target}"
+            )
         raise TargetUnreachable(
-            f"no perturbation in the search bracket attains RMSEA {epsilon_target}"
+            f"population covariance loses positive definiteness before "
+            f"RMSEA {epsilon_target} is reached (max attainable "
+            f"{g_hi[0] + epsilon_target:.4f})"
         )
 
-    roots, fault = bracketed_root(gaps, [lo], [hi], [g_lo], [g_hi], f_tol=2e-7)
+    roots, fault = bracketed_root(gaps, lo, hi, g_lo, g_hi, f_tol=2e-7)
+    if fault[0] == UNDEFINED:
+        raise NotPositiveDefinite(
+            "s", "the perturbed covariance cannot be fit inside the misfit root bracket"
+        )
     if fault[0]:
         raise RuntimeError("misfit root residual above tolerance 2.0e-07")
     t = roots[0]

@@ -175,7 +175,16 @@ def loop_hessian(model, theta, s):
     return 0.5 * (h_mat + h_mat.T)
 
 
-class QuadraticSurrogate:
+class RowMapped:
+    """Mixin for duck-typed fits: ``objectives(thetas)``, the stacked form
+    the contour engine evaluates, as the scalar ``objective`` at every row
+    (NaN where the objective returns NaN)."""
+
+    def objectives(self, thetas):
+        return np.array([self.objective(theta) for theta in thetas], dtype=float)
+
+
+class QuadraticSurrogate(RowMapped):
     """Duck-typed fit whose objective is exactly quadratic around theta_hat.
 
     Exposes the attributes the contour operations read from a FitResult.
@@ -224,3 +233,28 @@ def reference_golden_max(f, a, b, *, x_tol, max_iter=200):
         best_x[i[better]] = x[better]
         best_f[i[better]] = fx[better]
     return best_x, best_f
+
+
+def reference_bracket_level(g, lo, hi, g_lo, *, doublings, edge_iters):
+    """One problem's walk out to the level g(x) = 0, one scalar ``g(x)``
+    call per step: double hi until g(hi) >= 0, moving lo up past every
+    g(hi) < 0; where g(hi) is NaN, bisect [lo, hi] back to the edge of g's
+    domain and take the largest point that evaluated.  No package
+    internals.  The oracle for ``_solve.bracket_level``, which must return
+    the same ``(lo, hi, g_lo, g_hi, escaped)`` per element."""
+    for _ in range(doublings):
+        g_hi = g(hi)
+        if math.isnan(g_hi):
+            good, g_good, bad = lo, g_lo, hi
+            for _ in range(edge_iters):
+                mid = 0.5 * (good + bad)
+                g_mid = g(mid)
+                if math.isnan(g_mid):
+                    bad = mid
+                else:
+                    good, g_good = mid, g_mid
+            return lo, good, g_lo, g_good, g_good < 0
+        if g_hi >= 0:
+            return lo, hi, g_lo, g_hi, False
+        lo, g_lo, hi = hi, g_hi, 2.0 * hi
+    return lo, hi, g_lo, math.nan, True

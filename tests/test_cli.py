@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from fungible import (
     save_model,
     wishart_sample,
 )
-from fungible.cli import main
+from fungible.cli import _design_from_config, main
+from fungible.simstudy import DEFAULT_TARGETS, StudyDesign
 
 DATA = Path(__file__).parent / "data"
 
@@ -115,6 +117,25 @@ def test_fpe_focal_by_index(workdir, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 9
 
 
+def test_fpe_degenerate_target_rows_follow_sweep(workdir, capsys):
+    # --delta-f 0 puts the level at the minimum: one row at r = 0 per swept
+    # angle, and an odd direction count sweeps one more
+    code = main(
+        [
+            "fpe",
+            "--model", str(workdir / "model.json"),
+            "--cov", str(workdir / "cov.csv"),
+            "--n", "200",
+            "--delta-f", "0",
+            "--directions", "7",
+        ]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == list(2.0 * np.pi * np.arange(8) / 8)
+    assert all(float(row[1]) == 0.0 for row in rows)
+
+
 def test_confset_smoke(workdir, capsys):
     code = main(
         [
@@ -146,6 +167,17 @@ def test_study_deterministic_files(workdir, tmp_path):
         code = main(["study", "--config", str(cfg), "--seed", "42", "--out", str(out)])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_design_targets_from_config():
+    assert _design_from_config({}).targets == StudyDesign().targets
+    confidence, eps_tilde, delta_f = DEFAULT_TARGETS
+    assert _design_from_config({"targets": {"eps_tilde": 0.01}}).targets == (
+        confidence, dataclasses.replace(eps_tilde, epsilon_tilde=0.01), delta_f
+    )
+    assert _design_from_config({"targets": {"delta_f_scaling": "raw"}}).targets == (
+        confidence, eps_tilde, dataclasses.replace(delta_f, scaling="raw")
+    )
 
 
 def test_study_markdown_format(workdir, tmp_path, capsys):

@@ -28,7 +28,7 @@ from fungible import (
 from fungible import contour
 from fungible._solve import golden_max
 from fungible.simstudy import DEFAULT_TARGETS
-from helpers import QuadraticSurrogate, reference_golden_max
+from helpers import QuadraticSurrogate, RowMapped, reference_bracket_level, reference_golden_max
 
 
 class TestFTarget:
@@ -113,7 +113,7 @@ class TestRadialContourPoint:
             radial_contour_point(fit, (0.0, 0.0), 0.1, (0, 1))
 
     def test_flat_direction_escapes(self):
-        class FlatFit:
+        class FlatFit(RowMapped):
             theta_hat = np.zeros(2)
             f_hat = 0.0
             n = None
@@ -125,16 +125,15 @@ class TestRadialContourPoint:
             radial_contour_point(FlatFit(), (0.0, 1.0), 0.02, (0, 1))
 
     def test_domain_edge_escapes(self):
-        class BoundedFit:
+        class BoundedFit(RowMapped):
+            # Sigma fails (F is NaN) beyond radius 2
             theta_hat = np.zeros(2)
             f_hat = 0.0
             n = None
 
             def objective(self, theta):
                 r = float(np.linalg.norm(theta))
-                if r > 2.0:
-                    raise NotPositiveDefinite("sigma_theta")
-                return 1e-3 * r * r
+                return math.nan if r > 2.0 else 1e-3 * r * r
 
         with pytest.raises(ContourEscapesDomain):
             radial_contour_point(BoundedFit(), (1.0, 0.0), 0.02, (0, 1))
@@ -239,17 +238,15 @@ class TestAxisWidthsExact:
         assert aw.major == aw.minor == 0.0
 
     def test_partial_flag_on_escapes(self):
-        class Walled:
-            # isotropic bowl, but positive definiteness fails at |theta[1]|
-            # > 0.1 before the contour radius 0.2 is reached
+        class Walled(RowMapped):
+            # isotropic bowl, but positive definiteness fails (F is NaN) at
+            # |theta[1]| > 0.1 before the contour radius 0.2 is reached
             theta_hat = np.zeros(2)
             f_hat = 0.0
             n = None
 
             def objective(self, theta):
-                if abs(theta[1]) > 0.1:
-                    raise NotPositiveDefinite("sigma_theta")
-                return 0.5 * float(theta @ theta)
+                return math.nan if abs(theta[1]) > 0.1 else 0.5 * float(theta @ theta)
 
         aw = axis_widths_exact(Walled(), 0.02, (0, 1), 4)
         assert aw.skipped == 2
@@ -376,27 +373,11 @@ def _reference_radius(res, unit, focal, t, f_tol=1e-9):
 
     c = t - res.f_hat
     curv = float(unit @ res.hessian_at_opt[np.ix_(focal, focal)] @ unit)
-    lo, g_lo = 0.0, -c
     hi = math.sqrt(2.0 * c / curv) if curv > 0 else 1.0
-    for _ in range(90):
-        g_hi = gap(hi)
-        if math.isnan(g_hi):
-            good, g_good, bad = lo, g_lo, hi
-            for _ in range(80):
-                mid = 0.5 * (good + bad)
-                g_mid = gap(mid)
-                if math.isnan(g_mid):
-                    bad = mid
-                else:
-                    good, g_good = mid, g_mid
-            hi, g_hi = good, g_good
-            if g_hi < 0:
-                return math.nan
-            break
-        if g_hi >= 0:
-            break
-        lo, g_lo, hi = hi, g_hi, 2.0 * hi
-    else:
+    lo, hi, g_lo, g_hi, escaped = reference_bracket_level(
+        gap, 0.0, hi, -c, doublings=90, edge_iters=80
+    )
+    if escaped:
         return math.nan
     return _scalar_root(gap, lo, hi, g_lo, g_hi, f_tol)
 
@@ -454,7 +435,7 @@ class _Counting:
         return self._fit.objectives(thetas)
 
 
-class _Faulty:
+class _Faulty(RowMapped):
     """Duck-typed fit: an anisotropic bowl whose objective fails inside
     radius 1 within ``half_width`` of ``bad_angle``.  ``kind`` "nan" makes
     it NaN there (a Sigma failure inside the bracket); "jump" makes it jump

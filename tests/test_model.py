@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from fungible import (
     FIXED,
     ModelSpec,
+    NoConvergence,
+    NotPositiveDefinite,
     SingularStructure,
     TargetUnreachable,
     builtin_conditions,
@@ -342,6 +344,34 @@ class TestMisspecify:
     def test_unreachable_target(self, conditions):
         with pytest.raises(TargetUnreachable):
             misspecify_to_epsilon(conditions["Sigma1"], 2.0)
+
+    @pytest.mark.parametrize(
+        "slope, eps, fails, error, match",
+        [
+            # the walk brackets [0.2, 0.4]; the first secant step, 0.3, fails
+            (0.1, 0.03, (0.25, 0.35), NotPositiveDefinite, "inside the misfit root bracket"),
+            # fits fail past t = 0.5, where RMSEA is 0.05
+            (0.1, 0.09, (0.5, math.inf), TargetUnreachable, "max attainable 0.0500"),
+            # RMSEA stays 0 through all 60 doublings
+            (0.0, 0.03, (math.inf, math.inf), TargetUnreachable, "search bracket"),
+        ],
+    )
+    def test_search_outcomes(self, conditions, monkeypatch, slope, eps, fails, error, match):
+        # a stand-in population fit whose RMSEA is slope * t, failing to
+        # converge for t inside ``fails``
+        cond = conditions["Sigma1"]
+        i, j = cond.misfit_pair
+        base = cond.sigma_pop[i, j]
+
+        def stand_in(model, sigma, df=None):
+            t = sigma[i, j] - base
+            if fails[0] < t < fails[1]:
+                raise NoConvergence(500, 1.0)
+            return slope * t
+
+        monkeypatch.setattr("fungible.fit.population_rmsea", stand_in)
+        with pytest.raises(error, match=match):
+            misspecify_to_epsilon(cond, eps)
 
     def test_negative_target_rejected(self, conditions):
         with pytest.raises(ValueError):

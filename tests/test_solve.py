@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fungible._solve import ABOVE_TOL, UNDEFINED, bracketed_root, golden_max
-from helpers import reference_golden_max
+from fungible._solve import ABOVE_TOL, UNDEFINED, bracket_level, bracketed_root, golden_max
+from helpers import reference_bracket_level, reference_golden_max
 
 
 def _problems(seed):
@@ -131,3 +131,81 @@ class TestBracketedRoot:
             lambda x, _: x - 0.4, [0.0], [1.0], [-0.4], [0.6], f_tol=1e-9
         )
         assert root[2] == alone[0] and alone_fault[0] == 0
+
+
+CLIMB, EDGE_INSIDE, EDGE_BEYOND, EXHAUSTED = range(4)
+
+
+def _level_problems(seed, doublings):
+    """A batch of lines g(x) = slope (x - root), NaN past ``edge``, whose
+    walks from [lo, hi] end in each of the four ways: the level is climbed
+    out to within the domain, the doubling jumps the domain edge with the
+    level inside it or beyond it, or the doublings run out.  The first four
+    problems take one way each, in that order; the rest are drawn."""
+    rng = np.random.default_rng(seed)
+    kinds = np.concatenate([np.arange(4), rng.integers(0, 4, int(rng.integers(0, 6)))])
+    n = len(kinds)
+    lo = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 1.0, n))
+    hi = lo + rng.uniform(0.1, 10.0, n)
+    slope = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    # h is the last hi below the root; the next doubling lands on 2 h
+    h = hi * 2.0 ** rng.integers(0, doublings - 1, n)
+    v, w = rng.uniform(0.0, 0.3, n), rng.uniform(0.1, 0.7, n)
+    root = np.select(
+        [kinds == CLIMB, kinds == EXHAUSTED, kinds == EDGE_INSIDE],
+        [h * (1.0 + 2 * v), hi * 2.0 ** (doublings + 4), h * (1.0 + v)],
+        h * (1.0 + v + w),
+    )
+    edge = np.select(
+        [kinds == CLIMB, kinds == EXHAUSTED, kinds == EDGE_INSIDE],
+        [np.inf, np.inf, h * (1.0 + v + w)],
+        h * (1.0 + v),
+    )
+
+    def g(x, which):
+        return np.where(x > edge[which], np.nan, slope[which] * (x - root[which]))
+
+    return kinds, lo, hi, g
+
+
+class TestBracketLevel:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        doublings=st.integers(2, 40),
+        edge_iters=st.integers(12, 80),
+    )
+    def test_matches_scalar_walk(self, seed, doublings, edge_iters):
+        kinds, lo, hi, g = _level_problems(seed, doublings)
+        g_lo = g(lo, np.arange(len(lo)))
+        seen = [[] for _ in lo]
+
+        def recording(x, which):
+            for k, v in zip(which, x):
+                seen[k].append(float(v))
+            return g(x, which)
+
+        got = bracket_level(recording, lo, hi, g_lo, doublings=doublings, edge_iters=edge_iters)
+        for k in range(len(lo)):
+            visited = []
+
+            def scalar(x):
+                visited.append(x)
+                return float(g(np.array([x]), np.array([k]))[0])
+
+            want = reference_bracket_level(
+                scalar, float(lo[k]), float(hi[k]), float(g_lo[k]),
+                doublings=doublings, edge_iters=edge_iters,
+            )
+            assert seen[k] == visited
+            for field, value in zip(got[:4], want[:4]):
+                assert field[k].tobytes() == np.float64(value).tobytes()
+            assert got[4][k] == want[4]
+        # every kind ends its own way
+        lo, hi, g_lo, g_hi, escaped = got
+        bracketed = np.isin(kinds, [CLIMB, EDGE_INSIDE])
+        assert not escaped[bracketed].any()
+        assert (g_lo[bracketed] < 0).all() and (g_hi[bracketed] >= 0).all()
+        assert (lo[bracketed] < hi[bracketed]).all()
+        assert escaped[kinds == EDGE_BEYOND].all() and (g_hi[kinds == EDGE_BEYOND] < 0).all()
+        assert escaped[kinds == EXHAUSTED].all() and np.isnan(g_hi[kinds == EXHAUSTED]).all()
