@@ -25,7 +25,6 @@ from .contour import (
     DELTA_F,
     EPS_TILDE,
     ContourTarget,
-    _sweep_directions,
     axis_widths_exact,
     axis_widths_quadratic,
     f_target,
@@ -43,15 +42,6 @@ from .simstudy import (
 )
 
 _MODE_NAMES = {"delta-f": DELTA_F, "eps-tilde": EPS_TILDE, "confset": CONFIDENCE}
-
-
-def _read_cov(path):
-    s = np.loadtxt(path, delimiter=",", ndmin=2)
-    if s.shape[0] != s.shape[1]:
-        raise ValueError(f"covariance file {path} is not square: {s.shape}")
-    if np.abs(s - s.T).max() > 1e-10:
-        raise ValueError(f"covariance file {path} is not symmetric within 1e-10")
-    return 0.5 * (s + s.T)
 
 
 def _write(text, out):
@@ -79,7 +69,7 @@ def _fit_options(args):
 
 def _do_fit(args):
     model = load_model(args.model)
-    s = _read_cov(args.cov)
+    s = np.loadtxt(args.cov, delimiter=",", ndmin=2)
     return fit_ml(model, s, n=args.n, opts=_fit_options(args))
 
 
@@ -123,24 +113,17 @@ def cmd_fpe(args):
         confidence=args.level,
         scaling=args.scaling,
     )
-    level = f_target(target, res, n_focal=len(focal))
+    # clamped as in fpe_sample: a degenerate level gives theta_hat per angle
+    level = max(f_target(target, res, n_focal=len(focal)), res.f_hat)
     header = ["angle", "r"] + [f"theta_{k + 1}" for k in range(res.model.q)] + ["f_value"]
     lines = [",".join(header)]
-    if level > res.f_hat:
-        points = sweep_contour(res, level, focal, args.directions)
-        thetas = np.array([pt.theta for pt in points]).reshape(len(points), res.model.q)
-        for pt, f_value in zip(points, res.objectives(thetas)):
-            row = [repr(pt.angle), repr(pt.r)]
-            row += [repr(float(v)) for v in pt.theta]
-            row.append(repr(float(f_value)))
-            lines.append(",".join(row))
-    else:
-        angles, _ = _sweep_directions(focal, args.directions)
-        for angle in angles:
-            row = [repr(float(angle)), repr(0.0)]
-            row += [repr(float(v)) for v in res.theta_hat]
-            row.append(repr(res.f_hat))
-            lines.append(",".join(row))
+    points = sweep_contour(res, level, focal, args.directions)
+    thetas = np.array([pt.theta for pt in points]).reshape(len(points), res.model.q)
+    for pt, f_value in zip(points, res.objectives(thetas)):
+        row = [repr(pt.angle), repr(pt.r)]
+        row += [repr(float(v)) for v in pt.theta]
+        row.append(repr(float(f_value)))
+        lines.append(",".join(row))
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

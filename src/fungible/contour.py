@@ -8,6 +8,12 @@ confidence level) to the level T.  Widths are full axis lengths (twice the
 half-length), measured either from the focal Hessian block (quadratic
 approximation) or by sweeping rays and solving each crossing exactly.
 
+One level rule holds throughout: T below the fitted discrepancy F-hat
+raises :class:`ValueError`, and T == F-hat is the degenerate contour (no ray
+solved: radius 0, widths 0, theta-hat as the point); :func:`fpe_sample`
+clamps its level at F-hat.  Ray roots meet the fixed tolerance :data:`F_TOL`
+and refined angles :data:`ANGLE_TOL`.
+
 Every ray solve goes through one lockstep engine: all rays of a call (a
 whole sweep, or both golden-section refinements' rays) advance together, one
 stacked evaluation of F over a ``(k, q)`` stack of parameter vectors per
@@ -46,6 +52,9 @@ DELTA_F = "delta_f"
 EPS_TILDE = "eps_tilde"
 CONFIDENCE = "confidence"
 _MODES = (DELTA_F, EPS_TILDE, CONFIDENCE)
+
+F_TOL = 1e-9  # every ray root: |F - T| <= F_TOL
+ANGLE_TOL = 1e-6  # golden refinement of the extremal width angles, radians
 
 
 @dataclass(frozen=True)
@@ -146,7 +155,16 @@ def _embed(fit, units, focal):
     return u_full
 
 
-def _solve_rays(fit, units, focal, t_target, f_tol):
+def _level_offset(fit, t_target):
+    """The level rule of every contour function: c = T - F-hat, raising
+    when T lies below the minimum; c == 0 is the degenerate contour."""
+    c = t_target - fit.f_hat
+    if c < 0:
+        raise ValueError("t_target must not be below the fitted discrepancy")
+    return c
+
+
+def _solve_rays(fit, units, focal, t_target):
     """Radii r > 0 with F(theta_hat + r u) = t_target along every row u of
     ``units`` (unit focal-plane directions), and a fault code per ray.
 
@@ -154,19 +172,22 @@ def _solve_rays(fit, units, focal, t_target, f_tol):
     per step: :func:`~fungible._solve.bracket_level` doubles out from the
     quadratic-approximation radius and bisects back to the domain edge for
     rays that left the evaluable region, then the safeguarded secant/
-    bisection root.  A ray escapes (radius NaN, fault 0) when the level lies
-    beyond its domain edge or is not reached in 90 doublings.  A ray whose
-    root fails has radius NaN and a nonzero fault (:func:`_raise_faults`
-    names it); it never stops the other rays.
+    bisection root to |F - T| <= :data:`F_TOL`.  A ray escapes (radius NaN,
+    fault 0) when the level lies beyond its domain edge or is not reached in
+    90 doublings.  A ray whose root fails has radius NaN and a nonzero fault
+    (:func:`_raise_faults` names it); it never stops the other rays.  On the
+    degenerate contour every radius is 0 and nothing is evaluated.
     """
+    k = len(units)
+    c = _level_offset(fit, t_target)
+    if c == 0.0:
+        return np.zeros(k), np.zeros(k, dtype=int)
     theta_hat = np.asarray(fit.theta_hat, dtype=float)
     u_full = _embed(fit, units, focal)
-    c = t_target - fit.f_hat
 
     def gaps(r, which):
         return fit.objectives(theta_hat + r[:, None] * u_full[which]) - t_target
 
-    k = len(units)
     hi = np.ones(k)
     hess = getattr(fit, "hessian_at_opt", None)
     if hess is not None:
@@ -179,23 +200,25 @@ def _solve_rays(fit, units, focal, t_target, f_tol):
     live = np.flatnonzero(~escaped)
     radii, fault = np.full(k, np.nan), np.zeros(k, dtype=int)
     radii[live], fault[live] = bracketed_root(
-        lambda r, which: gaps(r, live[which]), lo[live], hi[live], g_lo[live], g_hi[live], f_tol=f_tol
+        lambda r, which: gaps(r, live[which]), lo[live], hi[live], g_lo[live], g_hi[live], f_tol=F_TOL
     )
     return radii, fault
 
 
-def _raise_faults(fault, f_tol):
+def _raise_faults(fault):
     """Raise for a batch of rays with these fault codes, as for one failing
     ray of the batch: a Sigma failure inside a bracket before a root
     residual above tolerance.  Returns when no ray faulted."""
     if np.any(fault == UNDEFINED):
         raise NotPositiveDefinite("sigma_theta", "Sigma fails inside a bracketed ray")
     if np.any(fault):
-        raise RuntimeError(f"root residual above tolerance {f_tol:.1e}")
+        raise RuntimeError(f"root residual above tolerance {F_TOL:.1e}")
 
 
-def _sweep_directions(focal, n_directions):
-    """An even number of equally spaced angles, and their unit directions."""
+def _sweep(fit, t_target, focal, n_directions):
+    """The direction sweep: an even number of equally spaced angles, their
+    unit directions and the contour radius along each (NaN where the ray
+    escapes, 0 on the degenerate contour).  Raises for any faulted ray."""
     if len(focal) != 2:
         raise ValueError("direction sweeps need exactly two focal parameters")
     n = int(n_directions)
@@ -203,19 +226,20 @@ def _sweep_directions(focal, n_directions):
         raise ValueError("n_directions must be at least 4")
     n += n % 2
     angles = 2.0 * math.pi * np.arange(n) / n
-    return angles, _units(angles)
+    units = _units(angles)
+    radii, fault = _solve_rays(fit, units, focal, t_target)
+    _raise_faults(fault)
+    return angles, units, radii
 
 
-def radial_contour_point(fit, direction, t_target: float, focal, *, f_tol: float = 1e-9) -> np.ndarray:
+def radial_contour_point(fit, direction, t_target: float, focal) -> np.ndarray:
     """Contour crossing theta_hat + r * u along a focal-plane direction.
 
-    Solves F(theta) = ``t_target`` to |F - T| <= ``f_tol`` by exponential
+    Solves F(theta) = ``t_target`` to |F - T| <= :data:`F_TOL` by exponential
     bracketing followed by safeguarded bisection/secant; non-focal parameters
     stay at theta_hat.  Raises :class:`ContourEscapesDomain` when F never
     reaches the level before positive definiteness fails along the ray.
     """
-    if t_target <= fit.f_hat:
-        raise ValueError("t_target must exceed the fitted discrepancy")
     focal = tuple(int(i) for i in focal)
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (len(focal),):
@@ -224,22 +248,20 @@ def radial_contour_point(fit, direction, t_target: float, focal, *, f_tol: float
     if norm == 0.0 or not np.isfinite(norm):
         raise ValueError("direction must be a nonzero finite vector")
     units = direction[None, :] / norm
-    radii, fault = _solve_rays(fit, units, focal, t_target, f_tol)
-    _raise_faults(fault, f_tol)
+    radii, fault = _solve_rays(fit, units, focal, t_target)
+    _raise_faults(fault)
     r = radii[0]
     if np.isnan(r):
         raise ContourEscapesDomain("the contour level is not reached along this ray")
     return np.asarray(fit.theta_hat, dtype=float) + r * _embed(fit, units, focal)[0]
 
 
-def sweep_contour(fit, t_target: float, focal, n_directions: int = 360, *, f_tol: float = 1e-9):
+def sweep_contour(fit, t_target: float, focal, n_directions: int = 360):
     """Solve the contour along ``n_directions`` equally spaced focal-plane
     rays; returns the list of :class:`ContourPoint` for the directions that
     reached the level (escaped directions are simply absent)."""
     focal = tuple(int(i) for i in focal)
-    angles, units = _sweep_directions(focal, n_directions)
-    radii, fault = _solve_rays(fit, units, focal, t_target, f_tol)
-    _raise_faults(fault, f_tol)
+    angles, units, radii = _sweep(fit, t_target, focal, n_directions)
     thetas = np.asarray(fit.theta_hat, dtype=float) + radii[:, None] * _embed(fit, units, focal)
     return [
         ContourPoint(angle=float(angle), r=float(r), theta=theta, f_value=t_target)
@@ -258,9 +280,7 @@ def axis_widths_quadratic(fit, t_target: float, focal) -> AxisWidths:
     focal direction).
     """
     focal = tuple(int(i) for i in focal)
-    c = t_target - fit.f_hat
-    if c < 0:
-        raise ValueError("t_target must not be below the fitted discrepancy")
+    c = _level_offset(fit, t_target)
     h_f = np.asarray(fit.hessian_at_opt, dtype=float)[np.ix_(focal, focal)]
     lam, vec = np.linalg.eigh(h_f)
     if lam[0] <= 0:
@@ -287,19 +307,17 @@ def _fix_sign(v):
     return v
 
 
-def axis_widths_exact(fit, t_target: float, focal, n_directions: int = 360, *, f_tol: float = 1e-9, angle_tol: float = 1e-6) -> AxisWidths:
+def axis_widths_exact(fit, t_target: float, focal, n_directions: int = 360) -> AxisWidths:
     """Axis widths from an exact direction sweep.
 
     Solves the contour along ``n_directions`` rays, measures the through-center
     width w(phi) = r(phi) + r(phi + pi), and refines the extremal angles by
-    golden section to ``angle_tol`` radians.  Escaped directions are skipped
+    golden section to :data:`ANGLE_TOL` radians.  Escaped directions are skipped
     and counted; the result is flagged ``partial`` when more than 5% skip.
     """
     focal = tuple(int(i) for i in focal)
-    c = t_target - fit.f_hat
-    if c < 0:
-        raise ValueError("t_target must not be below the fitted discrepancy")
-    if c == 0.0:
+    angles, _, radii = _sweep(fit, t_target, focal, n_directions)
+    if _level_offset(fit, t_target) == 0.0:
         return AxisWidths(
             major=0.0,
             minor=0.0,
@@ -307,9 +325,6 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = 360, *, f
             minor_direction=np.array([0.0, 1.0]),
             focal=focal,
         )
-    angles, units = _sweep_directions(focal, n_directions)
-    radii, fault = _solve_rays(fit, units, focal, t_target, f_tol)
-    _raise_faults(fault, f_tol)
     n = len(angles)
     half = n // 2
     widths = radii[:half] + radii[half:]
@@ -327,15 +342,15 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = 360, *, f
 
     def signed_widths(phi, which):
         u = _units(phi)
-        r, fault = _solve_rays(fit, np.vstack([u, -u]), focal, t_target, f_tol)
+        r, fault = _solve_rays(fit, np.vstack([u, -u]), focal, t_target)
         m = len(phi)
         w = r[:m] + r[m:]
         return np.where(np.isnan(w), -np.inf, sign[which] * w), np.maximum(fault[:m], fault[m:])
 
     delta = 2.0 * math.pi / n
     centers = angles[[k_max, k_min]]
-    phi, best, fault = golden_max(signed_widths, centers - delta, centers + delta, x_tol=angle_tol)
-    _raise_faults(fault, f_tol)
+    phi, best, fault = golden_max(signed_widths, centers - delta, centers + delta, x_tol=ANGLE_TOL)
+    _raise_faults(fault)
     return AxisWidths(
         major=max(float(best[0]), float(widths[k_max])),
         minor=min(-float(best[1]), float(widths[k_min])),
@@ -351,13 +366,9 @@ def fpe_sample(fit, target: ContourTarget, focal, n_directions: int = 360) -> li
     """The fungible parameter estimates themselves: contour points from the
     direction sweep, one full-length parameter vector per solved direction.
 
-    A degenerate target (level at or below the fitted discrepancy, e.g.
-    ``delta_f=0``) returns one copy of theta_hat per swept direction.
+    The level is clamped at the fitted discrepancy, so a degenerate target
+    (e.g. ``delta_f=0``, or one that rounds below the minimum) returns
+    theta_hat once per swept direction.
     """
-    focal = tuple(int(i) for i in focal)
-    angles, _ = _sweep_directions(focal, n_directions)
-    t = f_target(target, fit, n_focal=len(focal))
-    theta_hat = np.asarray(fit.theta_hat, dtype=float)
-    if t <= fit.f_hat:
-        return [theta_hat.copy() for _ in angles]
+    t = max(f_target(target, fit, n_focal=len(focal)), fit.f_hat)
     return [pt.theta for pt in sweep_contour(fit, t, focal, n_directions)]

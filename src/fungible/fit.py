@@ -38,11 +38,13 @@ from .errors import NoConvergence
 from .model import ModelSpec, _frozen_array, as_theta
 
 
+STALL_TOL = 1e-12  # the loop stops once f changes by at most this, relative
+
+
 @dataclass(frozen=True)
 class FitOptions:
     max_iter: int = 500
     grad_tol: float = 1e-6
-    f_tol: float = 1e-12
     start: np.ndarray | None = None
 
 
@@ -117,7 +119,7 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
     """Minimize the ML discrepancy of ``model`` against covariance ``s``.
 
     Convergence is declared at gradient max-norm < ``opts.grad_tol``; the
-    loop also stops when the relative change in f drops below ``opts.f_tol``.
+    loop also stops when the relative change in f drops below :data:`STALL_TOL`.
     Raises :class:`NoConvergence` after ``opts.max_iter`` iterations and
     :class:`NotPositiveDefinite` for an invalid ``s``.
     """
@@ -186,7 +188,7 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
             v = eye - rho * np.outer(s_vec, y_vec)
             h_inv = v @ h_inv @ v.T + rho * np.outer(s_vec, s_vec)
 
-        stalled = abs(f - f_new) <= opts.f_tol * max(1.0, abs(f))
+        stalled = abs(f - f_new) <= STALL_TOL * max(1.0, abs(f))
         theta, f, g = candidate, f_new, g_new
         f_trace.append(f)
         g_max = float(np.abs(g).max())
@@ -213,10 +215,8 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
     )
 
 
-def population_rmsea(model: ModelSpec, sigma_pop, df: int | None = None) -> float:
+def population_rmsea(model: ModelSpec, sigma_pop) -> float:
     """Population misfit of a model against a population covariance:
-    sqrt(F0/df) where F0 is the minimized ML discrepancy."""
-    if df is None:
-        df = model.df
+    sqrt(F0/df) where F0 is the minimized ML discrepancy and df the model's."""
     result = fit_ml(model, sigma_pop, n=None)
-    return rmsea_from_f(result.f_hat, df, population=True)
+    return rmsea_from_f(result.f_hat, model.df, population=True)

@@ -615,9 +615,7 @@ def condition_from_label(label: str) -> PopulationCondition:
     return builtin_conditions(uv, se)
 
 
-def misspecify_to_epsilon(
-    cond: PopulationCondition, epsilon_target: float, df: int | None = None
-) -> PopulationCondition:
+def misspecify_to_epsilon(cond: PopulationCondition, epsilon_target: float) -> PopulationCondition:
     """Perturb a condition's population covariance to an exact RMSEA misfit.
 
     Adds magnitude t to the residual covariance at ``cond.misfit_pair`` and
@@ -635,9 +633,7 @@ def misspecify_to_epsilon(
 
     if epsilon_target < 0:
         raise ValueError("epsilon_target must be nonnegative")
-    if df is None:
-        df = cond.model.df
-    if df < 1:
+    if cond.model.df < 1:
         raise ValueError("df must be at least 1")
     if epsilon_target == 0.0:
         return cond
@@ -656,12 +652,12 @@ def misspecify_to_epsilon(
         out = np.full(len(ts), np.nan)
         for k, t in enumerate(ts):
             try:
-                out[k] = population_rmsea(cond.model, base + t * direction, df) - epsilon_target
+                out[k] = population_rmsea(cond.model, base + t * direction) - epsilon_target
             except (NotPositiveDefinite, NoConvergence):
                 pass
         return out
 
-    g_lo = population_rmsea(cond.model, base, df) - epsilon_target
+    g_lo = population_rmsea(cond.model, base) - epsilon_target
     if g_lo > 0:
         raise ValueError(
             "condition already exceeds the target misfit; start from the base condition"

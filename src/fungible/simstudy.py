@@ -385,10 +385,14 @@ def paper_fixture() -> StudyTable:
     return parse_table(PAPER_TABLE_CSV, "csv")
 
 
-def check_fixture_scaling(table: StudyTable | None = None, tolerance: float = 0.015):
+# the reference table rounds widths to two decimals
+SCALING_SLACK = 0.015
+
+
+def check_fixture_scaling(table: StudyTable | None = None):
     """Internal-consistency check of the reference table: every confidence-set
     width at N=200 must equal the N=1000 width times sqrt(999/199) within the
-    rounding slack.  Returns (ok, report lines)."""
+    rounding slack :data:`SCALING_SLACK`.  Returns (ok, report lines)."""
     if table is None:
         table = paper_fixture()
     if not {1000, 200} <= set(table.sample_sizes):
@@ -409,7 +413,7 @@ def check_fixture_scaling(table: StudyTable | None = None, tolerance: float = 0.
         ):
             predicted = w_big * ratio
             delta = abs(w_small - predicted)
-            good = delta <= tolerance
+            good = delta <= SCALING_SLACK
             ok = ok and good
             lines.append(
                 f"{condition} {axis}: {w_big:.2f} x {ratio:.4f} = {predicted:.3f} "

@@ -238,3 +238,29 @@ def test_domain_error_exits_one(workdir, tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cov_within_relative_symmetry_accepted(workdir, tmp_path, capsys):
+    # asymmetry 5e-10 on entries near 10 is within fit_ml's relative rule
+    # (1e-10 x max|s|), so the CLI fits it as the library does
+    s = 10.0 * np.asarray(condition_from_label("Sigma1").sigma_pop)
+    s[0, 1] += 5e-10
+    cov = tmp_path / "cov.csv"
+    np.savetxt(cov, s, delimiter=",", fmt="%.17g")
+    code = main(["fit", "--model", str(workdir / "model.json"), "--cov", str(cov), "--n", "200"])
+    assert code == 0
+    assert "stat,converged,True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shape_error, message", [(False, "symmetric"), (True, "square")])
+def test_bad_cov_file_exits_one(workdir, tmp_path, capsys, shape_error, message):
+    s = np.asarray(condition_from_label("Sigma1").sigma_pop).copy()
+    if shape_error:
+        s = s[:, :-1]
+    else:
+        s[0, 1] += 1e-3
+    cov = tmp_path / "cov.csv"
+    np.savetxt(cov, s, delimiter=",", fmt="%.17g")
+    code = main(["fit", "--model", str(workdir / "model.json"), "--cov", str(cov), "--n", "200"])
+    assert code == 1
+    assert message in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -466,7 +467,7 @@ def _sequential_golden(f, a, b, *, x_tol, max_iter=200):
     engine's stacked widths, raising as soon as a step's rays fault."""
     def values(x, which):
         out, fault = f(x, which)
-        contour._raise_faults(fault, 1e-9)
+        contour._raise_faults(fault)
         return out
 
     x_best, f_best = reference_golden_max(values, a, b, x_tol=x_tol, max_iter=max_iter)
@@ -594,3 +595,38 @@ class TestFpeSampleDirections:
             fpe_sample(res, flat, (*focal, 0), 24)
         with pytest.raises(ValueError, match="at least 4"):
             fpe_sample(res, flat, focal, 2)
+
+
+# each public contour function, called at level t
+_AT_LEVEL = {
+    "radial_contour_point": lambda fit, t, focal: radial_contour_point(fit, (1.0, 2.0), t, focal),
+    "sweep_contour": lambda fit, t, focal: sweep_contour(fit, t, focal, 8),
+    "axis_widths_quadratic": axis_widths_quadratic,
+    "axis_widths_exact": lambda fit, t, focal: axis_widths_exact(fit, t, focal, 8),
+}
+
+
+class TestLevelRule:
+    @pytest.mark.parametrize("name", sorted(_AT_LEVEL))
+    def test_below_minimum_raises(self, popfits, focal, name):
+        # warnings are errors: a negative c = T - F-hat must be rejected before
+        # it reaches the quadratic start radius sqrt(2 c / curvature)
+        res = popfits["Sigma3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must not be below the fitted discrepancy"):
+                _AT_LEVEL[name](res, res.f_hat - 1e-3, focal)
+
+    @pytest.mark.parametrize("name", sorted(_AT_LEVEL))
+    def test_at_minimum_is_degenerate(self, popfits, focal, name):
+        res = popfits["Sigma3"]
+        got = _AT_LEVEL[name](res, res.f_hat, focal)
+        if name == "radial_contour_point":
+            np.testing.assert_array_equal(got, res.theta_hat)
+        elif name == "sweep_contour":
+            assert [pt.angle for pt in got] == list(2.0 * math.pi * np.arange(8) / 8)
+            for pt in got:
+                assert pt.r == 0.0 and pt.f_value == res.f_hat
+                np.testing.assert_array_equal(pt.theta, res.theta_hat)
+        else:
+            assert got.major == got.minor == 0.0
