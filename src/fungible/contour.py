@@ -10,9 +10,9 @@ approximation) or by sweeping rays and solving each crossing exactly.
 
 One level rule holds throughout: T below the fitted discrepancy F-hat
 raises :class:`ValueError`, and T == F-hat is the degenerate contour (no ray
-solved: radius 0, widths 0, theta-hat as the point); :func:`fpe_sample`
-clamps its level at F-hat.  Ray roots meet the fixed tolerance :data:`F_TOL`
-and refined angles :data:`ANGLE_TOL`.
+solved: radius 0, widths 0 along the focal Hessian's eigenvectors, theta-hat
+as the point); :func:`fpe_sample` clamps its level at F-hat.  Ray roots meet
+the fixed tolerance :data:`F_TOL` and refined angles :data:`ANGLE_TOL`.
 
 Every ray solve goes through one lockstep engine: all rays of a call (a
 whole sweep, or both golden-section refinements' rays) advance together, one
@@ -281,8 +281,7 @@ def axis_widths_quadratic(fit, t_target: float, focal) -> AxisWidths:
     """
     focal = tuple(int(i) for i in focal)
     c = _level_offset(fit, t_target)
-    h_f = np.asarray(fit.hessian_at_opt, dtype=float)[np.ix_(focal, focal)]
-    lam, vec = np.linalg.eigh(h_f)
+    lam, major_direction, minor_direction = _hessian_axes(fit, focal)
     if lam[0] <= 0:
         raise NotPositiveDefinite(
             "focal_hessian", "focal Hessian block has a nonpositive eigenvalue"
@@ -291,10 +290,18 @@ def axis_widths_quadratic(fit, t_target: float, focal) -> AxisWidths:
     return AxisWidths(
         major=float(widths[0]),
         minor=float(widths[-1]),
-        major_direction=_fix_sign(vec[:, 0]),
-        minor_direction=_fix_sign(vec[:, -1]),
+        major_direction=major_direction,
+        minor_direction=minor_direction,
         focal=focal,
     )
+
+
+def _hessian_axes(fit, focal):
+    """Eigenvalues of the focal Hessian block, ascending, and the sign-fixed
+    eigenvectors of the smallest (major axis) and the largest (minor axis)."""
+    h_f = np.asarray(fit.hessian_at_opt, dtype=float)[np.ix_(focal, focal)]
+    lam, vec = np.linalg.eigh(h_f)
+    return lam, _fix_sign(vec[:, 0]), _fix_sign(vec[:, -1])
 
 
 def _fix_sign(v):
@@ -318,13 +325,14 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = 360) -> A
     focal = tuple(int(i) for i in focal)
     angles, _, radii = _sweep(fit, t_target, focal, n_directions)
     if _level_offset(fit, t_target) == 0.0:
-        return AxisWidths(
-            major=0.0,
-            minor=0.0,
-            major_direction=np.array([1.0, 0.0]),
-            minor_direction=np.array([0.0, 1.0]),
-            focal=focal,
-        )
+        # the axes' limit as T -> F-hat, where the contour is the quadratic
+        # approximation's ellipse; a stand-in fit without a Hessian keeps
+        # the coordinate axes
+        if getattr(fit, "hessian_at_opt", None) is None:
+            directions = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        else:
+            directions = _hessian_axes(fit, focal)[1:]
+        return AxisWidths(0.0, 0.0, *directions, focal=focal)
     n = len(angles)
     half = n // 2
     widths = radii[:half] + radii[half:]

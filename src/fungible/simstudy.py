@@ -5,6 +5,17 @@ Determinism contract: (seed, design) fully determines the result.  Each
 replication draws from its own counter-based Philox stream keyed by
 hash(seed, condition, n, epsilon, replication index), so cells are
 order-independent and can run in parallel without shared state.
+
+The stream is keyed without the contour mode, so the sampled modes of one
+(condition, n, epsilon) draw the same S: each process draws and fits it once
+and every sampled mode measures its widths on that fit.  The replications'
+fits are cached per (seed, condition, n, epsilon, replications), at most 8
+such entries (about 3.5 KB per fit: 14 MB at 500 replications each).  The
+population fit is cached per (condition, epsilon) and shared across N, since
+the fit's iterates do not depend on N.  A cached fit is the same computation
+as a fresh one, so the table is byte-identical in any cell order;
+:func:`run_design` hands each worker process the cells of one (condition, n,
+epsilon) together.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ import hashlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
 
@@ -58,6 +69,8 @@ class StudyDesign:
         )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if any(n < 2 for n in self.sample_sizes):
+            raise ValueError("sample sizes must be at least 2")
         eps = self.epsilons
         if any(e < 0 for e in eps) or list(eps) != sorted(eps):
             raise ValueError("epsilons must be nonnegative and ascending")
@@ -152,6 +165,35 @@ def condition_at(label: str, epsilon: float):
     return misspecify_to_epsilon(cond, epsilon)
 
 
+def _usable_fit(cond, n, rng):
+    """ML fit of the population covariance (``rng`` None) or of a sample of
+    size ``n`` drawn with ``rng``; None where the draw or the fit raises a
+    :class:`FungibleError`, or the fit is nonconverged or improper."""
+    try:
+        s = cond.sigma_pop if rng is None else wishart_sample(cond.sigma_pop, n, rng)
+        res = fit_ml(cond.model, s, n=n)
+    except FungibleError:
+        return None
+    return res if res.converged and not res.improper else None
+
+
+@lru_cache(maxsize=8)
+def _sample_fits(seed: int, condition: str, n: int, epsilon: float, replications: int):
+    """:func:`_usable_fit` of every replication's draw, shared by the sampled
+    modes.  Mode-major cell order needs one live entry per epsilon."""
+    cond = condition_at(condition, epsilon)
+    return tuple(
+        _usable_fit(cond, n, replication_rng(seed, condition, n, epsilon, rep))
+        for rep in range(replications)
+    )
+
+
+@lru_cache(maxsize=None)
+def _population_fit(condition: str, epsilon: float):
+    """:func:`_usable_fit` of the population covariance, analyzed at no N."""
+    return _usable_fit(condition_at(condition, epsilon), None, None)
+
+
 def run_cell(design: StudyDesign, condition: str, n: int, epsilon: float, mode: str) -> StudyCell:
     """One table cell: replicate draw -> fit -> exact axis widths, then mean
     and SD over the converged replications.
@@ -159,38 +201,32 @@ def run_cell(design: StudyDesign, condition: str, n: int, epsilon: float, mode: 
     Modes listed in ``design.population_analysis`` analyze the population
     covariance directly instead (one replication, SD exactly 0).  Failed,
     nonconverged, improper, and partial-sweep replications are excluded and
-    counted.
+    counted.  Draws and fits are cached and shared by the cells of one
+    (condition, n, epsilon); see the module docstring.
     """
     target = {t.mode: t for t in design.targets}[mode]
-    cond = condition_at(condition, float(epsilon))
-    model = cond.model
+    n, epsilon = int(n), float(epsilon)
+    model = condition_at(condition, epsilon).model
     focal = tuple(model.theta_names.index(name) for name in design.focal)
-    population = mode in design.population_analysis
-    replications = 1 if population else design.replications
+    if mode in design.population_analysis:
+        fit = _population_fit(condition, epsilon)
+        fits = (None if fit is None else replace(fit, n=n),)
+    else:
+        fits = _sample_fits(design.seed, condition, n, epsilon, design.replications)
 
     majors, minors = [], []
     excluded = 0
-    for rep in range(replications):
-        if population:
-            s = cond.sigma_pop
-        else:
-            rng = replication_rng(design.seed, condition, n, epsilon, rep)
-            try:
-                s = wishart_sample(cond.sigma_pop, n, rng)
-            except FungibleError:
-                excluded += 1
-                continue
+    for res in fits:
+        if res is None:
+            excluded += 1
+            continue
         try:
-            res = fit_ml(model, s, n=n)
-            if not res.converged or res.improper:
-                excluded += 1
-                continue
             level = f_target(target, res, n_focal=len(focal))
             widths = axis_widths_exact(res, level, focal, design.directions)
-            if widths.partial:
-                excluded += 1
-                continue
         except FungibleError:
+            excluded += 1
+            continue
+        if widths.partial:
             excluded += 1
             continue
         majors.append(widths.major)
@@ -204,8 +240,8 @@ def run_cell(design: StudyDesign, condition: str, n: int, epsilon: float, mode: 
 
     return StudyCell(
         condition=condition,
-        n=int(n),
-        epsilon=float(epsilon),
+        n=n,
+        epsilon=epsilon,
         mode=mode,
         major_mean=mean(majors),
         major_sd=sd(majors),
@@ -236,22 +272,35 @@ def _worker_count(n_jobs, threads):
     return max(1, min(int(threads), n_jobs))
 
 
+def _run_cells(design: StudyDesign, jobs) -> list[StudyCell]:
+    """:func:`run_cell` for each job in turn, in one process."""
+    return [run_cell(design, *job) for job in jobs]
+
+
 def run_design(design: StudyDesign, threads: int | None = None) -> StudyTable:
     """Run every cell of the design.  ``threads`` defaults to the FC_THREADS
-    environment variable, then the processor count; cells are independent
-    work units and the merge is deterministic regardless of worker count."""
+    environment variable, then the processor count.  Each worker process
+    takes the cells of one (condition, n, epsilon) together, so they share
+    its draws and fits; the merge keeps the job order whatever the worker
+    count."""
     jobs = _jobs(design)
-    workers = _worker_count(len(jobs), threads)
-    if workers > 1 and len(jobs) > 1:
+    groups: dict[tuple, list] = {}
+    for job in jobs:
+        groups.setdefault(job[:3], []).append(job)
+    workers = _worker_count(len(groups), threads)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, repeat(design), *zip(*jobs)))
+            done = list(pool.map(_run_cells, repeat(design), groups.values()))
     else:
-        cells = [run_cell(design, *job) for job in jobs]
+        done = [_run_cells(design, group) for group in groups.values()]
+    cell_of = {
+        job: cell for group, cells in zip(groups.values(), done) for job, cell in zip(group, cells)
+    }
     return StudyTable(
         conditions=design.conditions,
         sample_sizes=design.sample_sizes,
         epsilons=design.epsilons,
-        cells=tuple(cells),
+        cells=tuple(cell_of[job] for job in jobs),
     )
 
 

@@ -7,6 +7,8 @@ import math
 import numpy as np
 
 from fungible import ModelSpec, f_ml, gradient, make_model
+from fungible import contour, fit, simstudy
+from fungible.errors import FungibleError
 
 
 def saturated_1var():
@@ -258,3 +260,58 @@ def reference_bracket_level(g, lo, hi, g_lo, *, doublings, edge_iters):
             return lo, hi, g_lo, g_hi, False
         lo, g_lo, hi = hi, g_hi, 2.0 * hi
     return lo, hi, g_lo, math.nan, True
+
+
+def reference_run_cell(design, condition, n, epsilon, mode):
+    """One study cell by its own draw -> fit -> width loop, with no cached
+    fits: every replication is drawn and fitted afresh, excluded when the
+    draw or the fit fails, the fit is nonconverged or improper, or the sweep
+    is partial.  The oracle for ``simstudy.run_cell``, which must return an
+    equal ``StudyCell``."""
+    target = {t.mode: t for t in design.targets}[mode]
+    cond = simstudy.condition_at(condition, float(epsilon))
+    model = cond.model
+    focal = tuple(model.theta_names.index(name) for name in design.focal)
+    population = mode in design.population_analysis
+    majors, minors = [], []
+    excluded = 0
+    for rep in range(1 if population else design.replications):
+        try:
+            if population:
+                s = cond.sigma_pop
+            else:
+                rng = simstudy.replication_rng(design.seed, condition, n, epsilon, rep)
+                s = simstudy.wishart_sample(cond.sigma_pop, n, rng)
+            res = fit.fit_ml(model, s, n=n)
+            if not res.converged or res.improper:
+                excluded += 1
+                continue
+            level = contour.f_target(target, res, n_focal=len(focal))
+            widths = contour.axis_widths_exact(res, level, focal, design.directions)
+        except FungibleError:
+            excluded += 1
+            continue
+        if widths.partial:
+            excluded += 1
+            continue
+        majors.append(widths.major)
+        minors.append(widths.minor)
+    return simstudy.StudyCell(
+        condition=condition,
+        n=int(n),
+        epsilon=float(epsilon),
+        mode=mode,
+        major_mean=float(np.mean(majors)) if majors else math.nan,
+        major_sd=float(np.std(majors, ddof=1)) if len(majors) > 1 else 0.0,
+        minor_mean=float(np.mean(minors)) if minors else math.nan,
+        minor_sd=float(np.std(minors, ddof=1)) if len(minors) > 1 else 0.0,
+        n_converged=len(majors),
+        n_excluded=excluded,
+    )
+
+
+def clear_fit_caches():
+    """Empty the study's cached draws and fits, so that the next run
+    computes them again."""
+    simstudy._sample_fits.cache_clear()
+    simstudy._population_fit.cache_clear()

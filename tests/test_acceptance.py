@@ -35,7 +35,7 @@ from fungible import (
 )
 from fungible.cli import main as cli_main
 from fungible.simstudy import condition_at
-from helpers import QuadraticSurrogate, finite_diff_gradient, random_model
+from helpers import QuadraticSurrogate, clear_fit_caches, finite_diff_gradient, random_model
 
 LABELS = ("Sigma1", "Sigma2", "Sigma3", "Sigma4")
 SQRT_N_RATIO = math.sqrt(999.0 / 199.0)
@@ -331,6 +331,7 @@ def test_criterion_10_wishart_and_determinism():
         directions=16,
     )
     csv_a = emit_table(run_design(design), "csv")
+    clear_fit_caches()
     csv_b = emit_table(run_design(design), "csv")
     assert csv_a == csv_b
     _report(10, f"(n-1)S chi-square mean {mean:.2f} within 3 SE of {n - 1}; "

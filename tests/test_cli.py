@@ -14,6 +14,7 @@ from fungible import (
 )
 from fungible.cli import _design_from_config, main
 from fungible.simstudy import DEFAULT_TARGETS, StudyDesign
+from helpers import clear_fit_caches
 
 DATA = Path(__file__).parent / "data"
 
@@ -164,6 +165,7 @@ def test_study_deterministic_files(workdir, tmp_path):
     cfg.write_text(json.dumps(config))
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     for out in (out1, out2):
+        clear_fit_caches()
         code = main(["study", "--config", str(cfg), "--seed", "42", "--out", str(out)])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()

@@ -630,3 +630,7 @@ class TestLevelRule:
                 np.testing.assert_array_equal(pt.theta, res.theta_hat)
         else:
             assert got.major == got.minor == 0.0
+            # both width functions give the focal Hessian's eigenvectors
+            quad = axis_widths_quadratic(res, res.f_hat, focal)
+            np.testing.assert_array_equal(got.major_direction, quad.major_direction)
+            np.testing.assert_array_equal(got.minor_direction, quad.minor_direction)

@@ -16,7 +16,9 @@ from fungible import (
     run_design,
     wishart_sample,
 )
-from fungible.simstudy import _columns, condition_at
+from fungible import fit, simstudy
+from fungible.simstudy import _columns, _jobs, condition_at
+from helpers import clear_fit_caches, reference_run_cell
 
 SMALL_DESIGN = StudyDesign(
     conditions=("Sigma1",),
@@ -127,6 +129,7 @@ class TestRunCell:
 
     def test_equal_seeds_identical_cells(self):
         a = run_cell(SMALL_DESIGN, "Sigma1", 200, 0.03, "delta_f")
+        clear_fit_caches()
         b = run_cell(SMALL_DESIGN, "Sigma1", 200, 0.03, "delta_f")
         assert a == b
 
@@ -148,6 +151,7 @@ class TestRunDesign:
 
     def test_emitted_csv_deterministic(self):
         a = emit_table(run_design(SMALL_DESIGN), "csv")
+        clear_fit_caches()
         b = emit_table(run_design(SMALL_DESIGN), "csv")
         assert a == b
 
@@ -169,6 +173,61 @@ class TestRunDesign:
             StudyDesign(epsilons=(0.09, 0.03))
         with pytest.raises(ValueError):
             StudyDesign(epsilons=(-0.01, 0.03))
+        with pytest.raises(ValueError, match="sample sizes"):
+            StudyDesign(sample_sizes=(200, 1))
+
+
+# Sigma1 at N=200: the first replication at epsilon .09 is an improper fit, excluded
+EXCLUDING_DESIGN = StudyDesign(
+    conditions=("Sigma1",),
+    sample_sizes=(200,),
+    epsilons=(0.0, 0.09),
+    replications=3,
+    seed=6,
+    directions=16,
+)
+
+
+def _grouped(jobs):
+    """The jobs of each (condition, n, epsilon) together, as run_design
+    hands them to a worker."""
+    keys = [job[:3] for job in jobs]
+    return sorted(jobs, key=lambda job: keys.index(job[:3]))
+
+
+class TestSharedFits:
+    """Cells share cached draws and fits; each must equal the cell that its
+    own draw -> fit -> width loop gives, whatever the call order."""
+
+    @pytest.mark.parametrize("order", ["mode-major", "grouped", "reversed"])
+    def test_cells_match_reference_loop(self, order):
+        jobs = _jobs(EXCLUDING_DESIGN)
+        jobs = {"mode-major": jobs, "grouped": _grouped(jobs), "reversed": jobs[::-1]}[order]
+        want = {job: reference_run_cell(EXCLUDING_DESIGN, *job) for job in jobs}
+        assert any(cell.n_excluded for cell in want.values())
+        clear_fit_caches()
+        for _ in ("cold", "warm"):
+            for job in jobs:
+                assert run_cell(EXCLUDING_DESIGN, *job) == want[job], job
+
+    def test_one_fit_per_draw(self, monkeypatch):
+        design = StudyDesign(replications=1, directions=16)
+        for condition in design.conditions:
+            for epsilon in design.epsilons:
+                condition_at(condition, epsilon)  # the misfit search fits, not counted
+        clear_fit_caches()
+        calls = []
+        fit_ml = fit.fit_ml
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit_ml(*args, **kwargs)
+
+        monkeypatch.setattr(fit, "fit_ml", counted)
+        monkeypatch.setattr(simstudy, "fit_ml", counted)
+        run_design(design, threads=1)
+        # 4 conditions x 2 N x 3 epsilons sampled draws, 4 population fits
+        assert len(calls) == 28
 
 
 class TestTableEmission:
