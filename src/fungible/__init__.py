@@ -16,12 +16,10 @@ from .contour import (
     sweep_contour,
 )
 from .discrepancy import (
-    FitIndices,
     chisq_quantile,
     f_from_rmsea,
     f_ml,
     f_ml_stack,
-    fit_indices,
     gradient,
     hessian,
     rmsea_from_f,

@@ -30,6 +30,7 @@ from .contour import (
     f_target,
     sweep_contour,
 )
+from .discrepancy import rmsea_from_f
 from .errors import FungibleError
 from .fit import FitOptions, fit_ml
 from .model import load_model
@@ -74,13 +75,18 @@ def _do_fit(args):
 
 
 def _parse_focal(spec, model):
+    """Focal parameters by name or index; the contour functions check the
+    indices' range and distinctness."""
     focal = []
     for token in spec.split(","):
         token = token.strip()
         if token in model.theta_names:
             focal.append(model.theta_names.index(token))
         else:
-            focal.append(int(token))
+            try:
+                focal.append(int(token))
+            except ValueError:
+                raise ValueError(f"unknown parameter {token!r}") from None
     return tuple(focal)
 
 
@@ -92,7 +98,7 @@ def cmd_fit(args):
     for name, value in zip(res.model.theta_names, res.theta_hat):
         lines.append(f"param,{name},{value!r}")
     lines.append(f"stat,f_hat,{res.f_hat!r}")
-    lines.append(f"stat,rmsea,{res.indices.rmsea_sample!r}")
+    lines.append(f"stat,rmsea,{rmsea_from_f(res.f_hat, res.df, res.n)!r}")
     lines.append(f"stat,grad_norm,{res.grad_norm!r}")
     lines.append(f"stat,iterations,{res.iterations}")
     lines.append(f"stat,converged,{res.converged}")

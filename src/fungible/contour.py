@@ -144,6 +144,18 @@ def f_target(target: ContourTarget, fit, df: int | None = None, *, n_focal: int 
     return f_hat + chisq_quantile(n_focal, target.confidence) / (fit.n - 1)
 
 
+def _focal(fit, focal):
+    """Focal parameter indices as a tuple; raises :class:`ValueError` for an
+    index outside 0..q-1 (a negative one included) or a repeated one."""
+    focal = tuple(int(i) for i in focal)
+    q = np.size(fit.theta_hat)
+    if not all(0 <= i < q for i in focal):
+        raise ValueError(f"focal indices must lie in 0..{q - 1}, got {focal}")
+    if len(set(focal)) != len(focal):
+        raise ValueError(f"focal indices must be distinct, got {focal}")
+    return focal
+
+
 def _units(angles):
     d = np.column_stack([np.cos(angles), np.sin(angles)])
     return d / np.linalg.norm(d, axis=1, keepdims=True)
@@ -240,7 +252,7 @@ def radial_contour_point(fit, direction, t_target: float, focal) -> np.ndarray:
     stay at theta_hat.  Raises :class:`ContourEscapesDomain` when F never
     reaches the level before positive definiteness fails along the ray.
     """
-    focal = tuple(int(i) for i in focal)
+    focal = _focal(fit, focal)
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (len(focal),):
         raise ValueError("direction must live in the focal subspace")
@@ -260,7 +272,7 @@ def sweep_contour(fit, t_target: float, focal, n_directions: int = 360):
     """Solve the contour along ``n_directions`` equally spaced focal-plane
     rays; returns the list of :class:`ContourPoint` for the directions that
     reached the level (escaped directions are simply absent)."""
-    focal = tuple(int(i) for i in focal)
+    focal = _focal(fit, focal)
     angles, units, radii = _sweep(fit, t_target, focal, n_directions)
     thetas = np.asarray(fit.theta_hat, dtype=float) + radii[:, None] * _embed(fit, units, focal)
     return [
@@ -279,7 +291,7 @@ def axis_widths_quadratic(fit, t_target: float, focal) -> AxisWidths:
     when the focal block has a nonpositive eigenvalue (a flat or unidentified
     focal direction).
     """
-    focal = tuple(int(i) for i in focal)
+    focal = _focal(fit, focal)
     c = _level_offset(fit, t_target)
     lam, major_direction, minor_direction = _hessian_axes(fit, focal)
     if lam[0] <= 0:
@@ -322,7 +334,7 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = 360) -> A
     golden section to :data:`ANGLE_TOL` radians.  Escaped directions are skipped
     and counted; the result is flagged ``partial`` when more than 5% skip.
     """
-    focal = tuple(int(i) for i in focal)
+    focal = _focal(fit, focal)
     angles, _, radii = _sweep(fit, t_target, focal, n_directions)
     if _level_offset(fit, t_target) == 0.0:
         # the axes' limit as T -> F-hat, where the contour is the quadratic

@@ -15,8 +15,6 @@ thresholding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotPositiveDefinite, SingularStructure
@@ -30,8 +28,6 @@ __all__ = [
     "rmsea_from_f",
     "f_from_rmsea",
     "chisq_quantile",
-    "FitIndices",
-    "fit_indices",
 ]
 
 # per-row fault codes of :func:`evaluate_stack`
@@ -215,32 +211,6 @@ def f_from_rmsea(epsilon: float, df: int, n: int | None = None, *, population: b
     if n is None or n < 2:
         raise ValueError("sample mode needs n >= 2")
     return df * (epsilon * epsilon + 1.0 / (n - 1))
-
-
-@dataclass(frozen=True)
-class FitIndices:
-    """Discrepancy value with its RMSEA rescalings."""
-
-    f_value: float
-    df: int
-    n: int | None
-    rmsea_sample: float | None
-    rmsea_population: float | None
-
-    def __post_init__(self):
-        if self.f_value < 0:
-            raise ValueError("f_value must be nonnegative")
-        for eps in (self.rmsea_sample, self.rmsea_population):
-            if eps is not None and self.df < 1:
-                raise ValueError("df must be at least 1 when an RMSEA is populated")
-            if eps is not None and eps < 0:
-                raise ValueError("rmsea values must be nonnegative")
-
-
-def fit_indices(f_value: float, df: int, n: int | None = None, *, population: bool = False) -> FitIndices:
-    if population:
-        return FitIndices(f_value, df, n, None, rmsea_from_f(f_value, df, population=True))
-    return FitIndices(f_value, df, n, rmsea_from_f(f_value, df, n), None)
 
 
 # ---------------------------------------------------------------------------

@@ -95,12 +95,6 @@ class FitResult:
         evaluation; NaN where it would raise a domain error."""
         return f_ml_stack(self.model, thetas, self.s, ld_s=self._ld_s)
 
-    @cached_property
-    def indices(self):
-        from .discrepancy import fit_indices
-
-        return fit_indices(self.f_hat, self.df, self.n, population=self.n is None)
-
 
 def _validate_cov(s, p):
     s = np.asarray(s, dtype=float)

@@ -179,41 +179,34 @@ class ModelSpec:
         return f
 
     @cached_property
-    def _a_entries(self) -> tuple[tuple[int, int, int], ...]:
-        rows, cols = np.nonzero(self.directed_param >= 0)
-        return tuple(
-            (int(self.directed_param[i, j]), int(i), int(j))
-            for i, j in zip(rows, cols)
-        )
-
-    @cached_property
-    def _s_entries(self) -> tuple[tuple[int, int, int], ...]:
-        # upper triangle including the diagonal; each free pair once
-        rows, cols = np.nonzero(self.symmetric_param >= 0)
-        return tuple(
-            (int(self.symmetric_param[i, j]), int(i), int(j))
-            for i, j in zip(rows, cols)
-            if i <= j
-        )
+    def _free(self) -> tuple[tuple[int, int, int, bool], ...]:
+        """Every free entry as (parameter, row, column, in S): A's entries,
+        then S's upper triangle including the diagonal, each in row-major
+        order.  The gradient sums the terms of a shared parameter in this
+        order."""
+        entries = []
+        for in_s, param in ((False, self.directed_param), (True, self.symmetric_param)):
+            free = np.triu(param >= 0) if in_s else param >= 0
+            entries += [(int(param[i, j]), int(i), int(j), in_s) for i, j in zip(*np.nonzero(free))]
+        return tuple(entries)
 
     @cached_property
     def _gradient_gather(self) -> tuple[np.ndarray, ...]:
         """Index arrays for the analytic gradient: the parameter of every free
-        A entry, then of every free S entry (upper triangle), the A entries'
-        rows and columns, the S entries' rows and columns, and the factor each
-        entry's derivative term carries (1 on the S diagonal, else 2)."""
-        a = np.array(self._a_entries, dtype=int).reshape(-1, 3)
-        s = np.array(self._s_entries, dtype=int).reshape(-1, 3)
-        params = np.concatenate([a[:, 0], s[:, 0]])
-        factor = np.concatenate([np.full(len(a), 2.0), np.where(s[:, 1] == s[:, 2], 1.0, 2.0)])
-        return params, a[:, 1], a[:, 2], s[:, 1], s[:, 2], factor
+        entry (:attr:`_free` order), the A entries' rows and columns, the S
+        entries' rows and columns, and the factor each entry's derivative
+        term carries (1 on the S diagonal, else 2)."""
+        params, rows, cols, in_s = np.array(self._free, dtype=int).reshape(-1, 4).T.copy()
+        in_s = in_s.astype(bool)
+        factor = np.where(in_s & (rows == cols), 1.0, 2.0)
+        return params, rows[~in_s], cols[~in_s], rows[in_s], cols[in_s], factor
 
     @cached_property
     def variance_param_mask(self) -> np.ndarray:
         """Boolean theta mask of parameters appearing on the S diagonal."""
         mask = np.zeros(self.q, dtype=bool)
-        for k, i, j in self._s_entries:
-            if i == j:
+        for k, i, j, in_s in self._free:
+            if in_s and i == j:
                 mask[k] = True
         mask.setflags(write=False)
         return mask
@@ -235,11 +228,6 @@ class ModelSpec:
         edges = ((self.directed_param >= 0) | (self.directed_fixed != 0.0)).astype(int)
         return not (edges @ edges).any()
 
-    def build_matrices(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Assemble (A, S) at a parameter vector."""
-        a, s = self._assemble(as_theta(self, theta)[None])
-        return a[0], s[0]
-
     def _assemble(self, thetas) -> tuple[np.ndarray, np.ndarray]:
         """(A, S) stacks at the rows of a validated ``(k, q)`` stack."""
         fixed, free, params = self._assembly
@@ -253,11 +241,11 @@ class ModelSpec:
         diagonal (0.5 when no covariance is supplied or the variance is
         latent), free effects at 0.1, free covariances at 0."""
         start = np.zeros(self.q)
-        for k, _i, _j in self._a_entries:
-            start[k] = 0.1
         p = self.n_observed
-        for k, i, j in self._s_entries:
-            if i != j:
+        for k, i, j, in_s in self._free:
+            if not in_s:
+                start[k] = 0.1
+            elif i != j:
                 start[k] = 0.0
             elif s is not None and i < p:
                 start[k] = 0.5 * float(np.asarray(s)[i, i])
@@ -436,7 +424,8 @@ def make_model(observed, latent, directed, symmetric, start_values=None) -> Mode
 
 
 def load_model(source) -> ModelSpec:
-    """Load a model from a dict, a JSON string, or a path to a JSON file.
+    """Load a model from a dict, or from a JSON file given by its path (a
+    ``str`` or :class:`~pathlib.Path`; a string is always read as a path).
 
     The document schema is described in docs/model-format.md.
     """
@@ -457,25 +446,24 @@ def load_model(source) -> ModelSpec:
 def model_to_dict(model: ModelSpec) -> dict:
     """Inverse of :func:`load_model` (zero fixed entries are omitted)."""
     names = model.observed + model.latent
-    directed = []
-    for k, i, j in model._a_entries:
-        directed.append({"row": names[i], "col": names[j], "param": model.theta_names[k]})
-    for i, j in zip(*np.nonzero(model.directed_fixed)):
-        directed.append(
-            {"row": names[i], "col": names[j], "value": float(model.directed_fixed[i, j])}
-        )
-    symmetric = []
-    for k, i, j in model._s_entries:
-        symmetric.append({"row": names[i], "col": names[j], "param": model.theta_names[k]})
-    for i, j in zip(*np.nonzero(np.triu(model.symmetric_fixed))):
-        symmetric.append(
-            {"row": names[i], "col": names[j], "value": float(model.symmetric_fixed[i, j])}
-        )
+
+    def entries(in_s, fixed):
+        out = [
+            {"row": names[i], "col": names[j], "param": model.theta_names[k]}
+            for k, i, j, entry_in_s in model._free
+            if entry_in_s == in_s
+        ]
+        out += [
+            {"row": names[i], "col": names[j], "value": float(fixed[i, j])}
+            for i, j in zip(*np.nonzero(fixed))
+        ]
+        return out
+
     doc = {
         "observed": list(model.observed),
         "latent": list(model.latent),
-        "directed": directed,
-        "symmetric": symmetric,
+        "directed": entries(False, model.directed_fixed),
+        "symmetric": entries(True, np.triu(model.symmetric_fixed)),
     }
     if model.start is not None:
         doc["start_values"] = [

@@ -69,11 +69,16 @@ class StudyDesign:
         )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        # a repeated value would repeat table rows or column names
+        if len(set(self.conditions)) != len(self.conditions):
+            raise ValueError("conditions must be distinct")
         if any(n < 2 for n in self.sample_sizes):
             raise ValueError("sample sizes must be at least 2")
+        if len(set(self.sample_sizes)) != len(self.sample_sizes):
+            raise ValueError("sample sizes must be distinct")
         eps = self.epsilons
-        if any(e < 0 for e in eps) or list(eps) != sorted(eps):
-            raise ValueError("epsilons must be nonnegative and ascending")
+        if any(e < 0 for e in eps) or any(a >= b for a, b in zip(eps, eps[1:])):
+            raise ValueError("epsilons must be nonnegative and strictly ascending")
         modes = [t.mode for t in self.targets]
         if len(set(modes)) != len(modes):
             raise ValueError("duplicate contour modes in targets")
@@ -309,42 +314,36 @@ def run_design(design: StudyDesign, threads: int | None = None) -> StudyTable:
 
 
 def _columns(epsilons):
-    cols = ["cs_major_mean", "cs_major_sd", "cs_minor_mean", "cs_minor_sd"]
+    """The table's width columns in order, each as (name, contour mode,
+    epsilon, the :class:`StudyCell` field it holds): the layout that
+    :func:`emit_table` writes and :func:`parse_table` reads."""
+    cols = [
+        (f"cs_{field}", CONFIDENCE, 0.0, field)
+        for field in ("major_mean", "major_sd", "minor_mean", "minor_sd")
+    ]
     for mode in (EPS_TILDE, DELTA_F):
         for eps in epsilons:
-            cols.append(f"{mode}_major_{eps:g}")
-            cols.append(f"{mode}_minor_{eps:g}")
+            cols.append((f"{mode}_major_{eps:g}", mode, eps, "major_mean"))
+            cols.append((f"{mode}_minor_{eps:g}", mode, eps, "minor_mean"))
     return cols
-
-
-def _row_values(table, condition, n):
-    values = []
-    cs = table.cell(condition, n, CONFIDENCE, 0.0)
-    if cs is None:
-        values += [math.nan] * 4
-    else:
-        values += [cs.major_mean, cs.major_sd, cs.minor_mean, cs.minor_sd]
-    for mode in (EPS_TILDE, DELTA_F):
-        for eps in table.epsilons:
-            cell = table.cell(condition, n, mode, eps)
-            if cell is None:
-                values += [math.nan, math.nan]
-            else:
-                values += [cell.major_mean, cell.minor_mean]
-    return values
 
 
 def emit_table(table: StudyTable, format: str = "csv") -> str:
     """Render the 18-column study table (condition, N, then 16 width columns:
     confidence-set major/minor mean and SD, then major/minor per epsilon for
     the two FPE modes).  CSV carries full precision; markdown rounds to two
-    decimals.
+    decimals.  A missing cell's columns hold NaN.
     """
-    header = ["condition", "n"] + _columns(table.epsilons)
+    columns = _columns(table.epsilons)
+    header = ["condition", "n"] + [name for name, *_ in columns]
     rows = []
     for condition in table.conditions:
         for n in table.sample_sizes:
-            rows.append((condition, n, _row_values(table, condition, n)))
+            values = []
+            for _, mode, eps, field in columns:
+                cell = table.cell(condition, n, mode, eps)
+                values.append(math.nan if cell is None else getattr(cell, field))
+            rows.append((condition, n, values))
     if format == "csv":
         lines = [",".join(header)]
         for condition, n, values in rows:
@@ -360,57 +359,30 @@ def emit_table(table: StudyTable, format: str = "csv") -> str:
     raise ValueError(f"unknown table format {format!r}")
 
 
-def parse_table(text: str, format: str = "csv") -> StudyTable:
-    """Parse :func:`emit_table` output back into a :class:`StudyTable`.
+def parse_table(text: str) -> StudyTable:
+    """Parse the CSV of :func:`emit_table` back into a :class:`StudyTable`.
 
     FPE cells carry only means in the table, so their SDs parse as 0 and the
     replication counts are placeholders.
     """
-    if format == "csv":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        header = lines[0].split(",")
-        data = [ln.split(",") for ln in lines[1:]]
-    elif format == "markdown":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip().startswith("|")]
-        rows = [[cell.strip() for cell in ln.strip().strip("|").split("|")] for ln in lines]
-        header = rows[0]
-        data = [r for r in rows[1:] if not set("".join(r)) <= set("- ")]
-    else:
-        raise ValueError(f"unknown table format {format!r}")
-
-    names = header[2:]
-    epsilons = []
-    for name in names:
-        if name.startswith(f"{EPS_TILDE}_major_"):
-            epsilons.append(float(name.rsplit("_", 1)[1]))
-
-    cells = []
-    conditions: list[str] = []
-    sample_sizes: list[int] = []
-    for row in data:
-        condition, n = row[0], int(row[1])
-        if condition not in conditions:
-            conditions.append(condition)
-        if n not in sample_sizes:
-            sample_sizes.append(n)
-        values = dict(zip(names, (float(v) for v in row[2:])))
-        cells.append(
-            StudyCell(
-                condition, n, 0.0, CONFIDENCE,
-                values["cs_major_mean"], values["cs_major_sd"],
-                values["cs_minor_mean"], values["cs_minor_sd"], 1, 0,
-            )
-        )
-        for mode in (EPS_TILDE, DELTA_F):
-            for eps in epsilons:
-                cells.append(
-                    StudyCell(
-                        condition, n, eps, mode,
-                        values[f"{mode}_major_{eps:g}"], 0.0,
-                        values[f"{mode}_minor_{eps:g}"], 0.0, 1, 0,
-                    )
-                )
-    return StudyTable(tuple(conditions), tuple(sample_sizes), tuple(epsilons), tuple(cells))
+    lines = [ln.split(",") for ln in text.strip().splitlines() if ln.strip()]
+    header = lines[0]
+    prefix = f"{EPS_TILDE}_major_"
+    epsilons = tuple(float(name[len(prefix):]) for name in header if name.startswith(prefix))
+    fields: dict[tuple, dict] = {}
+    for row in lines[1:]:
+        values = dict(zip(header, row))
+        for name, mode, eps, field in _columns(epsilons):
+            key = (row[0], int(row[1]), eps, mode)
+            fields.setdefault(key, {"major_sd": 0.0, "minor_sd": 0.0})[field] = float(values[name])
+    return StudyTable(
+        conditions=tuple(dict.fromkeys(key[0] for key in fields)),
+        sample_sizes=tuple(dict.fromkeys(key[1] for key in fields)),
+        epsilons=epsilons,
+        cells=tuple(
+            StudyCell(*key, **cell, n_converged=1, n_excluded=0) for key, cell in fields.items()
+        ),
+    )
 
 
 # Embedded reference table of axis widths (8 rows x 16 width columns) used
@@ -431,7 +403,7 @@ Sigma4,200,0.46,0,0.39,0,0.46,0.39,0.32,0.27,0.63,0.53,0.32,0.27,0.35,0.29,0.53,
 
 def paper_fixture() -> StudyTable:
     """The embedded reference table."""
-    return parse_table(PAPER_TABLE_CSV, "csv")
+    return parse_table(PAPER_TABLE_CSV)
 
 
 # the reference table rounds widths to two decimals

@@ -118,6 +118,36 @@ def test_fpe_focal_by_index(workdir, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 9
 
 
+@pytest.mark.parametrize("command", ["confset", "fpe"])
+@pytest.mark.parametrize(
+    "focal, message",
+    [
+        ("0,99", "0..13"),
+        ("gamma1,-1", "0..13"),
+        ("gamma1,gamma1", "distinct"),
+        ("gamma1,bogus", "unknown parameter 'bogus'"),
+    ],
+)
+def test_bad_focal_exits_one(workdir, capsys, command, focal, message):
+    code = main(
+        [
+            command,
+            "--model", str(workdir / "model.json"),
+            "--cov", str(workdir / "cov.csv"),
+            "--n", "200",
+            "--focal", focal,
+            "--directions", "8",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert message in lines[0]
+
+
 def test_fpe_degenerate_target_rows_follow_sweep(workdir, capsys):
     # --delta-f 0 puts the level at the minimum: one row at r = 0 per swept
     # angle, and an odd direction count sweeps one more

@@ -634,3 +634,16 @@ class TestLevelRule:
             quad = axis_widths_quadratic(res, res.f_hat, focal)
             np.testing.assert_array_equal(got.major_direction, quad.major_direction)
             np.testing.assert_array_equal(got.minor_direction, quad.minor_direction)
+
+
+class TestFocalIndices:
+    @pytest.mark.parametrize("name", sorted(_AT_LEVEL))
+    @pytest.mark.parametrize(
+        "bad, match", [((0, 14), "0..13"), ((5, -1), "0..13"), ((5, 5), "distinct")]
+    )
+    def test_bad_focal_raises(self, popfits, name, bad, match):
+        # -1 would wrap to the last parameter, a repeat would give a singular
+        # focal block: both are rejected before any ray is solved
+        res = popfits["Sigma3"]
+        with pytest.raises(ValueError, match=match):
+            _AT_LEVEL[name](res, res.f_hat + 0.01, bad)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fungible import (
-    FitIndices,
     NotPositiveDefinite,
     SingularStructure,
     chisq_quantile,
@@ -14,7 +13,6 @@ from fungible import (
     f_from_rmsea,
     f_ml,
     f_ml_stack,
-    fit_indices,
     fit_ml,
     gradient,
     hessian,
@@ -369,21 +367,3 @@ class TestChisqQuantile:
             chisq_quantile(0, 0.5)
         with pytest.raises(ValueError):
             chisq_quantile(3, 1.0)
-
-
-class TestFitIndices:
-    def test_sample_mode(self):
-        idx = fit_indices(0.09, 9, 200)
-        assert idx.rmsea_population is None
-        assert idx.rmsea_sample == pytest.approx(rmsea_from_f(0.09, 9, 200))
-
-    def test_population_mode(self):
-        idx = fit_indices(9 * 0.0009, 9, population=True)
-        assert idx.rmsea_sample is None
-        assert idx.rmsea_population == pytest.approx(0.03)
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            FitIndices(-1.0, 9, 200, 0.1, None)
-        with pytest.raises(ValueError):
-            FitIndices(1.0, 0, 200, 0.1, None)

@@ -262,6 +262,97 @@ class TestModelJson:
         assert model.start[model.theta_names.index("b")] == 0.3
 
 
+def shared_entry_model():
+    """Parameter ``t`` on an A entry, an S diagonal and an S covariance,
+    with fixed S values on and off the diagonal."""
+    return make_model(
+        ["x1", "x2", "x3"],
+        ["f"],
+        [
+            {"row": "x1", "col": "f", "param": "t"},
+            {"row": "x2", "col": "f", "param": "l2"},
+            {"row": "x3", "col": "f", "param": "l3"},
+        ],
+        [
+            {"row": "x2", "col": "x2", "param": "t"},
+            {"row": "x1", "col": "x3", "param": "t"},
+            {"row": "x1", "col": "x1", "param": "u1"},
+            {"row": "x3", "col": "x3", "param": "u3"},
+            {"row": "f", "col": "f", "value": 1.0},
+            {"row": "x1", "col": "x2", "value": 0.2},
+        ],
+    )
+
+
+# the free-entry readers at the commit before they shared one entry table:
+# default_start() and default_start(s) at s = diag(1.5, 2.0, ...), the
+# variance mask, the gradient's index arrays as (dtype, values), and the
+# free directed/symmetric entries of model_to_dict as (row, col, param)
+FREE_ENTRY_PINS = {
+    "canonical": (
+        [0.1] * 7 + [0.5] * 6 + [0.0],
+        [0.1] * 7 + [0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 0.0],
+        [False] * 7 + [True] * 6 + [False],
+        [
+            ("<i8", list(range(14))),
+            ("<i8", [0, 1, 2, 3, 4, 5, 5]),
+            ("<i8", [6, 6, 6, 7, 7, 6, 7]),
+            ("<i8", [0, 1, 2, 3, 4, 5, 6]),
+            ("<i8", [0, 1, 2, 3, 4, 5, 7]),
+            ("<f8", [2.0] * 7 + [1.0] * 6 + [2.0]),
+        ],
+        [
+            ("x1", "f1", "lam1"), ("x2", "f1", "lam2"), ("x3", "f1", "lam3"),
+            ("x4", "f2", "lam4"), ("x5", "f2", "lam5"),
+            ("x6", "f1", "gamma1"), ("x6", "f2", "gamma2"),
+        ],
+        [
+            ("x1", "x1", "u1"), ("x2", "x2", "u2"), ("x3", "x3", "u3"),
+            ("x4", "x4", "u4"), ("x5", "x5", "u5"), ("x6", "x6", "u6"),
+            ("f1", "f2", "phi"),
+        ],
+    ),
+    "shared": (
+        [0.5, 0.1, 0.1, 0.5, 0.5],
+        [1.0, 0.1, 0.1, 0.75, 1.25],
+        [True, False, False, True, True],
+        [
+            ("<i8", [0, 1, 2, 3, 0, 0, 4]),
+            ("<i8", [0, 1, 2]),
+            ("<i8", [3, 3, 3]),
+            ("<i8", [0, 0, 1, 2]),
+            ("<i8", [0, 2, 1, 2]),
+            ("<f8", [2.0, 2.0, 2.0, 1.0, 2.0, 1.0, 1.0]),
+        ],
+        [("x1", "f", "t"), ("x2", "f", "l2"), ("x3", "f", "l3")],
+        [("x1", "x1", "u1"), ("x1", "x3", "t"), ("x2", "x2", "t"), ("x3", "x3", "u3")],
+    ),
+}
+
+
+class TestFreeEntries:
+    @pytest.mark.parametrize("name", sorted(FREE_ENTRY_PINS))
+    def test_readers_pinned(self, name):
+        model = {"canonical": canonical_model, "shared": shared_entry_model}[name]()
+        start, start_s, mask, gather, directed, symmetric = FREE_ENTRY_PINS[name]
+        s = np.diag(1.5 + 0.5 * np.arange(model.n_observed))
+        assert model.default_start().tolist() == start
+        assert model.default_start(s).tolist() == start_s
+        assert model.variance_param_mask.tolist() == mask
+        assert [(a.dtype.str, a.tolist()) for a in model._gradient_gather] == gather
+        doc = model_to_dict(model)
+        free = [
+            [(e["row"], e["col"], e["param"]) for e in doc[kind] if "param" in e]
+            for kind in ("directed", "symmetric")
+        ]
+        assert free == [directed, symmetric]
+        fixed = [(e["row"], e["col"], e["value"]) for e in doc["symmetric"] if "value" in e]
+        assert fixed == {"canonical": [("f1", "f1", 1.0), ("f2", "f2", 1.0)],
+                         "shared": [("x1", "x2", 0.2), ("f", "f", 1.0)]}[name]
+        assert not [e for e in doc["directed"] if "value" in e]
+        assert list(doc) == ["observed", "latent", "directed", "symmetric"]
+
+
 class TestBuiltinConditions:
     @pytest.mark.parametrize(
         "uv,se,label",

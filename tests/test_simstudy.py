@@ -6,7 +6,9 @@ import pytest
 from fungible import (
     DegenerateSample,
     NotPositiveDefinite,
+    StudyCell,
     StudyDesign,
+    StudyTable,
     check_fixture_scaling,
     emit_table,
     paper_fixture,
@@ -175,6 +177,13 @@ class TestRunDesign:
             StudyDesign(epsilons=(-0.01, 0.03))
         with pytest.raises(ValueError, match="sample sizes"):
             StudyDesign(sample_sizes=(200, 1))
+        # a repeated value would emit repeated rows or column names
+        with pytest.raises(ValueError, match="conditions"):
+            StudyDesign(conditions=("Sigma1", "Sigma1"))
+        with pytest.raises(ValueError, match="sample sizes"):
+            StudyDesign(sample_sizes=(200, 200))
+        with pytest.raises(ValueError, match="epsilons"):
+            StudyDesign(epsilons=(0.0, 0.0))
 
 
 # Sigma1 at N=200: the first replication at epsilon .09 is an improper fit, excluded
@@ -239,21 +248,58 @@ class TestTableEmission:
     def test_csv_parse_round_trip(self):
         table = run_design(SMALL_DESIGN)
         csv = emit_table(table, "csv")
-        again = emit_table(parse_table(csv, "csv"), "csv")
+        again = emit_table(parse_table(csv), "csv")
         assert csv == again
 
-    def test_markdown_round_trip_at_two_decimals(self):
+    def test_markdown_is_csv_at_two_decimals(self):
         table = run_design(SMALL_DESIGN)
-        md = emit_table(table, "markdown")
-        parsed = parse_table(md, "markdown")
-        assert emit_table(parsed, "markdown") == md
-        csv_again = emit_table(parsed, "csv")
-        for a, b in zip(
-            parse_table(emit_table(table, "csv"), "csv").cells,
-            parse_table(csv_again, "csv").cells,
-        ):
-            assert round(a.major_mean, 2) == pytest.approx(b.major_mean, abs=1e-12)
-            assert round(a.minor_mean, 2) == pytest.approx(b.minor_mean, abs=1e-12)
+        csv_rows = [ln.split(",") for ln in emit_table(table, "csv").splitlines()]
+        md_lines = emit_table(table, "markdown").splitlines()
+        md_rows = [[c.strip() for c in ln.strip("|").split("|")] for ln in md_lines]
+        assert md_rows[0] == csv_rows[0]
+        assert md_rows[1] == ["---"] * len(csv_rows[0])
+        assert len(md_rows) == len(csv_rows) + 1
+        for md, csv in zip(md_rows[2:], csv_rows[1:]):
+            assert md[:2] == csv[:2]
+            assert md[2:] == [f"{float(v):.2f}" for v in csv[2:]]
+
+    def test_emitted_bytes_pinned(self):
+        # a hand-built table with a missing confidence cell (Sigma1, 200) and a
+        # missing FPE cell (delta_f, 1000, .05), pinned at the bytes emitted
+        # before the column schema was written once
+        cell = StudyCell
+        cells = (
+            cell("Sigma1", 1000, 0.0, "confidence", 0.25, 0.0, 1 / 3, 0.0, 1, 0),
+            cell("Sigma1", 1000, 0.0, "eps_tilde", 0.1 + 0.2, 0.01, 0.125, 0.02, 2, 0),
+            cell("Sigma1", 1000, 0.05, "eps_tilde", 2 / 3, 0.01, 0.5, 0.02, 2, 0),
+            cell("Sigma1", 1000, 0.0, "delta_f", 1e-5, 0.0, 1e-6, 0.0, 2, 0),
+            cell("Sigma1", 200, 0.0, "eps_tilde", 1.005, 0.1, 0.995, 0.1, 1, 1),
+            cell("Sigma1", 200, 0.05, "eps_tilde", 12.345, 0.0, 0.0, 0.0, 2, 0),
+            cell("Sigma1", 200, 0.0, "delta_f", math.nan, 0.0, math.nan, 0.0, 0, 2),
+            cell("Sigma1", 200, 0.05, "delta_f", 0.07, 0.0, 0.06, 0.0, 2, 0),
+        )
+        table = StudyTable(("Sigma1",), (1000, 200), (0.0, 0.05), cells)
+        header = (
+            "condition,n,cs_major_mean,cs_major_sd,cs_minor_mean,cs_minor_sd,"
+            "eps_tilde_major_0,eps_tilde_minor_0,eps_tilde_major_0.05,eps_tilde_minor_0.05,"
+            "delta_f_major_0,delta_f_minor_0,delta_f_major_0.05,delta_f_minor_0.05"
+        )
+        csv = emit_table(table, "csv")
+        assert emit_table(parse_table(csv), "csv") == csv
+        assert csv == (
+            f"{header}\n"
+            "Sigma1,1000,0.25,0.0,0.3333333333333333,0.0,0.30000000000000004,0.125,"
+            "0.6666666666666666,0.5,1e-05,1e-06,nan,nan\n"
+            "Sigma1,200,nan,nan,nan,nan,1.005,0.995,12.345,0.0,nan,nan,0.07,0.06\n"
+        )
+        assert emit_table(table, "markdown") == (
+            "| " + header.replace(",", " | ") + " |\n"
+            + "|" + " --- |" * 14 + "\n"
+            "| Sigma1 | 1000 | 0.25 | 0.00 | 0.33 | 0.00 | 0.30 | 0.12 | 0.67 | 0.50 "
+            "| 0.00 | 0.00 | nan | nan |\n"
+            "| Sigma1 | 200 | nan | nan | nan | nan | 1.00 | 0.99 | 12.35 | 0.00 "
+            "| nan | nan | 0.07 | 0.06 |\n"
+        )
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
