@@ -13,10 +13,8 @@ code and dropped, so it never stops the others.
 rays and the misfit perturbation search; its domain-edge bisection runs all
 its steps on every problem that needs it.
 
-:func:`golden_max` looks ahead: each call of its ``fun`` also evaluates
-every point the next two steps can reach, so one call commits up to three
-golden-section steps per problem, at exactly the points the step-by-step
-search visits.
+:func:`golden_max` looks ahead, committing several golden-section steps
+per call of its ``fun``; its docstring describes how.
 """
 
 from __future__ import annotations
@@ -95,13 +93,20 @@ def golden_max(f, a, b, *, x_tol, max_iter=200):
     committed point ends the search at that step; ``fault`` then holds, per
     bracket, the largest code among its points of that step.
 
-    The first call evaluates both interior points of every bracket.  After
-    that, each call evaluates per open bracket the next point x_t, both
-    points x_{t+1} can be (one per outcome of the f(c) >= f(d) test) and the
-    four points x_{t+2} can be, then commits up to three steps along the
-    branch the values select.  The committed points, their arithmetic and
-    the result are those of the step-by-step search; the values and faults
-    of the points off that branch are discarded.
+    The search looks ahead.  The first call evaluates both interior points
+    of every bracket.  After that, each call evaluates every state the next
+    :data:`_LOOKAHEAD` steps can reach, held per open bracket as a heap of
+    nodes: node 0 is the next step, whose branch the f(c) >= f(d) test
+    already decides, and node k's children are 2k + 1, the branch where
+    f(c) >= f(d) keeps [a, d], and 2k + 2, the one that keeps [c, b].  Each
+    node holds its bracket, its interior points and the one new point its
+    step adds.  One call evaluates, in node order, the new point of every
+    node whose parent bracket is still open (b - a > ``x_tol``).  The search
+    then commits up to :data:`_LOOKAHEAD` steps, moving from node k to node
+    2k + 1 + (f(c) < f(d)) and taking that node's state.  The committed
+    points, their arithmetic and the result are those of the step-by-step
+    search; the values and faults of the points it does not commit are
+    discarded.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     n = len(a)
@@ -120,44 +125,29 @@ def golden_max(f, a, b, *, x_tol, max_iter=200):
         if not i.size:
             break
         depth = min(_LOOKAHEAD, max_iter - done)
-        # the state after each step along every branch: level s holds 2**s
-        # rows, row p's children being rows 2p (left) and 2p + 1 (right);
-        # the first step's branch is known from fc and fd
-        state = tuple(v[i][None, :] for v in (a, b, c, d))
-        left = (fc[i] >= fd[i])[None, :]
-        points, opens = [], []
+        # per node and open bracket: a, b, c, d and the step's new point
+        heap = np.empty((5, 2**depth - 1, len(i)))
+        opens = np.empty(heap.shape[1:], dtype=bool)
         for s in range(depth):
-            opens.append(state[1] - state[0] > x_tol)
-            *state, x = _golden_step(*state, left)
-            points.append(x)
-            state = tuple(np.repeat(v, 2, axis=0) for v in state)
-            left = (np.arange(len(state[0])) % 2 == 0)[:, None]
-        x = np.concatenate([p[o] for p, o in zip(points, opens)])
-        values, codes = f(x, i[np.concatenate([np.nonzero(o)[1] for o in opens])])
-        values, codes = np.asarray(values, dtype=float), np.asarray(codes)
-        # commit along the branch the values select
-        path = np.zeros(len(i), dtype=int)
-        start = 0
-        for s in range(depth):
-            stepping = b[i] - a[i] > x_tol
-            left = fc[i] >= fd[i]
-            if s:
-                path = 2 * path + ~left
-            j, left, p = i[stepping], left[stepping], path[stepping]
-            # row p, column of this level's points -> index into values
-            at = np.full(opens[s].shape, -1)
-            at[opens[s]] = start + np.arange(np.count_nonzero(opens[s]))
-            start += np.count_nonzero(opens[s])
-            k = at[p, np.flatnonzero(stepping)]
-            fault[j] = codes[k]
+            k = np.arange(2**s - 1, 2 ** (s + 1) - 1)
+            prior = heap[:4, (k - 1) // 2] if s else np.stack([a[i], b[i], c[i], d[i]])[:, None]
+            opens[k] = prior[1] - prior[0] > x_tol
+            heap[:, k] = _golden_step(*prior, (k % 2 == 1)[:, None] if s else fc[i] >= fd[i])
+        node_values, node_codes = np.empty(opens.shape), np.empty(opens.shape, dtype=int)
+        node_values[opens], node_codes[opens] = f(heap[4][opens], i[np.nonzero(opens)[1]])
+        node = np.zeros(len(i), dtype=int)
+        for _ in range(depth):
+            stepping = np.flatnonzero(b[i] - a[i] > x_tol)
+            j, k = i[stepping], node[stepping]
+            fault[j], fx = node_codes[k, stepping], node_values[k, stepping]
             if fault.any():
                 break
-            fx = values[k]
-            a[j], b[j], c[j], d[j], x = _golden_step(a[j], b[j], c[j], d[j], left)
+            left = fc[j] >= fd[j]
+            a[j], b[j], c[j], d[j], x = heap[:, k, stepping]
             fc[j], fd[j] = np.where(left, fx, fd[j]), np.where(left, fc[j], fx)
             better = fx > best_f[j]
-            best_x[j[better]] = x[better]
-            best_f[j[better]] = fx[better]
+            best_x[j], best_f[j] = np.where(better, x, best_x[j]), np.where(better, fx, best_f[j])
+            node[stepping] = 2 * k + 1 + (fc[j] < fd[j])
         done += depth
     return best_x, best_f, fault
 

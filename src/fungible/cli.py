@@ -33,7 +33,7 @@ from .contour import (
 from .discrepancy import rmsea_from_f
 from .errors import FungibleError
 from .fit import FitOptions, fit_ml
-from .model import load_model
+from .model import focal_indices, load_model
 from .simstudy import (
     DEFAULT_TARGETS,
     StudyDesign,
@@ -53,11 +53,17 @@ def _write(text, out):
 
 
 def _check_files(args, names):
+    """Check, before any work, that the input files exist and that ``--out``
+    names a file in an existing directory; prints one usage error if not."""
     for name in names:
         path = getattr(args, name, None)
         if path and not Path(path).exists():
             print(f"usage error: file not found: {path}", file=sys.stderr)
             return False
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        print(f"usage error: --out must name a file in an existing directory: {args.out}",
+              file=sys.stderr)
+        return False
     return True
 
 
@@ -75,19 +81,8 @@ def _do_fit(args):
 
 
 def _parse_focal(spec, model):
-    """Focal parameters by name or index; the contour functions check the
-    indices' range and distinctness."""
-    focal = []
-    for token in spec.split(","):
-        token = token.strip()
-        if token in model.theta_names:
-            focal.append(model.theta_names.index(token))
-        else:
-            try:
-                focal.append(int(token))
-            except ValueError:
-                raise ValueError(f"unknown parameter {token!r}") from None
-    return tuple(focal)
+    """Focal parameters by name or index, comma separated."""
+    return focal_indices(model, spec.split(","))
 
 
 def cmd_fit(args):
@@ -152,19 +147,31 @@ def cmd_confset(args):
     return 0
 
 
+_DESIGN_KEYS = ("conditions", "sample_sizes", "epsilons", "replications",
+                "seed", "directions", "focal", "population_analysis", "targets")
+# per default target: config key -> the ContourTarget field it overrides
+_TARGET_KEYS = ({"confidence": "confidence"}, {"eps_tilde": "epsilon_tilde"},
+                {"delta_f": "delta_f", "delta_f_scaling": "scaling"})
+
+
+def _known_keys(doc, known, what):
+    """Raise :class:`ValueError` unless ``doc`` is a dict whose keys are all
+    in ``known``, naming the unknown ones."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
 def _design_from_config(doc, seed=None):
-    kwargs = {}
-    for key in ("conditions", "sample_sizes", "epsilons", "replications",
-                "seed", "directions", "focal", "population_analysis"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    # per default target: config key -> the ContourTarget field it overrides
+    _known_keys(doc, _DESIGN_KEYS, "study config")
     given = doc.get("targets", {})
-    renames = ({"confidence": "confidence"}, {"eps_tilde": "epsilon_tilde"},
-               {"delta_f": "delta_f", "delta_f_scaling": "scaling"})
+    _known_keys(given, [key for rename in _TARGET_KEYS for key in rename], "study config targets")
+    kwargs = {key: value for key, value in doc.items() if key != "targets"}
     kwargs["targets"] = tuple(
         replace(default, **{field: given[key] for key, field in rename.items() if key in given})
-        for default, rename in zip(DEFAULT_TARGETS, renames)
+        for default, rename in zip(DEFAULT_TARGETS, _TARGET_KEYS)
     )
     if seed is not None:
         kwargs["seed"] = seed
@@ -184,6 +191,8 @@ def cmd_study(args):
 def cmd_table_check(args):
     if args.fixture != "paper":
         print(f"usage error: unknown fixture {args.fixture!r}", file=sys.stderr)
+        return 2
+    if not _check_files(args, ()):
         return 2
     ok, lines = check_fixture_scaling()
     _write("\n".join(lines) + "\n", args.out)

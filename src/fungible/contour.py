@@ -19,11 +19,10 @@ whole sweep, or both golden-section refinements' rays) advance together, one
 stacked evaluation of F over a ``(k, q)`` stack of parameter vectors per
 step, and each ray takes the iterates its own scalar search would take.  A
 ray whose root fails gets a fault code and leaves the others to finish; a
-sweep raises for any faulted ray.  The refinement's golden search looks
-ahead (:func:`~fungible._solve.golden_max`): each ray solve also covers the
-angles the next two golden steps can reach, so one solve commits up to three
-steps, at the angles of the step-by-step search.  Only faults at committed
-angles raise, as the step-by-step search would.
+sweep raises for any faulted ray.  The refinement's golden search,
+:func:`~fungible._solve.golden_max`, looks ahead several steps per ray solve
+(its docstring describes how) and raises only for faults at the angles it
+commits, as the step-by-step search would.
 For a :class:`~fungible.fit.FitResult` that evaluation is
 :meth:`~fungible.fit.FitResult.objectives`, the discrepancy kernel of
 :mod:`fungible.discrepancy`, whose rows equal :func:`~fungible.discrepancy.f_ml`

@@ -266,6 +266,24 @@ def as_theta(model: ModelSpec, theta) -> np.ndarray:
     return theta
 
 
+def focal_indices(model: ModelSpec, focal) -> tuple[int, ...]:
+    """Focal parameters, each given by name or by index into
+    ``theta_names``, as indices.  Raises :class:`ValueError` naming any
+    token that is neither; the contour functions check the indices' range
+    and distinctness."""
+    indices = []
+    for token in focal:
+        token = token.strip() if isinstance(token, str) else token
+        if token in model.theta_names:
+            indices.append(model.theta_names.index(token))
+            continue
+        try:
+            indices.append(int(token))
+        except (TypeError, ValueError):
+            raise ValueError(f"unknown parameter {token!r}") from None
+    return tuple(indices)
+
+
 def _rows_or_nan(fn, mats, *args):
     """fn over a (k, n, n) stack in one call; only when that call raises,
     one call per matrix, with NaN for the matrices where it raises."""
@@ -334,6 +352,8 @@ def sigma_of_theta(model: ModelSpec, theta) -> np.ndarray:
 
 
 def _resolve(name_to_index, entry, key):
+    if key not in entry:
+        raise ValueError(f"entry {entry!r} lacks the key {key!r}")
     value = entry[key]
     if isinstance(value, (int, np.integer)):
         idx = int(value)
@@ -414,6 +434,8 @@ def make_model(observed, latent, directed, symmetric, start_values=None) -> Mode
         )
         start = probe.default_start()
         for item in start_values:
+            if "param" not in item or "value" not in item:
+                raise ValueError(f"start value {item!r} needs 'param' and 'value'")
             name = str(item["param"])
             if name not in param_index:
                 raise ValueError(f"start value for unknown parameter {name!r}")
@@ -434,6 +456,17 @@ def load_model(source) -> ModelSpec:
     else:
         path = Path(source)
         doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model document must be a JSON object, got {type(doc).__name__}")
+    for key in ("observed", "latent"):
+        if key not in doc:
+            raise ValueError(f"the model document lacks the required key {key!r}")
+    for key in ("observed", "latent", "directed", "symmetric", "start_values"):
+        value = doc.get(key, [])
+        if not isinstance(value, list) and not (key == "start_values" and value is None):
+            raise ValueError(f"the model key {key!r} must be a list, got {type(value).__name__}")
+        if key not in ("observed", "latent") and not all(isinstance(e, dict) for e in value or []):
+            raise ValueError(f"every entry of the model key {key!r} must be a JSON object")
     return make_model(
         doc["observed"],
         doc["latent"],

@@ -33,7 +33,7 @@ import numpy as np
 from .contour import CONFIDENCE, DELTA_F, EPS_TILDE, ContourTarget, axis_widths_exact, f_target
 from .errors import DegenerateSample, FungibleError, NotPositiveDefinite
 from .fit import fit_ml
-from .model import condition_from_label, misspecify_to_epsilon
+from .model import canonical_model, condition_from_label, focal_indices, misspecify_to_epsilon
 
 # The study's delta_f target uses relative scaling: only then do delta_f
 # widths grow with the population misfit level, the pattern the reference
@@ -82,6 +82,11 @@ class StudyDesign:
         modes = [t.mode for t in self.targets]
         if len(set(modes)) != len(modes):
             raise ValueError("duplicate contour modes in targets")
+        stray = [mode for mode in self.population_analysis if mode not in modes]
+        if stray:
+            raise ValueError(f"population_analysis lists modes not in targets: {stray}")
+        # every builtin condition analyzes the canonical model
+        focal_indices(canonical_model(), self.focal)
 
 
 @dataclass(frozen=True)
@@ -212,7 +217,7 @@ def run_cell(design: StudyDesign, condition: str, n: int, epsilon: float, mode: 
     target = {t.mode: t for t in design.targets}[mode]
     n, epsilon = int(n), float(epsilon)
     model = condition_at(condition, epsilon).model
-    focal = tuple(model.theta_names.index(name) for name in design.focal)
+    focal = focal_indices(model, design.focal)
     if mode in design.population_analysis:
         fit = _population_fit(condition, epsilon)
         fits = (None if fit is None else replace(fit, n=n),)
@@ -363,18 +368,32 @@ def parse_table(text: str) -> StudyTable:
     """Parse the CSV of :func:`emit_table` back into a :class:`StudyTable`.
 
     FPE cells carry only means in the table, so their SDs parse as 0 and the
-    replication counts are placeholders.
+    replication counts are placeholders.  Raises :class:`ValueError` naming
+    the problem when the text has no ``condition,n,...`` header, lacks a
+    column of the layout, has a row whose field count differs from the
+    header's, or holds a value that is not a number.
     """
     lines = [ln.split(",") for ln in text.strip().splitlines() if ln.strip()]
+    if not lines or lines[0][:2] != ["condition", "n"]:
+        raise ValueError("no study table header: the first line must start with condition,n")
     header = lines[0]
     prefix = f"{EPS_TILDE}_major_"
-    epsilons = tuple(float(name[len(prefix):]) for name in header if name.startswith(prefix))
+    epsilons = tuple(
+        _number(name[len(prefix):], f"column {name!r}") for name in header if name.startswith(prefix)
+    )
+    columns = _columns(epsilons)
+    missing = [name for name, *_ in columns if name not in header]
+    if missing:
+        raise ValueError(f"the table lacks the column(s): {', '.join(missing)}")
     fields: dict[tuple, dict] = {}
-    for row in lines[1:]:
+    for number, row in enumerate(lines[1:], 1):
+        if len(row) != len(header):
+            raise ValueError(f"row {number} has {len(row)} fields, the header has {len(header)}")
         values = dict(zip(header, row))
-        for name, mode, eps, field in _columns(epsilons):
-            key = (row[0], int(row[1]), eps, mode)
-            fields.setdefault(key, {"major_sd": 0.0, "minor_sd": 0.0})[field] = float(values[name])
+        n = _number(row[1], f"row {number}, column 'n'", int)
+        for name, mode, eps, field in columns:
+            cell = fields.setdefault((row[0], n, eps, mode), {"major_sd": 0.0, "minor_sd": 0.0})
+            cell[field] = _number(values[name], f"row {number}, column {name!r}")
     return StudyTable(
         conditions=tuple(dict.fromkeys(key[0] for key in fields)),
         sample_sizes=tuple(dict.fromkeys(key[1] for key in fields)),
@@ -383,6 +402,13 @@ def parse_table(text: str) -> StudyTable:
             StudyCell(*key, **cell, n_converged=1, n_excluded=0) for key, cell in fields.items()
         ),
     )
+
+
+def _number(text, where, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{where}: {text!r} is not a number") from None
 
 
 # Embedded reference table of axis widths (8 rows x 16 width columns) used

@@ -8,6 +8,7 @@ import pytest
 from fungible import (
     canonical_model,
     condition_from_label,
+    model_to_dict,
     replication_rng,
     save_model,
     wishart_sample,
@@ -296,3 +297,68 @@ def test_bad_cov_file_exits_one(workdir, tmp_path, capsys, shape_error, message)
     code = main(["fit", "--model", str(workdir / "model.json"), "--cov", str(cov), "--n", "200"])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+def _one_error_line(capsys, prefix):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(prefix)
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # a misspelt key would otherwise run the default 500 replications
+        ({"replication": 2}, "unknown study config key(s): 'replication'"),
+        ({"targets": {"eps-tilde": 0.01}}, "unknown study config targets key(s): 'eps-tilde'"),
+        ({"focal": ["gamma1", "bogus"]}, "unknown parameter 'bogus'"),
+        # would otherwise turn the sampled confidence cell into a population cell
+        ({"population_analysis": ["bogus"]}, "population_analysis lists modes not in targets"),
+    ],
+)
+def test_bad_study_config_exits_one(tmp_path, capsys, config, message):
+    cfg = tmp_path / "design.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["study", "--config", str(cfg)]) == 1
+    assert message in _one_error_line(capsys, "error:")
+
+
+def _model_doc_without(key, entry_key=None):
+    doc = json.loads(json.dumps(model_to_dict(canonical_model())))
+    if entry_key is None:
+        del doc[key]
+    else:
+        del doc[key][0][entry_key]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_model_doc_without("observed"), "lacks the required key 'observed'"),
+        (_model_doc_without("directed", "row"), "lacks the key 'row'"),
+        ([1, 2], "must be a JSON object, got list"),
+    ],
+    ids=["no-observed", "entry-without-row", "top-level-list"],
+)
+def test_bad_model_file_exits_one(workdir, tmp_path, capsys, doc, message):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code = main(["fit", "--model", str(model), "--cov", str(workdir / "cov.csv"), "--n", "200"])
+    assert code == 1
+    assert message in _one_error_line(capsys, "error:")
+
+
+@pytest.mark.parametrize("command", ["fit", "table-check"])
+def test_out_in_missing_directory_exits_two(workdir, tmp_path, capsys, command):
+    out = tmp_path / "no-such-dir" / "out.csv"
+    args = ["--out", str(out)]
+    if command == "fit":
+        args += ["--model", str(workdir / "model.json"), "--cov", str(workdir / "cov.csv")]
+        args += ["--n", "200"]
+    assert main([command, *args]) == 2
+    assert "existing directory" in _one_error_line(capsys, "usage error:")
+    assert not out.parent.exists()

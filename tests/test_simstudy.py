@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fungible import (
+    ContourEscapesDomain,
     DegenerateSample,
     NotPositiveDefinite,
     StudyCell,
@@ -18,8 +21,8 @@ from fungible import (
     run_design,
     wishart_sample,
 )
-from fungible import fit, simstudy
-from fungible.simstudy import _columns, _jobs, condition_at
+from fungible import contour, fit, simstudy
+from fungible.simstudy import PAPER_TABLE_CSV, _columns, _jobs, condition_at
 from helpers import clear_fit_caches, reference_run_cell
 
 SMALL_DESIGN = StudyDesign(
@@ -184,6 +187,10 @@ class TestRunDesign:
             StudyDesign(sample_sizes=(200, 200))
         with pytest.raises(ValueError, match="epsilons"):
             StudyDesign(epsilons=(0.0, 0.0))
+        with pytest.raises(ValueError, match="unknown parameter 'bogus'"):
+            StudyDesign(focal=("gamma1", "bogus"))
+        with pytest.raises(ValueError, match="population_analysis"):
+            StudyDesign(population_analysis=("bogus",))
 
 
 # Sigma1 at N=200: the first replication at epsilon .09 is an improper fit, excluded
@@ -237,6 +244,80 @@ class TestSharedFits:
         run_design(design, threads=1)
         # 4 conditions x 2 N x 3 epsilons sampled draws, 4 population fits
         assert len(calls) == 28
+
+
+class TestExclusions:
+    """Each exclusion branch of run_cell, driven by stand-ins for the draw and
+    the width; every cell must equal the reference loop under the same
+    stand-ins."""
+
+    DESIGN = StudyDesign(
+        conditions=("Sigma1",), sample_sizes=(200,), epsilons=(0.0,), replications=3,
+        seed=11, directions=8,
+    )
+    JOB = ("Sigma1", 200, 0.0, "eps_tilde")
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        # no draw or fit made under a stand-in may outlive the test
+        clear_fit_caches()
+        yield
+        clear_fit_caches()
+
+    def _rep1(self):
+        """The generator key and the fit's F-hat of replication 1."""
+        rng = replication_rng(self.DESIGN.seed, *self.JOB[:3], 1)
+        key = rng.bit_generator.state["state"]["key"].tobytes()
+        cond = condition_at("Sigma1", 0.0)
+        return key, fit.fit_ml(cond.model, wishart_sample(cond.sigma_pop, 200, rng), n=200).f_hat
+
+    def _check(self, monkeypatch, draw=wishart_sample, widths=simstudy.axis_widths_exact):
+        monkeypatch.setattr(simstudy, "wishart_sample", draw)
+        monkeypatch.setattr(simstudy, "axis_widths_exact", widths)
+        monkeypatch.setattr(contour, "axis_widths_exact", widths)
+        cell = run_cell(self.DESIGN, *self.JOB)
+        assert (cell.n_converged, cell.n_excluded) == (2, 1)
+        clear_fit_caches()
+        assert cell == reference_run_cell(self.DESIGN, *self.JOB)
+
+    def test_no_exclusion_without_stand_ins(self):
+        # so each exclusion below comes from its stand-in alone
+        cell = run_cell(self.DESIGN, *self.JOB)
+        assert (cell.n_converged, cell.n_excluded) == (3, 0)
+
+    @pytest.mark.parametrize("failure", ["draw", "fit"])
+    def test_failed_draw_or_fit(self, monkeypatch, failure):
+        key, _ = self._rep1()
+
+        def draw(sigma, n, rng):
+            if rng.bit_generator.state["state"]["key"].tobytes() != key:
+                return wishart_sample(sigma, n, rng)
+            if failure == "draw":
+                raise DegenerateSample("stand-in draw")
+            return -np.eye(len(sigma))  # fit_ml raises NotPositiveDefinite
+
+        self._check(monkeypatch, draw=draw)
+
+    def test_width_raises(self, monkeypatch):
+        _, f_hat = self._rep1()
+        exact = simstudy.axis_widths_exact
+
+        def widths(res, *args):
+            if res.f_hat == f_hat:
+                raise ContourEscapesDomain("stand-in width")
+            return exact(res, *args)
+
+        self._check(monkeypatch, widths=widths)
+
+    def test_partial_sweep(self, monkeypatch):
+        _, f_hat = self._rep1()
+        exact = simstudy.axis_widths_exact
+
+        def widths(res, *args):
+            out = exact(res, *args)
+            return dataclasses.replace(out, partial=True) if res.f_hat == f_hat else out
+
+        self._check(monkeypatch, widths=widths)
 
 
 class TestTableEmission:
@@ -300,6 +381,22 @@ class TestTableEmission:
             "| Sigma1 | 200 | nan | nan | nan | nan | 1.00 | 0.99 | 12.35 | 0.00 "
             "| nan | nan | 0.07 | 0.06 |\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "no study table header"),
+            (emit_table(paper_fixture(), "markdown"), "no study table header"),
+            ("condition,n,cs_major_mean\nSigma1,200,0.5\n", "lacks the column(s): cs_major_sd"),
+            (PAPER_TABLE_CSV.replace("0.19,0,0.18", "0.19,0"), "row 1 has 17 fields"),
+            (PAPER_TABLE_CSV.replace("0.19,0,0.18", "0.19,wide,0.18"), "'wide' is not a number"),
+            (PAPER_TABLE_CSV.replace("Sigma1,1000", "Sigma1,many"), "'many' is not a number"),
+        ],
+        ids=["empty", "markdown", "missing-column", "ragged-row", "value", "sample-size"],
+    )
+    def test_parse_rejects_malformed_text(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_table(text)
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
