@@ -53,19 +53,28 @@ def evaluate_stack(model: ModelSpec, thetas, s, ld_s):
     ``(fault, f, implied)``: per row 0, ``SINGULAR_STRUCTURE`` or
     ``SIGMA_NOT_PD``; F, NaN where faulted; the ``(G, GSG', Sigma)`` stacks
     of the rows whose (I - A)^-1 is usable.
+
+    A one-row call, which every line-search trial of a fit makes, costs
+    about 37 us on a 2-core Xeon VM, mostly numpy's per-call overhead; the
+    cost per row falls to about 3 us in stacks of 64 rows or more.
     """
     ok, g_mat, c_mat, sigma = implied_stack(model, thetas)
+    k, p = sigma.shape[:2]
     chol = _rows_or_nan(np.linalg.cholesky, sigma)
-    ld_sigma = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    # the factors' diagonals, as a strided view
+    ld_sigma = 2.0 * np.log(chol.reshape(k, p * p)[:, :: p + 1]).sum(axis=1)
     pd = np.isfinite(ld_sigma)
-    trace = np.full(len(sigma), np.nan)
-    if pd.any():  # an empty stack still costs a solve call, about 13 us
-        # numpy solves each matrix of a stack on its own: a row's trace does
-        # not depend on which other rows are in the stack
-        trace[pd] = np.trace(_rows_or_nan(np.linalg.solve, sigma[pd], s), axis1=1, axis2=2)
-    f = np.maximum(0.0, ld_sigma - ld_s + trace - model.n_observed)
-    fault = np.where(np.isnan(f), SIGMA_NOT_PD, 0)
-    if len(f) < len(thetas):
+    # numpy solves each matrix of a stack on its own: a row's trace does not
+    # depend on which other rows are in the stack
+    if pd.all():
+        trace = _rows_or_nan(np.linalg.solve, sigma, s).trace(axis1=1, axis2=2)
+    else:
+        trace = np.full(k, np.nan)
+        if pd.any():
+            trace[pd] = _rows_or_nan(np.linalg.solve, sigma[pd], s).trace(axis1=1, axis2=2)
+    f = np.maximum(0.0, ld_sigma - ld_s + trace - p)
+    fault = SIGMA_NOT_PD * np.isnan(f)
+    if k < len(thetas):
         # widen to every row; (I - A) was singular at the rows not in ok
         f_ok, fault_ok = f, fault
         f = np.full(len(thetas), np.nan)
@@ -131,18 +140,22 @@ def _grad_from_implied(model, s, g_mat, c_mat, sigma):
     p = model.n_observed
     sigma_inv = np.linalg.inv(sigma)
     w = sigma_inv @ (sigma - s) @ sigma_inv
-    w = 0.5 * (w + np.swapaxes(w, -1, -2))
+    w = 0.5 * (w + w.swapaxes(-1, -2))
     g_obs = g_mat[..., :p, :]                  # F G
-    # transpose of G S G' F' W F G, and G' F' W F G
-    q_mat = np.swapaxes(c_mat[..., :, :p] @ w @ g_obs, -1, -2)
-    d_mat = np.swapaxes(g_obs, -1, -2) @ w @ g_obs
-    params, a_rows, a_cols, s_rows, s_cols, factor = model._gradient_gather
-    terms = factor * np.concatenate(
-        [q_mat[..., a_rows, a_cols], d_mat[..., s_rows, s_cols]], axis=-1
-    )
-    grad = np.zeros(terms.shape[:-1] + (model.q,))
-    # entries sharing a parameter add up in entry order
-    np.add.at(grad.T, params, terms.T)
+    # G S G' F' W F G, whose transpose the A entries read, and G' F' W F G,
+    # side by side
+    m = model.m
+    lead = g_mat.shape[:-2]
+    both = np.concatenate([
+        (c_mat[..., :, :p] @ w @ g_obs).reshape(lead + (m * m,)),
+        (g_obs.swapaxes(-1, -2) @ w @ g_obs).reshape(lead + (m * m,)),
+    ], axis=-1)
+    flat, factor, later = model._gradient_ranks
+    terms = factor * both.take(flat, axis=-1)
+    # entries sharing a parameter add up in entry order, from 0.0
+    grad = 0.0 + terms[..., : model.q]
+    for params, start, stop in later:
+        grad[..., params] += terms[..., start:stop]
     return grad
 
 

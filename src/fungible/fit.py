@@ -13,12 +13,20 @@ accepted step costs one evaluation of the model.  S is factored once per
 minimization.  The Hessian at the optimum is one stacked evaluation of its
 2q gradients (:func:`~fungible.discrepancy.hessian`).
 
+A step costs little arithmetic and many numpy calls: on a 2-core Xeon VM a
+one-row evaluation takes about 37 us and its gradient about 20 us, almost
+all of it per-call overhead, and a fit of the builtin conditions' model
+(q = 14, about 26 iterations) takes about 2.7 ms.  So the BFGS update uses
+the cheapest calls that give the same bits: ``ndarray.dot`` for products
+and norms, and broadcasting for the outer products.
+
 There are no parameter bounds: improper solutions (negative unique
 variances) are reported via ``FitResult.improper``, not prevented.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,11 +155,11 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
             raise NoConvergence(iterations, g_max)
         iterations += 1
 
-        direction = -h_inv @ g
-        if float(direction @ g) >= 0.0:
+        direction = -h_inv.dot(g)
+        if float(direction.dot(g)) >= 0.0:
             h_inv = eye.copy()
             direction = -g
-        slope = float(g @ direction)
+        slope = float(g.dot(direction))
 
         step = 1.0
         accepted = False
@@ -174,13 +182,15 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
         g_new = _grad_from_implied(model, s, *(mat[0] for mat in implied))
         s_vec = candidate - theta
         y_vec = g_new - g
-        sy = float(s_vec @ y_vec)
+        sy = float(s_vec.dot(y_vec))
         if iterations == 1 and sy > 0:
-            h_inv = (sy / float(y_vec @ y_vec)) * eye
-        if sy > 1e-10 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
+            h_inv = (sy / float(y_vec.dot(y_vec))) * eye
+        # the norms and outer products as np.linalg.norm and np.outer
+        # compute them for 1-d vectors
+        if sy > 1e-10 * math.sqrt(s_vec.dot(s_vec)) * math.sqrt(y_vec.dot(y_vec)):
             rho = 1.0 / sy
-            v = eye - rho * np.outer(s_vec, y_vec)
-            h_inv = v @ h_inv @ v.T + rho * np.outer(s_vec, s_vec)
+            v = eye - rho * (s_vec[:, None] * y_vec)
+            h_inv = v.dot(h_inv).dot(v.T) + rho * (s_vec[:, None] * s_vec)
 
         stalled = abs(f - f_new) <= STALL_TOL * max(1.0, abs(f))
         theta, f, g = candidate, f_new, g_new

@@ -125,6 +125,8 @@ class ModelSpec:
         ):
             if arr.shape != (m, m):
                 raise ValueError(f"{label} must have shape ({m}, {m})")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{label} must be finite")
         if not np.array_equal(self.symmetric_fixed, self.symmetric_fixed.T):
             raise ValueError("symmetric pattern values are not symmetric")
         if not np.array_equal(self.symmetric_param, self.symmetric_param.T):
@@ -179,6 +181,11 @@ class ModelSpec:
         return f
 
     @cached_property
+    def _eye(self) -> np.ndarray:
+        """The read-only m x m identity."""
+        return _frozen_array(np.eye(self.m), float)
+
+    @cached_property
     def _free(self) -> tuple[tuple[int, int, int, bool], ...]:
         """Every free entry as (parameter, row, column, in S): A's entries,
         then S's upper triangle including the diagonal, each in row-major
@@ -195,11 +202,29 @@ class ModelSpec:
         """Index arrays for the analytic gradient: the parameter of every free
         entry (:attr:`_free` order), the A entries' rows and columns, the S
         entries' rows and columns, and the factor each entry's derivative
-        term carries (1 on the S diagonal, else 2)."""
+        term carries (1 on the S diagonal, else 2).  :attr:`_gradient_ranks`
+        orders them for the gradient's sums."""
         params, rows, cols, in_s = np.array(self._free, dtype=int).reshape(-1, 4).T.copy()
         in_s = in_s.astype(bool)
         factor = np.where(in_s & (rows == cols), 1.0, 2.0)
         return params, rows[~in_s], cols[~in_s], rows[in_s], cols[in_s], factor
+
+    @cached_property
+    def _gradient_ranks(self) -> tuple[np.ndarray, np.ndarray, tuple[tuple[np.ndarray, int, int], ...]]:
+        """:attr:`_gradient_gather` as flat positions into the A entries'
+        matrix (read transposed) followed by the S entries' matrix, each
+        m x m, ordered by sharing rank: every parameter's first free entry
+        (:attr:`_free` order), then per rank r >= 1 the (r+1)-th entry of
+        every parameter with more than r entries.  Returns those positions,
+        their factors, and per rank r >= 1 its parameters and its span."""
+        params, a_rows, a_cols, s_rows, s_cols, factor = self._gradient_gather
+        m = self.m
+        flat = np.concatenate([a_cols * m + a_rows, m * m + s_rows * m + s_cols])
+        rank = np.array([np.count_nonzero(params[:entry] == k) for entry, k in enumerate(params)])
+        order = np.lexsort((params, rank))
+        bounds = np.cumsum(np.bincount(rank))
+        later = tuple((params[order[lo:hi]], lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+        return flat[order], factor[order], later
 
     @cached_property
     def variance_param_mask(self) -> np.ndarray:
@@ -231,8 +256,9 @@ class ModelSpec:
     def _assemble(self, thetas) -> tuple[np.ndarray, np.ndarray]:
         """(A, S) stacks at the rows of a validated ``(k, q)`` stack."""
         fixed, free, params = self._assembly
-        mats = np.repeat(fixed[None], len(thetas), axis=0)
-        mats[:, free] = thetas[:, params]
+        mats = np.empty((len(thetas), len(fixed)))
+        mats[:] = fixed
+        mats[:, free] = thetas.take(params, axis=1)
         mats = mats.reshape(len(thetas), 2, self.m, self.m)
         return mats[:, 0], mats[:, 1]
 
@@ -316,7 +342,7 @@ def implied_stack(model: ModelSpec, thetas):
       whose solve is finite with residual at most 1e-8 max(1, max|G|).
     """
     a, s = model._assemble(thetas)
-    eye = np.eye(model.m)
+    eye = model._eye
     if model.single_step:
         g = eye + a
         ok = np.isfinite(g).all(axis=(1, 2))
@@ -390,6 +416,12 @@ def make_model(observed, latent, directed, symmetric, start_values=None) -> Mode
     s_param = np.full((m, m), FIXED, dtype=np.int64)
     param_index: dict[str, int] = {}
 
+    def fixed_value(entry, i, j):
+        value = float(entry["value"])
+        if not math.isfinite(value):
+            raise ValueError(f"the fixed value at ({names[i]}, {names[j]}) must be finite, got {value}")
+        return value
+
     def param_id(name):
         name = str(name)
         if name not in param_index:
@@ -404,7 +436,7 @@ def make_model(observed, latent, directed, symmetric, start_values=None) -> Mode
         if "param" in entry:
             d_param[i, j] = param_id(entry["param"])
         elif "value" in entry:
-            d_fixed[i, j] = float(entry["value"])
+            d_fixed[i, j] = fixed_value(entry, i, j)
         else:
             raise ValueError("directed entry needs 'param' or 'value'")
 
@@ -418,7 +450,7 @@ def make_model(observed, latent, directed, symmetric, start_values=None) -> Mode
                     raise ValueError(f"conflicting symmetric entry at ({r}, {c})")
                 s_param[r, c] = k
         elif "value" in entry:
-            v = float(entry["value"])
+            v = fixed_value(entry, i, j)
             for r, c in ((i, j), (j, i)):
                 if s_param[r, c] != FIXED or (s_fixed[r, c] not in (0.0, v)):
                     raise ValueError(f"conflicting symmetric entry at ({r}, {c})")

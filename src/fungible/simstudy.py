@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -46,6 +47,18 @@ DEFAULT_TARGETS = (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
 @dataclass(frozen=True)
 class StudyDesign:
     conditions: tuple[str, ...] = ("Sigma1", "Sigma2", "Sigma3", "Sigma4")
@@ -59,6 +72,18 @@ class StudyDesign:
     population_analysis: tuple[str, ...] = (CONFIDENCE,)
 
     def __post_init__(self):
+        for name in ("replications", "seed", "directions"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, is_kind, kind in (
+            ("conditions", _is_str, "strings"),
+            ("sample_sizes", _is_int, "integers"),
+            ("epsilons", _is_real, "finite real numbers"),
+            ("focal", _is_str, "strings"),
+        ):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not all(map(is_kind, values)):
+                raise ValueError(f"{name} must be a list of {kind}, got {values!r}")
         object.__setattr__(self, "conditions", tuple(self.conditions))
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))

@@ -148,6 +148,27 @@ def reference_implied(model, thetas):
     return ok, g, c, 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
 
+def reference_grad_from_implied(model, s, g_mat, c_mat, sigma):
+    """The analytic gradient with the terms of entries that share a
+    parameter summed by ``np.add.at`` into zeros, in entry order; the oracle
+    for ``discrepancy._grad_from_implied``, whose rank gathers must give the
+    same bytes."""
+    p = model.n_observed
+    sigma_inv = np.linalg.inv(sigma)
+    w = sigma_inv @ (sigma - s) @ sigma_inv
+    w = 0.5 * (w + np.swapaxes(w, -1, -2))
+    g_obs = g_mat[..., :p, :]
+    q_mat = np.swapaxes(c_mat[..., :, :p] @ w @ g_obs, -1, -2)
+    d_mat = np.swapaxes(g_obs, -1, -2) @ w @ g_obs
+    params, a_rows, a_cols, s_rows, s_cols, factor = model._gradient_gather
+    terms = factor * np.concatenate(
+        [q_mat[..., a_rows, a_cols], d_mat[..., s_rows, s_cols]], axis=-1
+    )
+    grad = np.zeros(terms.shape[:-1] + (model.q,))
+    np.add.at(grad.T, params, terms.T)
+    return grad
+
+
 def finite_diff_gradient(model, theta, s, rel_step=1e-6):
     """Central finite differences of f_ml; the oracle for the analytic
     gradient."""

@@ -317,6 +317,11 @@ def _one_error_line(capsys, prefix):
         ({"focal": ["gamma1", "bogus"]}, "unknown parameter 'bogus'"),
         # would otherwise turn the sampled confidence cell into a population cell
         ({"population_analysis": ["bogus"]}, "population_analysis lists modes not in targets"),
+        # a TypeError traceback, N = 200, seed 1 and an accepted string before
+        ({"replications": "2"}, "replications must be an integer, got '2'"),
+        ({"sample_sizes": [200.5]}, "sample_sizes must be a list of integers"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"directions": "90"}, "directions must be an integer, got '90'"),
     ],
 )
 def test_bad_study_config_exits_one(tmp_path, capsys, config, message):
@@ -335,14 +340,24 @@ def _model_doc_without(key, entry_key=None):
     return doc
 
 
+def _model_doc_with_nan_f1_variance():
+    doc = model_to_dict(canonical_model())
+    doc["symmetric"] = [e for e in doc["symmetric"] if (e["row"], e["col"]) != ("f1", "f1")]
+    # written as the JSON literal NaN, which json reads back
+    doc["symmetric"].append({"row": "f1", "col": "f1", "value": float("nan")})
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
         (_model_doc_without("observed"), "lacks the required key 'observed'"),
         (_model_doc_without("directed", "row"), "lacks the key 'row'"),
         ([1, 2], "must be a JSON object, got list"),
+        # once "conflicting symmetric entry at (6, 6)"
+        (_model_doc_with_nan_f1_variance(), "fixed value at (f1, f1) must be finite, got nan"),
     ],
-    ids=["no-observed", "entry-without-row", "top-level-list"],
+    ids=["no-observed", "entry-without-row", "top-level-list", "nan-fixed-value"],
 )
 def test_bad_model_file_exits_one(workdir, tmp_path, capsys, doc, message):
     model = tmp_path / "model.json"

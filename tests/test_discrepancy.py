@@ -22,6 +22,13 @@ from fungible import (
     sigma_of_theta,
     wishart_sample,
 )
+from fungible.discrepancy import (
+    SIGMA_NOT_PD,
+    SINGULAR_STRUCTURE,
+    _grad_from_implied,
+    _logdet_s,
+    evaluate_stack,
+)
 from helpers import (
     diag_model,
     feedback_model,
@@ -30,6 +37,7 @@ from helpers import (
     permute_observed,
     random_model,
     reference_f_ml,
+    reference_grad_from_implied,
     saturated_1var,
 )
 
@@ -227,6 +235,108 @@ class TestGradient:
         model, theta, _ = random_model(rng)
         sigma = sigma_of_theta(model, theta)
         assert np.abs(gradient(model, theta, sigma)).max() < 1e-10
+
+
+def _shared_loading_model():
+    """One loading and one unique variance, each shared by three indicators."""
+    return make_model(
+        ["x1", "x2", "x3"],
+        ["f"],
+        [{"row": f"x{i}", "col": "f", "param": "l"} for i in (1, 2, 3)],
+        [{"row": f"x{i}", "col": f"x{i}", "param": "u"} for i in (1, 2, 3)]
+        + [{"row": "f", "col": "f", "value": 1.0}],
+    )
+
+
+def _assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestGradientBytes:
+    """The gradient's rank gathers add each parameter's terms in the order,
+    and from the same 0.0, as ``np.add.at`` did: same sums, same signed
+    zeros."""
+
+    def _assert_matches_add_at(self, model, thetas, s):
+        fault, _, implied = evaluate_stack(model, thetas, s, _logdet_s(s))
+        assert not fault.any()
+        _assert_same_bytes(_grad_from_implied(model, s, *implied),
+                           reference_grad_from_implied(model, s, *implied))
+        for row in range(len(thetas)):
+            one = [mat[row] for mat in implied]
+            _assert_same_bytes(_grad_from_implied(model, s, *one),
+                               reference_grad_from_implied(model, s, *one))
+
+    def test_shared_parameter_entries(self):
+        model = _shared_loading_model()
+        s = np.array([[1.0, 0.4, 0.3], [0.4, 1.1, 0.35], [0.3, 0.35, 0.9]])
+        thetas = np.array([[0.6, 0.5], [0.0, 0.5], [-0.0, 0.7], [-0.3, 1.2]])
+        self._assert_matches_add_at(model, thetas, s)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_models(self, seed):
+        rng = np.random.default_rng(seed)
+        model, theta, s = random_model(rng)
+        thetas = theta + 0.05 * rng.standard_normal((4, model.q))
+        # rows with every effect at +0.0 or -0.0
+        for zero in (0.0, -0.0):
+            row = theta.copy()
+            row[~model.variance_param_mask] = zero
+            thetas = np.vstack([thetas, row])
+        self._assert_matches_add_at(model, thetas, s)
+
+
+def _mixed_rows(model, theta, k, rng, singular=None):
+    """k parameter vectors near theta; every third is not positive definite
+    (variances at -1), and with a ``singular`` vector every fifth is that."""
+    thetas = theta + 0.1 * rng.standard_normal((k, model.q))
+    thetas[1::3, model.variance_param_mask] = -1.0
+    if singular is not None:
+        thetas[3::5] = singular
+    return thetas
+
+
+class TestStackRowsBytes:
+    """Every row of a stacked evaluation is that row's one-row evaluation,
+    byte for byte: F, fault code and implied matrices."""
+
+    def _assert_rows_match(self, model, thetas, s):
+        ld_s = _logdet_s(s)
+        fault, f, implied = evaluate_stack(model, thetas, s, ld_s)
+        assert fault.shape == f.shape == (len(thetas),)
+        kept = 0  # the implied stacks hold the rows whose (I - A) is usable
+        for row in range(len(thetas)):
+            fault_1, f_1, implied_1 = evaluate_stack(model, thetas[row:row + 1], s, ld_s)
+            assert fault[row] == fault_1[0]
+            _assert_same_bytes(f[row], f_1[0])
+            if fault_1[0] != SINGULAR_STRUCTURE:
+                for mat, mat_1 in zip(implied, implied_1):
+                    _assert_same_bytes(mat[kept], mat_1[0])
+                kept += 1
+        assert all(len(mat) == kept for mat in implied)
+        return fault
+
+    @pytest.mark.parametrize("k", [1, 2, 28, 300])
+    def test_single_step_model(self, conditions, k):
+        cond = conditions["Sigma1"]
+        rng = np.random.default_rng(k)
+        thetas = _mixed_rows(cond.model, cond.theta_star, k, rng)
+        fault = self._assert_rows_match(cond.model, thetas, cond.sigma_pop)
+        assert (fault == SIGMA_NOT_PD).sum() == len(thetas[1::3])
+
+    @pytest.mark.parametrize("k", [1, 2, 28, 300])
+    def test_solved_model(self, k):
+        # x <-> y feedback loop: (I - A) is solved, and singular at b1 * b2 = 1
+        model = feedback_model()
+        s = np.array([[1.0, 0.3], [0.3, 1.0]])
+        rng = np.random.default_rng(k)
+        thetas = _mixed_rows(model, np.array([0.3, 0.2, 0.8]), k, rng, singular=[2.0, 0.5, 0.8])
+        if k > 2:
+            # Sigma passes its Cholesky test, then its solve meets a zero pivot
+            thetas[2] = [1.00001, 0.99999, 1e-6]
+        fault = self._assert_rows_match(model, thetas, s)
+        assert (fault == SINGULAR_STRUCTURE).sum() == len(thetas[3::5])
+        assert (fault == SIGMA_NOT_PD).sum() >= len(thetas[1::3]) - len(thetas[3::5])
 
 
 class TestHessian:

@@ -218,6 +218,36 @@ class TestModelSpecValidation:
                 ],
             )
 
+    @pytest.mark.parametrize(
+        "kind, row, col, value",
+        [
+            # NaN once read as "conflicting symmetric entry at (6, 6)"
+            ("symmetric", "f1", "f1", math.nan),
+            # inf once read as "(I - A) is singular at the model's default start"
+            ("directed", "x1", "f1", math.inf),
+            ("symmetric", "x1", "x4", -math.inf),
+        ],
+    )
+    def test_non_finite_fixed_value_rejected(self, kind, row, col, value):
+        doc = model_to_dict(canonical_model())
+        doc[kind] = [e for e in doc[kind] if (e["row"], e["col"]) != (row, col)]
+        doc[kind].append({"row": row, "col": col, "value": value})
+        with pytest.raises(ValueError, match=rf"fixed value at \({row}, {col}\) must be finite"):
+            load_model(doc)
+
+    @pytest.mark.parametrize("label", ["directed_fixed", "symmetric_fixed"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fixed_array_rejected(self, label, value):
+        model = canonical_model()
+        fields = {name: getattr(model, name) for name in (
+            "observed", "latent", "directed_fixed", "directed_param", "symmetric_fixed",
+            "symmetric_param", "theta_names")}
+        fixed = fields[label].copy()
+        fixed[6, 6] = value  # f1's own entry: A's diagonal, S's variance
+        fields[label] = fixed
+        with pytest.raises(ValueError, match=f"{label} must be finite"):
+            ModelSpec(**fields)
+
     def test_filter_matrix(self):
         model = canonical_model()
         f = model.filter_matrix

@@ -193,6 +193,37 @@ class TestRunDesign:
             StudyDesign(population_analysis=("bogus",))
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("replications", "2"),
+            ("replications", True),
+            ("seed", 1.5),
+            ("directions", "90"),
+            ("sample_sizes", (200.5,)),
+            ("sample_sizes", (True, 200)),
+            ("sample_sizes", 200),
+            ("epsilons", ("0.03",)),
+            ("epsilons", (0.0, math.nan)),
+            ("conditions", ("Sigma1", 2)),
+            ("conditions", "Sigma1"),
+            ("focal", ("gamma1", 7)),
+        ],
+    )
+    def test_field_types(self, field, value):
+        # a float sample size or seed was once truncated, a string count
+        # raised TypeError, and a string list split into its letters
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            StudyDesign(**{field: value})
+
+    def test_integer_like_fields_accept_numpy_scalars(self):
+        design = StudyDesign(
+            conditions=("Sigma1",), sample_sizes=(np.int64(200),), epsilons=(np.float64(0.0),),
+            replications=np.int64(1), seed=np.int32(3), directions=16,
+        )
+        assert design.sample_sizes == (200,) and type(design.sample_sizes[0]) is int
+
+
 # Sigma1 at N=200: the first replication at epsilon .09 is an improper fit, excluded
 EXCLUDING_DESIGN = StudyDesign(
     conditions=("Sigma1",),
