@@ -14,7 +14,7 @@ rays and the misfit perturbation search; its domain-edge bisection runs all
 its steps on every problem that needs it.
 
 :func:`golden_max` looks ahead, committing several golden-section steps
-per call of its ``fun``; its docstring describes how.
+per call of its ``fun`` on Python-float brackets; its docstring says how.
 """
 
 from __future__ import annotations
@@ -41,44 +41,47 @@ def bracketed_root(g, lo, hi, g_lo, g_hi, *, f_tol, max_iter=200):
     stops there), or with :data:`ABOVE_TOL` where no point met the tolerance
     before the bracket collapsed or ``max_iter`` iterations passed.
     """
-    a, b, ga, gb = (np.array(v, dtype=float) for v in (lo, hi, g_lo, g_hi))
-    if np.any(ga > 0.0) or np.any(gb < 0.0):
+    a, b, ga, gb = (np.asarray(v, dtype=float) for v in (lo, hi, g_lo, g_hi))
+    if (ga > 0.0).any() or (gb < 0.0).any():
         raise ValueError("bracket does not straddle the root")
     root = np.where(np.abs(ga) <= f_tol, a, np.where(np.abs(gb) <= f_tol, b, np.nan))
     fault = np.zeros(len(root), dtype=int)
-    # the open problems' indices and states, compacted as problems finish
+    # the open problems' indices and rows a, b, x0, g(x0), x1, g(x1)
     i = np.flatnonzero(np.isnan(root))
-    a, b, x0, gx0, x1, gx1 = a[i], b[i], a[i], ga[i], b[i], gb[i]
+    state = np.array([a, b, a, ga, b, gb])[:, i]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_iter):
             if not i.size:
                 break
-            mid = 0.5 * (a + b)
-            denom = gx1 - gx0
-            x = np.where((denom != 0.0) & np.isfinite(denom), x1 - gx1 * (x1 - x0) / denom, mid)
-            x = np.where((a < x) & (x < b) & np.isfinite(x), x, mid)
+            a, b, x1, gx1 = state[0], state[1], state[4], state[5]
+            # a zero or non-finite dg gives a non-finite secant or x1, an end
+            dx, dg = state[4:] - state[2:4]
+            x, secant = 0.5 * (a + b), x1 - gx1 * dx / dg
+            np.copyto(x, secant, where=(a < secant) & (secant < b))
             gx = np.asarray(g(x, i), dtype=float)
-            undefined = np.isnan(gx)
-            fault[i[undefined]] = UNDEFINED
-            hit = np.abs(gx) <= f_tol
-            root[i[hit]] = x[hit]
-            below = gx < 0.0
-            a, b = np.where(below, x, a), np.where(below, b, x)
-            x0, gx0, x1, gx1 = x1, gx1, x, gx
-            collapsed = b - a <= 1e-16 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-            keep = ~hit & ~collapsed & ~undefined
-            i, a, b, x0, gx0, x1, gx1 = (v[keep] for v in (i, a, b, x0, gx0, x1, gx1))
+            np.copyto(a, x, where=gx < 0.0)
+            np.copyto(b, x, where=gx >= 0.0)  # a NaN stops its problem: b is moot
+            state[2:] = x1, gx1, x, gx
+            # max(|a|, |b|) is max(b, -a) where a <= b; a > b collapses anyway
+            going = (np.abs(gx) > f_tol) & ~(b - a <= 1e-16 * np.maximum(1.0, np.maximum(b, -a)))
+            if np.count_nonzero(going) < len(going):
+                fault[i[np.isnan(gx)]] = UNDEFINED
+                hit = np.abs(gx) <= f_tol
+                root[i[hit]] = x[hit]
+                i, state = i.compress(going), state.compress(going, axis=1)
     fault[np.isnan(root) & (fault == 0)] = ABOVE_TOL
     return root, fault
 
 
 def _golden_step(a, b, c, d, left):
-    """One golden-section step on each bracket [a, b] with interior points
+    """One golden-section step on the bracket [a, b] with interior points
     c < d: keep [a, d] where ``left`` (f(c) >= f(d)), else [c, b].  Returns
     the new bracket, its interior points and the one new point among them."""
-    a, b = np.where(left, a, c), np.where(left, d, b)
-    x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-    return a, b, np.where(left, x, d), np.where(left, c, x), x
+    if left:
+        x = d - _INVPHI * (d - a)
+        return a, d, x, c, x
+    x = c + _INVPHI * (b - c)
+    return c, b, d, x, x
 
 
 def golden_max(f, a, b, *, x_tol, max_iter=200):
@@ -106,50 +109,47 @@ def golden_max(f, a, b, *, x_tol, max_iter=200):
     2k + 1 + (f(c) < f(d)) and taking that node's state.  The committed
     points, their arithmetic and the result are those of the step-by-step
     search; the values and faults of the points it does not commit are
-    discarded.
+    discarded.  Brackets and heaps are Python floats: their + - * are
+    numpy's IEEE double operations, without its cost per call.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    n = len(a)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    values, codes = f(np.concatenate([c, d]), np.tile(np.arange(n), 2))
-    values, codes = np.asarray(values, dtype=float), np.asarray(codes)
-    fc, fd = values[:n], values[n:]
-    fault = np.maximum(codes[:n], codes[n:])
-    left = fc >= fd
-    best_x = np.where(left, c, d)
-    best_f = np.where(left, fc, fd)
-    done = 0
-    while done < max_iter and not fault.any():
-        i = np.flatnonzero(b - a > x_tol)
-        if not i.size:
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    values, codes = f(np.concatenate([c, d]), np.tile(np.arange(len(a)), 2))
+    fc, fd = np.asarray(values, dtype=float).reshape(2, len(a))
+    fault = np.maximum(*np.asarray(codes).reshape(2, len(a))).tolist()
+    best_x, best_f = np.where(fc >= fd, [c, fc], [d, fd]).tolist()
+    state = np.stack([a, b, c, d, fc, fd], axis=1).tolist()  # per bracket
+    for done in range(0, max_iter, _LOOKAHEAD):
+        i = [j for j, s in enumerate(state) if s[1] - s[0] > x_tol]
+        if any(fault) or not i:
             break
         depth = min(_LOOKAHEAD, max_iter - done)
-        # per node and open bracket: a, b, c, d and the step's new point
-        heap = np.empty((5, 2**depth - 1, len(i)))
-        opens = np.empty(heap.shape[1:], dtype=bool)
-        for s in range(depth):
-            k = np.arange(2**s - 1, 2 ** (s + 1) - 1)
-            prior = heap[:4, (k - 1) // 2] if s else np.stack([a[i], b[i], c[i], d[i]])[:, None]
-            opens[k] = prior[1] - prior[0] > x_tol
-            heap[:, k] = _golden_step(*prior, (k % 2 == 1)[:, None] if s else fc[i] >= fd[i])
-        node_values, node_codes = np.empty(opens.shape), np.empty(opens.shape, dtype=int)
-        node_values[opens], node_codes[opens] = f(heap[4][opens], i[np.nonzero(opens)[1]])
-        node = np.zeros(len(i), dtype=int)
+        heaps = {}
+        for j in i:
+            heaps[j] = heap = [_golden_step(*state[j][:4], state[j][4] >= state[j][5])]
+            for k in range(1, 2**depth - 1):
+                heap.append(_golden_step(*heap[(k - 1) // 2][:4], k % 2 == 1))
+        nodes = [(k, j) for k in range(2**depth - 1) for j in i
+                 if not k or heaps[j][(k - 1) // 2][1] - heaps[j][(k - 1) // 2][0] > x_tol]
+        xs = np.array([heaps[j][k][4] for k, j in nodes])
+        values, codes = f(xs, np.array([j for _, j in nodes]))
+        values, codes = np.asarray(values, dtype=float).tolist(), np.asarray(codes).tolist()
+        got = dict(zip(nodes, zip(values, codes)))
+        node = dict.fromkeys(i, 0)
         for _ in range(depth):
-            stepping = np.flatnonzero(b[i] - a[i] > x_tol)
-            j, k = i[stepping], node[stepping]
-            fault[j], fx = node_codes[k, stepping], node_values[k, stepping]
-            if fault.any():
+            stepping = [j for j in i if state[j][1] - state[j][0] > x_tol]
+            fault = [got[node[j], j][1] if j in stepping else 0 for j in range(len(state))]
+            if any(fault):
                 break
-            left = fc[j] >= fd[j]
-            a[j], b[j], c[j], d[j], x = heap[:, k, stepping]
-            fc[j], fd[j] = np.where(left, fx, fd[j]), np.where(left, fc[j], fx)
-            better = fx > best_f[j]
-            best_x[j], best_f[j] = np.where(better, x, best_x[j]), np.where(better, fx, best_f[j])
-            node[stepping] = 2 * k + 1 + (fc[j] < fd[j])
-        done += depth
-    return best_x, best_f, fault
+            for j in stepping:
+                a, b, c, d, x = heaps[j][node[j]]
+                fx, (fc, fd) = got[node[j], j][0], state[j][4:]
+                fc, fd = (fx, fc) if fc >= fd else (fd, fx)
+                state[j] = [a, b, c, d, fc, fd]
+                if fx > best_f[j]:
+                    best_x[j], best_f[j] = x, fx
+                node[j] = 2 * node[j] + 1 + (fc < fd)
+    return np.array(best_x, dtype=float), np.array(best_f, dtype=float), np.array(fault, dtype=int)
 
 
 def bracket_level(g, lo, hi, g_lo, *, doublings, edge_iters):
@@ -166,17 +166,17 @@ def bracket_level(g, lo, hi, g_lo, *, doublings, edge_iters):
     reached in ``doublings`` doublings (g_hi NaN).
     """
     lo, hi, g_lo = (np.array(v, dtype=float) for v in (lo, hi, g_lo))
-    g_hi = np.full(len(lo), np.nan)
-    climbing = np.arange(len(lo))
+    g_hi, climbing = np.full(len(lo), np.nan), np.arange(len(lo))
     for _ in range(doublings):
-        g_x = np.asarray(g(hi[climbing], climbing), dtype=float)
-        g_hi[climbing[g_x >= 0]] = g_x[g_x >= 0]
-        climbing, g_x = climbing[g_x < 0], g_x[g_x < 0]
-        lo[climbing], g_lo[climbing] = hi[climbing], g_x
-        hi[climbing] *= 2.0
+        x = hi.take(climbing)
+        g_x = np.asarray(g(x, climbing), dtype=float)
+        reached, below = g_x >= 0, g_x < 0
+        g_hi[climbing.compress(reached)] = g_x.compress(reached)
+        climbing, x, g_x = climbing.compress(below), x.compress(below), g_x.compress(below)
         if not climbing.size:
             break
-    escaped = np.isin(np.arange(len(lo)), climbing)
+        lo[climbing], g_lo[climbing], hi[climbing] = x, g_x, 2.0 * x
+    escaped = np.bincount(climbing, minlength=len(lo)) > 0
 
     edge = np.flatnonzero(np.isnan(g_hi) & ~escaped)
     good, bad, g_good = lo[edge], hi[edge], g_lo[edge]

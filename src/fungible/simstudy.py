@@ -31,7 +31,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .contour import CONFIDENCE, DELTA_F, EPS_TILDE, ContourTarget, axis_widths_exact, f_target
+from .contour import CONFIDENCE, DELTA_F, EPS_TILDE, ContourTarget, _is_real, axis_widths_exact, f_target
 from .errors import DegenerateSample, FungibleError, NotPositiveDefinite
 from .fit import fit_ml
 from .model import canonical_model, condition_from_label, focal_indices, misspecify_to_epsilon
@@ -49,10 +49,6 @@ DEFAULT_TARGETS = (
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _is_str(value) -> bool:
@@ -80,6 +76,7 @@ class StudyDesign:
             ("sample_sizes", _is_int, "integers"),
             ("epsilons", _is_real, "finite real numbers"),
             ("focal", _is_str, "strings"),
+            ("population_analysis", _is_str, "strings"),
         ):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)) or not all(map(is_kind, values)):

@@ -258,6 +258,43 @@ def reference_golden_max(f, a, b, *, x_tol, max_iter=200):
     return best_x, best_f
 
 
+def reference_bracketed_root(g, lo, hi, g_lo, g_hi, *, f_tol, max_iter=200):
+    """One problem's root of g(x) = 0 on [lo, hi], given g(lo) <= 0 <= g(hi),
+    by the textbook safeguarded secant, one scalar ``g(x)`` call per step:
+    the secant through the last two points, or the midpoint where the secant
+    is undefined or leaves the open bracket; the bracket keeps g < 0 at its
+    left end.  Returns ``(root, fault)``: the first x with |g(x)| <= f_tol
+    and 0 (an end of [lo, hi] included); NaN and 2 where g returns NaN; NaN
+    and 1 where the bracket collapses to 1e-16 of its magnitude or
+    ``max_iter`` steps pass.  No package internals.  The oracle for
+    ``_solve.bracketed_root``, which must visit the same points and return
+    the same root bytes and fault per element."""
+    for end, g_end in ((lo, g_lo), (hi, g_hi)):
+        if abs(g_end) <= f_tol:
+            return end, 0
+    a, b = lo, hi
+    x0, g0, x1, g1 = lo, g_lo, hi, g_hi
+    for _ in range(max_iter):
+        x = 0.5 * (a + b)
+        if g1 != g0 and math.isfinite(g1 - g0):
+            secant = x1 - g1 * (x1 - x0) / (g1 - g0)
+            if a < secant < b:
+                x = secant
+        gx = g(x)
+        if math.isnan(gx):
+            return math.nan, 2
+        if abs(gx) <= f_tol:
+            return x, 0
+        if gx < 0:
+            a = x
+        else:
+            b = x
+        x0, g0, x1, g1 = x1, g1, x, gx
+        if b - a <= 1e-16 * max(1.0, abs(a), abs(b)):
+            break
+    return math.nan, 1
+
+
 def reference_bracket_level(g, lo, hi, g_lo, *, doublings, edge_iters):
     """One problem's walk out to the level g(x) = 0, one scalar ``g(x)``
     call per step: double hi until g(hi) >= 0, moving lo up past every

@@ -322,6 +322,11 @@ def _one_error_line(capsys, prefix):
         ({"sample_sizes": [200.5]}, "sample_sizes must be a list of integers"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"directions": "90"}, "directions must be an integer, got '90'"),
+        # a TypeError traceback before, and a list of the string's letters
+        ({"targets": {"confidence": "0.95"}}, "confidence must be a finite real number, got '0.95'"),
+        ({"targets": {"delta_f_scaling": 1}}, "scaling must be a string, got 1"),
+        ({"population_analysis": "confidence"},
+         "population_analysis must be a list of strings, got 'confidence'"),
     ],
 )
 def test_bad_study_config_exits_one(tmp_path, capsys, config, message):

@@ -85,6 +85,23 @@ class TestFTarget:
         with pytest.raises(ValueError):
             ContourTarget(mode="delta_f", scaling="inverse")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("confidence", "0.95"),
+            ("confidence", True),
+            ("delta_f", math.nan),
+            ("epsilon_tilde", None),
+            ("epsilon_tilde", math.inf),
+            ("mode", 3),
+            ("scaling", None),
+        ],
+    )
+    def test_target_field_types(self, field, value):
+        # a string level once ended in a TypeError from the range check
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            ContourTarget(**{field: value})
+
 
 class TestRadialContourPoint:
     def test_quadratic_surrogate_axes(self):

@@ -208,6 +208,8 @@ class TestRunDesign:
             ("conditions", ("Sigma1", 2)),
             ("conditions", "Sigma1"),
             ("focal", ("gamma1", 7)),
+            ("population_analysis", "confidence"),
+            ("population_analysis", ("confidence", None)),
         ],
     )
     def test_field_types(self, field, value):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fungible._solve import ABOVE_TOL, UNDEFINED, bracket_level, bracketed_root, golden_max
-from helpers import reference_bracket_level, reference_golden_max
+from helpers import reference_bracket_level, reference_bracketed_root, reference_golden_max
 
 
 def _problems(seed):
@@ -113,7 +113,84 @@ class TestGoldenMax:
         assert abs(x[0] - 0.3) < 0.01
 
 
+REGULAR, ENDPOINT, NAN_GAP, JUMP, SLIVER = range(5)
+
+
+def _root_problems(seed):
+    """A batch of root problems g(x) = 0 on [lo, hi], with d = (x - lo) -
+    offset the signed distance to the root: a monotone cubic in d (REGULAR);
+    the same with the root at lo or at hi (ENDPOINT); NaN on a gap around
+    the root (NAN_GAP); a jump from -slope to slope at the root, which no
+    point meets (JUMP); and a bracket 5 ulps wide whose root lies halfway
+    between two floats (SLIVER).  The first five problems take one kind
+    each, in that order; the rest are drawn."""
+    rng = np.random.default_rng(seed)
+    kinds = np.concatenate([np.arange(5), rng.integers(0, 5, int(rng.integers(0, 6)))])
+    n = len(kinds)
+    lo = np.where(kinds == SLIVER, rng.uniform(0.01, 0.4, n), rng.uniform(-2.0, 2.0, n))
+    width = np.where(kinds == SLIVER, 5 * np.spacing(lo), rng.uniform(0.1, 10.0, n))
+    hi = lo + width
+    offset = np.select(
+        [kinds == SLIVER, kinds == ENDPOINT],
+        [2.5 * np.spacing(lo), np.where(rng.random(n) < 0.5, 0.0, hi - lo)],
+        rng.uniform(0.05, 0.95, n) * (hi - lo),
+    )
+    slope = np.where(kinds == SLIVER, 1e12, 10.0 ** rng.uniform(0.0, 3.0, n))
+    cubic = np.where(kinds == SLIVER, 0.0, rng.choice([0.0, 1.0, 30.0], n))
+    room = np.minimum(offset, hi - lo - offset)  # from the root to the nearer end
+    gap = np.where(kinds == NAN_GAP, rng.uniform(1e-3, 0.9, n) * room, 0.0)
+
+    def g(x, which):
+        d = (x - lo[which]) - offset[which]
+        s = slope[which]
+        v = np.where(kinds[which] == JUMP, np.where(d >= 0, s, -s), s * d + cubic[which] * d**3)
+        return np.where(np.abs(d) < gap[which], np.nan, v)
+
+    return kinds, lo, hi, g
+
+
 class TestBracketedRoot:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        f_tol=st.sampled_from([0.0, 1e-12, 1e-9]),
+        max_iter=st.sampled_from([1, 2, 3, 5, 200]),
+    )
+    def test_matches_scalar_search(self, seed, f_tol, max_iter):
+        kinds, lo, hi, g = _root_problems(seed)
+        every = np.arange(len(lo))
+        g_lo, g_hi = g(lo, every), g(hi, every)
+        seen = [[] for _ in lo]
+
+        def recording(x, which):
+            for k, v in zip(which, x):
+                seen[k].append(float(v))
+            return g(x, which)
+
+        root, fault = bracketed_root(recording, lo, hi, g_lo, g_hi, f_tol=f_tol, max_iter=max_iter)
+        for k in range(len(lo)):
+            visited = []
+
+            def scalar(x):
+                visited.append(x)
+                return float(g(np.array([x]), np.array([k]))[0])
+
+            want_root, want_fault = reference_bracketed_root(
+                scalar, float(lo[k]), float(hi[k]), float(g_lo[k]), float(g_hi[k]),
+                f_tol=f_tol, max_iter=max_iter,
+            )
+            assert seen[k] == visited
+            assert root[k].tobytes() == np.float64(want_root).tobytes()
+            assert fault[k] == want_fault
+        # every kind ends its own way
+        at_end = kinds == ENDPOINT
+        assert not fault[at_end].any() and np.isin(root[at_end], [lo[at_end], hi[at_end]]).all()
+        assert (fault[np.isin(kinds, [JUMP, SLIVER])] == ABOVE_TOL).all()
+        if max_iter == 200:
+            assert (fault[kinds == NAN_GAP] == UNDEFINED).all()
+            if f_tol:
+                assert not fault[kinds == REGULAR].any()
+
     def test_faults_stay_per_element(self):
         # element 0 is undefined left of 0.55, element 1 jumps over zero at
         # 0.3 without reaching the tolerance, element 2 is regular
