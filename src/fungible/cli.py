@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,8 @@ from .contour import (
     CONFIDENCE,
     DELTA_F,
     EPS_TILDE,
+    N_DIRECTIONS,
+    SCALINGS,
     ContourTarget,
     axis_widths_exact,
     axis_widths_quadratic,
@@ -147,11 +149,11 @@ def cmd_confset(args):
     return 0
 
 
-_DESIGN_KEYS = ("conditions", "sample_sizes", "epsilons", "replications",
-                "seed", "directions", "focal", "population_analysis", "targets")
-# per default target: config key -> the ContourTarget field it overrides
-_TARGET_KEYS = ({"confidence": "confidence"}, {"eps_tilde": "epsilon_tilde"},
-                {"delta_f": "delta_f", "delta_f_scaling": "scaling"})
+_DESIGN_KEYS = tuple(field.name for field in fields(StudyDesign))
+# per contour mode: config key -> the ContourTarget field it overrides
+_TARGET_KEYS = {CONFIDENCE: {"confidence": "confidence"},
+                EPS_TILDE: {"eps_tilde": "epsilon_tilde"},
+                DELTA_F: {"delta_f": "delta_f", "delta_f_scaling": "scaling"}}
 
 
 def _known_keys(doc, known, what):
@@ -164,15 +166,26 @@ def _known_keys(doc, known, what):
         raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
 
 
+def _target_from_config(default, given):
+    """``default`` with the fields that the config keys in ``given`` name
+    replaced one key at a time, so that a bad value's error names its key."""
+    target = default
+    for key, field in _TARGET_KEYS[default.mode].items():
+        if key in given:
+            try:
+                target = replace(target, **{field: given[key]})
+            except ValueError as exc:
+                raise ValueError(f"study config targets key {key!r}: {exc}") from None
+    return target
+
+
 def _design_from_config(doc, seed=None):
     _known_keys(doc, _DESIGN_KEYS, "study config")
     given = doc.get("targets", {})
-    _known_keys(given, [key for rename in _TARGET_KEYS for key in rename], "study config targets")
+    _known_keys(given, [key for rename in _TARGET_KEYS.values() for key in rename],
+                "study config targets")
     kwargs = {key: value for key, value in doc.items() if key != "targets"}
-    kwargs["targets"] = tuple(
-        replace(default, **{field: given[key] for key, field in rename.items() if key in given})
-        for default, rename in zip(DEFAULT_TARGETS, _TARGET_KEYS)
-    )
+    kwargs["targets"] = tuple(_target_from_config(default, given) for default in DEFAULT_TARGETS)
     if seed is not None:
         kwargs["seed"] = seed
     return StudyDesign(**kwargs)
@@ -203,8 +216,8 @@ def _add_fit_arguments(sub):
     sub.add_argument("--model", required=True, help="model JSON file")
     sub.add_argument("--cov", required=True, help="covariance CSV (p x p, no header)")
     sub.add_argument("--n", required=True, type=int, help="sample size")
-    sub.add_argument("--max-iter", type=int, default=500)
-    sub.add_argument("--grad-tol", type=float, default=1e-6)
+    sub.add_argument("--max-iter", type=int, default=FitOptions.max_iter)
+    sub.add_argument("--grad-tol", type=float, default=FitOptions.grad_tol)
     sub.add_argument("--start", help="start vector file (one value per line)")
     sub.add_argument("--out", help="output file (default: stdout)")
 
@@ -224,21 +237,20 @@ def build_parser():
     sub = subs.add_parser("fpe", help="sample fungible parameter estimates")
     _add_fit_arguments(sub)
     sub.add_argument("--mode", choices=sorted(_MODE_NAMES), default="delta-f")
-    sub.add_argument("--delta-f", type=float, default=0.05)
-    sub.add_argument("--eps-tilde", type=float, default=0.005)
-    sub.add_argument("--level", type=float, default=0.95)
-    sub.add_argument("--scaling", choices=("likelihood", "raw", "relative"),
-                     default="likelihood")
-    sub.add_argument("--focal", default="gamma1,gamma2",
+    sub.add_argument("--delta-f", type=float, default=ContourTarget.delta_f)
+    sub.add_argument("--eps-tilde", type=float, default=ContourTarget.epsilon_tilde)
+    sub.add_argument("--level", type=float, default=ContourTarget.confidence)
+    sub.add_argument("--scaling", choices=SCALINGS, default=ContourTarget.scaling)
+    sub.add_argument("--focal", default=",".join(StudyDesign.focal),
                      help="two focal parameters, by name or index (comma separated)")
-    sub.add_argument("--directions", type=int, default=360)
+    sub.add_argument("--directions", type=int, default=N_DIRECTIONS)
     sub.set_defaults(func=cmd_fpe)
 
     sub = subs.add_parser("confset", help="confidence-set axis widths")
     _add_fit_arguments(sub)
-    sub.add_argument("--level", type=float, default=0.95)
-    sub.add_argument("--focal", default="gamma1,gamma2")
-    sub.add_argument("--directions", type=int, default=360)
+    sub.add_argument("--level", type=float, default=ContourTarget.confidence)
+    sub.add_argument("--focal", default=",".join(StudyDesign.focal))
+    sub.add_argument("--directions", type=int, default=N_DIRECTIONS)
     sub.set_defaults(func=cmd_confset)
 
     sub = subs.add_parser("study", help="run the Monte Carlo study")

@@ -56,6 +56,8 @@ DELTA_F = "delta_f"
 EPS_TILDE = "eps_tilde"
 CONFIDENCE = "confidence"
 _MODES = (DELTA_F, EPS_TILDE, CONFIDENCE)
+SCALINGS = ("likelihood", "raw", "relative")  # of the delta_f offset
+N_DIRECTIONS = 360  # rays per contour sweep unless a caller says otherwise
 
 F_TOL = 1e-9  # every ray root: |F - T| <= F_TOL
 ANGLE_TOL = 1e-6  # golden refinement of the extremal width angles, radians
@@ -103,7 +105,7 @@ class ContourTarget:
             raise ValueError("contour offsets must be nonnegative")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
-        if self.scaling not in ("likelihood", "raw", "relative"):
+        if self.scaling not in SCALINGS:
             raise ValueError(f"unknown delta_f scaling {self.scaling!r}")
 
 
@@ -299,7 +301,7 @@ def radial_contour_point(fit, direction, t_target: float, focal) -> np.ndarray:
     return np.asarray(fit.theta_hat, dtype=float) + r * _embed(fit, units, focal)[0]
 
 
-def sweep_contour(fit, t_target: float, focal, n_directions: int = 360):
+def sweep_contour(fit, t_target: float, focal, n_directions: int = N_DIRECTIONS):
     """Solve the contour along ``n_directions`` equally spaced focal-plane
     rays; returns the list of :class:`ContourPoint` for the directions that
     reached the level (escaped directions are simply absent)."""
@@ -357,7 +359,7 @@ def _fix_sign(v):
     return v
 
 
-def axis_widths_exact(fit, t_target: float, focal, n_directions: int = 360) -> AxisWidths:
+def axis_widths_exact(fit, t_target: float, focal, n_directions: int = N_DIRECTIONS) -> AxisWidths:
     """Axis widths from an exact direction sweep.
 
     Solves the contour along ``n_directions`` rays, measures the through-center
@@ -413,7 +415,7 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = 360) -> A
     )
 
 
-def fpe_sample(fit, target: ContourTarget, focal, n_directions: int = 360) -> list[np.ndarray]:
+def fpe_sample(fit, target: ContourTarget, focal, n_directions: int = N_DIRECTIONS) -> list[np.ndarray]:
     """The fungible parameter estimates themselves: contour points from the
     direction sweep, one full-length parameter vector per solved direction.
 

@@ -136,7 +136,9 @@ def f_ml_stack(model: ModelSpec, thetas, s, *, ld_s: float | None = None) -> np.
 def _grad_from_implied(model, s, g_mat, c_mat, sigma):
     """Gradient of F from the implied matrices at one point where Sigma is
     invertible, or from ``(k, ., .)`` stacks of them at k such points (then
-    ``(k, q)``)."""
+    ``(k, q)``).  The terms of the free entries that share a parameter add
+    up with one ``np.bincount``, in :attr:`~fungible.model.ModelSpec._free`
+    order and from 0.0."""
     p = model.n_observed
     sigma_inv = np.linalg.inv(sigma)
     w = sigma_inv @ (sigma - s) @ sigma_inv
@@ -150,13 +152,13 @@ def _grad_from_implied(model, s, g_mat, c_mat, sigma):
         (c_mat[..., :, :p] @ w @ g_obs).reshape(lead + (m * m,)),
         (g_obs.swapaxes(-1, -2) @ w @ g_obs).reshape(lead + (m * m,)),
     ], axis=-1)
-    flat, factor, later = model._gradient_ranks
+    params, flat, factor = model._gradient_gather
     terms = factor * both.take(flat, axis=-1)
-    # entries sharing a parameter add up in entry order, from 0.0
-    grad = 0.0 + terms[..., : model.q]
-    for params, start, stop in later:
-        grad[..., params] += terms[..., start:stop]
-    return grad
+    if terms.ndim == 1:
+        return np.bincount(params, terms, minlength=model.q)
+    k, q = len(terms), model.q
+    bins = (params + q * np.arange(k)[:, None]).ravel()  # row r's parameters at r*q + params
+    return np.bincount(bins, terms.ravel(), minlength=k * q).reshape(k, q)
 
 
 def gradient(model: ModelSpec, theta, s) -> np.ndarray:

@@ -198,33 +198,17 @@ class ModelSpec:
         return tuple(entries)
 
     @cached_property
-    def _gradient_gather(self) -> tuple[np.ndarray, ...]:
-        """Index arrays for the analytic gradient: the parameter of every free
-        entry (:attr:`_free` order), the A entries' rows and columns, the S
-        entries' rows and columns, and the factor each entry's derivative
-        term carries (1 on the S diagonal, else 2).  :attr:`_gradient_ranks`
-        orders them for the gradient's sums."""
+    def _gradient_gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per free entry of :attr:`_free`, for the analytic gradient: its
+        parameter, its flat position in the A entries' m x m matrix (read
+        transposed) followed by the S entries', and its term's factor (1 on
+        the S diagonal, else 2)."""
         params, rows, cols, in_s = np.array(self._free, dtype=int).reshape(-1, 4).T.copy()
         in_s = in_s.astype(bool)
-        factor = np.where(in_s & (rows == cols), 1.0, 2.0)
-        return params, rows[~in_s], cols[~in_s], rows[in_s], cols[in_s], factor
-
-    @cached_property
-    def _gradient_ranks(self) -> tuple[np.ndarray, np.ndarray, tuple[tuple[np.ndarray, int, int], ...]]:
-        """:attr:`_gradient_gather` as flat positions into the A entries'
-        matrix (read transposed) followed by the S entries' matrix, each
-        m x m, ordered by sharing rank: every parameter's first free entry
-        (:attr:`_free` order), then per rank r >= 1 the (r+1)-th entry of
-        every parameter with more than r entries.  Returns those positions,
-        their factors, and per rank r >= 1 its parameters and its span."""
-        params, a_rows, a_cols, s_rows, s_cols, factor = self._gradient_gather
         m = self.m
-        flat = np.concatenate([a_cols * m + a_rows, m * m + s_rows * m + s_cols])
-        rank = np.array([np.count_nonzero(params[:entry] == k) for entry, k in enumerate(params)])
-        order = np.lexsort((params, rank))
-        bounds = np.cumsum(np.bincount(rank))
-        later = tuple((params[order[lo:hi]], lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
-        return flat[order], factor[order], later
+        flat = np.where(in_s, m * m + rows * m + cols, cols * m + rows)
+        factor = np.where(in_s & (rows == cols), 1.0, 2.0)
+        return params, flat, factor
 
     @cached_property
     def variance_param_mask(self) -> np.ndarray:

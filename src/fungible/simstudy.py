@@ -31,7 +31,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .contour import CONFIDENCE, DELTA_F, EPS_TILDE, ContourTarget, _is_real, axis_widths_exact, f_target
+from .contour import (CONFIDENCE, DELTA_F, EPS_TILDE, N_DIRECTIONS, ContourTarget, _is_real,
+                       axis_widths_exact, f_target)
 from .errors import DegenerateSample, FungibleError, NotPositiveDefinite
 from .fit import fit_ml
 from .model import canonical_model, condition_from_label, focal_indices, misspecify_to_epsilon
@@ -63,7 +64,7 @@ class StudyDesign:
     replications: int = 500
     seed: int = 0
     targets: tuple[ContourTarget, ...] = DEFAULT_TARGETS
-    directions: int = 360
+    directions: int = N_DIRECTIONS
     focal: tuple[str, str] = ("gamma1", "gamma2")
     population_analysis: tuple[str, ...] = (CONFIDENCE,)
 
@@ -285,16 +286,13 @@ def run_cell(design: StudyDesign, condition: str, n: int, epsilon: float, mode: 
 
 
 def _jobs(design: StudyDesign):
-    jobs = []
-    for condition in design.conditions:
-        for n in design.sample_sizes:
-            for target in design.targets:
-                if target.mode == CONFIDENCE:
-                    jobs.append((condition, n, 0.0, target.mode))
-                else:
-                    for eps in design.epsilons:
-                        jobs.append((condition, n, eps, target.mode))
-    return jobs
+    """(condition, n, epsilon, mode) of every cell the table holds for the
+    modes the design targets: per (condition, n), the (mode, epsilon) of
+    each :func:`_columns` entry in table order."""
+    modes = {target.mode for target in design.targets}
+    cells = dict.fromkeys((mode, eps) for _, mode, eps, _ in _columns(design.epsilons) if mode in modes)
+    return [(condition, n, eps, mode) for condition in design.conditions
+            for n in design.sample_sizes for mode, eps in cells]
 
 
 def _worker_count(n_jobs, threads):

@@ -44,6 +44,28 @@ def feedback_model():
     )
 
 
+def shared_entry_model():
+    """Parameter ``t`` on an A entry, an S diagonal and an S covariance,
+    with fixed S values on and off the diagonal."""
+    return make_model(
+        ["x1", "x2", "x3"],
+        ["f"],
+        [
+            {"row": "x1", "col": "f", "param": "t"},
+            {"row": "x2", "col": "f", "param": "l2"},
+            {"row": "x3", "col": "f", "param": "l3"},
+        ],
+        [
+            {"row": "x2", "col": "x2", "param": "t"},
+            {"row": "x1", "col": "x3", "param": "t"},
+            {"row": "x1", "col": "x1", "param": "u1"},
+            {"row": "x3", "col": "x3", "param": "u3"},
+            {"row": "f", "col": "f", "value": 1.0},
+            {"row": "x1", "col": "x2", "value": 0.2},
+        ],
+    )
+
+
 def random_model(rng):
     """A random small recursive model plus a random theta and a random
     positive definite covariance of matching order."""
@@ -149,9 +171,12 @@ def reference_implied(model, thetas):
 
 
 def reference_grad_from_implied(model, s, g_mat, c_mat, sigma):
-    """The analytic gradient with the terms of entries that share a
-    parameter summed by ``np.add.at`` into zeros, in entry order; the oracle
-    for ``discrepancy._grad_from_implied``, whose rank gathers must give the
+    """The analytic gradient read off the pattern matrices: every free A
+    entry (i, j) adds 2 (G S G' F' W F G)_ji to its parameter, and every free
+    S entry (i, j) with i <= j adds (G' F' W F G)_ij, twice off the diagonal;
+    the A entries, then S's upper triangle, each row-major, summed by
+    ``np.add.at`` into zeros.  The oracle for
+    ``discrepancy._grad_from_implied``, whose one bincount must give the
     same bytes."""
     p = model.n_observed
     sigma_inv = np.linalg.inv(sigma)
@@ -160,7 +185,12 @@ def reference_grad_from_implied(model, s, g_mat, c_mat, sigma):
     g_obs = g_mat[..., :p, :]
     q_mat = np.swapaxes(c_mat[..., :, :p] @ w @ g_obs, -1, -2)
     d_mat = np.swapaxes(g_obs, -1, -2) @ w @ g_obs
-    params, a_rows, a_cols, s_rows, s_cols, factor = model._gradient_gather
+    a_rows, a_cols = np.nonzero(model.directed_param >= 0)
+    s_rows, s_cols = np.nonzero(np.triu(model.symmetric_param >= 0))
+    params = np.concatenate(
+        [model.directed_param[a_rows, a_cols], model.symmetric_param[s_rows, s_cols]]
+    )
+    factor = np.concatenate([np.full(len(a_rows), 2.0), np.where(s_rows == s_cols, 1.0, 2.0)])
     terms = factor * np.concatenate(
         [q_mat[..., a_rows, a_cols], d_mat[..., s_rows, s_cols]], axis=-1
     )

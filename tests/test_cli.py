@@ -13,7 +13,7 @@ from fungible import (
     save_model,
     wishart_sample,
 )
-from fungible.cli import _design_from_config, main
+from fungible.cli import _design_from_config, build_parser, main
 from fungible.simstudy import DEFAULT_TARGETS, StudyDesign
 from helpers import clear_fit_caches
 
@@ -327,6 +327,15 @@ def _one_error_line(capsys, prefix):
         ({"targets": {"delta_f_scaling": 1}}, "scaling must be a string, got 1"),
         ({"population_analysis": "confidence"},
          "population_analysis must be a list of strings, got 'confidence'"),
+        # once named the ContourTarget field, or no field at all
+        ({"targets": {"eps_tilde": "x"}},
+         "targets key 'eps_tilde': epsilon_tilde must be a finite real number, got 'x'"),
+        ({"targets": {"delta_f_scaling": 1}},
+         "targets key 'delta_f_scaling': scaling must be a string, got 1"),
+        ({"targets": {"eps_tilde": -1}},
+         "targets key 'eps_tilde': contour offsets must be nonnegative"),
+        ({"targets": {"delta_f_scaling": "bogus"}},
+         "targets key 'delta_f_scaling': unknown delta_f scaling 'bogus'"),
     ],
 )
 def test_bad_study_config_exits_one(tmp_path, capsys, config, message):
@@ -334,6 +343,16 @@ def test_bad_study_config_exits_one(tmp_path, capsys, config, message):
     cfg.write_text(json.dumps(config))
     assert main(["study", "--config", str(cfg)]) == 1
     assert message in _one_error_line(capsys, "error:")
+
+
+@pytest.mark.parametrize("command", ["fit", "fpe", "confset"])
+def test_parser_defaults(command):
+    args = build_parser().parse_args([command, "--model", "m.json", "--cov", "c.csv", "--n", "50"])
+    assert (args.max_iter, args.grad_tol) == (500, 1e-6)
+    if command != "fit":
+        assert (args.level, args.focal, args.directions) == (0.95, "gamma1,gamma2", 360)
+    if command == "fpe":
+        assert (args.delta_f, args.eps_tilde, args.scaling) == (0.05, 0.005, "likelihood")
 
 
 def _model_doc_without(key, entry_key=None):

@@ -29,7 +29,13 @@ from fungible import (
 from fungible import contour
 from fungible._solve import golden_max
 from fungible.simstudy import DEFAULT_TARGETS
-from helpers import QuadraticSurrogate, RowMapped, reference_bracket_level, reference_golden_max
+from helpers import (
+    QuadraticSurrogate,
+    RowMapped,
+    reference_bracket_level,
+    reference_bracketed_root,
+    reference_golden_max,
+)
 
 
 class TestFTarget:
@@ -346,36 +352,6 @@ class TestSampleSizeScaling:
         assert small.minor == big.minor
 
 
-def _scalar_root(g, lo, hi, g_lo, g_hi, f_tol, max_iter=200):
-    """Safeguarded secant/bisection on one bracket, one g call per step."""
-    if abs(g_lo) <= f_tol:
-        return lo
-    if abs(g_hi) <= f_tol:
-        return hi
-    a, b = lo, hi
-    x0, gx0, x1, gx1 = lo, g_lo, hi, g_hi
-    best_x, best_g = (lo, g_lo) if abs(g_lo) < abs(g_hi) else (hi, g_hi)
-    for _ in range(max_iter):
-        denom = gx1 - gx0
-        x = x1 - gx1 * (x1 - x0) / denom if denom != 0.0 and math.isfinite(denom) else 0.5 * (a + b)
-        if not (a < x < b) or not math.isfinite(x):
-            x = 0.5 * (a + b)
-        gx = g(x)
-        if abs(gx) <= f_tol:
-            return x
-        if abs(gx) < abs(best_g):
-            best_x, best_g = x, gx
-        if gx < 0.0:
-            a = x
-        else:
-            b = x
-        x0, gx0, x1, gx1 = x1, gx1, x, gx
-        if b - a <= 1e-16 * max(1.0, abs(a), abs(b)):
-            break
-    assert abs(best_g) <= f_tol
-    return best_x
-
-
 def _reference_radius(res, unit, focal, t, f_tol=1e-9):
     """One ray solved on its own with the scalar f_ml: exponential bracketing
     from the quadratic radius, bisection to the domain edge, then the root;
@@ -397,7 +373,9 @@ def _reference_radius(res, unit, focal, t, f_tol=1e-9):
     )
     if escaped:
         return math.nan
-    return _scalar_root(gap, lo, hi, g_lo, g_hi, f_tol)
+    root, fault = reference_bracketed_root(gap, lo, hi, g_lo, g_hi, f_tol=f_tol)
+    assert fault == 0
+    return root
 
 
 def _selftest_case():

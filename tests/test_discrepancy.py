@@ -39,6 +39,7 @@ from helpers import (
     reference_f_ml,
     reference_grad_from_implied,
     saturated_1var,
+    shared_entry_model,
 )
 
 
@@ -253,9 +254,8 @@ def _assert_same_bytes(got, want):
 
 
 class TestGradientBytes:
-    """The gradient's rank gathers add each parameter's terms in the order,
-    and from the same 0.0, as ``np.add.at`` did: same sums, same signed
-    zeros."""
+    """The gradient's one bincount adds each parameter's terms in free-entry
+    order, from 0.0, as ``np.add.at`` does: same sums, same signed zeros."""
 
     def _assert_matches_add_at(self, model, thetas, s):
         fault, _, implied = evaluate_stack(model, thetas, s, _logdet_s(s))
@@ -271,6 +271,16 @@ class TestGradientBytes:
         model = _shared_loading_model()
         s = np.array([[1.0, 0.4, 0.3], [0.4, 1.1, 0.35], [0.3, 0.35, 0.9]])
         thetas = np.array([[0.6, 0.5], [0.0, 0.5], [-0.0, 0.7], [-0.3, 1.2]])
+        self._assert_matches_add_at(model, thetas, s)
+        # t sits on an A entry, an S covariance and an S diagonal
+        model = shared_entry_model()
+        s = np.array([[1.3, 0.5, 0.8], [0.5, 0.9, 0.4], [0.8, 0.4, 1.5]])
+        thetas = np.array([
+            [0.5, 0.6, 0.7, 1.0, 1.0],
+            [0.3, 0.8, 0.4, 1.2, 0.9],
+            [-0.2, 0.7, 0.5, 1.1, 1.3],
+            [0.4, -0.6, 0.0, 0.9, 1.4],
+        ])
         self._assert_matches_add_at(model, thetas, s)
 
     @pytest.mark.parametrize("seed", range(30))

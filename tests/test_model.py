@@ -27,7 +27,14 @@ from fungible import (
 )
 from fungible.discrepancy import SINGULAR_STRUCTURE, evaluate_stack
 from fungible.model import implied_stack
-from helpers import diag_model, feedback_model, random_model, reference_implied, two_var_path
+from helpers import (
+    diag_model,
+    feedback_model,
+    random_model,
+    reference_implied,
+    shared_entry_model,
+    two_var_path,
+)
 
 
 class TestSigmaOfTheta:
@@ -292,32 +299,11 @@ class TestModelJson:
         assert model.start[model.theta_names.index("b")] == 0.3
 
 
-def shared_entry_model():
-    """Parameter ``t`` on an A entry, an S diagonal and an S covariance,
-    with fixed S values on and off the diagonal."""
-    return make_model(
-        ["x1", "x2", "x3"],
-        ["f"],
-        [
-            {"row": "x1", "col": "f", "param": "t"},
-            {"row": "x2", "col": "f", "param": "l2"},
-            {"row": "x3", "col": "f", "param": "l3"},
-        ],
-        [
-            {"row": "x2", "col": "x2", "param": "t"},
-            {"row": "x1", "col": "x3", "param": "t"},
-            {"row": "x1", "col": "x1", "param": "u1"},
-            {"row": "x3", "col": "x3", "param": "u3"},
-            {"row": "f", "col": "f", "value": 1.0},
-            {"row": "x1", "col": "x2", "value": 0.2},
-        ],
-    )
-
-
 # the free-entry readers at the commit before they shared one entry table:
 # default_start() and default_start(s) at s = diag(1.5, 2.0, ...), the
-# variance mask, the gradient's index arrays as (dtype, values), and the
-# free directed/symmetric entries of model_to_dict as (row, col, param)
+# variance mask, the gradient's index arrays (parameter, flat position and
+# factor per free entry) as (dtype, values), and the free directed/symmetric
+# entries of model_to_dict as (row, col, param)
 FREE_ENTRY_PINS = {
     "canonical": (
         [0.1] * 7 + [0.5] * 6 + [0.0],
@@ -325,10 +311,7 @@ FREE_ENTRY_PINS = {
         [False] * 7 + [True] * 6 + [False],
         [
             ("<i8", list(range(14))),
-            ("<i8", [0, 1, 2, 3, 4, 5, 5]),
-            ("<i8", [6, 6, 6, 7, 7, 6, 7]),
-            ("<i8", [0, 1, 2, 3, 4, 5, 6]),
-            ("<i8", [0, 1, 2, 3, 4, 5, 7]),
+            ("<i8", [48, 49, 50, 59, 60, 53, 61, 64, 73, 82, 91, 100, 109, 119]),
             ("<f8", [2.0] * 7 + [1.0] * 6 + [2.0]),
         ],
         [
@@ -348,10 +331,7 @@ FREE_ENTRY_PINS = {
         [True, False, False, True, True],
         [
             ("<i8", [0, 1, 2, 3, 0, 0, 4]),
-            ("<i8", [0, 1, 2]),
-            ("<i8", [3, 3, 3]),
-            ("<i8", [0, 0, 1, 2]),
-            ("<i8", [0, 2, 1, 2]),
+            ("<i8", [12, 13, 14, 16, 18, 21, 26]),
             ("<f8", [2.0, 2.0, 2.0, 1.0, 2.0, 1.0, 1.0]),
         ],
         [("x1", "f", "t"), ("x2", "f", "l2"), ("x3", "f", "l3")],

@@ -165,6 +165,22 @@ class TestRunDesign:
         threaded = run_design(SMALL_DESIGN, threads=2)
         assert serial == threaded
 
+    def test_target_order_does_not_change_the_table(self):
+        reverse = dataclasses.replace(SMALL_DESIGN, targets=SMALL_DESIGN.targets[::-1])
+        assert emit_table(run_design(reverse)) == emit_table(run_design(SMALL_DESIGN))
+
+    def test_untargeted_mode_runs_no_cell(self):
+        design = dataclasses.replace(
+            SMALL_DESIGN,
+            targets=tuple(t for t in SMALL_DESIGN.targets if t.mode != contour.EPS_TILDE),
+        )
+        assert all(mode != contour.EPS_TILDE for *_, mode in _jobs(design))
+        table = run_design(design)
+        assert {c.mode for c in table.cells} == {contour.CONFIDENCE, contour.DELTA_F}
+        header, row = emit_table(table).splitlines()
+        for name, value in zip(header.split(","), row.split(",")):
+            assert (value == "nan") == name.startswith(contour.EPS_TILDE), name
+
     def test_generated_major_at_least_minor(self):
         table = run_design(SMALL_DESIGN)
         for cell in table.cells:
