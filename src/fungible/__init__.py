@@ -38,7 +38,6 @@ from .model import (
     FIXED,
     ModelSpec,
     PopulationCondition,
-    builtin_conditions,
     canonical_model,
     condition_from_label,
     load_model,

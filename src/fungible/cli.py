@@ -69,17 +69,13 @@ def _check_files(args, names):
     return True
 
 
-def _fit_options(args):
-    start = None
-    if getattr(args, "start", None):
-        start = np.loadtxt(args.start, delimiter=",").reshape(-1)
-    return FitOptions(max_iter=args.max_iter, grad_tol=args.grad_tol, start=start)
-
-
 def _do_fit(args):
     model = load_model(args.model)
     s = np.loadtxt(args.cov, delimiter=",", ndmin=2)
-    return fit_ml(model, s, n=args.n, opts=_fit_options(args))
+    if args.start:
+        model = replace(model, start=np.loadtxt(args.start, delimiter=",").reshape(-1))
+    opts = FitOptions(max_iter=args.max_iter, grad_tol=args.grad_tol)
+    return fit_ml(model, s, n=args.n, opts=opts)
 
 
 def _parse_focal(spec, model):
@@ -202,9 +198,6 @@ def cmd_study(args):
 
 
 def cmd_table_check(args):
-    if args.fixture != "paper":
-        print(f"usage error: unknown fixture {args.fixture!r}", file=sys.stderr)
-        return 2
     if not _check_files(args, ()):
         return 2
     ok, lines = check_fixture_scaling()
@@ -218,7 +211,8 @@ def _add_fit_arguments(sub):
     sub.add_argument("--n", required=True, type=int, help="sample size")
     sub.add_argument("--max-iter", type=int, default=FitOptions.max_iter)
     sub.add_argument("--grad-tol", type=float, default=FitOptions.grad_tol)
-    sub.add_argument("--start", help="start vector file (one value per line)")
+    sub.add_argument("--start", help="start vector file (one value per line); "
+                     "replaces the model's start vector")
     sub.add_argument("--out", help="output file (default: stdout)")
 
 
@@ -257,12 +251,12 @@ def build_parser():
     sub.add_argument("--config", help="study design JSON (defaults apply if omitted)")
     sub.add_argument("--seed", type=int, help="override the design seed")
     sub.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    sub.add_argument("--threads", type=int, help="worker cap (default: FC_THREADS)")
+    sub.add_argument("--threads", type=int,
+                     help="worker process cap (default: the processor count)")
     sub.add_argument("--out", help="output file (default: stdout)")
     sub.set_defaults(func=cmd_study)
 
     sub = subs.add_parser("table-check", help="check the embedded reference table")
-    sub.add_argument("--fixture", default="paper")
     sub.add_argument("--out", help="output file (default: stdout)")
     sub.set_defaults(func=cmd_table_check)
 

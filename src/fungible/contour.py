@@ -33,11 +33,11 @@ For a :class:`~fungible.fit.FitResult` that evaluation is
 bit for bit.
 
 These functions only use ``theta_hat``, ``f_hat``, ``n``, ``hessian_at_opt``
-and ``objectives(thetas)`` from the fit argument, so any object exposing those
-(e.g. a test surrogate) works in place of a :class:`~fungible.fit.FitResult`.
+and ``objectives(thetas)`` from the fit argument, and :func:`f_target`'s
+``eps_tilde`` mode also ``df``, so any object exposing those (e.g. a test
+surrogate) works in place of a :class:`~fungible.fit.FitResult`.
 ``objectives`` takes a ``(k, q)`` stack and returns F for each row, NaN where
-F is undefined; a scalar ``objective(theta)`` is never mapped over rows, so a
-stand-in fit must provide the stacked form.
+F is undefined; the engine evaluates only this stacked form.
 """
 
 from __future__ import annotations
@@ -139,8 +139,9 @@ class ContourPoint:
     f_value: float
 
 
-def f_target(target: ContourTarget, fit, df: int | None = None, *, n_focal: int = 2) -> float:
-    """Discrepancy level T defining the contour {theta : F(theta) = T}."""
+def f_target(target: ContourTarget, fit, *, n_focal: int = 2) -> float:
+    """Discrepancy level T defining the contour {theta : F(theta) = T}.
+    ``eps_tilde`` mode reads the model's degrees of freedom from ``fit.df``."""
     f_hat = fit.f_hat
     if target.mode == DELTA_F:
         if target.scaling == "raw":
@@ -153,10 +154,8 @@ def f_target(target: ContourTarget, fit, df: int | None = None, *, n_focal: int 
     if target.mode == EPS_TILDE:
         if fit.n is None:
             raise ValueError("eps_tilde mode needs a sample size")
-        if df is None:
-            df = fit.df
-        eps_hat = rmsea_from_f(f_hat, df, fit.n)
-        return f_from_rmsea(eps_hat + target.epsilon_tilde, df, fit.n)
+        eps_hat = rmsea_from_f(f_hat, fit.df, fit.n)
+        return f_from_rmsea(eps_hat + target.epsilon_tilde, fit.df, fit.n)
     if fit.n is None:
         raise ValueError("confidence mode needs a sample size")
     return f_hat + chisq_quantile(n_focal, target.confidence) / (fit.n - 1)

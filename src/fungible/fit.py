@@ -37,13 +37,12 @@ from .discrepancy import (
     _grad_from_implied,
     _logdet_s,
     evaluate_stack,
-    f_ml,
     f_ml_stack,
     hessian,
     rmsea_from_f,
 )
 from .errors import NoConvergence
-from .model import ModelSpec, _frozen_array, as_theta
+from .model import ModelSpec, _frozen_array
 
 
 STALL_TOL = 1e-12  # the loop stops once f changes by at most this, relative
@@ -53,7 +52,6 @@ STALL_TOL = 1e-12  # the loop stops once f changes by at most this, relative
 class FitOptions:
     max_iter: int = 500
     grad_tol: float = 1e-6
-    start: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -90,17 +88,14 @@ class FitResult:
     def df(self) -> int:
         return self.model.df
 
-    def objective(self, theta) -> float:
-        """ML discrepancy at theta against this fit's analyzed covariance."""
-        return f_ml(self.model, theta, self.s)
-
     @cached_property
     def _ld_s(self) -> float:
         return _logdet_s(self.s)
 
     def objectives(self, thetas) -> np.ndarray:
-        """:meth:`objective` at every row of a ``(k, q)`` stack in one stacked
-        evaluation; NaN where it would raise a domain error."""
+        """The ML discrepancy against this fit's analyzed covariance at every
+        row of a ``(k, q)`` stack, in one stacked evaluation; NaN where it
+        would raise a domain error."""
         return f_ml_stack(self.model, thetas, self.s, ld_s=self._ld_s)
 
 
@@ -110,6 +105,8 @@ def _validate_cov(s, p):
         raise ValueError("covariance matrix must be square")
     if s.shape[0] != p:
         raise ValueError(f"covariance is {s.shape[0]} x {s.shape[0]}, model has p={p}")
+    if not np.isfinite(s).all():
+        raise ValueError("covariance matrix must be finite (it holds NaN or inf)")
     asym = np.abs(s - s.T).max()
     if asym > 1e-10 * max(1.0, np.abs(s).max()):
         raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asym:.2e})")
@@ -120,8 +117,10 @@ def _validate_cov(s, p):
 def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = None) -> FitResult:
     """Minimize the ML discrepancy of ``model`` against covariance ``s``.
 
-    Convergence is declared at gradient max-norm < ``opts.grad_tol``; the
-    loop also stops when the relative change in f drops below :data:`STALL_TOL`.
+    The search starts at ``model.start``, or at ``model.default_start(s)``
+    when the model has none.  Convergence is declared at gradient max-norm
+    < ``opts.grad_tol``; the loop also stops when the relative change in f
+    drops below :data:`STALL_TOL`.
     Raises :class:`NoConvergence` after ``opts.max_iter`` iterations and
     :class:`NotPositiveDefinite` for an invalid ``s``.
     """
@@ -132,12 +131,7 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
         n = int(n)
         if n < 2:
             raise ValueError("n must be at least 2")
-    if opts.start is not None:
-        theta = as_theta(model, np.array(opts.start, dtype=float))
-    elif model.start is not None:
-        theta = model.start.copy()
-    else:
-        theta = model.default_start(s)
+    theta = model.default_start(s) if model.start is None else model.start.copy()
 
     f, implied = _evaluate_one(model, theta, s, ld_s)
     g = _grad_from_implied(model, s, *(mat[0] for mat in implied))

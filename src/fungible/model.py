@@ -56,13 +56,14 @@ STRUCTURAL_EFFECT_LEVELS = {"small_se": 0.2, "large_se": 0.5}
 # samples of N = 200 (weaker values produce frequent Heywood cases)
 FACTOR_COVARIANCE = 0.5
 
+# each builtin condition's table label and its (unique-variance,
+# structural-effect) levels
 CONDITION_LABELS = {
-    ("large_uv", "small_se"): "Sigma1",
-    ("small_uv", "small_se"): "Sigma2",
-    ("large_uv", "large_se"): "Sigma3",
-    ("small_uv", "large_se"): "Sigma4",
+    "Sigma1": ("large_uv", "small_se"),
+    "Sigma2": ("small_uv", "small_se"),
+    "Sigma3": ("large_uv", "large_se"),
+    "Sigma4": ("small_uv", "large_se"),
 }
-_VARIANT_OF_LABEL = {v: k for k, v in CONDITION_LABELS.items()}
 
 
 def _frozen_array(values, dtype):
@@ -157,10 +158,6 @@ class ModelSpec:
         return len(self.observed)
 
     @property
-    def n_latent(self) -> int:
-        return len(self.latent)
-
-    @property
     def m(self) -> int:
         return len(self.observed) + len(self.latent)
 
@@ -172,13 +169,6 @@ class ModelSpec:
     def df(self) -> int:
         p = self.n_observed
         return p * (p + 1) // 2 - self.q
-
-    @cached_property
-    def filter_matrix(self) -> np.ndarray:
-        p = self.n_observed
-        f = np.hstack([np.eye(p), np.zeros((p, self.n_latent))])
-        f.setflags(write=False)
-        return f
 
     @cached_property
     def _eye(self) -> np.ndarray:
@@ -603,19 +593,20 @@ def canonical_model() -> ModelSpec:
 MISFIT_PAIR = (0, 3)
 
 
-def builtin_conditions(uv: str, se: str) -> PopulationCondition:
-    """Canonical population condition for a (unique-variance, structural-
-    effect) variant; e.g. ``("large_uv", "small_se")`` is ``Sigma1``.
+def condition_from_label(label: str) -> PopulationCondition:
+    """Builtin condition by its table label (``Sigma1`` .. ``Sigma4``), the
+    canonical population condition at the label's levels in
+    :data:`CONDITION_LABELS`.
 
     The construction is standardized: every observed variance is exactly 1,
     loadings are sqrt(1 - u), and the outcome's unique variance absorbs the
     variance explained by the two structural effects.  ``epsilon_pop`` is 0
     and ``sigma_pop`` equals ``sigma_of_theta(model, theta_star)``.
     """
-    if uv not in UNIQUE_VARIANCE_LEVELS:
-        raise ValueError(f"unknown unique-variance level {uv!r}")
-    if se not in STRUCTURAL_EFFECT_LEVELS:
-        raise ValueError(f"unknown structural-effect level {se!r}")
+    try:
+        uv, se = CONDITION_LABELS[label]
+    except KeyError:
+        raise ValueError(f"unknown condition label {label!r}") from None
     u = UNIQUE_VARIANCE_LEVELS[uv]
     g = STRUCTURAL_EFFECT_LEVELS[se]
     phi = FACTOR_COVARIANCE
@@ -634,22 +625,13 @@ def builtin_conditions(uv: str, se: str) -> PopulationCondition:
     theta_star = np.array([theta[name] for name in model.theta_names])
     sigma_pop = sigma_of_theta(model, theta_star)
     return PopulationCondition(
-        label=CONDITION_LABELS[(uv, se)],
+        label=label,
         model=model,
         theta_star=theta_star,
         sigma_pop=sigma_pop,
         epsilon_pop=0.0,
         misfit_pair=MISFIT_PAIR,
     )
-
-
-def condition_from_label(label: str) -> PopulationCondition:
-    """Builtin condition by its table label (``Sigma1`` .. ``Sigma4``)."""
-    try:
-        uv, se = _VARIANT_OF_LABEL[label]
-    except KeyError:
-        raise ValueError(f"unknown condition label {label!r}") from None
-    return builtin_conditions(uv, se)
 
 
 def misspecify_to_epsilon(cond: PopulationCondition, epsilon_target: float) -> PopulationCondition:
@@ -721,11 +703,9 @@ def misspecify_to_epsilon(cond: PopulationCondition, epsilon_target: float) -> P
     if fault[0]:
         raise RuntimeError("misfit root residual above tolerance 2.0e-07")
     t = roots[0]
-    sigma_t = base + t * direction
-    sigma_t = 0.5 * (sigma_t + sigma_t.T)
     return replace(
         cond,
-        sigma_pop=sigma_t,
+        sigma_pop=base + t * direction,
         epsilon_pop=float(epsilon_target),
         perturbation=float(t),
     )

@@ -297,8 +297,7 @@ def _jobs(design: StudyDesign):
 
 def _worker_count(n_jobs, threads):
     if threads is None:
-        env = os.environ.get("FC_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
+        threads = os.cpu_count() or 1
     return max(1, min(int(threads), n_jobs))
 
 
@@ -308,8 +307,8 @@ def _run_cells(design: StudyDesign, jobs) -> list[StudyCell]:
 
 
 def run_design(design: StudyDesign, threads: int | None = None) -> StudyTable:
-    """Run every cell of the design.  ``threads`` defaults to the FC_THREADS
-    environment variable, then the processor count.  Each worker process
+    """Run every cell of the design.  ``threads`` caps the worker processes
+    and defaults to the processor count.  Each worker process
     takes the cells of one (condition, n, epsilon) together, so they share
     its draws and fits; the merge keeps the job order whatever the worker
     count."""

@@ -3,9 +3,6 @@ import sys
 
 import pytest
 
-# keep the study harness serial inside the suite; one test raises it explicitly
-os.environ.setdefault("FC_THREADS", "1")
-
 sys.path.insert(0, os.path.dirname(__file__))
 
 from fungible import condition_from_label, fit_ml  # noqa: E402

@@ -268,7 +268,7 @@ def test_criterion_06_sqrt_n_scaling():
 
 def test_criterion_07_paper_table_consistency(capsys):
     start = time.perf_counter()
-    code = cli_main(["table-check", "--fixture", "paper"])
+    code = cli_main(["table-check"])
     elapsed = time.perf_counter() - start
     out = capsys.readouterr().out
     assert code == 0
@@ -330,9 +330,9 @@ def test_criterion_10_wishart_and_determinism():
         seed=42,
         directions=16,
     )
-    csv_a = emit_table(run_design(design), "csv")
+    csv_a = emit_table(run_design(design, threads=1), "csv")
     clear_fit_caches()
-    csv_b = emit_table(run_design(design), "csv")
+    csv_b = emit_table(run_design(design, threads=1), "csv")
     assert csv_a == csv_b
     _report(10, f"(n-1)S chi-square mean {mean:.2f} within 3 SE of {n - 1}; "
                 f"equal seeds reproduce byte-identical study CSV")

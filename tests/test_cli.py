@@ -197,7 +197,7 @@ def test_study_deterministic_files(workdir, tmp_path):
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     for out in (out1, out2):
         clear_fit_caches()
-        code = main(["study", "--config", str(cfg), "--seed", "42", "--out", str(out)])
+        code = main(["study", "--config", str(cfg), "--seed", "42", "--threads", "1", "--out", str(out)])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -227,24 +227,18 @@ def test_study_markdown_format(workdir, tmp_path, capsys):
             }
         )
     )
-    code = main(["study", "--config", str(cfg), "--format", "markdown"])
+    code = main(["study", "--config", str(cfg), "--format", "markdown", "--threads", "1"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("| condition | n |")
 
 
 def test_table_check_passes(capsys):
-    code = main(["table-check", "--fixture", "paper"])
+    code = main(["table-check"])
     out = capsys.readouterr().out
     assert code == 0
     assert "all checks passed" in out
     assert out.count("ok") >= 8
-
-
-def test_table_check_unknown_fixture(capsys):
-    code = main(["table-check", "--fixture", "unknown"])
-    assert code == 2
-    assert "usage error" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -387,6 +381,52 @@ def test_bad_model_file_exits_one(workdir, tmp_path, capsys, doc, message):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     code = main(["fit", "--model", str(model), "--cov", str(workdir / "cov.csv"), "--n", "200"])
+    assert code == 1
+    assert message in _one_error_line(capsys, "error:")
+
+
+@pytest.mark.parametrize("entry, value", [((0, 1), "nan"), ((2, 2), "nan"), ((3, 3), "inf")])
+def test_non_finite_cov_exits_one(workdir, tmp_path, capsys, entry, value):
+    # once ended with "'sigma_theta' is not positive definite", "parameter
+    # vector must be finite", or two RuntimeWarning lines before "'s' is not
+    # positive definite"
+    rows = [line.split(",") for line in (workdir / "cov.csv").read_text().splitlines()]
+    i, j = entry
+    rows[i][j] = rows[j][i] = value
+    cov = tmp_path / "cov.csv"
+    cov.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    code = main(["fit", "--model", str(workdir / "model.json"), "--cov", str(cov), "--n", "200"])
+    assert code == 1
+    assert "covariance matrix must be finite" in _one_error_line(capsys, "error:")
+
+
+def _fit_output(capsys, model, cov, *extra):
+    assert main(["fit", "--model", str(model), "--cov", str(cov), "--n", "200", *extra]) == 0
+    return capsys.readouterr().out
+
+
+def test_start_file_matches_model_start_values(workdir, tmp_path, capsys):
+    model = canonical_model()
+    start = condition_from_label("Sigma1").theta_star * np.where(np.arange(model.q) % 2, 0.5, 1.5)
+    np.savetxt(tmp_path / "start.csv", start, fmt="%.17g")
+    save_model(dataclasses.replace(model, start=start), tmp_path / "started.json")
+    cov = workdir / "cov.csv"
+    by_file = _fit_output(capsys, workdir / "model.json", cov, "--start", str(tmp_path / "start.csv"))
+    assert by_file == _fit_output(capsys, tmp_path / "started.json", cov)
+    assert by_file != _fit_output(capsys, workdir / "model.json", cov)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [(np.full(13, 0.5), "start vector must have length 14"),
+     (np.r_[np.full(13, 0.5), np.nan], "start vector must be finite")],
+    ids=["wrong-length", "non-finite"],
+)
+def test_bad_start_file_exits_one(workdir, tmp_path, capsys, values, message):
+    start = tmp_path / "start.csv"
+    np.savetxt(start, values)
+    code = main(["fit", "--model", str(workdir / "model.json"), "--cov", str(workdir / "cov.csv"),
+                 "--n", "200", "--start", str(start)])
     assert code == 1
     assert message in _one_error_line(capsys, "error:")
 

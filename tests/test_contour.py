@@ -69,7 +69,8 @@ class TestFTarget:
         # lands on f for RMSEA .035
         f_hat = f_from_rmsea(0.03, 9, 200)
         fit = QuadraticSurrogate(np.eye(2), f_hat=f_hat, n=200)
-        t = f_target(ContourTarget(mode="eps_tilde", epsilon_tilde=0.005), fit, df=9)
+        fit.df = 9
+        t = f_target(ContourTarget(mode="eps_tilde", epsilon_tilde=0.005), fit)
         assert t == pytest.approx(9 * (0.035 ** 2 + 1 / 199), abs=1e-12)
 
     def test_sample_size_required(self):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ class TestFitMl:
         reference = popfits["Sigma4"]
         signs = np.where(np.arange(cond.model.q) % 2 == 0, 1.5, 0.5)
         start = cond.theta_star * signs
-        res = fit_ml(cond.model, cond.sigma_pop, n=200, opts=FitOptions(start=start))
+        res = fit_ml(replace(cond.model, start=start), cond.sigma_pop, n=200)
         assert np.abs(res.theta_hat - reference.theta_hat).max() < 1e-5
 
     def test_objective_order_invariance(self, conditions):
@@ -61,12 +62,7 @@ class TestFitMl:
 
     def test_warm_restart_converges_immediately(self, conditions, popfits):
         cond = conditions["Sigma1"]
-        warm = fit_ml(
-            cond.model,
-            cond.sigma_pop,
-            n=200,
-            opts=FitOptions(start=popfits["Sigma1"].theta_hat),
-        )
+        warm = fit_ml(replace(cond.model, start=popfits["Sigma1"].theta_hat), cond.sigma_pop, n=200)
         assert warm.converged
         assert warm.iterations <= 2
 
@@ -106,12 +102,19 @@ class TestFitMl:
             fit_ml(cond.model, -np.eye(6), n=200)
         with pytest.raises(ValueError, match="at least 2"):
             fit_ml(cond.model, cond.sigma_pop, n=1)
+        # once read as a non-positive-definite sigma_theta or s, or as a
+        # non-finite parameter vector, depending on where the value sat
+        for (i, j), value in (((0, 1), np.nan), ((2, 2), np.nan), ((3, 3), np.inf)):
+            s = np.array(cond.sigma_pop)
+            s[i, j] = s[j, i] = value
+            with pytest.raises(ValueError, match="covariance matrix must be finite"):
+                fit_ml(cond.model, s, n=200)
 
     def test_result_metadata(self, conditions, popfits):
         res = popfits["Sigma1"]
         assert res.n == 200
         assert res.df == conditions["Sigma1"].model.df == 7
-        assert res.objective(res.theta_hat) == pytest.approx(res.f_hat, abs=1e-14)
+        assert res.objectives(res.theta_hat[None])[0] == pytest.approx(res.f_hat, abs=1e-14)
         assert res.hessian_at_opt.shape == (14, 14)
 
     @pytest.mark.parametrize("n", [50, 200])

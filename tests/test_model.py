@@ -12,7 +12,6 @@ from fungible import (
     NotPositiveDefinite,
     SingularStructure,
     TargetUnreachable,
-    builtin_conditions,
     canonical_model,
     condition_at,
     condition_from_label,
@@ -26,7 +25,7 @@ from fungible import (
     sigma_of_theta,
 )
 from fungible.discrepancy import SINGULAR_STRUCTURE, evaluate_stack
-from fungible.model import implied_stack
+from fungible.model import STRUCTURAL_EFFECT_LEVELS, UNIQUE_VARIANCE_LEVELS, implied_stack
 from helpers import (
     diag_model,
     feedback_model,
@@ -255,13 +254,6 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError, match=f"{label} must be finite"):
             ModelSpec(**fields)
 
-    def test_filter_matrix(self):
-        model = canonical_model()
-        f = model.filter_matrix
-        assert f.shape == (6, 8)
-        np.testing.assert_array_equal(f[:, :6], np.eye(6))
-        np.testing.assert_array_equal(f[:, 6:], 0.0)
-
 
 class TestModelJson:
     def test_dict_round_trip(self):
@@ -374,8 +366,11 @@ class TestBuiltinConditions:
         ],
     )
     def test_variant_labels(self, uv, se, label):
-        cond = builtin_conditions(uv, se)
+        cond = condition_from_label(label)
         assert cond.label == label
+        theta = dict(zip(cond.model.theta_names, cond.theta_star))
+        assert theta["u1"] == UNIQUE_VARIANCE_LEVELS[uv]
+        assert theta["gamma1"] == STRUCTURAL_EFFECT_LEVELS[se]
         assert cond.epsilon_pop == 0.0
         np.testing.assert_allclose(
             cond.sigma_pop, sigma_of_theta(cond.model, cond.theta_star), atol=1e-14
@@ -390,17 +385,16 @@ class TestBuiltinConditions:
             assert np.linalg.eigvalsh(cond.sigma_pop).min() > 0
 
     def test_levels_enter_theta_star(self):
-        cond = builtin_conditions("large_uv", "small_se")
+        cond = condition_from_label("Sigma1")
         theta = dict(zip(cond.model.theta_names, cond.theta_star))
         assert theta["u1"] == 0.64
         assert theta["gamma1"] == 0.2
         assert theta["lam1"] == pytest.approx(math.sqrt(1 - 0.64))
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            builtin_conditions("huge_uv", "small_se")
-        with pytest.raises(ValueError):
-            condition_from_label("Sigma9")
+        for label in ("Sigma9", "large_uv", ("large_uv", "small_se")):
+            with pytest.raises(ValueError, match="unknown condition label"):
+                condition_from_label(label)
 
 
 class TestMisspecify:

@@ -148,16 +148,16 @@ class TestRunCell:
 
 class TestRunDesign:
     def test_cell_layout(self):
-        table = run_design(SMALL_DESIGN)
+        table = run_design(SMALL_DESIGN, threads=1)
         # one confidence cell plus one cell per epsilon for each FPE mode
         assert len(table.cells) == 1 + 2 * len(SMALL_DESIGN.epsilons)
         modes = {c.mode for c in table.cells}
         assert modes == {"confidence", "eps_tilde", "delta_f"}
 
     def test_emitted_csv_deterministic(self):
-        a = emit_table(run_design(SMALL_DESIGN), "csv")
+        a = emit_table(run_design(SMALL_DESIGN, threads=1), "csv")
         clear_fit_caches()
-        b = emit_table(run_design(SMALL_DESIGN), "csv")
+        b = emit_table(run_design(SMALL_DESIGN, threads=1), "csv")
         assert a == b
 
     def test_threaded_run_matches_serial(self):
@@ -167,7 +167,7 @@ class TestRunDesign:
 
     def test_target_order_does_not_change_the_table(self):
         reverse = dataclasses.replace(SMALL_DESIGN, targets=SMALL_DESIGN.targets[::-1])
-        assert emit_table(run_design(reverse)) == emit_table(run_design(SMALL_DESIGN))
+        assert emit_table(run_design(reverse, threads=1)) == emit_table(run_design(SMALL_DESIGN, threads=1))
 
     def test_untargeted_mode_runs_no_cell(self):
         design = dataclasses.replace(
@@ -175,14 +175,14 @@ class TestRunDesign:
             targets=tuple(t for t in SMALL_DESIGN.targets if t.mode != contour.EPS_TILDE),
         )
         assert all(mode != contour.EPS_TILDE for *_, mode in _jobs(design))
-        table = run_design(design)
+        table = run_design(design, threads=1)
         assert {c.mode for c in table.cells} == {contour.CONFIDENCE, contour.DELTA_F}
         header, row = emit_table(table).splitlines()
         for name, value in zip(header.split(","), row.split(",")):
             assert (value == "nan") == name.startswith(contour.EPS_TILDE), name
 
     def test_generated_major_at_least_minor(self):
-        table = run_design(SMALL_DESIGN)
+        table = run_design(SMALL_DESIGN, threads=1)
         for cell in table.cells:
             if not math.isnan(cell.major_mean):
                 assert cell.major_mean >= cell.minor_mean
@@ -372,17 +372,17 @@ class TestExclusions:
 class TestTableEmission:
     def test_empty_design_emits_header_only(self):
         design = StudyDesign(conditions=(), sample_sizes=(), replications=1)
-        text = emit_table(run_design(design), "csv")
+        text = emit_table(run_design(design, threads=1), "csv")
         assert len(text.strip().splitlines()) == 1
 
     def test_csv_parse_round_trip(self):
-        table = run_design(SMALL_DESIGN)
+        table = run_design(SMALL_DESIGN, threads=1)
         csv = emit_table(table, "csv")
         again = emit_table(parse_table(csv), "csv")
         assert csv == again
 
     def test_markdown_is_csv_at_two_decimals(self):
-        table = run_design(SMALL_DESIGN)
+        table = run_design(SMALL_DESIGN, threads=1)
         csv_rows = [ln.split(",") for ln in emit_table(table, "csv").splitlines()]
         md_lines = emit_table(table, "markdown").splitlines()
         md_rows = [[c.strip() for c in ln.strip("|").split("|")] for ln in md_lines]
@@ -449,7 +449,7 @@ class TestTableEmission:
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            emit_table(run_design(SMALL_DESIGN), "xml")
+            emit_table(run_design(SMALL_DESIGN, threads=1), "xml")
 
 
 class TestPaperFixture:
