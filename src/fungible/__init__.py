@@ -6,13 +6,11 @@ from .contour import (
     DELTA_F,
     EPS_TILDE,
     AxisWidths,
-    ContourPoint,
     ContourTarget,
     axis_widths_exact,
     axis_widths_quadratic,
     f_target,
     fpe_sample,
-    radial_contour_point,
     sweep_contour,
 )
 from .discrepancy import (

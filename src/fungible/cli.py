@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -69,33 +70,41 @@ def _check_files(args, names):
     return True
 
 
+def _read_numbers(path, ndmin):
+    """The numbers of a comma-separated file; raises :class:`ValueError`
+    naming the file when it holds none."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        values = np.loadtxt(path, delimiter=",", ndmin=ndmin)
+    if values.size == 0:
+        raise ValueError(f"no numbers in {path}")
+    return values
+
+
 def _do_fit(args):
     model = load_model(args.model)
-    s = np.loadtxt(args.cov, delimiter=",", ndmin=2)
+    s = _read_numbers(args.cov, ndmin=2)
     if args.start:
-        model = replace(model, start=np.loadtxt(args.start, delimiter=",").reshape(-1))
+        model = replace(model, start=_read_numbers(args.start, ndmin=1).reshape(-1))
     opts = FitOptions(max_iter=args.max_iter, grad_tol=args.grad_tol)
     return fit_ml(model, s, n=args.n, opts=opts)
 
 
-def _parse_focal(spec, model):
-    """Focal parameters by name or index, comma separated."""
-    return focal_indices(model, spec.split(","))
+def _number(value):
+    """The one format of a numeric CSV cell: the shortest round-trip repr."""
+    return repr(float(value))
 
 
 def cmd_fit(args):
     if not _check_files(args, ("model", "cov", "start")):
         return 2
     res = _do_fit(args)
+    stats = {"f_hat": res.f_hat, "rmsea": rmsea_from_f(res.f_hat, res.df, res.n),
+             "grad_norm": res.grad_norm}
     lines = ["quantity,name,value"]
-    for name, value in zip(res.model.theta_names, res.theta_hat):
-        lines.append(f"param,{name},{value!r}")
-    lines.append(f"stat,f_hat,{res.f_hat!r}")
-    lines.append(f"stat,rmsea,{rmsea_from_f(res.f_hat, res.df, res.n)!r}")
-    lines.append(f"stat,grad_norm,{res.grad_norm!r}")
-    lines.append(f"stat,iterations,{res.iterations}")
-    lines.append(f"stat,converged,{res.converged}")
-    lines.append(f"stat,improper,{res.improper}")
+    lines += [f"param,{name},{_number(v)}" for name, v in zip(res.model.theta_names, res.theta_hat)]
+    lines += [f"stat,{name},{_number(v)}" for name, v in stats.items()]
+    lines += [f"stat,{name},{getattr(res, name)}" for name in ("iterations", "converged", "improper")]
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -104,7 +113,7 @@ def cmd_fpe(args):
     if not _check_files(args, ("model", "cov", "start")):
         return 2
     res = _do_fit(args)
-    focal = _parse_focal(args.focal, res.model)
+    focal = focal_indices(res.model, args.focal.split(","))
     target = ContourTarget(
         mode=_MODE_NAMES[args.mode],
         delta_f=args.delta_f,
@@ -112,17 +121,11 @@ def cmd_fpe(args):
         confidence=args.level,
         scaling=args.scaling,
     )
-    # clamped as in fpe_sample: a degenerate level gives theta_hat per angle
-    level = max(f_target(target, res, n_focal=len(focal)), res.f_hat)
+    level = f_target(target, res, n_focal=len(focal))
+    angles, radii, thetas = sweep_contour(res, level, focal, args.directions)
     header = ["angle", "r"] + [f"theta_{k + 1}" for k in range(res.model.q)] + ["f_value"]
-    lines = [",".join(header)]
-    points = sweep_contour(res, level, focal, args.directions)
-    thetas = np.array([pt.theta for pt in points]).reshape(len(points), res.model.q)
-    for pt, f_value in zip(points, res.objectives(thetas)):
-        row = [repr(pt.angle), repr(pt.r)]
-        row += [repr(float(v)) for v in pt.theta]
-        row.append(repr(float(f_value)))
-        lines.append(",".join(row))
+    rows = np.column_stack([angles, radii, thetas, res.objectives(thetas)])
+    lines = [",".join(header)] + [",".join(map(_number, row)) for row in rows]
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -131,15 +134,15 @@ def cmd_confset(args):
     if not _check_files(args, ("model", "cov", "start")):
         return 2
     res = _do_fit(args)
-    focal = _parse_focal(args.focal, res.model)
+    focal = focal_indices(res.model, args.focal.split(","))
     target = ContourTarget(mode=CONFIDENCE, confidence=args.level)
     level = f_target(target, res, n_focal=len(focal))
     quad = axis_widths_quadratic(res, level, focal)
     exact = axis_widths_exact(res, level, focal, args.directions)
     lines = [
         "method,major,minor",
-        f"quadratic,{quad.major!r},{quad.minor!r}",
-        f"exact,{exact.major!r},{exact.minor!r}",
+        f"quadratic,{_number(quad.major)},{_number(quad.minor)}",
+        f"exact,{_number(exact.major)},{_number(exact.minor)}",
     ]
     _write("\n".join(lines) + "\n", args.out)
     return 0

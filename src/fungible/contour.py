@@ -8,11 +8,13 @@ confidence level) to the level T.  Widths are full axis lengths (twice the
 half-length), measured either from the focal Hessian block (quadratic
 approximation) or by sweeping rays and solving each crossing exactly.
 
-One level rule holds throughout: T below the fitted discrepancy F-hat
-raises :class:`ValueError`, and T == F-hat is the degenerate contour (no ray
-solved: radius 0, widths 0 along the focal Hessian's eigenvectors, theta-hat
-as the point); :func:`fpe_sample` clamps its level at F-hat.  Ray roots meet
-the fixed tolerance :data:`F_TOL` and refined angles :data:`ANGLE_TOL`.
+One level rule holds throughout: :func:`f_target` never returns a level
+below the fitted discrepancy F-hat, a level T below F-hat raises
+:class:`ValueError` elsewhere, and T == F-hat is the degenerate contour (no
+ray solved: radius 0, widths 0 along the focal Hessian's eigenvectors,
+theta-hat as the point).  Contour points come from one direction sweep,
+:func:`sweep_contour`.  Ray roots meet the fixed tolerance :data:`F_TOL` and
+refined angles :data:`ANGLE_TOL`.
 
 Every ray solve goes through one lockstep engine: all rays of a call (a
 whole sweep, or both golden-section refinements' rays) advance together, one
@@ -129,36 +131,27 @@ class AxisWidths:
             raise ValueError("axis widths must satisfy major >= minor >= 0")
 
 
-@dataclass(frozen=True)
-class ContourPoint:
-    """One solved contour crossing: theta = theta_hat + r * u(angle)."""
-
-    angle: float
-    r: float
-    theta: np.ndarray
-    f_value: float
-
-
 def f_target(target: ContourTarget, fit, *, n_focal: int = 2) -> float:
-    """Discrepancy level T defining the contour {theta : F(theta) = T}.
+    """Discrepancy level T defining the contour {theta : F(theta) = T},
+    never below F-hat: a level that rounds below the minimum (a zero
+    ``eps_tilde`` offset can) is the degenerate contour T == F-hat.
     ``eps_tilde`` mode reads the model's degrees of freedom from ``fit.df``."""
     f_hat = fit.f_hat
-    if target.mode == DELTA_F:
-        if target.scaling == "raw":
-            return f_hat + target.delta_f
-        if target.scaling == "relative":
-            return f_hat * (1.0 + target.delta_f)
-        if fit.n is None:
-            raise ValueError("likelihood-scaled delta_f needs a sample size")
-        return f_hat + 2.0 * target.delta_f / (fit.n - 1)
-    if target.mode == EPS_TILDE:
-        if fit.n is None:
-            raise ValueError("eps_tilde mode needs a sample size")
+    if target.mode == DELTA_F and target.scaling == "raw":
+        level = f_hat + target.delta_f
+    elif target.mode == DELTA_F and target.scaling == "relative":
+        level = f_hat * (1.0 + target.delta_f)
+    elif fit.n is None:
+        what = "likelihood-scaled delta_f" if target.mode == DELTA_F else f"{target.mode} mode"
+        raise ValueError(f"{what} needs a sample size")
+    elif target.mode == DELTA_F:
+        level = f_hat + 2.0 * target.delta_f / (fit.n - 1)
+    elif target.mode == EPS_TILDE:
         eps_hat = rmsea_from_f(f_hat, fit.df, fit.n)
-        return f_from_rmsea(eps_hat + target.epsilon_tilde, fit.df, fit.n)
-    if fit.n is None:
-        raise ValueError("confidence mode needs a sample size")
-    return f_hat + chisq_quantile(n_focal, target.confidence) / (fit.n - 1)
+        level = f_from_rmsea(eps_hat + target.epsilon_tilde, fit.df, fit.n)
+    else:
+        level = f_hat + chisq_quantile(n_focal, target.confidence) / (fit.n - 1)
+    return max(level, f_hat)
 
 
 def _focal(fit, focal):
@@ -276,42 +269,17 @@ def _sweep(fit, t_target, focal, n_directions):
     return angles, units, radii, solve
 
 
-def radial_contour_point(fit, direction, t_target: float, focal) -> np.ndarray:
-    """Contour crossing theta_hat + r * u along a focal-plane direction.
-
-    Solves F(theta) = ``t_target`` to |F - T| <= :data:`F_TOL` by exponential
-    bracketing followed by safeguarded bisection/secant; non-focal parameters
-    stay at theta_hat.  Raises :class:`ContourEscapesDomain` when F never
-    reaches the level before positive definiteness fails along the ray.
-    """
-    focal = _focal(fit, focal)
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (len(focal),):
-        raise ValueError("direction must live in the focal subspace")
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ValueError("direction must be a nonzero finite vector")
-    units = direction[None, :] / norm
-    radii, fault = _ray_solver(fit, focal, t_target)(units)
-    _raise_faults(fault)
-    r = radii[0]
-    if np.isnan(r):
-        raise ContourEscapesDomain("the contour level is not reached along this ray")
-    return np.asarray(fit.theta_hat, dtype=float) + r * _embed(fit, units, focal)[0]
-
-
 def sweep_contour(fit, t_target: float, focal, n_directions: int = N_DIRECTIONS):
     """Solve the contour along ``n_directions`` equally spaced focal-plane
-    rays; returns the list of :class:`ContourPoint` for the directions that
-    reached the level (escaped directions are simply absent)."""
+    rays (an odd count rounds up to even).  Returns the arrays ``(angles,
+    radii, thetas)`` of the directions that reached the level, thetas the
+    ``(k, q)`` stack theta_hat + r u(angle); escaped directions are absent."""
     focal = _focal(fit, focal)
     angles, units, radii, _ = _sweep(fit, t_target, focal, n_directions)
-    thetas = np.asarray(fit.theta_hat, dtype=float) + radii[:, None] * _embed(fit, units, focal)
-    return [
-        ContourPoint(angle=float(angle), r=float(r), theta=theta, f_value=t_target)
-        for angle, r, theta in zip(angles, radii, thetas)
-        if np.isfinite(r)
-    ]
+    solved = np.isfinite(radii)
+    u_full = _embed(fit, units[solved], focal)
+    thetas = np.asarray(fit.theta_hat, dtype=float) + radii[solved, None] * u_full
+    return angles[solved], radii[solved], thetas
 
 
 def axis_widths_quadratic(fit, t_target: float, focal) -> AxisWidths:
@@ -414,13 +382,8 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = N_DIRECTI
     )
 
 
-def fpe_sample(fit, target: ContourTarget, focal, n_directions: int = N_DIRECTIONS) -> list[np.ndarray]:
-    """The fungible parameter estimates themselves: contour points from the
-    direction sweep, one full-length parameter vector per solved direction.
-
-    The level is clamped at the fitted discrepancy, so a degenerate target
-    (e.g. ``delta_f=0``, or one that rounds below the minimum) returns
-    theta_hat once per swept direction.
-    """
-    t = max(f_target(target, fit, n_focal=len(focal)), fit.f_hat)
-    return [pt.theta for pt in sweep_contour(fit, t, focal, n_directions)]
+def fpe_sample(fit, target: ContourTarget, focal, n_directions: int = N_DIRECTIONS) -> np.ndarray:
+    """The fungible parameter estimates: the ``(k, q)`` stack of contour
+    points of the sweep at :func:`f_target`'s level; a degenerate target
+    (e.g. ``delta_f=0``) gives theta_hat once per swept direction."""
+    return sweep_contour(fit, f_target(target, fit, n_focal=len(focal)), focal, n_directions)[2]

@@ -40,6 +40,21 @@ def test_fit_smoke(workdir, capsys):
     assert "stat,rmsea," in out
 
 
+def test_fit_values_are_plain_floats(workdir, capsys):
+    # every numeric cell is repr(float(v)); estimates once printed as
+    # np.float64(<value>) under numpy 2
+    code = main(
+        ["fit", "--model", str(workdir / "model.json"), "--cov", str(workdir / "cov.csv"), "--n", "200"]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    numeric = [value for quantity, name, value in rows
+               if quantity == "param" or name in ("f_hat", "rmsea", "grad_norm")]
+    assert len(numeric) == canonical_model().q + 3
+    for value in numeric:
+        assert repr(float(value)) == value
+
+
 def test_fit_writes_only_out_file(workdir, tmp_path):
     out = tmp_path / "fit.csv"
     before = set(p.name for p in tmp_path.iterdir())
@@ -200,6 +215,22 @@ def test_study_deterministic_files(workdir, tmp_path):
         code = main(["study", "--config", str(cfg), "--seed", "42", "--threads", "1", "--out", str(out)])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_study_zero_eps_tilde_exits_zero(tmp_path, capsys):
+    # replication 13's zero-offset level rounds below F-hat; f_target clamps
+    # it to the degenerate contour where the study once exited 1
+    config = {"conditions": ["Sigma2"], "sample_sizes": [200], "epsilons": [0.0],
+              "replications": 14, "seed": 1, "directions": 8, "targets": {"eps_tilde": 0}}
+    cfg = tmp_path / "design.json"
+    cfg.write_text(json.dumps(config))
+    clear_fit_caches()
+    assert main(["study", "--config", str(cfg), "--threads", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header, row = captured.out.splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert float(cells["eps_tilde_major_0"]) > 0.0
 
 
 def test_design_targets_from_config():
@@ -429,6 +460,19 @@ def test_bad_start_file_exits_one(workdir, tmp_path, capsys, values, message):
                  "--n", "200", "--start", str(start)])
     assert code == 1
     assert message in _one_error_line(capsys, "error:")
+
+
+@pytest.mark.parametrize("text", ["", "# a comment\n\n"], ids=["empty", "comment-only"])
+@pytest.mark.parametrize("which", ["--cov", "--start"])
+def test_empty_input_file_exits_one(workdir, tmp_path, capsys, which, text):
+    # np.loadtxt once printed a two-line UserWarning before the error line
+    empty = tmp_path / "empty.csv"
+    empty.write_text(text)
+    files = {"--cov": str(workdir / "cov.csv"), which: str(empty)}
+    code = main(["fit", "--model", str(workdir / "model.json"), "--n", "200",
+                 *(arg for pair in files.items() for arg in pair)])
+    assert code == 1
+    assert str(empty) in _one_error_line(capsys, "error:")
 
 
 @pytest.mark.parametrize("command", ["fit", "table-check"])

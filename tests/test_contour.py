@@ -21,8 +21,8 @@ from fungible import (
     f_target,
     fit_ml,
     fpe_sample,
-    radial_contour_point,
     replication_rng,
+    rmsea_from_f,
     sweep_contour,
     wishart_sample,
 )
@@ -82,6 +82,19 @@ class TestFTarget:
             with pytest.raises(ValueError, match="sample size"):
                 f_target(target, fit)
 
+    def test_level_never_below_minimum(self, focal):
+        # replication 13 of Sigma2, N=200, seed 1: the zero eps_tilde
+        # offset's level rounds below F-hat, which once ended the study
+        cond = condition_at("Sigma2", 0.0)
+        s = wishart_sample(cond.sigma_pop, 200, replication_rng(1, "Sigma2", 200, 0.0, 13))
+        res = fit_ml(cond.model, s, n=200)
+        eps_hat = rmsea_from_f(res.f_hat, res.df, res.n)
+        assert f_from_rmsea(eps_hat, res.df, res.n) < res.f_hat
+        target = ContourTarget(mode="eps_tilde", epsilon_tilde=0.0)
+        assert f_target(target, res) == res.f_hat
+        aw = axis_widths_exact(res, f_target(target, res), focal, 8)
+        assert aw.major == aw.minor == 0.0
+
     def test_target_validation(self):
         with pytest.raises(ValueError):
             ContourTarget(mode="nonsense")
@@ -111,31 +124,28 @@ class TestFTarget:
 
 
 class TestRadialContourPoint:
+    """The contour points of :func:`sweep_contour`, one per solved ray."""
+
     def test_quadratic_surrogate_axes(self):
         fit = QuadraticSurrogate(np.diag([4.0, 1.0]))
-        theta = radial_contour_point(fit, (0.0, 1.0), 0.02, (0, 1))
-        assert np.linalg.norm(theta) == pytest.approx(0.2, abs=1e-6)
-        theta = radial_contour_point(fit, (1.0, 0.0), 0.02, (0, 1))
-        assert np.linalg.norm(theta) == pytest.approx(0.1, abs=1e-6)
+        angles, radii, thetas = sweep_contour(fit, 0.02, (0, 1), 4)
+        np.testing.assert_array_equal(angles, 0.5 * math.pi * np.arange(4))
+        assert radii[0] == pytest.approx(0.1, abs=1e-6)
+        assert radii[1] == pytest.approx(0.2, abs=1e-6)
+        np.testing.assert_allclose(np.linalg.norm(thetas, axis=1), radii, rtol=1e-15)
 
     def test_defining_residual_on_real_fit(self, conditions, popfits, focal):
         res = popfits["Sigma1"]
         t = f_target(ContourTarget(mode="confidence"), res, n_focal=2)
-        rng = np.random.default_rng(1)
-        for _ in range(8):
-            angle = rng.uniform(0, 2 * math.pi)
-            theta = radial_contour_point(res, (math.cos(angle), math.sin(angle)), t, focal)
+        _, radii, thetas = sweep_contour(res, t, focal, 14)
+        assert thetas.shape == (14, res.model.q) and np.all(radii > 0)
+        for theta in thetas:
             assert abs(f_ml(res.model, theta, res.s) - t) <= 1e-9
 
     def test_level_below_minimum_rejected(self):
         fit = QuadraticSurrogate(np.eye(2), f_hat=0.5)
         with pytest.raises(ValueError):
-            radial_contour_point(fit, (1.0, 0.0), 0.4, (0, 1))
-
-    def test_zero_direction_rejected(self):
-        fit = QuadraticSurrogate(np.eye(2))
-        with pytest.raises(ValueError):
-            radial_contour_point(fit, (0.0, 0.0), 0.1, (0, 1))
+            sweep_contour(fit, 0.4, (0, 1), 8)
 
     def test_flat_direction_escapes(self):
         class FlatFit(RowMapped):
@@ -144,10 +154,14 @@ class TestRadialContourPoint:
             n = None
 
             def objective(self, theta):
-                return 0.5 * theta[0] ** 2  # ignores theta[1]
+                return 0.5 * min(theta[1], 0.0) ** 2  # flat where theta[1] >= 0
 
-        with pytest.raises(ContourEscapesDomain):
-            radial_contour_point(FlatFit(), (0.0, 1.0), 0.02, (0, 1))
+        # only the ray at 3 pi / 2 reaches the level; the three flat ones
+        # (sin 0 and sin pi are not negative) escape and are absent
+        angles, radii, thetas = sweep_contour(FlatFit(), 0.02, (0, 1), 4)
+        np.testing.assert_array_equal(angles, [2.0 * math.pi * 3 / 4])
+        assert radii[0] == pytest.approx(0.2, abs=1e-6)
+        np.testing.assert_allclose(thetas, [[0.0, -radii[0]]], atol=1e-15)
 
     def test_domain_edge_escapes(self):
         class BoundedFit(RowMapped):
@@ -160,8 +174,10 @@ class TestRadialContourPoint:
                 r = float(np.linalg.norm(theta))
                 return math.nan if r > 2.0 else 1e-3 * r * r
 
+        angles, radii, thetas = sweep_contour(BoundedFit(), 0.02, (0, 1), 8)
+        assert angles.shape == radii.shape == (0,) and thetas.shape == (0, 2)
         with pytest.raises(ContourEscapesDomain):
-            radial_contour_point(BoundedFit(), (1.0, 0.0), 0.02, (0, 1))
+            axis_widths_exact(BoundedFit(), 0.02, (0, 1), 8)
 
 
 class TestAxisWidthsQuadratic:
@@ -294,25 +310,30 @@ class TestSweepAndSample:
         t = f_target(ContourTarget(mode="confidence"), res, n_focal=2)
         a = sweep_contour(res, t, focal, 16)
         b = sweep_contour(res, t, focal, 16)
-        assert len(a) == len(b) == 16
-        for pa, pb in zip(a, b):
-            assert pa.r == pb.r
-            np.testing.assert_array_equal(pa.theta, pb.theta)
+        assert len(a[0]) == len(b[0]) == 16
+        for xa, xb in zip(a, b):
+            np.testing.assert_array_equal(xa, xb)
 
     def test_fpe_degenerate_target(self, popfits, focal):
         res = popfits["Sigma1"]
         target = ContourTarget(mode="delta_f", delta_f=0.0)
         points = fpe_sample(res, target, focal, 24)
-        assert len(points) == 24
-        for theta in points:
-            np.testing.assert_array_equal(theta, res.theta_hat)
+        np.testing.assert_array_equal(points, np.tile(res.theta_hat, (24, 1)))
+
+    def test_fpe_sample_is_the_sweep_stack(self, popfits, focal):
+        res = popfits["Sigma3"]
+        target = ContourTarget(mode="eps_tilde", epsilon_tilde=0.005)
+        t = f_target(target, res, n_focal=2)
+        np.testing.assert_array_equal(
+            fpe_sample(res, target, focal, 12), sweep_contour(res, t, focal, 12)[2]
+        )
 
     def test_fpe_residuals_and_count(self, popfits, focal):
         res = popfits["Sigma2"]
         target = ContourTarget(mode="eps_tilde", epsilon_tilde=0.005)
         points = fpe_sample(res, target, focal, 30)
         t = f_target(target, res, n_focal=2)
-        assert len(points) == 30
+        assert points.shape == (30, res.model.q)
         for theta in points:
             assert abs(f_ml(res.model, theta, res.s) - t) <= 1e-9
         # non-focal coordinates stay pinned at theta_hat
@@ -397,7 +418,7 @@ class TestLockstepEngine:
         res = popfits["Sigma1"]
         cases.append((res, focal, f_target(ContourTarget(mode="confidence"), res, n_focal=2)))
         for res, focal_pair, t in cases:
-            solved = {pt.angle: pt.r for pt in sweep_contour(res, t, focal_pair, 16)}
+            solved = dict(zip(*sweep_contour(res, t, focal_pair, 16)[:2]))
             for k in range(16):
                 angle = 2.0 * math.pi * k / 16
                 unit = np.array([math.cos(angle), math.sin(angle)])
@@ -413,8 +434,8 @@ class TestLockstepEngine:
         res, focal, t = _selftest_case()
         widths = axis_widths_exact(res, t, focal, 90)
         assert widths.major >= widths.minor > 0.0
-        for pt in sweep_contour(res, t, focal, 90):
-            assert abs(f_ml(res.model, pt.theta, res.s) - t) <= 1e-9
+        for theta in sweep_contour(res, t, focal, 90)[2]:
+            assert abs(f_ml(res.model, theta, res.s) - t) <= 1e-9
 
 
 class _Counting:
@@ -595,7 +616,6 @@ class TestFpeSampleDirections:
 
 # each public contour function, called at level t
 _AT_LEVEL = {
-    "radial_contour_point": lambda fit, t, focal: radial_contour_point(fit, (1.0, 2.0), t, focal),
     "sweep_contour": lambda fit, t, focal: sweep_contour(fit, t, focal, 8),
     "axis_widths_quadratic": axis_widths_quadratic,
     "axis_widths_exact": lambda fit, t, focal: axis_widths_exact(fit, t, focal, 8),
@@ -617,13 +637,11 @@ class TestLevelRule:
     def test_at_minimum_is_degenerate(self, popfits, focal, name):
         res = popfits["Sigma3"]
         got = _AT_LEVEL[name](res, res.f_hat, focal)
-        if name == "radial_contour_point":
-            np.testing.assert_array_equal(got, res.theta_hat)
-        elif name == "sweep_contour":
-            assert [pt.angle for pt in got] == list(2.0 * math.pi * np.arange(8) / 8)
-            for pt in got:
-                assert pt.r == 0.0 and pt.f_value == res.f_hat
-                np.testing.assert_array_equal(pt.theta, res.theta_hat)
+        if name == "sweep_contour":
+            angles, radii, thetas = got
+            np.testing.assert_array_equal(angles, 2.0 * math.pi * np.arange(8) / 8)
+            np.testing.assert_array_equal(radii, np.zeros(8))
+            np.testing.assert_array_equal(thetas, np.tile(res.theta_hat, (8, 1)))
         else:
             assert got.major == got.minor == 0.0
             # both width functions give the focal Hessian's eigenvectors
