@@ -17,7 +17,6 @@ from .discrepancy import (
     chisq_quantile,
     f_from_rmsea,
     f_ml,
-    f_ml_stack,
     gradient,
     hessian,
     rmsea_from_f,

@@ -72,10 +72,13 @@ def _check_files(args, names):
 
 def _read_numbers(path, ndmin):
     """The numbers of a comma-separated file; raises :class:`ValueError`
-    naming the file when it holds none."""
+    naming the file when it holds none or a cell or row numpy cannot read."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        values = np.loadtxt(path, delimiter=",", ndmin=ndmin)
+        try:
+            values = np.loadtxt(path, delimiter=",", ndmin=ndmin)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if values.size == 0:
         raise ValueError(f"no numbers in {path}")
     return values

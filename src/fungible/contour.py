@@ -30,16 +30,18 @@ thread), about a third of a 90-direction width is this engine's own numpy
 and Python work and two thirds the kernel's 66 stacked calls; at 360
 directions (60 calls) the engine's share is under a quarter.
 For a :class:`~fungible.fit.FitResult` that evaluation is
-:meth:`~fungible.fit.FitResult.objectives`, the discrepancy kernel of
-:mod:`fungible.discrepancy`, whose rows equal :func:`~fungible.discrepancy.f_ml`
-bit for bit.
+:meth:`~fungible.fit.FitResult.objectives`, the package's one stacked
+evaluator, whose rows equal :func:`~fungible.discrepancy.f_ml` bit for bit.
 
 These functions only use ``theta_hat``, ``f_hat``, ``n``, ``hessian_at_opt``
 and ``objectives(thetas)`` from the fit argument, and :func:`f_target`'s
 ``eps_tilde`` mode also ``df``, so any object exposing those (e.g. a test
-surrogate) works in place of a :class:`~fungible.fit.FitResult`.
-``objectives`` takes a ``(k, q)`` stack and returns F for each row, NaN where
-F is undefined; the engine evaluates only this stacked form.
+surrogate) works in place of a :class:`~fungible.fit.FitResult`.  Each of
+them is required.  ``objectives`` takes a ``(k, q)`` stack and returns F for
+each row, NaN where F is undefined; the engine evaluates only this stacked
+form.  ``hessian_at_opt`` seeds every ray and gives the degenerate
+contour's axes; a stand-in with no curvature to offer may declare a zero
+matrix, which seeds every ray at radius 1 and keeps the coordinate axes.
 """
 
 from __future__ import annotations
@@ -197,9 +199,10 @@ def _ray_solver(fit, focal, t_target):
 
     All rays advance in lockstep, one stacked ``fit.objectives`` evaluation
     per step: :func:`~fungible._solve.bracket_level` doubles out from the
-    quadratic-approximation radius sqrt(2c / (u H_f u')) and bisects back to
-    the domain edge for rays that left the evaluable region, then the
-    safeguarded secant/bisection root to |F - T| <= :data:`F_TOL`.  A ray
+    quadratic-approximation radius sqrt(2c / (u H_f u')), or from 1 where
+    that curvature is not positive, and bisects back to the domain edge for
+    rays that left the evaluable region, then the safeguarded
+    secant/bisection root to |F - T| <= :data:`F_TOL`.  A ray
     escapes (radius NaN, fault 0) when the level lies beyond its domain edge
     or is not reached in 90 doublings.  A ray whose root fails has radius NaN
     and a nonzero fault (:func:`_raise_faults` names it); it never stops the
@@ -208,8 +211,7 @@ def _ray_solver(fit, focal, t_target):
     """
     c = _level_offset(fit, t_target)
     theta_hat = np.asarray(fit.theta_hat, dtype=float)
-    hess = getattr(fit, "hessian_at_opt", None)
-    h_f = None if hess is None else np.asarray(hess)[np.ix_(focal, focal)]
+    h_f = np.asarray(fit.hessian_at_opt)[np.ix_(focal, focal)]
 
     def gaps(u_full):
         """F - T along the rays u_full[which], at radii r."""
@@ -223,9 +225,8 @@ def _ray_solver(fit, focal, t_target):
             return np.zeros(k), np.zeros(k, dtype=int)
         u_full = _embed(fit, units, focal)
         hi = np.ones(k)
-        if h_f is not None:
-            curv = np.sum(units @ h_f * units, axis=1)
-            hi[curv > 0] = np.sqrt(2.0 * c / curv[curv > 0])
+        curv = np.sum(units @ h_f * units, axis=1)
+        hi[curv > 0] = np.sqrt(2.0 * c / curv[curv > 0])
         lo, hi, g_lo, g_hi, escaped = bracket_level(
             gaps(u_full), np.zeros(k), hi, np.full(k, -c), doublings=90, edge_iters=80
         )
@@ -338,13 +339,8 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = N_DIRECTI
     angles, _, radii, solve = _sweep(fit, t_target, focal, n_directions)
     if _level_offset(fit, t_target) == 0.0:
         # the axes' limit as T -> F-hat, where the contour is the quadratic
-        # approximation's ellipse; a stand-in fit without a Hessian keeps
-        # the coordinate axes
-        if getattr(fit, "hessian_at_opt", None) is None:
-            directions = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        else:
-            directions = _hessian_axes(fit, focal)[1:]
-        return AxisWidths(0.0, 0.0, *directions, focal=focal)
+        # approximation's ellipse
+        return AxisWidths(0.0, 0.0, *_hessian_axes(fit, focal)[1:], focal=focal)
     n = len(angles)
     half = n // 2
     widths = radii[:half] + radii[half:]

@@ -4,8 +4,12 @@ chi-square quantiles.
 F and its gradient come from one kernel, :func:`evaluate_stack`, over a
 ``(k, q)`` stack of parameter vectors, with one fault code per row.
 :func:`f_ml` and :func:`gradient` are its one-row views and raise the fault
-as a domain error; :func:`f_ml_stack` gives NaN at faulted rows, and
-:func:`hessian` evaluates its 2q gradient points as one stack.
+as a domain error, and :func:`hessian` evaluates its 2q gradient points as
+one stack.  The stacked evaluator with NaN at faulted rows is
+:meth:`~fungible.fit.FitResult.objectives`, against a fit's analyzed
+covariance.  Every entry point checks the analyzed covariance s by the one
+rule of :func:`~fungible.model.as_cov` and takes ln|s| from its Cholesky
+factor.
 
 All functions are pure and reentrant.  Positive definiteness is always
 established by attempting a Cholesky factorization; there is no eigenvalue
@@ -18,11 +22,10 @@ import math
 import numpy as np
 
 from .errors import NotPositiveDefinite, SingularStructure
-from .model import ModelSpec, _rows_or_nan, as_theta, implied_stack
+from .model import ModelSpec, _rows_or_nan, as_cov, as_theta, implied_stack
 
 __all__ = [
     "f_ml",
-    "f_ml_stack",
     "gradient",
     "hessian",
     "rmsea_from_f",
@@ -35,14 +38,11 @@ SINGULAR_STRUCTURE = 1  # (I - A) numerically singular
 SIGMA_NOT_PD = 2        # Sigma fails its Cholesky test or its solve
 
 
-def _logdet_s(s):
-    """ln|s| from the Cholesky factor of s; raises
-    :class:`NotPositiveDefinite` ``("s")`` when s is not positive definite."""
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("s") from None
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+def _analyzed(model: ModelSpec, s):
+    """The analyzed covariance s as :func:`~fungible.model.as_cov` returns
+    it for the model's p, and ln|s| from its Cholesky factor."""
+    s, chol = as_cov(s, model.n_observed)
+    return s, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def evaluate_stack(model: ModelSpec, thetas, s, ld_s):
@@ -104,33 +104,13 @@ def f_ml(model: ModelSpec, theta, s) -> float:
 
         F = ln|Sigma| - ln|s| + tr(s Sigma^-1) - p
 
-    Nonnegative, zero iff Sigma(theta) = s.  Raises
-    :class:`NotPositiveDefinite` naming whichever of ``s`` or ``Sigma(theta)``
-    fails its Cholesky factorization (or, for Sigma, its solve), and
-    :class:`SingularStructure` when (I - A) is numerically singular.
+    Nonnegative, zero iff Sigma(theta) = s.  Raises the errors of
+    :func:`~fungible.model.as_cov` for an s that fails its check,
+    :class:`NotPositiveDefinite` ``("sigma_theta")`` when Sigma(theta) fails
+    its Cholesky factorization or its solve, and :class:`SingularStructure`
+    when (I - A) is numerically singular.
     """
-    s = np.asarray(s, dtype=float)
-    return _evaluate_one(model, theta, s, _logdet_s(s))[0]
-
-
-def f_ml_stack(model: ModelSpec, thetas, s, *, ld_s: float | None = None) -> np.ndarray:
-    """:func:`f_ml` at every row of a ``(k, q)`` stack of parameter vectors.
-
-    Returns a ``(k,)`` array holding NaN wherever :func:`f_ml` raises a
-    domain error for that row; the other rows equal :func:`f_ml` bit for
-    bit.  ``ld_s`` is ln|s|, passed by callers that evaluate against one s
-    many times; without it s is factored here, raising
-    :class:`NotPositiveDefinite` for an s that is not positive definite.
-    """
-    s = np.asarray(s, dtype=float)
-    if ld_s is None:
-        ld_s = _logdet_s(s)
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != model.q:
-        raise ValueError(f"parameter stack must have shape (k, {model.q}), got {thetas.shape}")
-    if not np.all(np.isfinite(thetas)):
-        raise ValueError("parameter vectors must be finite")
-    return evaluate_stack(model, thetas, s, ld_s)[1]
+    return _evaluate_one(model, theta, *_analyzed(model, s))[0]
 
 
 def _grad_from_implied(model, s, g_mat, c_mat, sigma):
@@ -163,9 +143,9 @@ def _grad_from_implied(model, s, g_mat, c_mat, sigma):
 
 def gradient(model: ModelSpec, theta, s) -> np.ndarray:
     """Analytic gradient of :func:`f_ml` in theta (chain rule through the
-    RAM structure); raises the domain errors :func:`f_ml` raises."""
-    s = np.asarray(s, dtype=float)
-    implied = _evaluate_one(model, theta, s, _logdet_s(s))[1]
+    RAM structure); raises the errors :func:`f_ml` raises."""
+    s, ld_s = _analyzed(model, s)
+    implied = _evaluate_one(model, theta, s, ld_s)[1]
     return _grad_from_implied(model, s, *(mat[0] for mat in implied))
 
 
@@ -178,8 +158,7 @@ def hessian(model: ModelSpec, theta, s) -> np.ndarray:
     error :func:`gradient` raises at the first of them in the order
     +e_1, -e_1, +e_2, -e_2, ...
     """
-    s = np.asarray(s, dtype=float)
-    ld_s = _logdet_s(s)
+    s, ld_s = _analyzed(model, s)
     theta = as_theta(model, theta)
     h = 1e-5 * np.maximum(1.0, np.abs(theta))
     points = np.empty((2 * model.q, model.q))

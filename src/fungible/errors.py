@@ -23,8 +23,9 @@ class NotPositiveDefinite(FungibleError):
     """A matrix that must be positive definite failed its Cholesky test.
 
     ``which`` names the offending matrix: ``"s"`` for an analyzed covariance,
-    ``"sigma_theta"`` for a model-implied covariance, ``"focal_hessian"`` for
-    the focal block of a Hessian.
+    ``"sigma_pop"`` for a population covariance, ``"sigma"`` for a Wishart
+    scale matrix, ``"sigma_theta"`` for a model-implied covariance,
+    ``"focal_hessian"`` for the focal block of a Hessian.
     """
 
     def __init__(self, which: str, message: str | None = None):

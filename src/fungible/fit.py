@@ -9,9 +9,13 @@ objective stays the exact ML discrepancy.
 Each line-search trial is a one-row evaluation of the discrepancy kernel
 (:func:`~fungible.discrepancy.evaluate_stack`): a fault code rejects the
 trial, and an accepted trial's implied matrices give its gradient, so an
-accepted step costs one evaluation of the model.  S is factored once per
+accepted step costs one evaluation of the model.  S is checked by the one
+covariance rule, :func:`~fungible.model.as_cov`, and factored once per
 minimization.  The Hessian at the optimum is one stacked evaluation of its
 2q gradients (:func:`~fungible.discrepancy.hessian`).
+:meth:`FitResult.objectives` is the package's one stacked evaluator of F at
+many parameter vectors against the fit's S, the form the contour engine
+calls.
 
 A step costs little arithmetic and many numpy calls: on a 2-core Xeon VM a
 one-row evaluation takes about 37 us and its gradient about 20 us, almost
@@ -33,11 +37,10 @@ from functools import cached_property
 import numpy as np
 
 from .discrepancy import (
+    _analyzed,
     _evaluate_one,
     _grad_from_implied,
-    _logdet_s,
     evaluate_stack,
-    f_ml_stack,
     hessian,
     rmsea_from_f,
 )
@@ -90,28 +93,20 @@ class FitResult:
 
     @cached_property
     def _ld_s(self) -> float:
-        return _logdet_s(self.s)
+        return _analyzed(self.model, self.s)[1]
 
     def objectives(self, thetas) -> np.ndarray:
         """The ML discrepancy against this fit's analyzed covariance at every
-        row of a ``(k, q)`` stack, in one stacked evaluation; NaN where it
-        would raise a domain error."""
-        return f_ml_stack(self.model, thetas, self.s, ld_s=self._ld_s)
-
-
-def _validate_cov(s, p):
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError("covariance matrix must be square")
-    if s.shape[0] != p:
-        raise ValueError(f"covariance is {s.shape[0]} x {s.shape[0]}, model has p={p}")
-    if not np.isfinite(s).all():
-        raise ValueError("covariance matrix must be finite (it holds NaN or inf)")
-    asym = np.abs(s - s.T).max()
-    if asym > 1e-10 * max(1.0, np.abs(s).max()):
-        raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asym:.2e})")
-    s = 0.5 * (s + s.T)
-    return s, _logdet_s(s)
+        row of a ``(k, q)`` stack, in one stacked evaluation: a ``(k,)``
+        array equal to :func:`~fungible.discrepancy.f_ml` bit for bit at each
+        row, NaN where f_ml would raise a domain error."""
+        thetas = np.asarray(thetas, dtype=float)
+        q = self.model.q
+        if thetas.ndim != 2 or thetas.shape[1] != q:
+            raise ValueError(f"parameter stack must have shape (k, {q}), got {thetas.shape}")
+        if not np.all(np.isfinite(thetas)):
+            raise ValueError("parameter vectors must be finite")
+        return evaluate_stack(self.model, thetas, self.s, self._ld_s)[1]
 
 
 def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = None) -> FitResult:
@@ -121,12 +116,12 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
     when the model has none.  Convergence is declared at gradient max-norm
     < ``opts.grad_tol``; the loop also stops when the relative change in f
     drops below :data:`STALL_TOL`.
-    Raises :class:`NoConvergence` after ``opts.max_iter`` iterations and
-    :class:`NotPositiveDefinite` for an invalid ``s``.
+    Raises :class:`NoConvergence` after ``opts.max_iter`` iterations, and
+    the errors of :func:`~fungible.model.as_cov` for an ``s`` that fails its
+    check.
     """
     opts = opts or FitOptions()
-    p = model.n_observed
-    s, ld_s = _validate_cov(s, p)
+    s, ld_s = _analyzed(model, s)
     if n is not None:
         n = int(n)
         if n < 2:

@@ -24,7 +24,9 @@ directed path of A's pattern has two steps, as in the builtin conditions
 solve, and (I - A) is never singular.  Every other model solves (I - A) and
 tests each row for singularity.  The choice is made once per model from its
 pattern.  Parameter vectors are plain 1-d numpy arrays of length ``q`` in
-``theta_names`` order; they are validated once at every entry point.
+``theta_names`` order; they are validated once at every entry point.  Every
+covariance matrix given to the package is checked by one rule,
+:func:`as_cov`.
 """
 
 from __future__ import annotations
@@ -264,6 +266,32 @@ def as_theta(model: ModelSpec, theta) -> np.ndarray:
     if not np.all(np.isfinite(theta)):
         raise ValueError("parameter vector must be finite")
     return theta
+
+
+def as_cov(s, p: int | None = None, which: str = "s"):
+    """The one check of a covariance matrix given to the package: square,
+    ``p`` x ``p`` when ``p`` is given, finite, and symmetric within
+    1e-10 max(1, max|s|).  Returns the exactly symmetrized matrix and its
+    Cholesky factor.  Raises :class:`ValueError` naming ``which`` for a
+    malformed matrix and :class:`NotPositiveDefinite` ``(which)`` when the
+    Cholesky test fails."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
+        raise ValueError(f"covariance matrix {which!r} must be square, got shape {s.shape}")
+    if p is not None and len(s) != p:
+        raise ValueError(f"covariance matrix {which!r} is {len(s)} x {len(s)}, model has p={p}")
+    if not np.isfinite(s).all():
+        raise ValueError(f"covariance matrix must be finite ({which!r} holds NaN or inf)")
+    asym = np.abs(s - s.T).max()
+    if asym > 1e-10 * max(1.0, np.abs(s).max()):
+        raise ValueError(
+            f"covariance matrix {which!r} is not symmetric (max asymmetry {asym:.2e})"
+        )
+    s = 0.5 * (s + s.T)
+    try:
+        return s, np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(which) from None
 
 
 def focal_indices(model: ModelSpec, focal) -> tuple[int, ...]:
@@ -527,7 +555,8 @@ class PopulationCondition:
     ``epsilon_pop`` is the population misfit on the RMSEA scale;
     ``misfit_pair`` designates the observed pair whose omitted residual
     covariance absorbs misfit perturbations, and ``perturbation`` records the
-    magnitude already applied to ``sigma_pop``.
+    magnitude already applied to ``sigma_pop``.  ``sigma_pop`` passes
+    :func:`as_cov` (as ``"sigma_pop"``) and is stored symmetrized.
     """
 
     label: str
@@ -540,17 +569,10 @@ class PopulationCondition:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_star", _frozen_array(self.theta_star, float))
-        sigma = np.asarray(self.sigma_pop, dtype=float)
-        sigma = 0.5 * (sigma + sigma.T)
-        object.__setattr__(self, "sigma_pop", _frozen_array(sigma, float))
         as_theta(self.model, self.theta_star)
         p = self.model.n_observed
-        if self.sigma_pop.shape != (p, p):
-            raise ValueError(f"sigma_pop must be {p} x {p}")
-        try:
-            np.linalg.cholesky(self.sigma_pop)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite("sigma_pop") from None
+        sigma = as_cov(self.sigma_pop, p, which="sigma_pop")[0]
+        object.__setattr__(self, "sigma_pop", _frozen_array(sigma, float))
         if self.epsilon_pop < 0:
             raise ValueError("epsilon_pop must be nonnegative")
         if self.misfit_pair is not None:

@@ -35,7 +35,8 @@ from .contour import (CONFIDENCE, DELTA_F, EPS_TILDE, N_DIRECTIONS, ContourTarge
                        axis_widths_exact, f_target)
 from .errors import DegenerateSample, FungibleError, NotPositiveDefinite
 from .fit import fit_ml
-from .model import canonical_model, condition_from_label, focal_indices, misspecify_to_epsilon
+from .model import (as_cov, canonical_model, condition_from_label, focal_indices,
+                    misspecify_to_epsilon)
 
 # The study's delta_f target uses relative scaling: only then do delta_f
 # widths grow with the population misfit level, the pattern the reference
@@ -156,17 +157,14 @@ def wishart_sample(sigma, n: int, rng: np.random.Generator) -> np.ndarray:
 
     S = L A A' L' / (n - 1) with L = chol(sigma), A lower triangular with
     chi-distributed diagonal (df n-1, n-2, ...) and standard-normal
-    subdiagonal.  Raises :class:`DegenerateSample` if the draw fails its
-    Cholesky check twice.
+    subdiagonal.  ``sigma`` must pass :func:`~fungible.model.as_cov` (as
+    ``"sigma"``), and so must each draw, symmetrized by it; raises
+    :class:`DegenerateSample` if the draw fails its Cholesky check twice.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    p = sigma.shape[0]
+    chol = as_cov(sigma, which="sigma")[1]
+    p = len(chol)
     if n <= p:
         raise ValueError("wishart sampling needs n > p")
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("sigma") from None
 
     def draw():
         a = np.zeros((p, p))
@@ -175,16 +173,13 @@ def wishart_sample(sigma, n: int, rng: np.random.Generator) -> np.ndarray:
         if p > 1:
             a[np.tril_indices(p, k=-1)] = rng.standard_normal(p * (p - 1) // 2)
         w = chol @ a
-        s = (w @ w.T) / (n - 1)
-        return 0.5 * (s + s.T)
+        return (w @ w.T) / (n - 1)
 
     for _ in range(2):
-        s = draw()
         try:
-            np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            continue
-        return s
+            return as_cov(draw())[0]
+        except NotPositiveDefinite:
+            pass
     raise DegenerateSample("sampled covariance failed its Cholesky check twice")
 
 

@@ -123,7 +123,7 @@ def reference_f_ml(model, theta, s):
     """Textbook ML discrepancy F = ln|Sigma| - ln|s| + tr(s Sigma^-1) - p,
     with Sigma built from the model's pattern matrices by ``np.linalg.inv``
     and the log-determinants taken by ``slogdet``; no package internals.
-    The independent oracle for ``f_ml`` and ``f_ml_stack`` at points where
+    The independent oracle for ``f_ml`` and the stacked kernel at points where
     Sigma(theta) is positive definite."""
     a = model.directed_fixed.copy()
     sym = model.symmetric_fixed.copy()

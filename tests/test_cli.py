@@ -462,17 +462,22 @@ def test_bad_start_file_exits_one(workdir, tmp_path, capsys, values, message):
     assert message in _one_error_line(capsys, "error:")
 
 
-@pytest.mark.parametrize("text", ["", "# a comment\n\n"], ids=["empty", "comment-only"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "# a comment\n\n", "a,b\n1,2\n", "1,2\n3\n"],
+    ids=["empty", "comment-only", "text-cell", "ragged"],
+)
 @pytest.mark.parametrize("which", ["--cov", "--start"])
 def test_empty_input_file_exits_one(workdir, tmp_path, capsys, which, text):
-    # np.loadtxt once printed a two-line UserWarning before the error line
-    empty = tmp_path / "empty.csv"
-    empty.write_text(text)
-    files = {"--cov": str(workdir / "cov.csv"), which: str(empty)}
+    # a file with no numbers, or with a cell or row numpy cannot read: one
+    # error line, naming the file
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    files = {"--cov": str(workdir / "cov.csv"), which: str(bad)}
     code = main(["fit", "--model", str(workdir / "model.json"), "--n", "200",
                  *(arg for pair in files.items() for arg in pair)])
     assert code == 1
-    assert str(empty) in _one_error_line(capsys, "error:")
+    assert str(bad) in _one_error_line(capsys, "error:")
 
 
 @pytest.mark.parametrize("command", ["fit", "table-check"])

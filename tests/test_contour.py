@@ -152,6 +152,7 @@ class TestRadialContourPoint:
             theta_hat = np.zeros(2)
             f_hat = 0.0
             n = None
+            hessian_at_opt = np.zeros((2, 2))
 
             def objective(self, theta):
                 return 0.5 * min(theta[1], 0.0) ** 2  # flat where theta[1] >= 0
@@ -169,6 +170,7 @@ class TestRadialContourPoint:
             theta_hat = np.zeros(2)
             f_hat = 0.0
             n = None
+            hessian_at_opt = np.zeros((2, 2))
 
             def objective(self, theta):
                 r = float(np.linalg.norm(theta))
@@ -285,6 +287,7 @@ class TestAxisWidthsExact:
             theta_hat = np.zeros(2)
             f_hat = 0.0
             n = None
+            hessian_at_opt = np.zeros((2, 2))
 
             def objective(self, theta):
                 return math.nan if abs(theta[1]) > 0.1 else 0.5 * float(theta @ theta)
@@ -462,6 +465,7 @@ class _Faulty(RowMapped):
     theta_hat = np.zeros(2)
     f_hat = 0.0
     n = None
+    hessian_at_opt = np.zeros((2, 2))
     hessian = np.array([[3.0, 1.2], [1.2, 1.5]])
 
     def __init__(self, bad_angle=0.0, half_width=0.0, kind="nan"):

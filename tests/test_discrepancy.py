@@ -12,7 +12,6 @@ from fungible import (
     condition_at,
     f_from_rmsea,
     f_ml,
-    f_ml_stack,
     fit_ml,
     gradient,
     hessian,
@@ -25,8 +24,8 @@ from fungible import (
 from fungible.discrepancy import (
     SIGMA_NOT_PD,
     SINGULAR_STRUCTURE,
+    _analyzed,
     _grad_from_implied,
-    _logdet_s,
     evaluate_stack,
 )
 from helpers import (
@@ -93,8 +92,15 @@ def _f_ml_or_nan(model, theta, s):
         return math.nan
 
 
+def _stack_f(model, thetas, s):
+    """F at every row of a ``(k, q)`` stack against s: the kernel call that
+    ``FitResult.objectives`` makes, NaN at faulted rows."""
+    s, ld_s = _analyzed(model, s)
+    return evaluate_stack(model, np.asarray(thetas, dtype=float), s, ld_s)[1]
+
+
 def _assert_matches_scalar(model, thetas, s):
-    got = f_ml_stack(model, thetas, s)
+    got = _stack_f(model, thetas, s)
     want = np.array([_f_ml_or_nan(model, theta, s) for theta in thetas])
     # each row of the stack is the one-row evaluation, bit for bit
     np.testing.assert_array_equal(got, want)
@@ -105,6 +111,9 @@ def _assert_matches_scalar(model, thetas, s):
 
 
 class TestFmlStack:
+    """F over a stack of parameter vectors: the kernel, and
+    ``FitResult.objectives`` in front of it."""
+
     @settings(deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_scalar_oracle(self, seed):
@@ -151,10 +160,8 @@ class TestFmlStack:
             f_ml(cond.model, theta, res.s)
         except NotPositiveDefinite as err:
             assert err.which == "sigma_theta"
-        _assert_matches_scalar(cond.model, theta[None, :], res.s)
-        np.testing.assert_array_equal(
-            res.objectives(theta[None, :]), f_ml_stack(cond.model, theta[None, :], res.s)
-        )
+        want = _assert_matches_scalar(cond.model, theta[None, :], res.s)
+        np.testing.assert_array_equal(res.objectives(theta[None, :]), want)
 
     def test_trace_solves_only_pd_rows(self, conditions, monkeypatch):
         # the canonical model is recursive, so every np.linalg.solve call of
@@ -170,22 +177,22 @@ class TestFmlStack:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        f_bad = f_ml_stack(cond.model, np.tile(broken, (3, 1)), cond.sigma_pop)
+        f_bad = _stack_f(cond.model, np.tile(broken, (3, 1)), cond.sigma_pop)
         assert np.isnan(f_bad).all() and solved_rows == []
         mixed = np.array([cond.theta_star, broken, 1.1 * cond.theta_star, broken])
-        f_mixed = f_ml_stack(cond.model, mixed, cond.sigma_pop)
+        f_mixed = _stack_f(cond.model, mixed, cond.sigma_pop)
         assert list(np.isnan(f_mixed)) == [False, True, False, True]
         assert solved_rows == [2]
 
     def test_shape_and_finiteness_checked(self):
-        model = diag_model(2)
-        with pytest.raises(ValueError):
-            f_ml_stack(model, np.ones(2), np.eye(2))
-        with pytest.raises(ValueError):
-            f_ml_stack(model, np.array([[1.0, np.inf]]), np.eye(2))
-        with pytest.raises(NotPositiveDefinite):
-            f_ml_stack(model, np.ones((1, 2)), [[1.0, 2.0], [2.0, 1.0]])
-        assert f_ml_stack(model, np.empty((0, 2)), np.eye(2)).shape == (0,)
+        # a non-positive-definite s is the covariance rule's case
+        # (TestCovarianceRule): fit_ml rejects it before a result exists
+        res = fit_ml(diag_model(2), np.eye(2))
+        with pytest.raises(ValueError, match="shape"):
+            res.objectives(np.ones(2))
+        with pytest.raises(ValueError, match="finite"):
+            res.objectives(np.array([[1.0, np.inf]]))
+        assert res.objectives(np.empty((0, 2))).shape == (0,)
 
 
 class TestGradient:
@@ -258,7 +265,7 @@ class TestGradientBytes:
     order, from 0.0, as ``np.add.at`` does: same sums, same signed zeros."""
 
     def _assert_matches_add_at(self, model, thetas, s):
-        fault, _, implied = evaluate_stack(model, thetas, s, _logdet_s(s))
+        fault, _, implied = evaluate_stack(model, thetas, *_analyzed(model, s))
         assert not fault.any()
         _assert_same_bytes(_grad_from_implied(model, s, *implied),
                            reference_grad_from_implied(model, s, *implied))
@@ -311,7 +318,7 @@ class TestStackRowsBytes:
     byte for byte: F, fault code and implied matrices."""
 
     def _assert_rows_match(self, model, thetas, s):
-        ld_s = _logdet_s(s)
+        s, ld_s = _analyzed(model, s)
         fault, f, implied = evaluate_stack(model, thetas, s, ld_s)
         assert fault.shape == f.shape == (len(thetas),)
         kept = 0  # the implied stacks hold the rows whose (I - A) is usable

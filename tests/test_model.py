@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,16 +18,22 @@ from fungible import (
     condition_at,
     condition_from_label,
     f_ml,
+    fit_ml,
+    gradient,
+    hessian,
     load_model,
     make_model,
     misspecify_to_epsilon,
     model_to_dict,
     population_rmsea,
+    replication_rng,
     save_model,
     sigma_of_theta,
+    wishart_sample,
 )
 from fungible.discrepancy import SINGULAR_STRUCTURE, evaluate_stack
-from fungible.model import STRUCTURAL_EFFECT_LEVELS, UNIQUE_VARIANCE_LEVELS, implied_stack
+from fungible.model import (STRUCTURAL_EFFECT_LEVELS, UNIQUE_VARIANCE_LEVELS, as_cov,
+                            implied_stack)
 from helpers import (
     diag_model,
     feedback_model,
@@ -355,6 +363,67 @@ class TestFreeEntries:
         assert list(doc) == ["observed", "latent", "directed", "symmetric"]
 
 
+def _bad_covariance(case):
+    """Sigma1's population covariance with one defect."""
+    s = np.array(condition_from_label("Sigma1").sigma_pop)
+    if case == "nan":
+        s[0, 1] = s[1, 0] = np.nan
+    elif case == "inf":
+        s[2, 2] = np.inf
+    elif case == "non-square":
+        s = s[:, :5]
+    elif case == "wrong-size":
+        s = s[:5, :5]
+    elif case == "asymmetric":
+        s[0, 1] += 1e-3
+    else:  # "not-pd": unit variances with a covariance of 2
+        s[0, 1] = s[1, 0] = 2.0
+    return s
+
+
+# each caller of the covariance rule, with the name it gives the matrix
+_COV_CALLERS = {
+    "f_ml": ("s", lambda cond, s: f_ml(cond.model, cond.theta_star, s)),
+    "gradient": ("s", lambda cond, s: gradient(cond.model, cond.theta_star, s)),
+    "hessian": ("s", lambda cond, s: hessian(cond.model, cond.theta_star, s)),
+    "fit_ml": ("s", lambda cond, s: fit_ml(cond.model, s, n=200)),
+    "PopulationCondition": ("sigma_pop", lambda cond, s: dataclasses.replace(cond, sigma_pop=s)),
+    "wishart_sample": ("sigma", lambda cond, s: wishart_sample(
+        s, 50, replication_rng(1, "Sigma1", 50, 0.0, 0))),
+}
+# sampling takes a covariance of any order, so a wrong size is not wrong there
+_COV_CASES = [
+    (caller, case)
+    for caller in _COV_CALLERS
+    for case in ("nan", "inf", "non-square", "wrong-size", "asymmetric", "not-pd")
+    if (caller, case) != ("wishart_sample", "wrong-size")
+]
+
+
+class TestCovarianceRule:
+    """Every covariance the package analyzes or samples from is checked by
+    one rule, ``as_cov``: a bad one raises one error naming the matrix."""
+
+    @pytest.mark.parametrize("caller, case", _COV_CASES)
+    def test_bad_covariance_named(self, conditions, caller, case):
+        which, call = _COV_CALLERS[caller]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((ValueError, NotPositiveDefinite)) as err:
+                call(conditions["Sigma1"], _bad_covariance(case))
+        if case == "not-pd":
+            assert err.type is NotPositiveDefinite and err.value.which == which
+        else:
+            assert err.type is ValueError and repr(which) in str(err.value)
+
+    def test_symmetric_input_unchanged(self, conditions):
+        # symmetrizing an exactly symmetric matrix is the identity
+        sigma = conditions["Sigma1"].sigma_pop
+        s, chol = as_cov(sigma, 6)
+        assert s.tobytes() == np.asarray(sigma).tobytes()
+        np.testing.assert_array_equal(chol, np.linalg.cholesky(sigma))
+
+
 class TestBuiltinConditions:
     @pytest.mark.parametrize(
         "uv,se,label",
@@ -473,8 +542,6 @@ class TestMisspecify:
             misspecify_to_epsilon(conditions["Sigma1"], -0.01)
 
     def test_missing_direction_rejected(self, conditions):
-        import dataclasses
-
         cond = dataclasses.replace(conditions["Sigma1"], misfit_pair=None)
         with pytest.raises(ValueError, match="perturbation direction"):
             misspecify_to_epsilon(cond, 0.03)
