@@ -72,13 +72,15 @@ def _check_files(args, names):
 
 def _read_numbers(path, ndmin):
     """The numbers of a comma-separated file; raises :class:`ValueError`
-    naming the file when it holds none or a cell or row numpy cannot read."""
+    naming the file when it holds none or a cell or row numpy cannot read.
+    numpy's advice to pass ``usecols`` is dropped: the CLI has no such
+    option."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             values = np.loadtxt(path, delimiter=",", ndmin=ndmin)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {str(exc).partition('; use `usecols`')[0]}") from None
     if values.size == 0:
         raise ValueError(f"no numbers in {path}")
     return values

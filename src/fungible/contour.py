@@ -28,7 +28,7 @@ commits, as the step-by-step search would.  On the ROADMAP Baseline fit
 (Sigma1, eps .03, N = 200; eps_tilde target; 2-core Xeon VM, one BLAS
 thread), about a third of a 90-direction width is this engine's own numpy
 and Python work and two thirds the kernel's 66 stacked calls; at 360
-directions (60 calls) the engine's share is under a quarter.
+directions (60 calls) the engine's share is about 22%.
 For a :class:`~fungible.fit.FitResult` that evaluation is
 :meth:`~fungible.fit.FitResult.objectives`, the package's one stacked
 evaluator, whose rows equal :func:`~fungible.discrepancy.f_ml` bit for bit.

@@ -1,11 +1,12 @@
 """Math core: ML discrepancy with derivatives, RMSEA conversions, and
 chi-square quantiles.
 
-F and its gradient come from one kernel, :func:`evaluate_stack`, over a
-``(k, q)`` stack of parameter vectors, with one fault code per row.
-:func:`f_ml` and :func:`gradient` are its one-row views and raise the fault
-as a domain error, and :func:`hessian` evaluates its 2q gradient points as
-one stack.  The stacked evaluator with NaN at faulted rows is
+F comes from one kernel, :func:`evaluate_stack`, over a ``(k, q)`` stack of
+parameter vectors, with one fault code per row; its gradient comes from the
+part of that kernel without the trace solve, :func:`_implied_ld`.
+:func:`f_ml` and :func:`gradient` are one-row views and raise the fault as a
+domain error, and :func:`hessian` evaluates its 2q gradient points as one
+stack.  The stacked evaluator with NaN at faulted rows is
 :meth:`~fungible.fit.FitResult.objectives`, against a fit's analyzed
 covariance.  Every entry point checks the analyzed covariance s by the one
 rule of :func:`~fungible.model.as_cov` and takes ln|s| from its Cholesky
@@ -13,7 +14,11 @@ factor.
 
 All functions are pure and reentrant.  Positive definiteness is always
 established by attempting a Cholesky factorization; there is no eigenvalue
-thresholding.
+thresholding.  Cholesky factors, solves and inverses come from numpy.linalg's
+LAPACK gufuncs, called directly (imported in :mod:`fungible.model`): at these
+sizes numpy.linalg's Python wrappers cost more than the LAPACK calls, and a
+stacked gufunc call returns NaN for each matrix that fails where numpy.linalg
+raises for the whole stack.  Each kernel call enters ``np.errstate`` once.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import NotPositiveDefinite, SingularStructure
-from .model import ModelSpec, _rows_or_nan, as_cov, as_theta, implied_stack
+from .model import ModelSpec, _cholesky, _inv, _lu_solve, as_cov, as_theta, implied_stack
 
 __all__ = [
     "f_ml",
@@ -45,49 +50,65 @@ def _analyzed(model: ModelSpec, s):
     return s, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
+def _implied_ld(model, thetas):
+    """What F and its gradient share: ``(ok, ld_sigma, implied)``, the
+    mask and ``(G, GSG', Sigma)`` stacks of
+    :func:`~fungible.model.implied_stack` and ln|Sigma| at the ok rows, NaN
+    where Sigma fails Cholesky.  Runs under its caller's ``np.errstate``."""
+    ok, g_mat, c_mat, sigma = implied_stack(model, thetas)
+    k, p = sigma.shape[:2]
+    chol = _cholesky(sigma)
+    # the factors' diagonals, as a strided view
+    ld_sigma = 2.0 * np.log(chol.reshape(k, p * p)[:, :: p + 1]).sum(axis=1)
+    return ok, ld_sigma, (g_mat, c_mat, sigma)
+
+
+def _widen(ok, values, fill):
+    """Values at the ok rows, widened to every row with ``fill``."""
+    if len(values) == len(ok):
+        return values
+    out = np.full(len(ok), fill)
+    out[ok] = values
+    return out
+
+
 def evaluate_stack(model: ModelSpec, thetas, s, ld_s):
     """F against s, given ln|s|, at every row of a validated ``(k, q)`` stack.
 
-    Sigma is Cholesky-factored for ln|Sigma|, and the rows that pass are
-    solved against s for the trace, each as one stacked call.  Returns
+    Adds the trace to :func:`_implied_ld`: the rows whose Sigma passes its
+    Cholesky test are solved against s as one stacked call.  Returns
     ``(fault, f, implied)``: per row 0, ``SINGULAR_STRUCTURE`` or
     ``SIGMA_NOT_PD``; F, NaN where faulted; the ``(G, GSG', Sigma)`` stacks
     of the rows whose (I - A)^-1 is usable.
 
     A one-row call, which every line-search trial of a fit makes, costs
-    about 37 us on a 2-core Xeon VM, mostly numpy's per-call overhead; the
-    cost per row falls to about 3 us in stacks of 64 rows or more.
+    about 27-30 us on a 2-core Xeon VM, mostly numpy's per-call overhead;
+    the cost per row falls to about 2.2 us in stacks of 64 rows.
     """
-    ok, g_mat, c_mat, sigma = implied_stack(model, thetas)
-    k, p = sigma.shape[:2]
-    chol = _rows_or_nan(np.linalg.cholesky, sigma)
-    # the factors' diagonals, as a strided view
-    ld_sigma = 2.0 * np.log(chol.reshape(k, p * p)[:, :: p + 1]).sum(axis=1)
-    pd = np.isfinite(ld_sigma)
-    # numpy solves each matrix of a stack on its own: a row's trace does not
-    # depend on which other rows are in the stack
-    if pd.all():
-        trace = _rows_or_nan(np.linalg.solve, sigma, s).trace(axis1=1, axis2=2)
-    else:
-        trace = np.full(k, np.nan)
-        if pd.any():
-            trace[pd] = _rows_or_nan(np.linalg.solve, sigma[pd], s).trace(axis1=1, axis2=2)
+    with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
+        ok, ld_sigma, implied = _implied_ld(model, thetas)
+        sigma = implied[2]
+        k, p = sigma.shape[:2]
+        pd = np.isfinite(ld_sigma)
+        # LAPACK solves each matrix of a stack on its own: a row's trace
+        # does not depend on which other rows are in the stack
+        if pd.all():
+            trace = _lu_solve(sigma, s).trace(axis1=1, axis2=2)
+        else:
+            trace = np.full(k, np.nan)
+            if pd.any():
+                trace[pd] = _lu_solve(sigma[pd], s).trace(axis1=1, axis2=2)
     f = np.maximum(0.0, ld_sigma - ld_s + trace - p)
-    fault = SIGMA_NOT_PD * np.isnan(f)
-    if k < len(thetas):
-        # widen to every row; (I - A) was singular at the rows not in ok
-        f_ok, fault_ok = f, fault
-        f = np.full(len(thetas), np.nan)
-        fault = np.full(len(thetas), SINGULAR_STRUCTURE)
-        f[ok], fault[ok] = f_ok, fault_ok
-    return fault, f, (g_mat, c_mat, sigma)
+    fault = _widen(ok, SIGMA_NOT_PD * np.isnan(f), SINGULAR_STRUCTURE)
+    return fault, _widen(ok, f, np.nan), implied
 
 
-def _raise_fault(code):
-    """The domain error a row's fault code stands for; none for 0."""
-    if code == SINGULAR_STRUCTURE:
-        raise SingularStructure("(I - A) is numerically singular")
-    if code == SIGMA_NOT_PD:
+def _raise_fault(fault):
+    """The domain error of a stack's first faulted row, if any."""
+    codes = fault[fault != 0]
+    if len(codes):
+        if codes[0] == SINGULAR_STRUCTURE:
+            raise SingularStructure("(I - A) is numerically singular")
         raise NotPositiveDefinite("sigma_theta")
 
 
@@ -95,7 +116,7 @@ def _evaluate_one(model, theta, s, ld_s):
     """:func:`evaluate_stack` at one parameter vector: F and the one-row
     stacks of ``(G, GSG', Sigma)`` there, or the domain error of its fault."""
     fault, f, implied = evaluate_stack(model, as_theta(model, theta)[None], s, ld_s)
-    _raise_fault(fault[0])
+    _raise_fault(fault)
     return float(f[0]), implied
 
 
@@ -114,13 +135,14 @@ def f_ml(model: ModelSpec, theta, s) -> float:
 
 
 def _grad_from_implied(model, s, g_mat, c_mat, sigma):
-    """Gradient of F from the implied matrices at one point where Sigma is
-    invertible, or from ``(k, ., .)`` stacks of them at k such points (then
-    ``(k, q)``).  The terms of the free entries that share a parameter add
-    up with one ``np.bincount``, in :attr:`~fungible.model.ModelSpec._free`
-    order and from 0.0."""
+    """Gradient of F from the implied matrices at one point, or from
+    ``(k, ., .)`` stacks of them at k points (then ``(k, q)``); NaN where
+    Sigma is singular, met only under :func:`_gradients`' errstate (F's
+    trace solve factors Sigma by the same LU).  The terms of the free
+    entries that share a parameter add up with one ``np.bincount``, in
+    :attr:`~fungible.model.ModelSpec._free` order and from 0.0."""
     p = model.n_observed
-    sigma_inv = np.linalg.inv(sigma)
+    sigma_inv = _inv(sigma)
     w = sigma_inv @ (sigma - s) @ sigma_inv
     w = 0.5 * (w + w.swapaxes(-1, -2))
     g_obs = g_mat[..., :p, :]                  # F G
@@ -141,12 +163,22 @@ def _grad_from_implied(model, s, g_mat, c_mat, sigma):
     return np.bincount(bins, terms.ravel(), minlength=k * q).reshape(k, q)
 
 
+def _gradients(model, thetas, s):
+    """Gradients of F at every row of a validated stack, with no trace
+    solve; raises the domain error of the first row that has none."""
+    with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
+        ok, ld_sigma, implied = _implied_ld(model, thetas)
+        grads = _grad_from_implied(model, s, *implied)
+    not_pd = np.isnan(ld_sigma) | np.isnan(grads).any(axis=1)
+    _raise_fault(_widen(ok, SIGMA_NOT_PD * not_pd, SINGULAR_STRUCTURE))
+    return grads
+
+
 def gradient(model: ModelSpec, theta, s) -> np.ndarray:
     """Analytic gradient of :func:`f_ml` in theta (chain rule through the
     RAM structure); raises the errors :func:`f_ml` raises."""
-    s, ld_s = _analyzed(model, s)
-    implied = _evaluate_one(model, theta, s, ld_s)[1]
-    return _grad_from_implied(model, s, *(mat[0] for mat in implied))
+    s = as_cov(s, model.n_observed)[0]
+    return _gradients(model, as_theta(model, theta)[None], s)[0]
 
 
 def hessian(model: ModelSpec, theta, s) -> np.ndarray:
@@ -158,17 +190,13 @@ def hessian(model: ModelSpec, theta, s) -> np.ndarray:
     error :func:`gradient` raises at the first of them in the order
     +e_1, -e_1, +e_2, -e_2, ...
     """
-    s, ld_s = _analyzed(model, s)
+    s = as_cov(s, model.n_observed)[0]
     theta = as_theta(model, theta)
     h = 1e-5 * np.maximum(1.0, np.abs(theta))
     points = np.empty((2 * model.q, model.q))
     points[0::2] = theta + np.diag(h)
     points[1::2] = theta - np.diag(h)
-    fault, _, implied = evaluate_stack(model, points, s, ld_s)
-    faulted = np.flatnonzero(fault)
-    if len(faulted):
-        _raise_fault(fault[faulted[0]])
-    grads = _grad_from_implied(model, s, *implied)
+    grads = _gradients(model, points, s)
     h_mat = ((grads[0::2] - grads[1::2]) / (2.0 * h)[:, None]).T
     return 0.5 * (h_mat + h_mat.T)
 

@@ -18,9 +18,9 @@ many parameter vectors against the fit's S, the form the contour engine
 calls.
 
 A step costs little arithmetic and many numpy calls: on a 2-core Xeon VM a
-one-row evaluation takes about 37 us and its gradient about 20 us, almost
+one-row evaluation takes about 30 us and its gradient about 18 us, almost
 all of it per-call overhead, and a fit of the builtin conditions' model
-(q = 14, about 26 iterations) takes about 2.7 ms.  So the BFGS update uses
+(q = 14, about 26 iterations) takes about 2.2 ms.  So the BFGS update uses
 the cheapest calls that give the same bits: ``ndarray.dot`` for products
 and norms, and broadcasting for the outer products.
 

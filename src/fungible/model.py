@@ -38,6 +38,11 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+# numpy.linalg's LAPACK gufuncs, without its wrappers.  Private numpy API; each
+# gives numpy.linalg's bits, and NaN (invalid flag set, so call them under
+# np.errstate) for a matrix that fails.  tests/test_discrepancy.py::TestLapack
+# pins both.
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky, inv as _inv, solve as _lu_solve
 
 from ._solve import UNDEFINED, bracket_level, bracketed_root
 from .errors import (
@@ -288,10 +293,11 @@ def as_cov(s, p: int | None = None, which: str = "s"):
             f"covariance matrix {which!r} is not symmetric (max asymmetry {asym:.2e})"
         )
     s = 0.5 * (s + s.T)
-    try:
-        return s, np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(which) from None
+    with np.errstate(all="ignore"):
+        chol = _cholesky(s)
+    if np.isnan(chol).any():
+        raise NotPositiveDefinite(which)
+    return s, chol
 
 
 def focal_indices(model: ModelSpec, focal) -> tuple[int, ...]:
@@ -312,50 +318,29 @@ def focal_indices(model: ModelSpec, focal) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _rows_or_nan(fn, mats, *args):
-    """fn over a (k, n, n) stack in one call; only when that call raises,
-    one call per matrix, with NaN for the matrices where it raises."""
-    try:
-        return fn(mats, *args)
-    except np.linalg.LinAlgError:
-        pass
-    out = np.full(mats.shape, np.nan)
-    if len(mats) == 1:
-        return out  # the stacked call already raised for the only matrix
-    for i, mat in enumerate(mats):
-        try:
-            out[i] = fn(mat, *args)
-        except np.linalg.LinAlgError:
-            pass
-    return out
-
-
 def implied_stack(model: ModelSpec, thetas):
     """Sigma(theta) at every row of a validated ``(k, q)`` parameter stack.
 
     Returns ``(ok, G, GSG', Sigma)``, G = (I - A)^-1, and the matrix stacks
-    hold the rows of the ``(k,)`` mask ``ok`` only.  G is built one of two
-    ways, chosen by the model's pattern:
-
-    - ``single_step``: G = I + A, with no rounding (for the builtin
-      conditions the LU solve's result is the same bytes); ``ok`` marks the
-      rows where G is finite;
-    - otherwise: G is the stacked (I - A) solve, and ``ok`` marks the rows
-      whose solve is finite with residual at most 1e-8 max(1, max|G|).
+    hold the rows of the ``(k,)`` mask ``ok`` only.  For a ``single_step``
+    model G = I + A, finite at a finite theta, so every row is ok;
+    otherwise G is the stacked (I - A) solve, and ``ok`` marks the rows
+    whose solve is finite with residual at most 1e-8 max(1, max|G|).
     """
     a, s = model._assemble(thetas)
     eye = model._eye
     if model.single_step:
         g = eye + a
-        ok = np.isfinite(g).all(axis=(1, 2))
+        ok = np.ones(len(thetas), dtype=bool)
     else:
         im_a = eye - a
-        g = _rows_or_nan(np.linalg.solve, im_a, eye)
+        with np.errstate(all="ignore"):  # a singular row comes back as NaN
+            g = _lu_solve(im_a, eye)
         resid = np.abs(im_a @ g - eye).max(axis=(1, 2))
         g_max = np.abs(g).max(axis=(1, 2))
         ok = np.isfinite(g_max) & (resid <= 1e-8 * np.maximum(1.0, g_max))
-    if not ok.all():
-        g, s = g[ok], s[ok]
+        if not ok.all():
+            g, s = g[ok], s[ok]
     c = g @ s @ g.transpose(0, 2, 1)
     p = model.n_observed
     sigma = c[:, :p, :p]

@@ -21,6 +21,7 @@ from fungible import (
     sigma_of_theta,
     wishart_sample,
 )
+from fungible import discrepancy
 from fungible.discrepancy import (
     SIGMA_NOT_PD,
     SINGULAR_STRUCTURE,
@@ -164,19 +165,19 @@ class TestFmlStack:
         np.testing.assert_array_equal(res.objectives(theta[None, :]), want)
 
     def test_trace_solves_only_pd_rows(self, conditions, monkeypatch):
-        # the canonical model is recursive, so every np.linalg.solve call of
+        # the canonical model is recursive, so every LAPACK solve call of
         # an evaluation is F's trace solve; rows that fail Cholesky skip it
         cond = conditions["Sigma1"]
         broken = cond.theta_star.copy()
         broken[cond.model.variance_param_mask] = -1.0
         solved_rows = []
-        solve = np.linalg.solve
+        solve = discrepancy._lu_solve
 
         def counting_solve(a, b):
             solved_rows.append(len(a))
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(discrepancy, "_lu_solve", counting_solve)
         f_bad = _stack_f(cond.model, np.tile(broken, (3, 1)), cond.sigma_pop)
         assert np.isnan(f_bad).all() and solved_rows == []
         mixed = np.array([cond.theta_star, broken, 1.1 * cond.theta_star, broken])
@@ -258,6 +259,57 @@ def _shared_loading_model():
 
 def _assert_same_bytes(got, want):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _lapack_stack(p, rng):
+    """Twelve symmetric p x p matrices: positive definite, except rows 1, 5
+    and 9, which are not (negative definite, or with a negative first
+    diagonal entry) and rows 3 and 7, which are singular (last row and
+    column zero)."""
+    b = rng.standard_normal((12, p, p + 2))
+    mats = b @ b.swapaxes(1, 2) / (p + 2)
+    mats[1] *= -1.0
+    mats[5, 0, 0] = -1.0
+    mats[9] *= -0.5
+    mats[[3, 7], -1] = mats[[3, 7], :, -1] = 0.0
+    return mats
+
+
+class TestLapack:
+    """The kernel calls numpy.linalg's LAPACK gufuncs without numpy.linalg's
+    wrappers (private numpy API, see ``fungible.model``): on every matrix
+    that numpy.linalg factors they give its bits, and a matrix that
+    numpy.linalg rejects comes back all NaN.  That no warning escapes the
+    kernel's errstate is checked by every test that evaluates failing rows,
+    since pytest turns warnings into errors."""
+
+    @pytest.mark.parametrize("p", [1, 6, 9])
+    @pytest.mark.parametrize("name", ["cholesky", "solve", "inv"])
+    def test_matches_numpy_linalg(self, p, name):
+        rng = np.random.default_rng(p)
+        mats = _lapack_stack(p, rng)
+        args = (rng.standard_normal((p, p)),) if name == "solve" else ()
+        handle = {"cholesky": discrepancy._cholesky, "solve": discrepancy._lu_solve,
+                  "inv": discrepancy._inv}[name]
+        reference = getattr(np.linalg, name)
+        with np.errstate(all="ignore"):
+            got = handle(mats, *args)
+        good, failed = [], []
+        for row, mat in enumerate(mats):
+            try:
+                want = reference(mat, *args)
+            except np.linalg.LinAlgError:
+                assert np.isnan(got[row]).all()
+                failed.append(row)
+                continue
+            _assert_same_bytes(got[row], want)
+            good.append(row)
+        # a stack of the good rows is what numpy.linalg itself factors (with
+        # solve's right-hand side as a stack too, which numpy 1.x would
+        # otherwise read as a stack of vectors)
+        stacked = [np.broadcast_to(arg, mats[good].shape) for arg in args]
+        _assert_same_bytes(got[good], reference(mats[good], *stacked))
+        assert failed == ([1, 3, 5, 7, 9] if name == "cholesky" else [3, 7])
 
 
 class TestGradientBytes:
