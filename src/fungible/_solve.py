@@ -13,18 +13,22 @@ code and dropped, so it never stops the others.
 rays and the misfit perturbation search; its domain-edge bisection runs all
 its steps on every problem that needs it.
 
-:func:`golden_max` looks ahead, committing several golden-section steps
-per call of its ``fun`` on Python-float brackets; its docstring says how.
+:func:`golden_max` evaluates a predicted path of golden-section steps per
+call of its ``fun``, the branches chosen by a parabola through the best
+known points (R. P. Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 5), and commits exactly the step-by-step search's
+points; its docstring says how.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_LOOKAHEAD = 3  # golden-section steps committed per call of the objective
+_LOOKAHEAD = 12  # golden-section steps evaluated per open bracket per call of f
 
 # fault codes; where several meet, the larger stands for them all
 ABOVE_TOL = 1  # the best point's residual is above the root tolerance
@@ -84,7 +88,39 @@ def _golden_step(a, b, c, d, left):
     return c, b, d, x, x
 
 
-def golden_max(f, a, b, *, x_tol, max_iter=200):
+def _vertex(points, a, b):
+    """The predicted argmax on [a, b]: the vertex of the parabola through
+    the three best points ``(x, f)`` with finite x and f, in Brent's form;
+    the best point where that vertex is not finite or the parabola is not
+    concave, the midpoint where no point is finite."""
+    finite = sorted((p for p in points if math.isfinite(p[0]) and math.isfinite(p[1])),
+                    key=lambda p: -p[1])
+    if len(finite) < 3:
+        return finite[0][0] if finite else 0.5 * (a + b)
+    (x, fx), (w, fw), (v, fv) = finite[:3]
+    r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+    p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+    # the parabola's curvature has the sign of q / ((w - x)(v - x)(w - v))
+    if q * (w - x) * (v - x) * (w - v) < 0.0 and math.isfinite(x - p / q):
+        return x - p / q
+    return x
+
+
+def _path(a, b, c, d, left, vertex, steps, x_tol):
+    """Up to ``steps`` golden steps from the bracket [a, b] with interior
+    points c < d, while the bracket is wider than ``x_tol``: the first along
+    ``left``, each later one along the branch of a concave parabola peaking
+    at ``vertex``, f(c) >= f(d) where |c - vertex| <= |d - vertex|.  Returns
+    ``(left, step)`` per step, ``step`` as :func:`_golden_step` returns it."""
+    path = []
+    while len(path) < steps and b - a > x_tol:
+        a, b, c, d, x = step = _golden_step(a, b, c, d, left)
+        path.append((left, step))
+        left = abs(c - vertex) <= abs(d - vertex)
+    return path
+
+
+def golden_max(f, a, b, *, x_tol, max_iter=200, known=None):
     """Golden-section maximization of f on each [a, b].
 
     Assumes f is unimodal on each bracket (the use here is a local refinement
@@ -96,60 +132,86 @@ def golden_max(f, a, b, *, x_tol, max_iter=200):
     committed point ends the search at that step; ``fault`` then holds, per
     bracket, the largest code among its points of that step.
 
-    The search looks ahead.  The first call evaluates both interior points
-    of every bracket.  After that, each call evaluates every state the next
-    :data:`_LOOKAHEAD` steps can reach, held per open bracket as a heap of
-    nodes: node 0 is the next step, whose branch the f(c) >= f(d) test
-    already decides, and node k's children are 2k + 1, the branch where
-    f(c) >= f(d) keeps [a, d], and 2k + 2, the one that keeps [c, b].  Each
-    node holds its bracket, its interior points and the one new point its
-    step adds.  One call evaluates, in node order, the new point of every
-    node whose parent bracket is still open (b - a > ``x_tol``).  The search
-    then commits up to :data:`_LOOKAHEAD` steps, moving from node k to node
-    2k + 1 + (f(c) < f(d)) and taking that node's state.  The committed
-    points, their arithmetic and the result are those of the step-by-step
-    search; the values and faults of the points it does not commit are
-    discarded.  Brackets and heaps are Python floats: their + - * are
+    The search evaluates a predicted path.  The first call evaluates both
+    interior points of every bracket.  Each call then evaluates, per open
+    bracket, up to :data:`_LOOKAHEAD` steps: the next one, along the branch
+    the f(c) >= f(d) test decides, and each later one along the branch that
+    the vertex of a parabola through the bracket's three best known points
+    predicts (:func:`_vertex`); the first call predicts its first step too.
+    The known points are the committed ones and ``known``, an optional pair
+    ``(x, f)`` of ``(n, m)`` arrays of prior points per bracket, such as a
+    caller's grid values.  The search then commits steps along the branches
+    the values select, up to the first mispredicted step, so brackets may
+    commit different numbers of steps per call.  A fault committed at step t
+    ends every bracket at step t: brackets short of it run up to it, and
+    brackets past it drop their later steps.  The committed points, their
+    arithmetic and the result are those of the step-by-step search, whatever
+    the predictions; the values and faults of the points it does not commit
+    are discarded.  Brackets and paths are Python floats: their + - * are
     numpy's IEEE double operations, without its cost per call.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    n = len(a)
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    values, codes = f(np.concatenate([c, d]), np.tile(np.arange(len(a)), 2))
-    fc, fd = np.asarray(values, dtype=float).reshape(2, len(a))
-    fault = np.maximum(*np.asarray(codes).reshape(2, len(a))).tolist()
-    best_x, best_f = np.where(fc >= fd, [c, fc], [d, fd]).tolist()
-    state = np.stack([a, b, c, d, fc, fd], axis=1).tolist()  # per bracket
-    for done in range(0, max_iter, _LOOKAHEAD):
-        i = [j for j, s in enumerate(state) if s[1] - s[0] > x_tol]
-        if any(fault) or not i:
+    state = np.stack([a, b, c, d], axis=1).tolist()  # a, b, c, d, then f(c), f(d)
+    seen = [[] for _ in range(n)]  # the known points per bracket
+    if known is not None:
+        kx, kf = np.asarray(known, dtype=float).tolist()
+        seen = [list(zip(xs, fs)) for xs, fs in zip(kx, kf)]
+    taken = [[] for _ in range(n)]  # the committed steps' points
+    # the first step with a committed fault (none: max_iter + 1) and per
+    # bracket its faulted step and code
+    stop, faults = max_iter + 1, [(0, 0)] * n
+    first = True
+    while True:
+        limit = min(max_iter, stop)
+        i = [j for j, s in enumerate(state)
+             if len(taken[j]) < limit and not faults[j][1] and s[1] - s[0] > x_tol]
+        if not (first or i):
             break
-        depth = min(_LOOKAHEAD, max_iter - done)
-        heaps = {}
+        paths = {}
         for j in i:
-            heaps[j] = heap = [_golden_step(*state[j][:4], state[j][4] >= state[j][5])]
-            for k in range(1, 2**depth - 1):
-                heap.append(_golden_step(*heap[(k - 1) // 2][:4], k % 2 == 1))
-        nodes = [(k, j) for k in range(2**depth - 1) for j in i
-                 if not k or heaps[j][(k - 1) // 2][1] - heaps[j][(k - 1) // 2][0] > x_tol]
-        xs = np.array([heaps[j][k][4] for k, j in nodes])
-        values, codes = f(xs, np.array([j for _, j in nodes]))
+            sa, sb, sc, sd = state[j][:4]
+            vertex = _vertex(seen[j], sa, sb)
+            left = abs(sc - vertex) <= abs(sd - vertex) if first else state[j][4] >= state[j][5]
+            steps = min(_LOOKAHEAD, limit - len(taken[j]))
+            paths[j] = _path(sa, sb, sc, sd, left, vertex, steps, x_tol)
+        xs, which = ([*c, *d], [*range(n)] * 2) if first else ([], [])
+        for j, path in paths.items():
+            xs += [step[4] for _, step in path]
+            which += [j] * len(path)
+        values, codes = f(np.array(xs, dtype=float), np.array(which, dtype=int))
         values, codes = np.asarray(values, dtype=float).tolist(), np.asarray(codes).tolist()
-        got = dict(zip(nodes, zip(values, codes)))
-        node = dict.fromkeys(i, 0)
-        for _ in range(depth):
-            stepping = [j for j in i if state[j][1] - state[j][0] > x_tol]
-            fault = [got[node[j], j][1] if j in stepping else 0 for j in range(len(state))]
-            if any(fault):
+        if first:
+            first = False
+            for j, s in enumerate(state):
+                s += values[j], values[n + j]
+                seen[j] += (s[2], s[4]), (s[3], s[5])
+            best = [[s[2], s[4]] if s[4] >= s[5] else [s[3], s[5]] for s in state]
+            pair = np.maximum(codes[:n], codes[n : 2 * n]).tolist()
+            if any(pair):
+                stop, faults = 0, [(0, code) for code in pair]
                 break
-            for j in stepping:
-                a, b, c, d, x = heaps[j][node[j]]
-                fx, (fc, fd) = got[node[j], j][0], state[j][4:]
-                fc, fd = (fx, fc) if fc >= fd else (fd, fx)
-                state[j] = [a, b, c, d, fc, fd]
-                if fx > best_f[j]:
-                    best_x[j], best_f[j] = x, fx
-                node[j] = 2 * node[j] + 1 + (fc < fd)
-    return np.array(best_x, dtype=float), np.array(best_f, dtype=float), np.array(fault, dtype=int)
+            values, codes = values[2 * n :], codes[2 * n :]
+        results = zip(values, codes)
+        for j, path in paths.items():
+            s = state[j]
+            for (left, (sa, sb, sc, sd, x)), (fx, code) in zip(path, [*islice(results, len(path))]):
+                if (s[4] >= s[5]) != left:
+                    break
+                if code:
+                    faults[j] = len(taken[j]) + 1, code
+                    stop = min(stop, faults[j][0])
+                    break
+                s[:] = sa, sb, sc, sd, *((fx, s[4]) if left else (s[5], fx))
+                seen[j].append((x, fx))
+                taken[j].append((x, fx))
+    for j in range(n):
+        for x, fx in taken[j][: max(stop - 1, 0)]:
+            if fx > best[j][1]:
+                best[j] = [x, fx]
+    x_best, f_best = np.array(best, dtype=float).reshape(n, 2).T
+    return x_best, f_best, np.array([code if t == stop else 0 for t, code in faults], dtype=int)
 
 
 def bracket_level(g, lo, hi, g_lo, *, doublings, edge_iters):

@@ -22,13 +22,15 @@ stacked evaluation of F over a ``(k, q)`` stack of parameter vectors per
 step, and each ray takes the iterates its own scalar search would take.  A
 ray whose root fails gets a fault code and leaves the others to finish; a
 sweep raises for any faulted ray.  The refinement's golden search,
-:func:`~fungible._solve.golden_max`, looks ahead several steps per ray solve
-(its docstring describes how) and raises only for faults at the angles it
+:func:`~fungible._solve.golden_max`, evaluates a predicted path of several
+steps per ray solve, seeded with the swept widths around each extremum (its
+docstring describes how), and raises only for faults at the angles it
 commits, as the step-by-step search would.  On the ROADMAP Baseline fit
 (Sigma1, eps .03, N = 200; eps_tilde target; 2-core Xeon VM, one BLAS
 thread), about a third of a 90-direction width is this engine's own numpy
-and Python work and two thirds the kernel's 66 stacked calls; at 360
-directions (60 calls) the engine's share is about 22%.
+and Python work and two thirds the kernel's 24 stacked calls, 18 of them
+the refinement's; at 360 directions (18 calls) the engine's share is about
+a fifth.
 For a :class:`~fungible.fit.FitResult` that evaluation is
 :meth:`~fungible.fit.FitResult.objectives`, the package's one stacked
 evaluator, whose rows equal :func:`~fungible.discrepancy.f_ml` bit for bit.
@@ -195,7 +197,7 @@ def _ray_solver(fit, focal, t_target):
     focal-plane directions), and a fault code per ray.  What every ray solve
     of the contour shares (the level offset, theta-hat and the focal Hessian
     block) is computed once here, so a width's refinement does not pay for
-    it per look-ahead call.
+    it per call.
 
     All rays advance in lockstep, one stacked ``fit.objectives`` evaluation
     per step: :func:`~fungible._solve.bracket_level` doubles out from the
@@ -351,7 +353,7 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = N_DIRECTI
 
     # search 0 maximizes the width near the widest swept direction, search 1
     # maximizes minus the width near the narrowest; both advance together,
-    # and the look-ahead points of both share each stacked ray solve
+    # and the predicted paths of both share each stacked ray solve
     k_max = int(np.argmax(np.where(valid, widths, -np.inf)))
     k_min = int(np.argmin(np.where(valid, widths, np.inf)))
     sign = np.array([1.0, -1.0])
@@ -365,7 +367,14 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = N_DIRECTI
 
     delta = 2.0 * math.pi / n
     centers = angles[[k_max, k_min]]
-    phi, best, fault = golden_max(signed_widths, centers - delta, centers + delta, x_tol=ANGLE_TOL)
+    # the swept widths at each bracket's ends and center (w is pi-periodic)
+    # predict the searches' first steps
+    offsets = np.array([-1, 0, 1])
+    near = np.add.outer([k_max, k_min], offsets) % half
+    known = centers[:, None] + delta * offsets, sign[:, None] * widths[near]
+    phi, best, fault = golden_max(
+        signed_widths, centers - delta, centers + delta, x_tol=ANGLE_TOL, known=known
+    )
     _raise_faults(fault)
     return AxisWidths(
         major=max(float(best[0]), float(widths[k_max])),

@@ -483,9 +483,10 @@ class _Faulty(RowMapped):
 _FAULTY_LEVEL, _FAULTY_DIRECTIONS = 0.02, 8
 
 
-def _sequential_golden(f, a, b, *, x_tol, max_iter=200):
+def _sequential_golden(f, a, b, *, x_tol, max_iter=200, known=None):
     """The step-by-step refinement: ``helpers.reference_golden_max`` over the
-    engine's stacked widths, raising as soon as a step's rays fault."""
+    engine's stacked widths, raising as soon as a step's rays fault; it has
+    no use for the prior points ``known``."""
     def values(x, which):
         out, fault = f(x, which)
         contour._raise_faults(fault)
@@ -555,11 +556,12 @@ class TestLookaheadRefinement:
 
     def test_stacked_evaluation_count(self, popfits, focal):
         # the criterion-05 fit at 90 directions: the step-by-step refinement
-        # took 162 stacked evaluations (1,126 rows)
+        # took 162 stacked evaluations (1,126 rows), a look-ahead of every
+        # state three steps deep 66 (1,862 rows)
         fit = _Counting(popfits["Sigma1"])
         t = f_target(ContourTarget(mode="confidence", confidence=0.95), fit, n_focal=2)
         axis_widths_exact(fit, t, focal, 90)
-        assert (len(fit.rows), sum(fit.rows)) == (66, 1862)
+        assert (len(fit.rows), sum(fit.rows)) == (24, 1186)
 
     @pytest.mark.parametrize("kind", ["nan", "jump"])
     def test_speculative_fault_is_discarded(self, monkeypatch, kind):
@@ -588,7 +590,7 @@ class TestLookaheadRefinement:
         clean = _Faulty()
         committed, _ = _golden_angles(monkeypatch, _sequential_golden, clean)
         swept = 2.0 * math.pi * np.arange(_FAULTY_DIRECTIONS) / _FAULTY_DIRECTIONS
-        # a point of the third round, away from the swept directions
+        # the first bracket's point of step 8, away from the swept directions
         angle = committed[4 + 2 * 7]
         assert _distance_mod_pi(np.array([angle]), swept)[0] > 1e-3
         fit = _Faulty(angle, 1e-7, kind)

@@ -1,10 +1,9 @@
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fungible._solve import ABOVE_TOL, UNDEFINED, bracket_level, bracketed_root, golden_max
+from fungible._solve import (_INVPHI, _LOOKAHEAD, ABOVE_TOL, UNDEFINED, bracket_level,
+                             bracketed_root, golden_max)
 from helpers import reference_bracket_level, reference_bracketed_root, reference_golden_max
 
 
@@ -46,15 +45,29 @@ def _run_reference(values, a, b, x_tol, max_iter):
     return reference_golden_max(f, a, b, x_tol=x_tol, max_iter=max_iter), calls
 
 
+def _known(a, b, values, rng):
+    """Prior points for :func:`golden_max`: per bracket 0-5 points, some
+    outside the bracket, valued by f, at random, -inf, +inf or NaN."""
+    n, m = len(a), int(rng.integers(0, 6))
+    x = a[:, None] + rng.uniform(-1.0, 2.0, (n, m)) * (b - a)[:, None]
+    f = values(x.ravel(), np.repeat(np.arange(n), m)).reshape(n, m)
+    pick = rng.integers(0, 5, (n, m))
+    f = np.choose(pick, [f, rng.normal(0.0, 10.0, (n, m)), -np.inf, np.inf, np.nan])
+    return x, f
+
+
 X_TOLS = st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.1])
-MAX_ITERS = st.sampled_from([0, 1, 2, 3, 4, 5, 7, 40, 200])
+MAX_ITERS = st.sampled_from([0, 1, 2, 3, 4, 5, 7, 13, 40, 200])
 
 
 class TestGoldenMax:
     @settings(deadline=None, max_examples=80)
-    @given(seed=st.integers(0, 2**32 - 1), x_tol=X_TOLS, max_iter=MAX_ITERS)
-    def test_commits_the_step_by_step_points(self, seed, x_tol, max_iter):
-        a, b, values, _ = _problems(seed)
+    @given(
+        seed=st.integers(0, 2**32 - 1), x_tol=X_TOLS, max_iter=MAX_ITERS, priors=st.booleans()
+    )
+    def test_commits_the_step_by_step_points(self, seed, x_tol, max_iter, priors):
+        a, b, values, rng = _problems(seed)
+        known = _known(a, b, values, rng) if priors else None
         (x_ref, f_ref), ref_calls = _run_reference(values, a, b, x_tol, max_iter)
         committed = set().union(*map(_points, ref_calls))
         calls = []
@@ -66,24 +79,32 @@ class TestGoldenMax:
             fault = [0 if (int(w), float(v)) in committed else 1 for w, v in zip(which, x)]
             return values(x, which), np.array(fault)
 
-        x_la, f_la, fault = golden_max(f, a.copy(), b.copy(), x_tol=x_tol, max_iter=max_iter)
+        x_la, f_la, fault = golden_max(
+            f, a.copy(), b.copy(), x_tol=x_tol, max_iter=max_iter, known=known
+        )
         assert not fault.any()
         assert x_la.tobytes() == x_ref.tobytes()
         assert f_la.tobytes() == f_ref.tobytes()
-        # step t of the reference is among the points of look-ahead call
-        # 1 + (t - 1) // 3; no call evaluates more than 7 points per bracket
-        steps = len(ref_calls) - 1
-        assert len(calls) == 1 + math.ceil(steps / 3)
-        assert _points(ref_calls[0]) == _points(calls[0])
-        for t in range(1, steps + 1):
-            assert _points(ref_calls[t]) <= _points(calls[1 + (t - 1) // 3])
+        # the first call holds the initial pair; every later call commits at
+        # least the step its values decide, so a point of step t of the
+        # reference is among the points of one of calls 0..t, and there are
+        # at most as many calls as reference calls; no call evaluates more
+        # than _LOOKAHEAD steps per bracket
+        assert _points(ref_calls[0]) <= _points(calls[0])
+        for t, ref in enumerate(ref_calls[1:], 1):
+            assert all(any(p in _points(call) for call in calls[: t + 1]) for p in _points(ref))
+        assert len(calls) <= len(ref_calls)
+        assert np.bincount(calls[0][1]).max() <= 2 + _LOOKAHEAD
         for _, which in calls[1:]:
-            assert np.bincount(which).max() <= 7
+            assert np.bincount(which).max() <= _LOOKAHEAD
 
     @settings(deadline=None, max_examples=40)
-    @given(seed=st.integers(0, 2**32 - 1), x_tol=X_TOLS, max_iter=MAX_ITERS)
-    def test_committed_fault_ends_the_search(self, seed, x_tol, max_iter):
+    @given(
+        seed=st.integers(0, 2**32 - 1), x_tol=X_TOLS, max_iter=MAX_ITERS, priors=st.booleans()
+    )
+    def test_committed_fault_ends_the_search(self, seed, x_tol, max_iter, priors):
         a, b, values, rng = _problems(seed)
+        known = _known(a, b, values, rng) if priors else None
         _, ref_calls = _run_reference(values, a, b, x_tol, max_iter)
         t = int(rng.integers(0, len(ref_calls)))
         x_bad, which = ref_calls[t]
@@ -94,23 +115,59 @@ class TestGoldenMax:
             hit = [(int(w), float(v)) == bad for w, v in zip(which, x)]
             return values(x, which), np.where(hit, UNDEFINED, 0)
 
-        *_, fault = golden_max(f, a.copy(), b.copy(), x_tol=x_tol, max_iter=max_iter)
+        x_best, f_best, fault = golden_max(
+            f, a.copy(), b.copy(), x_tol=x_tol, max_iter=max_iter, known=known
+        )
         want = np.zeros(len(a), dtype=int)
         want[bad[0]] = UNDEFINED
         np.testing.assert_array_equal(fault, want)
+        # every bracket ends at the step before the fault (the initial pair
+        # for a fault in it), however far its own search had run; a bracket
+        # collapsed to a point (x_tol 0) revisits it, so the fault is at the
+        # first step that evaluates the bad point
+        t = min(s for s, call in enumerate(ref_calls) if bad in _points(call))
+        (x_ref, f_ref), _ = _run_reference(values, a, b, x_tol, max(t - 1, 0))
+        assert x_best.tobytes() == x_ref.tobytes()
+        assert f_best.tobytes() == f_ref.tobytes()
 
-    def test_runs_to_max_iter_without_tolerance(self):
-        calls = []
+    def test_mispredicted_fault_is_discarded(self):
+        # prior points peaking at 0.1 predict f(c) >= f(d) for the first
+        # step, but f peaks at 0.9: the first call's left-branch point is
+        # evaluated, faults, and is never committed
+        c, d = 1.0 - _INVPHI, _INVPHI
+        mispredicted = d - _INVPHI * d
+        seen = []
 
         def f(x, which):
-            calls.append(len(x))
-            return -(x - 0.3) ** 2, np.zeros(len(x), dtype=int)
+            seen.extend(x.tolist())
+            return -((x - 0.9) ** 2), np.where(x == mispredicted, UNDEFINED, 0)
 
-        x, fx, fault = golden_max(f, [0.0], [1.0], x_tol=0.0, max_iter=10)
-        # the initial pair, then 10 steps in rounds of 3, 3, 3 and 1
-        assert calls == [2, 7, 7, 7, 1]
+        known = np.array([[0.0, 0.1, 0.2]]), np.array([[0.0, 1.0, 0.0]])
+        x, fx, fault = golden_max(f, [0.0], [1.0], x_tol=1e-6, known=known)
+        assert seen[:3] == [c, d, mispredicted]
         assert not fault.any()
-        assert abs(x[0] - 0.3) < 0.01
+        (x_ref, f_ref), _ = _run_reference(lambda x, _: -((x - 0.9) ** 2), [0.0], [1.0], 1e-6, 200)
+        assert (x[0], fx[0]) == (x_ref[0], f_ref[0])
+
+    def test_runs_to_max_iter_without_tolerance(self):
+        def run(known):
+            calls = []
+
+            def f(x, which):
+                calls.append(len(x))
+                return -(x - 0.3) ** 2, np.zeros(len(x), dtype=int)
+
+            x, fx, fault = golden_max(f, [0.0], [1.0], x_tol=0.0, max_iter=10, known=known)
+            assert not fault.any()
+            assert abs(x[0] - 0.3) < 0.01
+            return calls
+
+        # no prior points: the first call predicts from the midpoint, and
+        # its second step is mispredicted; the second call's parabola
+        # through three points of the quadratic predicts every step after it
+        assert run(None) == [2 + 10, 9]
+        # three prior points on the quadratic: the first call commits all 10
+        assert run((np.array([[0.0, 0.5, 1.0]]), -(np.array([[0.0, 0.5, 1.0]]) - 0.3) ** 2)) == [12]
 
 
 REGULAR, ENDPOINT, NAN_GAP, JUMP, SLIVER = range(5)
