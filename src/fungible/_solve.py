@@ -13,17 +13,18 @@ code and dropped, so it never stops the others.
 rays and the misfit perturbation search; its domain-edge bisection runs all
 its steps on every problem that needs it.
 
-:func:`golden_max` evaluates a predicted path of golden-section steps per
-call of its ``fun``, the branches chosen by a parabola through the best
-known points (R. P. Brent, *Algorithms for Minimization without
-Derivatives*, 1973, ch. 5), and commits exactly the step-by-step search's
-points; its docstring says how.
+:func:`golden_max` keeps one cache of evaluated points per bracket and
+replays the step-by-step golden-section search over it; where the replay
+meets a point not yet evaluated, it names that point and those of the
+following steps along the branches a parabola through the best known points
+predicts (R. P. Brent, *Algorithms for Minimization without Derivatives*,
+1973, ch. 5), so one call of its ``fun`` serves several steps.  Its result
+is the step-by-step search's by construction; its docstring says how.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
 
 import numpy as np
 
@@ -77,17 +78,6 @@ def bracketed_root(g, lo, hi, g_lo, g_hi, *, f_tol, max_iter=200):
     return root, fault
 
 
-def _golden_step(a, b, c, d, left):
-    """One golden-section step on the bracket [a, b] with interior points
-    c < d: keep [a, d] where ``left`` (f(c) >= f(d)), else [c, b].  Returns
-    the new bracket, its interior points and the one new point among them."""
-    if left:
-        x = d - _INVPHI * (d - a)
-        return a, d, x, c, x
-    x = c + _INVPHI * (b - c)
-    return c, b, d, x, x
-
-
 def _vertex(points, a, b):
     """The predicted argmax on [a, b]: the vertex of the parabola through
     the three best points ``(x, f)`` with finite x and f, in Brent's form;
@@ -106,18 +96,59 @@ def _vertex(points, a, b):
     return x
 
 
-def _path(a, b, c, d, left, vertex, steps, x_tol):
-    """Up to ``steps`` golden steps from the bracket [a, b] with interior
-    points c < d, while the bracket is wider than ``x_tol``: the first along
-    ``left``, each later one along the branch of a concave parabola peaking
-    at ``vertex``, f(c) >= f(d) where |c - vertex| <= |d - vertex|.  Returns
-    ``(left, step)`` per step, ``step`` as :func:`_golden_step` returns it."""
-    path = []
-    while len(path) < steps and b - a > x_tol:
-        a, b, c, d, x = step = _golden_step(a, b, c, d, left)
-        path.append((left, step))
-        left = abs(c - vertex) <= abs(d - vertex)
-    return path
+def _walk(w, cache, stop, max_iter, x_tol):
+    """Replay one bracket's step-by-step golden search over ``cache``, which
+    maps x to ``(f(x), fault code)``, resuming from ``w`` = ``[t, a, b, c,
+    d, f(c), f(d), x_best, f_best, seen]``, the state before step t, and
+    leave ``w`` at the step where the replay stops.  Step 0 evaluates the
+    interior pair c < d and seeds x_best, f_best; step t >= 1 is the t-th
+    golden step; ``seen`` holds the prior points and those of the steps
+    taken.  The cache only grows, so a resumed walk is the same walk.
+
+    Returns ``(code, missing)``.  At the first step with a nonzero code, or
+    at step ``stop``, the replay ends before taking the step (the pair is
+    taken): ``code`` is the step's largest code, 0 where it is clean.  At
+    the first step whose point the cache lacks, the walk goes on along the
+    branches that :func:`_vertex` of ``seen`` predicts, for up to
+    :data:`_LOOKAHEAD` golden steps and through step min(``max_iter``,
+    ``stop``): ``missing`` is the points of those steps that the cache
+    lacks, the first step's (the pair's) first.  After step ``max_iter``,
+    or once the bracket is no wider than ``x_tol``, the search is done:
+    ``(0, [])``.
+    """
+    t, a, b, c, d, fc, fd, x_best, f_best, seen = w
+    code, missing = 0, [] if t else [x for x in (c, d) if x not in cache]
+    if not (t or missing):
+        (fc, code_c), (fd, code_d) = cache[c], cache[d]
+        x_best, f_best = (c, fc) if fc >= fd else (d, fd)
+        seen += (c, fc), (d, fd)
+        code = max(code_c, code_d)
+        t = int(not code and stop > 0)  # the pair is taken even where it faults
+    end, vertex = min(max_iter, stop), None
+    if missing:  # the pair: predict from step 1
+        t, end, vertex = 1, min(end, _LOOKAHEAD), _vertex(seen, a, b)
+    while 0 < t <= end and b - a > x_tol:
+        # left: keep [a, d], the new point below c; else keep [c, b], above d
+        left = fc >= fd if vertex is None else abs(c - vertex) <= abs(d - vertex)
+        x = d - _INVPHI * (d - a) if left else c + _INVPHI * (b - c)
+        fx, code = cache.get(x, (None, 0))
+        if vertex is None and fx is None:  # the replay stops here: predict on
+            w[:9] = t, a, b, c, d, fc, fd, x_best, f_best
+            end, vertex = min(end, t + _LOOKAHEAD - 1), _vertex(seen, a, b)
+        if vertex is None:
+            if code or t == stop:
+                break
+            if fx > f_best:
+                x_best, f_best = x, fx
+            seen.append((x, fx))
+        elif fx is None:
+            missing.append(x)
+        a, b, c, d, fc, fd = (a, d, x, c, fx, fc) if left else (c, b, d, x, fd, fx)
+        t += 1
+    if vertex is not None:
+        return 0, missing
+    w[:9] = t, a, b, c, d, fc, fd, x_best, f_best
+    return code, []
 
 
 def golden_max(f, a, b, *, x_tol, max_iter=200, known=None):
@@ -127,91 +158,55 @@ def golden_max(f, a, b, *, x_tol, max_iter=200, known=None):
     around a grid argmax).  ``f(x, which)`` returns ``(values, fault)``: the
     values, -inf marking an unevaluable point, and an integer fault code per
     point, 0 where it evaluated.  Returns arrays ``(x_best, f_best, fault)``:
-    the best of every point the search committed, so a result can never be
-    worse than its bracket interior, and fault 0.  A nonzero code at a
-    committed point ends the search at that step; ``fault`` then holds, per
-    bracket, the largest code among its points of that step.
+    the best of every point the step-by-step search evaluates, so a result
+    can never be worse than its bracket interior, and fault 0.  A nonzero
+    code at a point of step t of that search ends every bracket's search at
+    step t: x_best, f_best come from the steps before t (the initial pair's,
+    for a fault in it), and ``fault`` holds, per bracket, the largest code
+    among its points of step t.
 
-    The search evaluates a predicted path.  The first call evaluates both
-    interior points of every bracket.  Each call then evaluates, per open
-    bracket, up to :data:`_LOOKAHEAD` steps: the next one, along the branch
-    the f(c) >= f(d) test decides, and each later one along the branch that
-    the vertex of a parabola through the bracket's three best known points
-    predicts (:func:`_vertex`); the first call predicts its first step too.
-    The known points are the committed ones and ``known``, an optional pair
-    ``(x, f)`` of ``(n, m)`` arrays of prior points per bracket, such as a
-    caller's grid values.  The search then commits steps along the branches
-    the values select, up to the first mispredicted step, so brackets may
-    commit different numbers of steps per call.  A fault committed at step t
-    ends every bracket at step t: brackets short of it run up to it, and
-    brackets past it drop their later steps.  The committed points, their
-    arithmetic and the result are those of the step-by-step search, whatever
-    the predictions; the values and faults of the points it does not commit
-    are discarded.  Brackets and paths are Python floats: their + - * are
-    numpy's IEEE double operations, without its cost per call.
+    Between calls of f the search keeps one cache per bracket, mapping x to
+    (f(x), fault code), and nothing else.  Each round, :func:`_walk`
+    resumes every bracket's step-by-step search over its cache, up to the
+    first point the cache lacks, and names that point and those of the next
+    steps, :data:`_LOOKAHEAD` golden steps in all, along the branches that
+    the vertex of a parabola through the bracket's known points predicts.
+    The known points are those of the steps taken and ``known``, an optional
+    pair ``(x, f)`` of ``(n, m)`` arrays of prior points per bracket (such
+    as a caller's grid values), used only for the prediction.  One call of
+    f evaluates the named points of every bracket that needs values; a
+    point off the search's path stays cached for any later path that meets
+    it.  The result is the step-by-step search's by construction, whatever
+    the predictions.  Brackets are Python floats: their + - * are numpy's
+    IEEE double operations, without its cost per call.
     """
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    n = len(a)
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    state = np.stack([a, b, c, d], axis=1).tolist()  # a, b, c, d, then f(c), f(d)
-    seen = [[] for _ in range(n)]  # the known points per bracket
+    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+    start = [[0, a, b, b - _INVPHI * (b - a), a + _INVPHI * (b - a), None, None, None, None]
+             for a, b in zip(a, b)]
+    prior = [[] for _ in start]
     if known is not None:
         kx, kf = np.asarray(known, dtype=float).tolist()
-        seen = [list(zip(xs, fs)) for xs, fs in zip(kx, kf)]
-    taken = [[] for _ in range(n)]  # the committed steps' points
-    # the first step with a committed fault (none: max_iter + 1) and per
-    # bracket its faulted step and code
-    stop, faults = max_iter + 1, [(0, 0)] * n
-    first = True
+        prior = [list(zip(xs, fs)) for xs, fs in zip(kx, kf)]
+    caches, walks = [{} for _ in start], [[*s, list(p)] for s, p in zip(start, prior)]
+    stop = max_iter + 1  # the first step with a fault
     while True:
-        limit = min(max_iter, stop)
-        i = [j for j, s in enumerate(state)
-             if len(taken[j]) < limit and not faults[j][1] and s[1] - s[0] > x_tol]
-        if not (first or i):
+        found = [_walk(w, cache, stop, max_iter, x_tol) for w, cache in zip(walks, caches)]
+        faulted = [w[0] for w, (code, _) in zip(walks, found) if code]
+        if min(faulted, default=stop) < stop:
+            stop = min(faulted)
+            # a walk past the fault's step replays from the start up to it
+            walks = [w if w[0] <= stop else [*s, list(p)] for w, s, p in zip(walks, start, prior)]
+            continue
+        which = [j for j, (_, missing) in enumerate(found) for _ in missing]
+        if not which:
             break
-        paths = {}
-        for j in i:
-            sa, sb, sc, sd = state[j][:4]
-            vertex = _vertex(seen[j], sa, sb)
-            left = abs(sc - vertex) <= abs(sd - vertex) if first else state[j][4] >= state[j][5]
-            steps = min(_LOOKAHEAD, limit - len(taken[j]))
-            paths[j] = _path(sa, sb, sc, sd, left, vertex, steps, x_tol)
-        xs, which = ([*c, *d], [*range(n)] * 2) if first else ([], [])
-        for j, path in paths.items():
-            xs += [step[4] for _, step in path]
-            which += [j] * len(path)
+        xs = [x for _, missing in found for x in missing]
         values, codes = f(np.array(xs, dtype=float), np.array(which, dtype=int))
-        values, codes = np.asarray(values, dtype=float).tolist(), np.asarray(codes).tolist()
-        if first:
-            first = False
-            for j, s in enumerate(state):
-                s += values[j], values[n + j]
-                seen[j] += (s[2], s[4]), (s[3], s[5])
-            best = [[s[2], s[4]] if s[4] >= s[5] else [s[3], s[5]] for s in state]
-            pair = np.maximum(codes[:n], codes[n : 2 * n]).tolist()
-            if any(pair):
-                stop, faults = 0, [(0, code) for code in pair]
-                break
-            values, codes = values[2 * n :], codes[2 * n :]
-        results = zip(values, codes)
-        for j, path in paths.items():
-            s = state[j]
-            for (left, (sa, sb, sc, sd, x)), (fx, code) in zip(path, [*islice(results, len(path))]):
-                if (s[4] >= s[5]) != left:
-                    break
-                if code:
-                    faults[j] = len(taken[j]) + 1, code
-                    stop = min(stop, faults[j][0])
-                    break
-                s[:] = sa, sb, sc, sd, *((fx, s[4]) if left else (s[5], fx))
-                seen[j].append((x, fx))
-                taken[j].append((x, fx))
-    for j in range(n):
-        for x, fx in taken[j][: max(stop - 1, 0)]:
-            if fx > best[j][1]:
-                best[j] = [x, fx]
-    x_best, f_best = np.array(best, dtype=float).reshape(n, 2).T
-    return x_best, f_best, np.array([code if t == stop else 0 for t, code in faults], dtype=int)
+        for j, x, fx, code in zip(which, xs, np.asarray(values, dtype=float).tolist(),
+                                  np.asarray(codes).tolist()):
+            caches[j][x] = fx, code
+    x_best, f_best = np.array([w[7:9] for w in walks], dtype=float).reshape(-1, 2).T
+    return x_best, f_best, np.array([code for code, _ in found], dtype=int)
 
 
 def bracket_level(g, lo, hi, g_lo, *, doublings, edge_iters):

@@ -198,6 +198,9 @@ def _design_from_config(doc, seed=None):
 def cmd_study(args):
     if not _check_files(args, ("config",)):
         return 2
+    if args.threads is not None and args.threads < 1:
+        print(f"usage error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 2
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
     design = _design_from_config(doc, seed=args.seed)
     table = run_design(design, threads=args.threads)

@@ -22,15 +22,16 @@ stacked evaluation of F over a ``(k, q)`` stack of parameter vectors per
 step, and each ray takes the iterates its own scalar search would take.  A
 ray whose root fails gets a fault code and leaves the others to finish; a
 sweep raises for any faulted ray.  The refinement's golden search,
-:func:`~fungible._solve.golden_max`, evaluates a predicted path of several
-steps per ray solve, seeded with the swept widths around each extremum (its
-docstring describes how), and raises only for faults at the angles it
-commits, as the step-by-step search would.  On the ROADMAP Baseline fit
-(Sigma1, eps .03, N = 200; eps_tilde target; 2-core Xeon VM, one BLAS
-thread), about a third of a 90-direction width is this engine's own numpy
-and Python work and two thirds the kernel's 24 stacked calls, 18 of them
-the refinement's; at 360 directions (18 calls) the engine's share is about
-a fifth.
+:func:`~fungible._solve.golden_max`, replays the step-by-step search over a
+cache of widths, evaluating several predicted steps per ray solve seeded
+with the swept widths around each extremum, and raises only for faults at
+that search's own angles.  A cached width comes from whichever stacked
+solve evaluated it, so a ray's radius must not depend on the rows beside
+it (a test pins this).  On the ROADMAP Baseline fit (Sigma1, eps .03,
+N = 200; eps_tilde target; 2-core Xeon VM, one BLAS thread), about a third
+of a 90-direction width is this engine's own numpy and Python work and two
+thirds the kernel's 24 stacked calls, 18 of them the refinement's; at 360
+directions (18 calls) the engine's share is about a fifth.
 For a :class:`~fungible.fit.FitResult` that evaluation is
 :meth:`~fungible.fit.FitResult.objectives`, the package's one stacked
 evaluator, whose rows equal :func:`~fungible.discrepancy.f_ml` bit for bit.

@@ -93,6 +93,8 @@ class StudyDesign:
         )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.directions < 4:
+            raise ValueError(f"directions must be at least 4, got {self.directions}")
         # a repeated value would repeat table rows or column names
         if len(set(self.conditions)) != len(self.conditions):
             raise ValueError("conditions must be distinct")
@@ -110,7 +112,10 @@ class StudyDesign:
         if stray:
             raise ValueError(f"population_analysis lists modes not in targets: {stray}")
         # every builtin condition analyzes the canonical model
-        focal_indices(canonical_model(), self.focal)
+        model = canonical_model()
+        focal = focal_indices(model, self.focal)
+        if len(focal) != 2 or len(set(focal) & set(range(model.q))) != 2:
+            raise ValueError(f"focal must name two distinct parameters, got {list(self.focal)}")
 
 
 @dataclass(frozen=True)
@@ -293,6 +298,8 @@ def _jobs(design: StudyDesign):
 def _worker_count(n_jobs, threads):
     if threads is None:
         threads = os.cpu_count() or 1
+    elif threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     return max(1, min(int(threads), n_jobs))
 
 
@@ -303,7 +310,8 @@ def _run_cells(design: StudyDesign, jobs) -> list[StudyCell]:
 
 def run_design(design: StudyDesign, threads: int | None = None) -> StudyTable:
     """Run every cell of the design.  ``threads`` caps the worker processes
-    and defaults to the processor count.  Each worker process
+    (at least 1; raises :class:`ValueError` below) and defaults to the
+    processor count.  Each worker process
     takes the cells of one (condition, n, epsilon) together, so they share
     its draws and fits; the merge keeps the job order whatever the worker
     count."""

@@ -66,6 +66,20 @@ def shared_entry_model():
     )
 
 
+def regression_model():
+    """y regressed on x1-x3 (paths b1-b3, residual variance psi) with the x
+    covariances free, beside w1, w2 with free variances v1, v2 and no
+    covariances: q = 12, df = 9.  With the other parameters pinned, F is
+    exactly quadratic in the paths, F-hat + g'd + d'(S_bb / psi)d, which
+    makes this the closed-form oracle of the exact contour."""
+    xs = ["x1", "x2", "x3"]
+    directed = [{"row": "y", "col": x, "param": f"b{k}"} for k, x in enumerate(xs, 1)]
+    symmetric = [{"row": xs[i], "col": xs[j], "param": f"phi{i + 1}{j + 1}"}
+                 for i in range(3) for j in range(i + 1)]
+    symmetric += [{"row": v, "col": v, "param": p} for v, p in (("y", "psi"), ("w1", "v1"), ("w2", "v2"))]
+    return make_model([*xs, "y", "w1", "w2"], [], directed, symmetric)
+
+
 def random_model(rng):
     """A random small recursive model plus a random theta and a random
     positive definite covariance of matching order."""

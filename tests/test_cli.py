@@ -264,6 +264,13 @@ def test_study_markdown_format(workdir, tmp_path, capsys):
     assert out.startswith("| condition | n |")
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_study_threads_below_one_exit_two(capsys, threads):
+    # they once ran one worker and exited 0
+    assert main(["study", "--threads", threads]) == 2
+    assert "--threads must be at least 1" in _one_error_line(capsys, "usage error:")
+
+
 def test_table_check_passes(capsys):
     code = main(["table-check"])
     out = capsys.readouterr().out
@@ -347,6 +354,10 @@ def _one_error_line(capsys, prefix):
         ({"sample_sizes": [200.5]}, "sample_sizes must be a list of integers"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"directions": "90"}, "directions must be an integer, got '90'"),
+        # failed only inside the first cell, without naming the key
+        ({"directions": 3}, "directions must be at least 4, got 3"),
+        ({"focal": ["gamma1", "gamma1"]}, "focal must name two distinct parameters"),
+        ({"focal": ["gamma1"]}, "focal must name two distinct parameters"),
         # a TypeError traceback before, and a list of the string's letters
         ({"targets": {"confidence": "0.95"}}, "confidence must be a finite real number, got '0.95'"),
         ({"targets": {"delta_f_scaling": 1}}, "scaling must be a string, got 1"),

@@ -35,6 +35,7 @@ from helpers import (
     reference_bracket_level,
     reference_bracketed_root,
     reference_golden_max,
+    regression_model,
 )
 
 
@@ -431,6 +432,26 @@ class TestLockstepEngine:
                 else:
                     assert solved[angle] == pytest.approx(want, rel=1e-10, abs=0.0)
 
+    def test_ray_radius_independent_of_its_stack(self):
+        # golden_max caches each angle's value from whichever stacked solve
+        # evaluated it, so a ray's radius and fault must be the same bits
+        # alone, in a stack and in a permuted stack (no SIMD-tail rounding)
+        edge_fit, focal_pair, delta_f = _selftest_case()
+        cond = condition_at("Sigma3", 0.09)
+        s = wishart_sample(cond.sigma_pop, 200, replication_rng(1, "Sigma3", 200, 0.09, 0))
+        res = fit_ml(cond.model, s, n=200)
+        confidence = f_target(ContourTarget(mode="confidence"), res, n_focal=2)
+        rng = np.random.default_rng(37)
+        for fit, t in ((edge_fit, delta_f), (res, confidence)):
+            solve = contour._ray_solver(fit, focal_pair, t)
+            units = contour._units(rng.uniform(0.0, 2.0 * math.pi, 37))
+            order = rng.permutation(37)
+            alone = [np.concatenate(v) for v in zip(*(solve(units[k : k + 1]) for k in range(37)))]
+            stacked, permuted = solve(units), solve(units[order])
+            for one, many, shuffled in zip(alone, stacked, permuted):
+                assert many.tobytes() == one.tobytes()
+                assert shuffled.tobytes() == one[order].tobytes()
+
     def test_domain_edge_case_solves(self):
         # this case used to end in numpy's LinAlgError during the domain-edge
         # bisection, which no caller caught
@@ -599,6 +620,62 @@ class TestLookaheadRefinement:
         monkeypatch.setattr(contour, "golden_max", _sequential_golden)
         with pytest.raises(error):
             axis_widths_exact(fit, _FAULTY_LEVEL, (0, 1), _FAULTY_DIRECTIONS)
+
+
+@pytest.fixture(scope="module")
+def regression_fits():
+    """Fits of :func:`helpers.regression_model` to draws at N 50/200/1000
+    from four random population covariances (the w's correlate with the
+    rest, so F-hat > 0), each with the closed forms of its focal pairs of
+    paths: g, the focal gradient at theta-hat, and M = S_ff / psi-hat, so
+    that F(theta-hat + d) = F-hat + g'd + d'Md exactly."""
+    model = regression_model()
+    paths = [model.theta_names.index(f"b{k}") for k in (1, 2, 3)]
+    fits = []
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(6, 6))
+        sigma = a @ a.T + np.eye(6)
+        for n in (50, 200, 1000):
+            res = fit_ml(model, wishart_sample(sigma, n, rng), n=n)
+            assert res.converged and not res.improper and res.df == 9
+            psi = res.theta_hat[model.theta_names.index("psi")]
+            g = 2.0 * (res.s[:3, :3] @ res.theta_hat[paths] - res.s[:3, 3]) / psi
+            for pair in ((0, 1), (0, 2), (1, 2)):
+                m = res.s[np.ix_(pair, pair)] / psi
+                fits.append((res, (paths[pair[0]], paths[pair[1]]), g[list(pair)], m))
+    return fits
+
+
+class TestRegressionOracle:
+    def test_exact_widths_match_the_chord_formula(self, regression_fits):
+        # the chord through theta-hat along u is
+        # w(u) = sqrt((g'u)^2 + 4 (u'Mu) c) / (u'Mu), c = T - F-hat; the
+        # widths are its max and min over a dense grid of u on [0, pi).
+        # Measured over these 108 widths: median 8.9e-11, max 3.5e-8
+        # relative (F_TOL 1e-9)
+        phi = np.arange(2**16) * (math.pi / 2**16)
+        u = np.column_stack([np.cos(phi), np.sin(phi)])
+        for res, focal_pair, g, m in regression_fits:
+            for target in DEFAULT_TARGETS:
+                t = f_target(target, res, n_focal=2)
+                umu = np.einsum("ij,jk,ik->i", u, m, u)
+                chord = np.sqrt((u @ g) ** 2 + 4.0 * umu * (t - res.f_hat)) / umu
+                got = axis_widths_exact(res, t, focal_pair, 90)
+                assert got.major == pytest.approx(chord.max(), rel=5e-6, abs=0.0)
+                assert got.minor == pytest.approx(chord.min(), rel=5e-6, abs=0.0)
+
+    def test_fpe_points_lie_on_the_quadratic(self, regression_fits):
+        # measured: at most 9.99e-10 off the level; the rays' own
+        # tolerance is F_TOL, and F is this quadratic up to rounding
+        for res, focal_pair, g, m in regression_fits:
+            for target in DEFAULT_TARGETS:
+                t = f_target(target, res, n_focal=2)
+                d = fpe_sample(res, target, focal_pair, 90)[:, focal_pair] - res.theta_hat[
+                    list(focal_pair)
+                ]
+                level = res.f_hat + d @ g + np.einsum("ij,jk,ik->i", d, m, d)
+                assert np.max(np.abs(level - t)) <= contour.F_TOL + 1e-12
 
 
 class TestFpeSampleDirections:

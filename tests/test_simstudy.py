@@ -208,6 +208,31 @@ class TestRunDesign:
         with pytest.raises(ValueError, match="population_analysis"):
             StudyDesign(population_analysis=("bogus",))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("directions", 3),
+            ("directions", 0),
+            ("focal", ("gamma1",)),
+            ("focal", ("gamma1", "gamma2", "phi")),
+            ("focal", ("gamma1", "gamma1")),
+            ("focal", ("gamma1", "5")),  # index 5 is gamma1
+            ("focal", ("gamma1", "14")),  # q = 14
+            ("focal", ("gamma1", "-1")),
+        ],
+    )
+    def test_bad_sweep_setting_names_its_key(self, field, value):
+        # directions 3 once failed only inside the first cell, with a message
+        # that did not name the config key
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            StudyDesign(**{field: value})
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_raise(self, threads):
+        # they once ran one worker
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_design(SMALL_DESIGN, threads=threads)
+
 
     @pytest.mark.parametrize(
         "field, value",
