@@ -354,10 +354,6 @@ def _one_error_line(capsys, prefix):
         ({"sample_sizes": [200.5]}, "sample_sizes must be a list of integers"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"directions": "90"}, "directions must be an integer, got '90'"),
-        # failed only inside the first cell, without naming the key
-        ({"directions": 3}, "directions must be at least 4, got 3"),
-        ({"focal": ["gamma1", "gamma1"]}, "focal must name two distinct parameters"),
-        ({"focal": ["gamma1"]}, "focal must name two distinct parameters"),
         # a TypeError traceback before, and a list of the string's letters
         ({"targets": {"confidence": "0.95"}}, "confidence must be a finite real number, got '0.95'"),
         ({"targets": {"delta_f_scaling": 1}}, "scaling must be a string, got 1"),
@@ -372,6 +368,10 @@ def _one_error_line(capsys, prefix):
          "targets key 'eps_tilde': contour offsets must be nonnegative"),
         ({"targets": {"delta_f_scaling": "bogus"}},
          "targets key 'delta_f_scaling': unknown delta_f scaling 'bogus'"),
+        # failed only inside the first cell, without naming the key
+        ({"directions": 3}, "directions must be at least 4, got 3"),
+        ({"focal": ["gamma1", "gamma1"]}, "focal must name two distinct parameters"),
+        ({"focal": ["gamma1"]}, "focal must name two distinct parameters"),
     ],
 )
 def test_bad_study_config_exits_one(tmp_path, capsys, config, message):
