@@ -18,33 +18,41 @@ refined angles :data:`ANGLE_TOL`.
 
 Every ray solve goes through one lockstep engine: all rays of a call (a
 whole sweep, or both golden-section refinements' rays) advance together, one
-stacked evaluation of F over a ``(k, q)`` stack of parameter vectors per
-step, and each ray takes the iterates its own scalar search would take.  A
-ray whose root fails gets a fault code and leaves the others to finish; a
-sweep raises for any faulted ray.  The refinement's golden search,
+stacked evaluation of F on the focal plane per step, over a
+``(k, len(focal))`` stack of offsets r u from theta-hat, and each ray takes
+the iterates its own scalar search would take.  A ray whose root fails gets
+a fault code and leaves the others to finish; a sweep raises for any
+faulted ray.  The refinement's golden search,
 :func:`~fungible._solve.golden_max`, replays the step-by-step search over a
 cache of widths, evaluating several predicted steps per ray solve seeded
 with the swept widths around each extremum, and raises only for faults at
 that search's own angles.  A cached width comes from whichever stacked
 solve evaluated it, so a ray's radius must not depend on the rows beside
-it (a test pins this).  On the ROADMAP Baseline fit (Sigma1, eps .03,
-N = 200; eps_tilde target; 2-core Xeon VM, one BLAS thread), about a third
-of a 90-direction width is this engine's own numpy and Python work and two
-thirds the kernel's 24 stacked calls, 18 of them the refinement's; at 360
-directions (18 calls) the engine's share is about a fifth.
-For a :class:`~fungible.fit.FitResult` that evaluation is
-:meth:`~fungible.fit.FitResult.objectives`, the package's one stacked
-evaluator, whose rows equal :func:`~fungible.discrepancy.f_ml` bit for bit.
+it (a test pins this).  For a :class:`~fungible.fit.FitResult` that
+evaluation is :meth:`~fungible.fit.FitResult.focal_objectives`, the
+focal-plane evaluator :class:`~fungible.discrepancy.FocalPlane`: it factors
+only the Schur complement of the rows of Sigma the focal parameters move
+(one row for the default gamma1/gamma2), and its rows lie within a few
+1e-13 of :func:`~fungible.discrepancy.f_ml`'s, relative.  On the ROADMAP
+Baseline fit (Sigma1, eps .03, N = 200; eps_tilde target; 2-core Xeon VM,
+one BLAS thread), a 90-direction width makes 24 stacked calls, 18 of them
+the refinement's, and a 360-direction width 18; the evaluator is about 0.6
+of the first and 0.75 of the second, the rest this engine's own numpy and
+Python work.
 
 These functions only use ``theta_hat``, ``f_hat``, ``n``, ``hessian_at_opt``
-and ``objectives(thetas)`` from the fit argument, and :func:`f_target`'s
-``eps_tilde`` mode also ``df``, so any object exposing those (e.g. a test
-surrogate) works in place of a :class:`~fungible.fit.FitResult`.  Each of
-them is required.  ``objectives`` takes a ``(k, q)`` stack and returns F for
-each row, NaN where F is undefined; the engine evaluates only this stacked
-form.  ``hessian_at_opt`` seeds every ray and gives the degenerate
-contour's axes; a stand-in with no curvature to offer may declare a zero
-matrix, which seeds every ray at radius 1 and keeps the coordinate axes.
+and ``focal_objectives(focal)`` from the fit argument, and
+:func:`f_target`'s ``eps_tilde`` mode also ``df``, so any object exposing
+those (e.g. a test surrogate) works in place of a
+:class:`~fungible.fit.FitResult`.  Each of them is required.
+``focal_objectives(focal)`` returns a callable that takes a
+``(k, len(focal))`` stack of offsets of the focal parameters from theta-hat
+(the other parameters pinned there) and returns F for each row, NaN where F
+is undefined; the engine asks for it once per contour and evaluates only
+this form.
+``hessian_at_opt`` seeds every ray and gives the degenerate contour's axes;
+a stand-in with no curvature to offer may declare a zero matrix, which
+seeds every ray at radius 1 and keeps the coordinate axes.
 """
 
 from __future__ import annotations
@@ -196,12 +204,13 @@ def _ray_solver(fit, focal, t_target):
     """The ray solve of one contour: ``solve(units)`` returns the radii r > 0
     with F(theta_hat + r u) = t_target along every row u of ``units`` (unit
     focal-plane directions), and a fault code per ray.  What every ray solve
-    of the contour shares (the level offset, theta-hat and the focal Hessian
-    block) is computed once here, so a width's refinement does not pay for
-    it per call.
+    of the contour shares (the level offset, the focal Hessian block and
+    the focal-plane evaluator) is computed once here, so a width's
+    refinement does not pay for it per call.
 
-    All rays advance in lockstep, one stacked ``fit.objectives`` evaluation
-    per step: :func:`~fungible._solve.bracket_level` doubles out from the
+    All rays advance in lockstep, one stacked evaluation of the fit's
+    ``focal_objectives(focal)`` per step:
+    :func:`~fungible._solve.bracket_level` doubles out from the
     quadratic-approximation radius sqrt(2c / (u H_f u')), or from 1 where
     that curvature is not positive, and bisects back to the domain edge for
     rays that left the evaluable region, then the safeguarded
@@ -213,30 +222,27 @@ def _ray_solver(fit, focal, t_target):
     evaluated.
     """
     c = _level_offset(fit, t_target)
-    theta_hat = np.asarray(fit.theta_hat, dtype=float)
     h_f = np.asarray(fit.hessian_at_opt)[np.ix_(focal, focal)]
+    f_plane = fit.focal_objectives(focal)
 
-    def gaps(u_full):
-        """F - T along the rays u_full[which], at radii r."""
-        return lambda r, which: (
-            fit.objectives(theta_hat + r[:, None] * u_full.take(which, axis=0)) - t_target
-        )
+    def gaps(units):
+        """F - T along the rays units[which], at radii r."""
+        return lambda r, which: f_plane(r[:, None] * units.take(which, axis=0)) - t_target
 
     def solve(units):
         k = len(units)
         if c == 0.0:
             return np.zeros(k), np.zeros(k, dtype=int)
-        u_full = _embed(fit, units, focal)
         hi = np.ones(k)
         curv = np.sum(units @ h_f * units, axis=1)
         hi[curv > 0] = np.sqrt(2.0 * c / curv[curv > 0])
         lo, hi, g_lo, g_hi, escaped = bracket_level(
-            gaps(u_full), np.zeros(k), hi, np.full(k, -c), doublings=90, edge_iters=80
+            gaps(units), np.zeros(k), hi, np.full(k, -c), doublings=90, edge_iters=80
         )
         live = np.flatnonzero(~escaped)
         radii, fault = np.full(k, np.nan), np.zeros(k, dtype=int)
         radii[live], fault[live] = bracketed_root(
-            gaps(u_full.take(live, axis=0)), *(v.take(live) for v in (lo, hi, g_lo, g_hi)),
+            gaps(units.take(live, axis=0)), *(v.take(live) for v in (lo, hi, g_lo, g_hi)),
             f_tol=F_TOL,
         )
         return radii, fault

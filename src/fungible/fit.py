@@ -13,9 +13,14 @@ accepted step costs one evaluation of the model.  S is checked by the one
 covariance rule, :func:`~fungible.model.as_cov`, and factored once per
 minimization.  The Hessian at the optimum is one stacked evaluation of its
 2q gradients (:func:`~fungible.discrepancy.hessian`).
-:meth:`FitResult.objectives` is the package's one stacked evaluator of F at
-many parameter vectors against the fit's S, the form the contour engine
-calls.
+Against the fit's S, F has two stacked forms.
+:meth:`FitResult.focal_objectives` is the one the contour engine calls: F on
+the plane through theta-hat along the focal parameters, from offsets of
+those parameters (:class:`~fungible.discrepancy.FocalPlane`).
+:meth:`FitResult.objectives` is the kernel itself at any ``(k, q)`` stack,
+bit for bit :func:`~fungible.discrepancy.f_ml` at each row: ``fungible
+fpe`` reports it at the contour points, and the tests hold the plane form
+to it.
 
 A step costs little arithmetic and many numpy calls: on a 2-core Xeon VM a
 one-row evaluation takes about 30 us and its gradient about 18 us, almost
@@ -37,6 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .discrepancy import (
+    FocalPlane,
     _analyzed,
     _evaluate_one,
     _grad_from_implied,
@@ -97,9 +103,12 @@ class FitResult:
 
     def objectives(self, thetas) -> np.ndarray:
         """The ML discrepancy against this fit's analyzed covariance at every
-        row of a ``(k, q)`` stack, in one stacked evaluation: a ``(k,)``
-        array equal to :func:`~fungible.discrepancy.f_ml` bit for bit at each
-        row, NaN where f_ml would raise a domain error."""
+        row of a ``(k, q)`` stack, in one stacked evaluation of the kernel:
+        a ``(k,)`` array equal to :func:`~fungible.discrepancy.f_ml` bit for
+        bit at each row, NaN where f_ml would raise a domain error.  The
+        check of points anywhere in parameter space, such as ``fungible
+        fpe``'s ``f_value`` column; contours evaluate
+        :meth:`focal_objectives`."""
         thetas = np.asarray(thetas, dtype=float)
         q = self.model.q
         if thetas.ndim != 2 or thetas.shape[1] != q:
@@ -107,6 +116,27 @@ class FitResult:
         if not np.all(np.isfinite(thetas)):
             raise ValueError("parameter vectors must be finite")
         return evaluate_stack(self.model, thetas, self.s, self._ld_s)[1]
+
+    @cached_property
+    def _focal_planes(self) -> dict:
+        """The focal-plane evaluators built so far, by focal tuple."""
+        return {}
+
+    def focal_objectives(self, focal) -> FocalPlane:
+        """The ML discrepancy against this fit's analyzed covariance on the
+        plane through theta-hat along the parameters ``focal``: a callable
+        that takes a ``(k, len(focal))`` stack of offsets of those
+        parameters and returns F at each row, NaN where
+        :func:`~fungible.discrepancy.f_ml` would raise a domain error.  It
+        is built once per focal tuple and fit
+        (:class:`~fungible.discrepancy.FocalPlane`); the contour engine
+        evaluates only this form."""
+        focal = tuple(int(i) for i in focal)
+        if focal not in self._focal_planes:
+            self._focal_planes[focal] = FocalPlane(
+                self.model, self.theta_hat, focal, self.s, self._ld_s
+            )
+        return self._focal_planes[focal]
 
 
 def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = None) -> FitResult:

@@ -243,12 +243,18 @@ def loop_hessian(model, theta, s):
 
 
 class RowMapped:
-    """Mixin for duck-typed fits: ``objectives(thetas)``, the stacked form
-    the contour engine evaluates, as the scalar ``objective`` at every row
-    (NaN where the objective returns NaN)."""
+    """Mixin for duck-typed fits: ``focal_objectives(focal)``, the form the
+    contour engine evaluates, as the scalar ``objective`` at theta_hat plus
+    every row of a stack of focal offsets (NaN where the objective returns
+    NaN)."""
 
-    def objectives(self, thetas):
-        return np.array([self.objective(theta) for theta in thetas], dtype=float)
+    def focal_objectives(self, focal):
+        def objectives(offsets):
+            thetas = np.repeat(np.asarray(self.theta_hat, dtype=float)[None], len(offsets), axis=0)
+            thetas[:, list(focal)] += offsets
+            return np.array([self.objective(theta) for theta in thetas], dtype=float)
+
+        return objectives
 
 
 class QuadraticSurrogate(RowMapped):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fungible import (
     AxisWidths,
@@ -28,12 +30,14 @@ from fungible import (
 )
 from fungible import contour
 from fungible._solve import golden_max
+from fungible.errors import FungibleError
 from fungible.simstudy import DEFAULT_TARGETS
 from helpers import (
     QuadraticSurrogate,
     RowMapped,
     reference_bracket_level,
     reference_bracketed_root,
+    random_model,
     reference_golden_max,
     regression_model,
 )
@@ -463,7 +467,7 @@ class TestLockstepEngine:
 
 
 class _Counting:
-    """A fit that counts its stacked ``objectives`` calls."""
+    """A fit that counts the stacked calls of its focal-plane evaluators."""
 
     def __init__(self, fit):
         self._fit = fit
@@ -472,9 +476,14 @@ class _Counting:
     def __getattr__(self, name):
         return getattr(self._fit, name)
 
-    def objectives(self, thetas):
-        self.rows.append(len(thetas))
-        return self._fit.objectives(thetas)
+    def focal_objectives(self, focal):
+        objectives = self._fit.focal_objectives(focal)
+
+        def counted(offsets):
+            self.rows.append(len(offsets))
+            return objectives(offsets)
+
+        return counted
 
 
 class _Faulty(RowMapped):
@@ -572,7 +581,7 @@ class TestLookaheadRefinement:
                             digest.update(np.asarray(v, dtype="<f8").tobytes())
                         digest.update(f"{w.skipped}|{w.partial}".encode())
         assert digest.hexdigest() == (
-            "6aab83dfda8346063686d781e2a2b186959ff4f35628f787bd3fdddb2749b7ad"
+            "db86d7a1ec047d45075f5aca077d15909cad3cd445e07f1dc9a2e940bddef22a"
         )
 
     def test_stacked_evaluation_count(self, popfits, focal):
@@ -678,6 +687,89 @@ class TestRegressionOracle:
                 assert np.max(np.abs(level - t)) <= contour.F_TOL + 1e-12
 
 
+class TestRegressionClosedForms:
+    """The regression model's ML estimates, the b block of the Hessian, the
+    contour levels and the quadratic widths in closed form.  The x block
+    and y are saturated, so phi-hat = S_xx, b-hat = S_xx^-1 s_xy,
+    psi-hat = s_yy - s_xy'b-hat, v-hat = diag(S_ww), and
+    F-hat = ln|S_(x,y)| + ln s_w1 + ln s_w2 - ln|S|.  Each bound is the
+    largest error measured over these 12 fits, with headroom."""
+
+    @staticmethod
+    def _fits(regression_fits):
+        return list({id(res): res for res, *_ in regression_fits}.values())
+
+    @staticmethod
+    def _closed_form(res):
+        s = res.s
+        b = np.linalg.solve(s[:3, :3], s[:3, 3])
+        psi = s[3, 3] - s[:3, 3] @ b
+        f_hat = (np.linalg.slogdet(s[:4, :4])[1] + np.log(s[4, 4] * s[5, 5])
+                 - np.linalg.slogdet(s)[1])
+        return b, psi, f_hat
+
+    def test_fit_ml(self, regression_fits):
+        # measured: 3.4e-6 of each block's largest entry (grad_tol 1e-6 is
+        # the limit); F-hat, flat at the optimum, 1.2e-11 relative
+        for res in self._fits(regression_fits):
+            names = res.model.theta_names
+            b, psi, f_hat = self._closed_form(res)
+            theta = dict(zip(names, res.theta_hat))
+            got_b = np.array([theta[f"b{k}"] for k in (1, 2, 3)])
+            assert np.max(np.abs(got_b - b)) <= 1e-5 * np.max(np.abs(b))
+            assert theta["psi"] == pytest.approx(psi, rel=1e-5, abs=0.0)
+            phi = np.array([[theta[f"phi{max(i, j) + 1}{min(i, j) + 1}"] for j in range(3)]
+                            for i in range(3)])
+            assert np.max(np.abs(phi - res.s[:3, :3])) <= 1e-5 * np.max(np.abs(res.s[:3, :3]))
+            np.testing.assert_allclose([theta["v1"], theta["v2"]], np.diag(res.s)[4:],
+                                       rtol=1e-5, atol=0.0)
+            assert res.f_hat == pytest.approx(f_hat, rel=1e-10, abs=0.0)
+
+    def test_hessian_path_block(self, regression_fits):
+        # F is quadratic in the paths, with Hessian 2 S_xx / psi at every
+        # point; measured 2.1e-12 of its largest entry
+        for res in self._fits(regression_fits):
+            names = res.model.theta_names
+            paths = [names.index(f"b{k}") for k in (1, 2, 3)]
+            want = 2.0 * res.s[:3, :3] / res.theta_hat[names.index("psi")]
+            got = res.hessian_at_opt[np.ix_(paths, paths)]
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("target", [
+        ContourTarget(mode="confidence", confidence=0.9),
+        ContourTarget(mode="eps_tilde", epsilon_tilde=0.01),
+        ContourTarget(mode="delta_f", delta_f=0.1, scaling="likelihood"),
+        ContourTarget(mode="delta_f", delta_f=0.1, scaling="raw"),
+        ContourTarget(mode="delta_f", delta_f=0.1, scaling="relative"),
+    ], ids=["confidence", "eps_tilde", "likelihood", "raw", "relative"])
+    def test_f_target(self, regression_fits, target):
+        # chi-square with 2 df: the quantile is -2 ln(1 - level); measured
+        # 1.2e-11 relative, the error of F-hat
+        for res in self._fits(regression_fits):
+            f_hat, n, df = self._closed_form(res)[2], res.n, res.df
+            if target.mode == "confidence":
+                want = f_hat - 2.0 * math.log(1.0 - target.confidence) / (n - 1)
+            elif target.mode == "eps_tilde":
+                eps = math.sqrt(max(f_hat / df - 1.0 / (n - 1), 0.0))
+                want = df * ((eps + target.epsilon_tilde) ** 2 + 1.0 / (n - 1))
+            else:
+                want = {"likelihood": f_hat + 2.0 * target.delta_f / (n - 1),
+                        "raw": f_hat + target.delta_f,
+                        "relative": f_hat * (1.0 + target.delta_f)}[target.scaling]
+            assert f_target(target, res, n_focal=2) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_axis_widths_quadratic(self, regression_fits):
+        # widths 2 sqrt(2c / lambda) over the eigenvalues lambda of
+        # 2 S_ff / psi-hat; measured 4.0e-12 relative
+        for res, focal_pair, _, m in regression_fits:
+            for target in DEFAULT_TARGETS:
+                t = f_target(target, res, n_focal=2)
+                want = 2.0 * np.sqrt(2.0 * (t - res.f_hat) / np.linalg.eigvalsh(2.0 * m))
+                got = axis_widths_quadratic(res, t, focal_pair)
+                assert got.major == pytest.approx(want[0], rel=2e-11, abs=0.0)
+                assert got.minor == pytest.approx(want[1], rel=2e-11, abs=0.0)
+
+
 class TestFpeSampleDirections:
     def test_degenerate_count_matches_sweep(self, popfits, focal):
         res = popfits["Sigma1"]
@@ -744,3 +836,37 @@ class TestFocalIndices:
         res = popfits["Sigma3"]
         with pytest.raises(ValueError, match=match):
             _AT_LEVEL[name](res, res.f_hat + 0.01, bad)
+
+
+_TARGETS = st.one_of(
+    st.builds(ContourTarget, mode=st.just("confidence"), confidence=st.floats(0.5, 0.99)),
+    st.builds(ContourTarget, mode=st.just("eps_tilde"), epsilon_tilde=st.floats(0.0, 0.1)),
+    st.builds(ContourTarget, mode=st.just("delta_f"), delta_f=st.floats(0.0, 2.0),
+              scaling=st.sampled_from(contour.SCALINGS)),
+)
+
+
+class TestDeclaredErrorsOnly:
+    @settings(deadline=None, max_examples=120)
+    @given(seed=st.integers(0, 2**32 - 1), canonical=st.booleans(), n=st.integers(10, 50),
+           target=_TARGETS)
+    def test_only_declared_errors_escape(self, seed, canonical, n, target):
+        # random models and small canonical samples, random focal pairs (so
+        # the rows the pair reaches run from one to all), every target out
+        # to raw offsets of 2.0: only the package's own errors and
+        # ValueError may escape, and warnings are errors here
+        rng = np.random.default_rng(seed)
+        if canonical:
+            cond = condition_at(str(rng.choice(["Sigma1", "Sigma2", "Sigma3", "Sigma4"])),
+                                float(rng.choice([0.0, 0.09])))
+            model, s = cond.model, wishart_sample(cond.sigma_pop, n, rng)
+        else:
+            model, _, s = random_model(rng)
+        try:
+            res = fit_ml(model, s, n=n)
+            focal = tuple(int(i) for i in rng.choice(model.q, 2, replace=False))
+            t = f_target(target, res, n_focal=2)
+            axis_widths_exact(res, t, focal, 12)
+            fpe_sample(res, target, focal, 12)
+        except (FungibleError, ValueError):
+            pass

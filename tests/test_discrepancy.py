@@ -1,4 +1,6 @@
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from fungible import (
     sigma_of_theta,
     wishart_sample,
 )
-from fungible import discrepancy
+from fungible import FitResult, discrepancy
 from fungible.discrepancy import (
     SIGMA_NOT_PD,
     SINGULAR_STRUCTURE,
@@ -29,6 +31,7 @@ from fungible.discrepancy import (
     _grad_from_implied,
     evaluate_stack,
 )
+from fungible.model import implied_stack
 from helpers import (
     diag_model,
     feedback_model,
@@ -406,6 +409,158 @@ class TestStackRowsBytes:
         fault = self._assert_rows_match(model, thetas, s)
         assert (fault == SINGULAR_STRUCTURE).sum() == len(thetas[3::5])
         assert (fault == SIGMA_NOT_PD).sum() >= len(thetas[1::3]) - len(thetas[3::5])
+
+
+def _fit_at(model, theta, s):
+    """A :class:`FitResult` with theta-hat ``theta`` against ``s``: what
+    ``objectives`` and ``focal_objectives`` read from a fit."""
+    q = model.q
+    return FitResult(model=model, s=s, n=None, theta_hat=theta, f_hat=math.nan, grad_norm=0.0,
+                     hessian_at_opt=np.zeros((q, q)), iterations=0, converged=False,
+                     improper=False, f_trace=())
+
+
+_PLANE_LABELS = [f"random{seed}" for seed in range(16)] + ["feedback", "shared", "canonical"]
+
+
+@pytest.fixture(scope="module")
+def plane_cases():
+    """label -> (fit, offsets) for the focal-plane tests: random single-step
+    and multi-step models, the feedback loop (some rows at a singular
+    (I - A)), the model with one parameter on A and S entries, and a sample
+    fit of the canonical model; offsets of growing size, the large ones
+    often past the positive definite edge."""
+    fits = {}
+    for seed in range(16):
+        model, theta, s = random_model(np.random.default_rng(seed))
+        fits[f"random{seed}"] = _fit_at(model, theta, s)
+    assert {fit.model.single_step for fit in fits.values()} == {True, False}
+    fits["feedback"] = _fit_at(feedback_model(), np.array([0.3, 0.2, 0.8]),
+                               np.array([[1.0, 0.3], [0.3, 1.0]]))
+    rng = np.random.default_rng(2107)
+    shared = shared_entry_model()
+    a = rng.standard_normal((3, 6))
+    fits["shared"] = _fit_at(shared, shared.default_start() + 0.3,
+                             a @ a.T / 6 + 0.5 * np.eye(3))
+    cond = condition_at("Sigma3", 0.09)
+    s = wishart_sample(cond.sigma_pop, 200, replication_rng(3, "Sigma3", 200, 0.09, 0))
+    fits["canonical"] = fit_ml(cond.model, s, n=200)
+    scales = np.repeat([0.0, 0.05, 0.3, 1.0, 3.0], 8)
+    return {label: (fit, scales[:, None] * rng.standard_normal((len(scales), 2)))
+            for label, fit in fits.items()}
+
+
+def _on_plane(fit, pair, offsets):
+    thetas = np.repeat(fit.theta_hat[None], len(offsets), axis=0)
+    thetas[:, list(pair)] += offsets
+    return thetas
+
+
+class TestFocalPlane:
+    """``FitResult.focal_objectives``, the evaluator the contour engine
+    calls, against ``FitResult.objectives`` at the same points, at every
+    focal pair of each model."""
+
+    @pytest.mark.parametrize("label", _PLANE_LABELS)
+    def test_matches_objectives(self, plane_cases, label):
+        fit, offsets = plane_cases[label]
+        model = fit.model
+        for pair in itertools.combinations(range(model.q), 2):
+            offsets_k = offsets
+            if label == "feedback" and pair == (0, 1):
+                # b1 b2 = 1 on the last two rows: (I - A) is singular
+                offsets_k = np.vstack([offsets, [[1.7, 0.3], [0.2, 1.8]]])
+            thetas = _on_plane(fit, pair, offsets_k)
+            want = fit.objectives(thetas)
+            got = fit.focal_objectives(pair)(offsets_k)
+            ok, _, _, sigma = implied_stack(model, thetas)
+            # rows within rounding of the positive definite edge may fall
+            # either way
+            near = np.zeros(len(thetas), dtype=bool)
+            eig = np.linalg.eigvalsh(sigma)
+            near[ok] = np.abs(eig).min(axis=1) <= 1e-10 * np.abs(eig).max(axis=1)
+            np.testing.assert_array_equal(np.isnan(got[~near]), np.isnan(want[~near]))
+            if label == "feedback" and pair == (0, 1):
+                assert np.isnan(got[-2:]).all() and not ok[-2:].any()
+            both = ~np.isnan(want) & ~np.isnan(got)
+            assert both[0]  # theta-hat itself
+            np.testing.assert_allclose(got[both], want[both], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("label", _PLANE_LABELS)
+    def test_rows_outside_reach_never_move(self, plane_cases, label):
+        # the evaluator holds Sigma_RR at theta-hat.  Where (I - A)^-1 is
+        # I + A that block is the same bits at every row; where (I - A) is
+        # solved, the LU's rounding reaches every row (measured: at most
+        # 3.6e-15 of max|Sigma| over these models)
+        fit, offsets = plane_cases[label]
+        model = fit.model
+        rows = np.arange(model.n_observed)
+        sigma_hat = sigma_of_theta(model, fit.theta_hat)
+        tol = 0.0 if model.single_step else 1e-14 * np.abs(sigma_hat).max()
+        for pair in itertools.combinations(range(model.q), 2):
+            rest = np.setdiff1d(rows, model.reached(pair))
+            ok, _, _, sigma = implied_stack(model, _on_plane(fit, pair, 10.0 * offsets))
+            assert ok.any()
+            block = sigma[np.ix_(np.arange(len(sigma)), rest, rest)]
+            assert (np.abs(block - sigma_hat[np.ix_(rest, rest)]) <= tol).all()
+
+    def test_reach_of_the_default_pair(self, conditions, focal):
+        # gamma1 and gamma2 are paths into x6, which has no children; phi,
+        # the factor covariance, reaches every indicator and x6
+        model = conditions["Sigma1"].model
+        assert list(model.reached(focal)) == [5]
+        phi, lam1 = model.theta_names.index("phi"), model.theta_names.index("lam1")
+        assert list(model.reached((phi, lam1))) == [0, 1, 2, 3, 4, 5]
+        # a shared parameter reaches every end of every entry it sits on
+        shared = shared_entry_model()
+        assert list(shared.reached([shared.theta_names.index("t")])) == [0, 1, 2]
+
+    def test_every_row_reached_is_the_kernel_bit_for_bit(self, popfits):
+        # where R is empty the Schur form is the plain formula: K = Sigma,
+        # N = s, and the sum F adds up as in the kernel
+        res = popfits["Sigma2"]
+        names = res.model.theta_names
+        pair = (names.index("phi"), names.index("lam1"))
+        assert len(res.model.reached(pair)) == res.model.n_observed
+        offsets = 0.2 * np.random.default_rng(5).standard_normal((50, 2))
+        _assert_same_bytes(res.focal_objectives(pair)(offsets),
+                           res.objectives(_on_plane(res, pair, offsets)))
+
+    @pytest.mark.parametrize("label", ["random5", "random9", "feedback", "shared", "canonical"])
+    def test_row_independent_of_its_stack(self, plane_cases, label):
+        fit = plane_cases[label][0]
+        rng = np.random.default_rng(len(label))
+        offsets = rng.standard_normal((1000, 2)) * rng.choice([0.01, 0.3, 2.0], (1000, 1))
+        for pair in itertools.combinations(range(fit.model.q), 2):
+            evaluate = fit.focal_objectives(pair)
+            full = evaluate(offsets)
+            for n in (1, 2, 3, 7, 64):
+                for start in range(0, 1000 - n, 97):
+                    _assert_same_bytes(evaluate(offsets[start:start + n]), full[start:start + n])
+            order = rng.permutation(1000)
+            _assert_same_bytes(evaluate(offsets[order]), full[order])
+
+    def test_built_once_per_focal_tuple(self, popfits, focal):
+        res = popfits["Sigma1"]
+        evaluate = res.focal_objectives(focal)
+        assert res.focal_objectives(list(focal)) is evaluate
+        assert res.focal_objectives(focal[::-1]) is not evaluate
+        # a fit that has built evaluators still pickles, and its copy
+        # evaluates the same bits
+        offsets = 0.1 * np.random.default_rng(3).standard_normal((20, 2))
+        copy = pickle.loads(pickle.dumps(res))
+        _assert_same_bytes(copy.focal_objectives(focal)(offsets), evaluate(offsets))
+
+    def test_empty_and_all_singular_stacks(self):
+        fit = _fit_at(feedback_model(), np.array([0.3, 0.2, 0.8]), np.array([[1.0, 0.3], [0.3, 1.0]]))
+        evaluate = fit.focal_objectives((0, 1))
+        assert evaluate(np.empty((0, 2))).shape == (0,)
+        assert np.isnan(evaluate(np.array([[1.7, 0.3], [0.2, 1.8]]))).all()
+
+    def test_singular_structure_at_theta_hat(self):
+        fit = _fit_at(feedback_model(), np.array([2.0, 0.5, 0.8]), np.eye(2))
+        with pytest.raises(SingularStructure):
+            fit.focal_objectives((0, 2))
 
 
 class TestHessian:
