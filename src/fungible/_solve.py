@@ -14,7 +14,7 @@ rays and the misfit perturbation search; its domain-edge bisection runs all
 its steps on every problem that needs it.
 
 :func:`golden_max` keeps one cache of evaluated points per bracket and
-replays the step-by-step golden-section search over it; where the replay
+resumes the step-by-step golden-section search over it; where the replay
 meets a point not yet evaluated, it names that point and those of the
 following steps along the branches a parabola through the best known points
 predicts (R. P. Brent, *Algorithms for Minimization without Derivatives*,
@@ -96,7 +96,7 @@ def _vertex(points, a, b):
     return x
 
 
-def _walk(w, cache, stop, max_iter, x_tol):
+def _walk(w, cache, max_iter, x_tol):
     """Replay one bracket's step-by-step golden search over ``cache``, which
     maps x to ``(f(x), fault code)``, resuming from ``w`` = ``[t, a, b, c,
     d, f(c), f(d), x_best, f_best, seen]``, the state before step t, and
@@ -105,16 +105,15 @@ def _walk(w, cache, stop, max_iter, x_tol):
     golden step; ``seen`` holds the prior points and those of the steps
     taken.  The cache only grows, so a resumed walk is the same walk.
 
-    Returns ``(code, missing)``.  At the first step with a nonzero code, or
-    at step ``stop``, the replay ends before taking the step (the pair is
-    taken): ``code`` is the step's largest code, 0 where it is clean.  At
-    the first step whose point the cache lacks, the walk goes on along the
+    Returns ``(code, missing)``.  At the bracket's first step with a
+    nonzero code the replay ends before taking the step (the pair is
+    taken) and stays there: ``code`` is the step's largest code.  At the
+    first step whose point the cache lacks, the walk goes on along the
     branches that :func:`_vertex` of ``seen`` predicts, for up to
-    :data:`_LOOKAHEAD` golden steps and through step min(``max_iter``,
-    ``stop``): ``missing`` is the points of those steps that the cache
-    lacks, the first step's (the pair's) first.  After step ``max_iter``,
-    or once the bracket is no wider than ``x_tol``, the search is done:
-    ``(0, [])``.
+    :data:`_LOOKAHEAD` golden steps and through step ``max_iter``:
+    ``missing`` is the points of those steps that the cache lacks, the
+    first step's (the pair's) first.  After step ``max_iter``, or once the
+    bracket is no wider than ``x_tol``, the search is done: ``(0, [])``.
     """
     t, a, b, c, d, fc, fd, x_best, f_best, seen = w
     code, missing = 0, [] if t else [x for x in (c, d) if x not in cache]
@@ -123,8 +122,8 @@ def _walk(w, cache, stop, max_iter, x_tol):
         x_best, f_best = (c, fc) if fc >= fd else (d, fd)
         seen += (c, fc), (d, fd)
         code = max(code_c, code_d)
-        t = int(not code and stop > 0)  # the pair is taken even where it faults
-    end, vertex = min(max_iter, stop), None
+        t = int(not code)  # the pair is taken even where it faults
+    end, vertex = max_iter, None
     if missing:  # the pair: predict from step 1
         t, end, vertex = 1, min(end, _LOOKAHEAD), _vertex(seen, a, b)
     while 0 < t <= end and b - a > x_tol:
@@ -136,7 +135,7 @@ def _walk(w, cache, stop, max_iter, x_tol):
             w[:9] = t, a, b, c, d, fc, fd, x_best, f_best
             end, vertex = min(end, t + _LOOKAHEAD - 1), _vertex(seen, a, b)
         if vertex is None:
-            if code or t == stop:
+            if code:
                 break
             if fx > f_best:
                 x_best, f_best = x, fx
@@ -160,17 +159,18 @@ def golden_max(f, a, b, *, x_tol, max_iter=200, known=None):
     point, 0 where it evaluated.  Returns arrays ``(x_best, f_best, fault)``:
     the best of every point the step-by-step search evaluates, so a result
     can never be worse than its bracket interior, and fault 0.  A nonzero
-    code at a point of step t of that search ends every bracket's search at
-    step t: x_best, f_best come from the steps before t (the initial pair's,
-    for a fault in it), and ``fault`` holds, per bracket, the largest code
-    among its points of step t.
+    code at a point of step t of a bracket's search ends that bracket's
+    search, and no other's, at step t: its x_best, f_best come from the
+    steps before t (the initial pair's, for a fault in it), and its
+    ``fault`` is the largest code among its points of step t.
 
-    Between calls of f the search keeps one cache per bracket, mapping x to
-    (f(x), fault code), and nothing else.  Each round, :func:`_walk`
-    resumes every bracket's step-by-step search over its cache, up to the
-    first point the cache lacks, and names that point and those of the next
-    steps, :data:`_LOOKAHEAD` golden steps in all, along the branches that
-    the vertex of a parabola through the bracket's known points predicts.
+    Between calls of f the search keeps, per bracket, a cache mapping x to
+    (f(x), fault code) and the state of its step-by-step search where the
+    last replay stopped.  Each round, :func:`_walk` resumes every bracket's
+    search from that state over its cache, up to the first point the cache
+    lacks, and names that point and those of the next steps,
+    :data:`_LOOKAHEAD` golden steps in all, along the branches that the
+    vertex of a parabola through the bracket's known points predicts.
     The known points are those of the steps taken and ``known``, an optional
     pair ``(x, f)`` of ``(n, m)`` arrays of prior points per bracket (such
     as a caller's grid values), used only for the prediction.  One call of
@@ -181,22 +181,15 @@ def golden_max(f, a, b, *, x_tol, max_iter=200, known=None):
     IEEE double operations, without its cost per call.
     """
     a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
-    start = [[0, a, b, b - _INVPHI * (b - a), a + _INVPHI * (b - a), None, None, None, None]
-             for a, b in zip(a, b)]
-    prior = [[] for _ in start]
+    prior = [[] for _ in a]
     if known is not None:
         kx, kf = np.asarray(known, dtype=float).tolist()
         prior = [list(zip(xs, fs)) for xs, fs in zip(kx, kf)]
-    caches, walks = [{} for _ in start], [[*s, list(p)] for s, p in zip(start, prior)]
-    stop = max_iter + 1  # the first step with a fault
+    walks = [[0, a, b, b - _INVPHI * (b - a), a + _INVPHI * (b - a), None, None, None, None, p]
+             for a, b, p in zip(a, b, prior)]
+    caches = [{} for _ in walks]
     while True:
-        found = [_walk(w, cache, stop, max_iter, x_tol) for w, cache in zip(walks, caches)]
-        faulted = [w[0] for w, (code, _) in zip(walks, found) if code]
-        if min(faulted, default=stop) < stop:
-            stop = min(faulted)
-            # a walk past the fault's step replays from the start up to it
-            walks = [w if w[0] <= stop else [*s, list(p)] for w, s, p in zip(walks, start, prior)]
-            continue
+        found = [_walk(w, cache, max_iter, x_tol) for w, cache in zip(walks, caches)]
         which = [j for j, (_, missing) in enumerate(found) for _ in missing]
         if not which:
             break

@@ -22,13 +22,13 @@ stacked evaluation of F on the focal plane per step, over a
 ``(k, len(focal))`` stack of offsets r u from theta-hat, and each ray takes
 the iterates its own scalar search would take.  A ray whose root fails gets
 a fault code and leaves the others to finish; a sweep raises for any
-faulted ray.  The refinement's golden search,
-:func:`~fungible._solve.golden_max`, replays the step-by-step search over a
-cache of widths, evaluating several predicted steps per ray solve seeded
-with the swept widths around each extremum, and raises only for faults at
-that search's own angles.  A cached width comes from whichever stacked
-solve evaluated it, so a ray's radius must not depend on the rows beside
-it (a test pins this).  For a :class:`~fungible.fit.FitResult` that
+faulted ray.  The refinement's golden searches,
+:func:`~fungible._solve.golden_max`, replay the step-by-step search over a
+cache of widths per extremum, evaluating several predicted steps per ray
+solve seeded with the swept widths around it; a fault at one search's
+angles ends that search alone, and the width raises for it.  A cached
+width comes from whichever stacked solve evaluated it, so a ray's radius
+must not depend on the rows beside it (a test pins this).  For a :class:`~fungible.fit.FitResult` that
 evaluation is :meth:`~fungible.fit.FitResult.focal_objectives`, the
 focal-plane evaluator :class:`~fungible.discrepancy.FocalPlane`: it factors
 only the Schur complement of the rows of Sigma the focal parameters move

@@ -1,20 +1,22 @@
 """Math core: ML discrepancy with derivatives, RMSEA conversions, and
 chi-square quantiles.
 
-F comes from one kernel, :func:`evaluate_stack`, over a ``(k, q)`` stack of
-parameter vectors, with one fault code per row; its gradient comes from the
-part of that kernel without the trace solve, :func:`_implied_ld`.
+F comes from one body, :func:`_f_stack`: ln|M| + tr(M^-1 N) plus two
+constants, clamped at 0, NaN where M fails its Cholesky test or its solve
+or where that trace is not positive.  The kernel :func:`evaluate_stack`
+gives it Sigma and s at every row of a ``(k, q)`` stack of parameter
+vectors, with one fault code per row; the gradient needs no trace solve.
 :func:`f_ml` and :func:`gradient` are one-row views and raise the fault as a
 domain error, and :func:`hessian` evaluates its 2q gradient points as one
 stack.  The stacked evaluator with NaN at faulted rows is
 :meth:`~fungible.fit.FitResult.objectives`, against a fit's analyzed
 covariance.  Contours evaluate F only on a focal plane through a fit's
 theta-hat, where the non-focal parameters stay put: :class:`FocalPlane`
-takes Sigma from the same :func:`~fungible.model.implied_stack` and
-factors only the Schur complement of the rows the focal parameters move,
-in place of the kernel's p x p Cholesky factor and solve.  Every entry
-point checks the analyzed covariance s by the one rule of
-:func:`~fungible.model.as_cov` and takes ln|s| from its Cholesky factor.
+takes Sigma from the same :func:`~fungible.model.implied_stack` and gives
+the body the Schur complement of the rows the focal parameters move in
+place of Sigma.  Every entry point checks the analyzed covariance s by the
+one rule of :func:`~fungible.model.as_cov` and takes ln|s| from its
+Cholesky factor.
 
 All functions are pure and reentrant.  Positive definiteness is always
 established by attempting a Cholesky factorization; there is no eigenvalue
@@ -53,27 +55,22 @@ __all__ = [
 
 # per-row fault codes of :func:`evaluate_stack`
 SINGULAR_STRUCTURE = 1  # (I - A) numerically singular
-SIGMA_NOT_PD = 2        # Sigma fails its Cholesky test or its solve
+SIGMA_NOT_PD = 2        # Sigma fails its Cholesky test, its solve or the trace sign
+
+
+def _log_det(chol):
+    """ln|M| from the Cholesky factor of M, or per matrix of a stack of
+    factors; NaN where M failed its factorization."""
+    n = chol.shape[-1]
+    # the factors' diagonals, as a strided view
+    return 2.0 * np.log(chol.reshape(chol.shape[:-2] + (n * n,))[..., :: n + 1]).sum(axis=-1)
 
 
 def _analyzed(model: ModelSpec, s):
     """The analyzed covariance s as :func:`~fungible.model.as_cov` returns
     it for the model's p, and ln|s| from its Cholesky factor."""
     s, chol = as_cov(s, model.n_observed)
-    return s, 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
-def _implied_ld(model, thetas):
-    """What F and its gradient share: ``(ok, ld_sigma, implied)``, the
-    mask and ``(G, GSG', Sigma)`` stacks of
-    :func:`~fungible.model.implied_stack` and ln|Sigma| at the ok rows, NaN
-    where Sigma fails Cholesky.  Runs under its caller's ``np.errstate``."""
-    ok, g_mat, c_mat, sigma = implied_stack(model, thetas)
-    k, p = sigma.shape[:2]
-    chol = _cholesky(sigma)
-    # the factors' diagonals, as a strided view
-    ld_sigma = 2.0 * np.log(chol.reshape(k, p * p)[:, :: p + 1]).sum(axis=1)
-    return ok, ld_sigma, (g_mat, c_mat, sigma)
+    return s, float(_log_det(chol))
 
 
 def _widen(ok, values, fill):
@@ -85,42 +82,42 @@ def _widen(ok, values, fill):
     return out
 
 
+def _f_stack(m, n, ld_const, tr_const):
+    """ln|M| + ld_const + tr(M^-1 N) + tr_const per M of a ``(k, d, d)``
+    stack against one N or a stack, clamped at 0 for F-hat at rounding
+    level; NaN where M fails its Cholesky test or its solve, or where the
+    trace is not positive (for positive definite M and N it is positive: a
+    nonpositive one is a solve lost next to the positive definite edge).
+    Every row is solved on its own.  Runs under its caller's errstate."""
+    trace = _lu_solve(m, n).trace(axis1=1, axis2=2)
+    trace[trace <= 0.0] = np.nan  # a NaN trace gives NaN anyway
+    return np.maximum(0.0, _log_det(_cholesky(m)) + ld_const + trace + tr_const)
+
+
 def evaluate_stack(model: ModelSpec, thetas, s, ld_s):
     """F against s, given ln|s|, at every row of a validated ``(k, q)`` stack.
 
-    Adds the trace to :func:`_implied_ld`: the rows whose Sigma passes its
-    Cholesky test are solved against s as one stacked call.  Returns
-    ``(fault, f, implied)``: per row 0, ``SINGULAR_STRUCTURE`` or
-    ``SIGMA_NOT_PD``; F, NaN where faulted; the ``(G, GSG', Sigma)`` stacks
-    of the rows whose (I - A)^-1 is usable.
+    Returns ``(fault, f, implied)``: per row 0, ``SINGULAR_STRUCTURE`` or
+    ``SIGMA_NOT_PD`` (Sigma fails :func:`_f_stack`'s tests); F, NaN where
+    faulted; the ``(G, GSG', Sigma)`` stacks of the rows whose (I - A)^-1
+    is usable.
 
     A one-row call, which every line-search trial of a fit makes, costs
     about 27-30 us on a 2-core Xeon VM, mostly numpy's per-call overhead;
     the cost per row falls to about 2.2 us in stacks of 64 rows.
     """
     with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
-        ok, ld_sigma, implied = _implied_ld(model, thetas)
-        sigma = implied[2]
-        k, p = sigma.shape[:2]
-        pd = np.isfinite(ld_sigma)
-        # LAPACK solves each matrix of a stack on its own: a row's trace
-        # does not depend on which other rows are in the stack
-        if pd.all():
-            trace = _lu_solve(sigma, s).trace(axis1=1, axis2=2)
-        else:
-            trace = np.full(k, np.nan)
-            if pd.any():
-                trace[pd] = _lu_solve(sigma[pd], s).trace(axis1=1, axis2=2)
-    f = np.maximum(0.0, ld_sigma - ld_s + trace - p)
+        ok, g_mat, c_mat, sigma = implied_stack(model, thetas)
+        f = _f_stack(sigma, s, -ld_s, -model.n_observed)
     fault = _widen(ok, SIGMA_NOT_PD * np.isnan(f), SINGULAR_STRUCTURE)
-    return fault, _widen(ok, f, np.nan), implied
+    return fault, _widen(ok, f, np.nan), (g_mat, c_mat, sigma)
 
 
 class FocalPlane:
     """F against s, given ln|s|, on the plane through theta_hat along the
     focal parameters: calling it on a ``(k, len(focal))`` stack of offsets
     of those parameters gives F at theta_hat + delta for every row delta,
-    NaN where Sigma fails its Cholesky test or (I - A) is singular.  Raises
+    NaN where :func:`_f_stack` rejects K (below) or (I - A) is singular.  Raises
     :class:`SingularStructure` when (I - A) is singular at theta_hat.
 
     On that plane only the rows J = ``model.reached(focal)`` of Sigma move.
@@ -135,10 +132,10 @@ class FocalPlane:
     K = Sigma_JJ - Sigma_JR W and N = s_JJ - s_JR W - W's_RJ + W's_RR W.
     Sigma_RR being positive definite, Sigma is exactly where K is.  Each
     row still takes its Sigma from :func:`~fungible.model.implied_stack`,
-    and factors and solves only K, by the stacked gufuncs.  Every product
-    is one matrix per row, so a row's F does not depend on the rows beside
-    it.  Where R is empty, F is :func:`evaluate_stack`'s bit for bit;
-    elsewhere the two differ by a few 1e-13 relative.
+    and F is :func:`_f_stack` of K and N, so only K is factored and solved.
+    Every product is one matrix per row, so a row's F does not depend on
+    the rows beside it.  Where R is empty, F is :func:`evaluate_stack`'s
+    bit for bit; elsewhere the two differ by a few 1e-13 relative.
     """
 
     def __init__(self, model: ModelSpec, theta_hat, focal, s, ld_s):
@@ -149,7 +146,7 @@ class FocalPlane:
         sigma_rr = sigma_of_theta(model, theta_hat)[np.ix_(rest, rest)]
         with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
             inv_rr = _inv(sigma_rr)
-            ld_rr = 2.0 * float(np.sum(np.log(np.diag(_cholesky(sigma_rr)))))
+            ld_rr = float(_log_det(_cholesky(sigma_rr)))
         s_rr, s_rj = s[np.ix_(rest, rest)], s[np.ix_(rest, moved)]
         self._model, self._theta_hat, self._shape = model, theta_hat, (p, len(moved), len(rest))
         # offsets times this 0/1 matrix are the offsets in the focal
@@ -182,10 +179,7 @@ class FocalPlane:
             w_s = y[..., 2 * n_r :]
             k_mat = blocks[:, n_j * n_r :].reshape(k, n_j, n_j) - quad[:, 0::2]
             n_mat = self._s_jj - (w_s + w_s.swapaxes(1, 2)) + quad[:, 1::2]
-            chol = _cholesky(k_mat)
-            ld_k = 2.0 * np.log(chol.reshape(k, n_j * n_j)[:, :: n_j + 1]).sum(axis=1)
-            tr_k = _lu_solve(k_mat, n_mat).trace(axis1=1, axis2=2)
-        f = np.maximum(0.0, ld_k + self._ld_const + tr_k + self._tr_const)
+            f = _f_stack(k_mat, n_mat, self._ld_const, self._tr_const)
         return _widen(ok, f, np.nan)
 
 
@@ -214,8 +208,9 @@ def f_ml(model: ModelSpec, theta, s) -> float:
     Nonnegative, zero iff Sigma(theta) = s.  Raises the errors of
     :func:`~fungible.model.as_cov` for an s that fails its check,
     :class:`NotPositiveDefinite` ``("sigma_theta")`` when Sigma(theta) fails
-    its Cholesky factorization or its solve, and :class:`SingularStructure`
-    when (I - A) is numerically singular.
+    its Cholesky factorization or its solve or tr(s Sigma^-1) is not
+    positive, and :class:`SingularStructure` when (I - A) is numerically
+    singular.
     """
     return _evaluate_one(model, theta, *_analyzed(model, s))[0]
 
@@ -253,9 +248,10 @@ def _gradients(model, thetas, s):
     """Gradients of F at every row of a validated stack, with no trace
     solve; raises the domain error of the first row that has none."""
     with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
-        ok, ld_sigma, implied = _implied_ld(model, thetas)
-        grads = _grad_from_implied(model, s, *implied)
-    not_pd = np.isnan(ld_sigma) | np.isnan(grads).any(axis=1)
+        ok, g_mat, c_mat, sigma = implied_stack(model, thetas)
+        not_pd = np.isnan(_log_det(_cholesky(sigma)))
+        grads = _grad_from_implied(model, s, g_mat, c_mat, sigma)
+    not_pd |= np.isnan(grads).any(axis=1)
     _raise_fault(_widen(ok, SIGMA_NOT_PD * not_pd, SINGULAR_STRUCTURE))
     return grads
 

@@ -27,6 +27,7 @@ from fungible import FitResult, discrepancy
 from fungible.discrepancy import (
     SIGMA_NOT_PD,
     SINGULAR_STRUCTURE,
+    FocalPlane,
     _analyzed,
     _grad_from_implied,
     evaluate_stack,
@@ -167,26 +168,77 @@ class TestFmlStack:
         want = _assert_matches_scalar(cond.model, theta[None, :], res.s)
         np.testing.assert_array_equal(res.objectives(theta[None, :]), want)
 
-    def test_trace_solves_only_pd_rows(self, conditions, monkeypatch):
-        # the canonical model is recursive, so every LAPACK solve call of
-        # an evaluation is F's trace solve; rows that fail Cholesky skip it
-        cond = conditions["Sigma1"]
-        broken = cond.theta_star.copy()
-        broken[cond.model.variance_param_mask] = -1.0
-        solved_rows = []
+    def test_nonpositive_trace_is_a_fault(self, focal, monkeypatch):
+        # A point at the kernel's domain edge along ray 10 of 90 on one
+        # replication of Sigma1 at N=50, epsilon .09 (gamma1, gamma2), found
+        # by 80 bisection steps on the finiteness of objectives when F was
+        # clamped at 0 whatever its trace: Sigma passes its Cholesky test
+        # (smallest eigenvalue about -2e-16), but the LU solve gives
+        # tr(Sigma^-1 s) near -1.5e16.  F read 0 there, the global minimum,
+        # where the focal plane reads 7.7e15.
+        cond = condition_at("Sigma1", 0.09)
+        s = wishart_sample(cond.sigma_pop, 50, replication_rng(5, "Sigma1", 50, 0.09, 0))
+        res = fit_ml(cond.model, s, n=50)
+        theta = np.array([float.fromhex(h) for h in (
+            "0x1.0aa535702b03cp+1", "0x1.5dc7625202162p-3", "0x1.447525e6f0c2fp-3",
+            "0x1.6befe8b00cd33p+0", "0x1.af24f3f9020cdp-3", "0x1.1bcfa55dba0e1p-1",
+            "0x1.7af39e6ddf0d7p-1", "-0x1.8fa33c48bd851p+1", "0x1.6fd9abb5b8cf6p-1",
+            "0x1.cc8ea50a8694ep-1", "-0x1.1bc0d81cb3dfbp+0", "0x1.3351e78abaf8dp+0",
+            "0x1.704b79d764625p+0", "0x1.5920cf310943bp-4",
+        )])
+        assert np.isnan(res.objectives(theta[None])).all()
+        with pytest.raises(NotPositiveDefinite) as err:
+            f_ml(cond.model, theta, res.s)
+        assert err.value.which == "sigma_theta"
+
+        # the bisection points toward the kernel's domain edge on all 90
+        # rays, and the point above: neither evaluator gives a finite F at
+        # a row whose trace is not positive
+        angles = 2.0 * math.pi * np.arange(90) / 90
+        units = np.column_stack([np.cos(angles), np.sin(angles)])
+        lo, hi, radii = np.zeros(90), np.full(90, 2.0), []
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            ok = np.isfinite(res.objectives(_on_plane(res, focal, mid[:, None] * units)))
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+            radii.append(mid)
+        offsets = np.vstack([(r[:, None] * units) for r in radii]
+                            + [theta[list(focal)] - res.theta_hat[list(focal)]])
+        thetas = np.vstack([_on_plane(res, focal, offsets[:-1]), theta])
+        traces = []
         solve = discrepancy._lu_solve
 
-        def counting_solve(a, b):
-            solved_rows.append(len(a))
-            return solve(a, b)
+        def recording_solve(a, b):
+            out = solve(a, b)
+            traces.append(out.trace(axis1=1, axis2=2))
+            return out
 
-        monkeypatch.setattr(discrepancy, "_lu_solve", counting_solve)
-        f_bad = _stack_f(cond.model, np.tile(broken, (3, 1)), cond.sigma_pop)
-        assert np.isnan(f_bad).all() and solved_rows == []
+        evaluate = res.focal_objectives(focal)
+        monkeypatch.setattr(discrepancy, "_lu_solve", recording_solve)
+        for f, trace in zip((res.objectives(thetas), evaluate(offsets)), traces):
+            assert len(trace) == len(f)  # every row is solved
+            assert np.isnan(f[~(trace > 0.0)]).all()
+            assert np.isfinite(f).any()
+        assert not traces[0][-1] > 0.0  # the kernel's trace at the point above
+
+    def test_both_evaluators_fault_the_same_rows(self, conditions, focal):
+        # one solve and fault rule: the kernel and the focal plane solve
+        # every row, and give NaN where Sigma is not positive definite
+        cond = conditions["Sigma1"]
+        model = cond.model
+        broken = cond.theta_star.copy()
+        broken[model.variance_param_mask] = -1.0
+        assert np.isnan(_stack_f(model, np.tile(broken, (3, 1)), cond.sigma_pop)).all()
         mixed = np.array([cond.theta_star, broken, 1.1 * cond.theta_star, broken])
-        f_mixed = _stack_f(cond.model, mixed, cond.sigma_pop)
-        assert list(np.isnan(f_mixed)) == [False, True, False, True]
-        assert solved_rows == [2]
+        want = [False, True, False, True]
+        assert list(np.isnan(_stack_f(model, mixed, cond.sigma_pop))) == want
+        s, ld_s = _analyzed(model, cond.sigma_pop)
+        names = model.theta_names
+        for pair in (focal, (names.index("phi"), names.index("lam1"))):
+            # each row as the theta-hat of its own plane, evaluated there;
+            # phi and lam1 reach every row, so R is empty
+            got = [FocalPlane(model, theta, pair, s, ld_s)(np.zeros((1, 2)))[0] for theta in mixed]
+            assert list(np.isnan(got)) == want
 
     def test_shape_and_finiteness_checked(self):
         # a non-positive-definite s is the covariance rule's case

@@ -98,37 +98,44 @@ class TestGoldenMax:
         for _, which in calls[1:]:
             assert np.bincount(which).max() <= _LOOKAHEAD
 
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=60)
     @given(
         seed=st.integers(0, 2**32 - 1), x_tol=X_TOLS, max_iter=MAX_ITERS, priors=st.booleans()
     )
-    def test_committed_fault_ends_the_search(self, seed, x_tol, max_iter, priors):
+    def test_each_bracket_stops_at_its_own_fault(self, seed, x_tol, max_iter, priors):
         a, b, values, rng = _problems(seed)
+        n = len(a)
         known = _known(a, b, values, rng) if priors else None
-        _, ref_calls = _run_reference(values, a, b, x_tol, max_iter)
-        t = int(rng.integers(0, len(ref_calls)))
-        x_bad, which = ref_calls[t]
-        k = int(rng.integers(0, len(which)))
-        bad = (int(which[k]), float(x_bad[k]))
+        # for some brackets, every point past a cut faults with that
+        # bracket's code
+        cut = np.where(rng.random(n) < 0.6, a + rng.uniform(0.0, 1.0, n) * (b - a), np.inf)
+        codes = rng.choice([ABOVE_TOL, UNDEFINED], n)
 
         def f(x, which):
-            hit = [(int(w), float(v)) == bad for w, v in zip(which, x)]
-            return values(x, which), np.where(hit, UNDEFINED, 0)
+            return values(x, which), np.where(x > cut[which], codes[which], 0)
 
-        x_best, f_best, fault = golden_max(
-            f, a.copy(), b.copy(), x_tol=x_tol, max_iter=max_iter, known=known
-        )
-        want = np.zeros(len(a), dtype=int)
-        want[bad[0]] = UNDEFINED
-        np.testing.assert_array_equal(fault, want)
-        # every bracket ends at the step before the fault (the initial pair
-        # for a fault in it), however far its own search had run; a bracket
-        # collapsed to a point (x_tol 0) revisits it, so the fault is at the
-        # first step that evaluates the bad point
-        t = min(s for s, call in enumerate(ref_calls) if bad in _points(call))
-        (x_ref, f_ref), _ = _run_reference(values, a, b, x_tol, max(t - 1, 0))
-        assert x_best.tobytes() == x_ref.tobytes()
-        assert f_best.tobytes() == f_ref.tobytes()
+        got = golden_max(f, a.copy(), b.copy(), x_tol=x_tol, max_iter=max_iter, known=known)
+        for j in range(n):
+            def alone(x, which, j=j):
+                return f(x, np.full(len(which), j))
+
+            one = slice(j, j + 1)
+            row = None if known is None else (known[0][one], known[1][one])
+            want = golden_max(alone, a[one], b[one], x_tol=x_tol, max_iter=max_iter, known=row)
+            assert [v[one].tobytes() for v in got] == [v.tobytes() for v in want]
+            # the step-by-step search on this bracket, cut before its first
+            # step with a point past the cut (the initial pair's result, for
+            # a fault in it)
+            def reference(steps, j=j):
+                return _run_reference(lambda x, w: values(x, np.full(len(w), j)), a[one], b[one],
+                                      x_tol, steps)
+
+            _, ref_calls = reference(max_iter)
+            t = next((s for s, (x, _) in enumerate(ref_calls) if (x > cut[j]).any()), None)
+            (x_ref, f_ref), _ = reference(max_iter if t is None else max(t - 1, 0))
+            assert got[0][one].tobytes() == x_ref.tobytes()
+            assert got[1][one].tobytes() == f_ref.tobytes()
+            assert got[2][j] == (0 if t is None else codes[j])
 
     def test_mispredicted_fault_is_discarded(self):
         # prior points peaking at 0.1 predict f(c) >= f(d) for the first
