@@ -32,12 +32,14 @@ must not depend on the rows beside it (a test pins this).  For a :class:`~fungib
 evaluation is :meth:`~fungible.fit.FitResult.focal_objectives`, the
 focal-plane evaluator :class:`~fungible.discrepancy.FocalPlane`: it factors
 only the Schur complement of the rows of Sigma the focal parameters move
-(one row for the default gamma1/gamma2), and its rows lie within a few
-1e-13 of :func:`~fungible.discrepancy.f_ml`'s, relative.  On the ROADMAP
-Baseline fit (Sigma1, eps .03, N = 200; eps_tilde target; 2-core Xeon VM,
-one BLAS thread), a 90-direction width makes 24 stacked calls, 18 of them
-the refinement's, and a 360-direction width 18; the evaluator is about 0.6
-of the first and 0.75 of the second, the rest this engine's own numpy and
+(one row for the default gamma1/gamma2), takes those rows on a
+single-step model from a polynomial in the focal offsets expanded once per
+plane, and its rows lie within a few 1e-13 of
+:func:`~fungible.discrepancy.f_ml`'s, relative.  On the ROADMAP Baseline
+fit (Sigma1, eps .03, N = 200; eps_tilde target; 2-core Xeon VM, one BLAS
+thread), a 90-direction width makes 24 stacked calls, 18 of them the
+refinement's, and a 360-direction width 18; the evaluator is about 0.48 of
+the first and 0.55 of the second, the rest this engine's own numpy and
 Python work.
 
 These functions only use ``theta_hat``, ``f_hat``, ``n``, ``hessian_at_opt``

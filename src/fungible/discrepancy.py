@@ -12,11 +12,12 @@ stack.  The stacked evaluator with NaN at faulted rows is
 :meth:`~fungible.fit.FitResult.objectives`, against a fit's analyzed
 covariance.  Contours evaluate F only on a focal plane through a fit's
 theta-hat, where the non-focal parameters stay put: :class:`FocalPlane`
-takes Sigma from the same :func:`~fungible.model.implied_stack` and gives
-the body the Schur complement of the rows the focal parameters move in
-place of Sigma.  Every entry point checks the analyzed covariance s by the
-one rule of :func:`~fungible.model.as_cov` and takes ln|s| from its
-Cholesky factor.
+takes the rows of Sigma the focal parameters move from a polynomial in
+their offsets (:func:`~fungible.model.plane_polynomial`, single-step
+models) or from :func:`~fungible.model.implied_stack` (any other), and
+gives the body the Schur complement of those rows in place of Sigma.
+Every entry point checks the analyzed covariance s by the one rule of
+:func:`~fungible.model.as_cov` and takes ln|s| from its Cholesky factor.
 
 All functions are pure and reentrant.  Positive definiteness is always
 established by attempting a Cholesky factorization; there is no eigenvalue
@@ -41,6 +42,7 @@ from .model import (
     as_cov,
     as_theta,
     implied_stack,
+    plane_polynomial,
     sigma_of_theta,
 )
 
@@ -130,12 +132,23 @@ class FocalPlane:
 
     with W = Sigma_RR^-1 Sigma_RJ, the |J| x |J| Schur complement
     K = Sigma_JJ - Sigma_JR W and N = s_JJ - s_JR W - W's_RJ + W's_RR W.
-    Sigma_RR being positive definite, Sigma is exactly where K is.  Each
-    row still takes its Sigma from :func:`~fungible.model.implied_stack`,
-    and F is :func:`_f_stack` of K and N, so only K is factored and solved.
-    Every product is one matrix per row, so a row's F does not depend on
-    the rows beside it.  Where R is empty, F is :func:`evaluate_stack`'s
-    bit for bit; elsewhere the two differ by a few 1e-13 relative.
+    Sigma_RR being positive definite, Sigma is exactly where K is, and F is
+    :func:`_f_stack` of K and N, so only K is factored and solved.
+
+    The rows J of Sigma come from one of two places, split as
+    :func:`~fungible.model.implied_stack` splits on ``model.single_step``.
+    On a single-step model Sigma on the plane is a polynomial of degree at
+    most 3 in the offsets (2 for paths alone, such as the default
+    gamma1/gamma2), whose coefficients :func:`~fungible.model.plane_polynomial`
+    expands once at construction; a call evaluates the monomials at each
+    row and takes Sigma_JR and Sigma_JJ from one product of them with the
+    coefficients per row, with no parameter vector and no (A, S) stack.
+    Any other model takes each row's Sigma from ``implied_stack``.  Every
+    product is one matrix per row, so a row's F does not depend on the rows
+    beside it.  The polynomial's rows lie within 1e-15 of max|Sigma| of
+    ``implied_stack``'s at the same points, and F within a few 1e-13
+    relative of :func:`evaluate_stack`'s (2.0e-13 measured over every focal
+    pair of the single-step test models).
     """
 
     def __init__(self, model: ModelSpec, theta_hat, focal, s, ld_s):
@@ -148,13 +161,25 @@ class FocalPlane:
             inv_rr = _inv(sigma_rr)
             ld_rr = float(_log_det(_cholesky(sigma_rr)))
         s_rr, s_rj = s[np.ix_(rest, rest)], s[np.ix_(rest, moved)]
-        self._model, self._theta_hat, self._shape = model, theta_hat, (p, len(moved), len(rest))
-        # offsets times this 0/1 matrix are the offsets in the focal
-        # columns and zeros elsewhere, exactly
-        self._embed = np.zeros((len(focal), model.q))
-        self._embed[np.arange(len(focal)), list(focal)] = 1.0
+        self._shape = (p, len(moved), len(rest))
         # Sigma_JR, then Sigma_JJ, as flat positions in a row's p x p Sigma
-        self._flat = np.concatenate([(p * moved[:, None] + cols).ravel() for cols in (rest, moved)])
+        flat = np.concatenate([(p * moved[:, None] + cols).ravel() for cols in (rest, moved)])
+        if model.single_step:
+            monomials, coef = plane_polynomial(model, theta_hat, focal)
+            self._coef = coef.reshape(len(coef), p * p)[:, flat]
+            # each monomial of degree 2 and above, as its row in the stack
+            # of monomials, its parent's (less its first focal position) and
+            # the row of that position's offset
+            index = {key: j for j, key in enumerate(monomials)}
+            self._products = [(j, index[key[1:]], index[key[:1]])
+                              for j, key in enumerate(monomials) if len(key) > 1]
+        else:
+            self._coef = None
+            self._model, self._theta_hat, self._flat = model, theta_hat, flat
+            # offsets times this 0/1 matrix are the offsets in the focal
+            # columns and zeros elsewhere, exactly
+            self._embed = np.zeros((len(focal), model.q))
+            self._embed[np.arange(len(focal)), list(focal)] = 1.0
         # a row's Sigma_JR times these gives Sigma_JR Sigma_RR^-1 (for K),
         # W's_RR Sigma_RR^-1 (for W's_RR W) and W's_RJ, in one product
         self._right = np.concatenate([inv_rr, inv_rr @ s_rr @ inv_rr, inv_rr @ s_rj], axis=1)
@@ -164,20 +189,40 @@ class FocalPlane:
         self._ld_const = ld_rr - ld_s
         self._tr_const = float(np.sum(s_rr * inv_rr.T)) - p
 
-    def __call__(self, offsets):
+    def _moved_rows(self, offsets):
+        """``(ok, Sigma_JR, Sigma_JJ)`` at the offsets, the blocks at the
+        rows of the mask ``ok`` only: from the polynomial, every row ok, or
+        else from :func:`~fungible.model.implied_stack`.  Runs under its
+        caller's errstate."""
         p, n_j, n_r = self._shape
-        thetas = self._theta_hat + offsets @ self._embed
+        k = len(offsets)
+        if self._coef is not None:
+            # the monomials at every row: 1, the offsets, then each higher
+            # one as its parent times an offset
+            terms = np.empty((len(self._coef), k))
+            terms[0] = 1.0
+            terms[1 : 1 + offsets.shape[1]] = offsets.T
+            for row, parent, position in self._products:
+                np.multiply(terms[parent], terms[position], out=terms[row])
+            ok = np.ones(k, dtype=bool)
+            # one (1, M) @ (M, c) product per row
+            blocks = (terms.T[:, None, :] @ self._coef)[:, 0]
+        else:
+            ok, _, _, sigma = implied_stack(self._model, self._theta_hat + offsets @ self._embed)
+            blocks = sigma.reshape(len(sigma), p * p).take(self._flat, axis=1)
+        jr, jj = blocks[:, : n_j * n_r], blocks[:, n_j * n_r :]
+        return ok, jr.reshape(len(jr), n_j, n_r), jj.reshape(len(jj), n_j, n_j)
+
+    def __call__(self, offsets):
+        n_j, n_r = self._shape[1:]
         with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
-            ok, _, _, sigma = implied_stack(self._model, thetas)
-            k = len(sigma)
-            blocks = sigma.reshape(k, p * p).take(self._flat, axis=1)
-            x = blocks[:, : n_j * n_r].reshape(k, n_j, n_r)
+            ok, x, sigma_jj = self._moved_rows(offsets)
             y = x @ self._right
             # rows 2a and 2a + 1 of the product: row a of
             # Sigma_JR Sigma_RR^-1 Sigma_RJ and of W's_RR W
-            quad = y[..., : 2 * n_r].reshape(k, 2 * n_j, n_r) @ x.swapaxes(1, 2)
+            quad = y[..., : 2 * n_r].reshape(len(x), 2 * n_j, n_r) @ x.swapaxes(1, 2)
             w_s = y[..., 2 * n_r :]
-            k_mat = blocks[:, n_j * n_r :].reshape(k, n_j, n_j) - quad[:, 0::2]
+            k_mat = sigma_jj - quad[:, 0::2]
             n_mat = self._s_jj - (w_s + w_s.swapaxes(1, 2)) + quad[:, 1::2]
             f = _f_stack(k_mat, n_mat, self._ld_const, self._tr_const)
         return _widen(ok, f, np.nan)

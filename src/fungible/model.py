@@ -16,17 +16,20 @@ simulation study (``Sigma1`` .. ``Sigma4``, a 2 x 2 grid of unique-variance
 and structural-effect magnitudes) and controlled injection of population
 misfit at a target RMSEA via an omitted residual covariance.
 
-Sigma(theta) is computed only by :func:`implied_stack`, over a ``(k, q)``
-stack of parameter vectors with a per-row mask of the rows where
-(I - A)^-1 is usable; :func:`sigma_of_theta` is its one-row view.  When no
-directed path of A's pattern has two steps, as in the builtin conditions
-(:attr:`ModelSpec.single_step`), (I - A)^-1 is exactly I + A: there is no
-solve, and (I - A) is never singular.  Every other model solves (I - A) and
-tests each row for singularity.  The choice is made once per model from its
-pattern.  Parameter vectors are plain 1-d numpy arrays of length ``q`` in
-``theta_names`` order; they are validated once at every entry point.  Every
-covariance matrix given to the package is checked by one rule,
-:func:`as_cov`.
+Sigma(theta) at a parameter vector is computed only by
+:func:`implied_stack`, over a ``(k, q)`` stack of parameter vectors with a
+per-row mask of the rows where (I - A)^-1 is usable; :func:`sigma_of_theta`
+is its one-row view.  When no directed path of A's pattern has two steps,
+as in the builtin conditions (:attr:`ModelSpec.single_step`), (I - A)^-1 is
+exactly I + A: there is no solve, and (I - A) is never singular.  Every
+other model solves (I - A) and tests each row for singularity.  The choice
+is made once per model from its pattern.  On the plane through one
+parameter vector along a few focal parameters, Sigma of a single-step model
+is a polynomial in their offsets, whose coefficients
+:func:`plane_polynomial` expands.  Parameter vectors are plain 1-d numpy
+arrays of length ``q`` in ``theta_names`` order; they are validated once at
+every entry point.  Every covariance matrix given to the package is checked
+by one rule, :func:`as_cov`.
 """
 
 from __future__ import annotations
@@ -375,6 +378,51 @@ def implied_stack(model: ModelSpec, thetas):
     p = model.n_observed
     sigma = c[:, :p, :p]
     return ok, g, c, 0.5 * (sigma + sigma.transpose(0, 2, 1))
+
+
+def plane_polynomial(model: ModelSpec, theta, focal):
+    """Sigma on the plane theta + E delta of a ``single_step`` model, where
+    E places offsets delta of the parameters ``focal``, as a polynomial in
+    delta.
+
+    There G = I + A(theta) + sum_i delta_i A_i and S = S(theta) +
+    sum_i delta_i S_i, with A_i and S_i the 0/1 patterns of focal parameter
+    i (every entry it sits on), so Sigma = F G S G' F' has degree at most 3:
+    2 when no focal parameter sits on S, 1 when none sits on A.  Returns
+    ``(monomials, coef)``: the monomials, each the ascending tuple of the
+    focal positions it multiplies (``()`` is 1, ``(0, 1)`` is
+    delta_0 delta_1), and their ``(M, p, p)`` coefficients, expanded exactly
+    from the products of G(theta), S(theta) and the patterns and
+    symmetrized as :func:`implied_stack` symmetrizes Sigma.  The monomials
+    run by ascending degree, so 1 and then each delta_i in focal order come
+    first, and every monomial's tuple less its first position is a monomial
+    too.
+    """
+    a, s = model._assemble(theta[None])
+    p = model.n_observed
+
+    def with_patterns(constant, param, rows):
+        terms = {(): constant}
+        for i, k in enumerate(focal):
+            if (param == k).any():
+                terms[(i,)] = (param[rows] == k).astype(float)
+        return terms
+
+    def product(x, y):
+        out = {}
+        for kx, mx in x.items():
+            for ky, my in y.items():
+                key = tuple(sorted(kx + ky))
+                out[key] = out[key] + mx @ my if key in out else mx @ my
+        return out
+
+    # F G: the observed rows of I + A and of A's patterns
+    g = with_patterns((model._eye + a[0])[:p], model.directed_param, slice(0, p))
+    sigma = product(product(g, with_patterns(s[0], model.symmetric_param, slice(None))),
+                    {key: mat.T for key, mat in g.items()})
+    monomials = sorted(sigma, key=lambda key: (len(key), key))
+    coef = np.array([sigma[key] for key in monomials])
+    return monomials, 0.5 * (coef + coef.swapaxes(1, 2))
 
 
 def sigma_of_theta(model: ModelSpec, theta) -> np.ndarray:

@@ -581,7 +581,7 @@ class TestLookaheadRefinement:
                             digest.update(np.asarray(v, dtype="<f8").tobytes())
                         digest.update(f"{w.skipped}|{w.partial}".encode())
         assert digest.hexdigest() == (
-            "db86d7a1ec047d45075f5aca077d15909cad3cd445e07f1dc9a2e940bddef22a"
+            "339178b2984b1dba544962613e7a450adb30289e28f7ffdc1a270189c1c5c1bd"
         )
 
     def test_stacked_evaluation_count(self, popfits, focal):

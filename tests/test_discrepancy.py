@@ -567,16 +567,41 @@ class TestFocalPlane:
         shared = shared_entry_model()
         assert list(shared.reached([shared.theta_names.index("t")])) == [0, 1, 2]
 
-    def test_every_row_reached_is_the_kernel_bit_for_bit(self, popfits):
-        # where R is empty the Schur form is the plain formula: K = Sigma,
-        # N = s, and the sum F adds up as in the kernel
+    def test_every_row_reached_matches_objectives(self, popfits):
+        # where R is empty the Schur form is the plain formula, K = Sigma
+        # and N = s, with Sigma from the plane's polynomial
         res = popfits["Sigma2"]
         names = res.model.theta_names
         pair = (names.index("phi"), names.index("lam1"))
         assert len(res.model.reached(pair)) == res.model.n_observed
         offsets = 0.2 * np.random.default_rng(5).standard_normal((50, 2))
-        _assert_same_bytes(res.focal_objectives(pair)(offsets),
-                           res.objectives(_on_plane(res, pair, offsets)))
+        got = res.focal_objectives(pair)(offsets)
+        want = res.objectives(_on_plane(res, pair, offsets))
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("label", _PLANE_LABELS)
+    def test_polynomial_rows_match_implied_stack(self, plane_cases, label):
+        # on a single-step model the moved rows of Sigma come from the
+        # plane's polynomial in the offsets: "shared" puts one parameter on
+        # A and S entries, whose coefficients add both; canonical pairs
+        # such as (phi, gamma1) mix an S entry with an A entry (a nonzero
+        # phi gamma1 coefficient); random models with a path between two
+        # observed variables have cubic terms (path, its tail's variance,
+        # path).  Other models take the blocks from implied_stack itself
+        fit, offsets = plane_cases[label]
+        model = fit.model
+        rows = np.arange(model.n_observed)
+        for pair in itertools.combinations(range(model.q), 2):
+            moved = model.reached(pair)
+            rest = np.setdiff1d(rows, moved)
+            ok, sigma_jr, sigma_jj = fit.focal_objectives(pair)._moved_rows(offsets)
+            want_ok, _, _, sigma = implied_stack(model, _on_plane(fit, pair, offsets))
+            np.testing.assert_array_equal(ok, want_ok)
+            tol = 1e-14 * np.abs(sigma).max(axis=(1, 2))[:, None, None]
+            for got, cols in ((sigma_jr, rest), (sigma_jj, moved)):
+                want = sigma[:, moved][:, :, cols]
+                assert (np.abs(got - want) <= tol).all()
 
     @pytest.mark.parametrize("label", ["random5", "random9", "feedback", "shared", "canonical"])
     def test_row_independent_of_its_stack(self, plane_cases, label):
