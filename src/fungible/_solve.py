@@ -29,7 +29,6 @@ import math
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_LOOKAHEAD = 12  # golden-section steps evaluated per open bracket per call of f
 
 # fault codes; where several meet, the larger stands for them all
 ABOVE_TOL = 1  # the best point's residual is above the root tolerance
@@ -109,8 +108,8 @@ def _walk(w, cache, max_iter, x_tol):
     nonzero code the replay ends before taking the step (the pair is
     taken) and stays there: ``code`` is the step's largest code.  At the
     first step whose point the cache lacks, the walk goes on along the
-    branches that :func:`_vertex` of ``seen`` predicts, for up to
-    :data:`_LOOKAHEAD` golden steps and through step ``max_iter``:
+    branches that :func:`_vertex` of ``seen`` predicts, through step
+    ``max_iter`` or until the bracket is no wider than ``x_tol``:
     ``missing`` is the points of those steps that the cache lacks, the
     first step's (the pair's) first.  After step ``max_iter``, or once the
     bracket is no wider than ``x_tol``, the search is done: ``(0, [])``.
@@ -123,17 +122,17 @@ def _walk(w, cache, max_iter, x_tol):
         seen += (c, fc), (d, fd)
         code = max(code_c, code_d)
         t = int(not code)  # the pair is taken even where it faults
-    end, vertex = max_iter, None
+    vertex = None
     if missing:  # the pair: predict from step 1
-        t, end, vertex = 1, min(end, _LOOKAHEAD), _vertex(seen, a, b)
-    while 0 < t <= end and b - a > x_tol:
+        t, vertex = 1, _vertex(seen, a, b)
+    while 0 < t <= max_iter and b - a > x_tol:
         # left: keep [a, d], the new point below c; else keep [c, b], above d
         left = fc >= fd if vertex is None else abs(c - vertex) <= abs(d - vertex)
         x = d - _INVPHI * (d - a) if left else c + _INVPHI * (b - c)
         fx, code = cache.get(x, (None, 0))
         if vertex is None and fx is None:  # the replay stops here: predict on
             w[:9] = t, a, b, c, d, fc, fd, x_best, f_best
-            end, vertex = min(end, t + _LOOKAHEAD - 1), _vertex(seen, a, b)
+            vertex = _vertex(seen, a, b)
         if vertex is None:
             if code:
                 break
@@ -168,9 +167,9 @@ def golden_max(f, a, b, *, x_tol, max_iter=200, known=None):
     (f(x), fault code) and the state of its step-by-step search where the
     last replay stopped.  Each round, :func:`_walk` resumes every bracket's
     search from that state over its cache, up to the first point the cache
-    lacks, and names that point and those of the next steps,
-    :data:`_LOOKAHEAD` golden steps in all, along the branches that the
-    vertex of a parabola through the bracket's known points predicts.
+    lacks, and names that point and those of every later step, through
+    step ``max_iter`` or to ``x_tol``, along the branches that the vertex
+    of a parabola through the bracket's known points predicts.
     The known points are those of the steps taken and ``known``, an optional
     pair ``(x, f)`` of ``(n, m)`` arrays of prior points per bracket (such
     as a caller's grid values), used only for the prediction.  One call of

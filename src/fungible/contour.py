@@ -31,15 +31,15 @@ width comes from whichever stacked solve evaluated it, so a ray's radius
 must not depend on the rows beside it (a test pins this).  For a :class:`~fungible.fit.FitResult` that
 evaluation is :meth:`~fungible.fit.FitResult.focal_objectives`, the
 focal-plane evaluator :class:`~fungible.discrepancy.FocalPlane`: it factors
-only the Schur complement of the rows of Sigma the focal parameters move
-(one row for the default gamma1/gamma2), takes those rows on a
-single-step model from a polynomial in the focal offsets expanded once per
-plane, and its rows lie within a few 1e-13 of
-:func:`~fungible.discrepancy.f_ml`'s, relative.  On the ROADMAP Baseline
-fit (Sigma1, eps .03, N = 200; eps_tilde target; 2-core Xeon VM, one BLAS
-thread), a 90-direction width makes 24 stacked calls, 18 of them the
-refinement's, and a 360-direction width 18; the evaluator is about 0.48 of
-the first and 0.55 of the second, the rest this engine's own numpy and
+only the Schur complement K of the rows of Sigma the focal parameters move
+(one row for the default gamma1/gamma2, so K is 1 x 1 and needs no LAPACK
+call), takes K and its partner N on a single-step model from polynomials
+in the focal offsets expanded once per plane, and its rows lie within a
+few 1e-13 of :func:`~fungible.discrepancy.f_ml`'s, relative.  On the
+ROADMAP Baseline fit (Sigma1, eps .03, N = 200; eps_tilde target; 2-core
+Xeon VM, one BLAS thread), a 90-direction width makes 18 stacked calls
+over about 1,350 rows and a 360-direction width 18 over about 2,570; the
+evaluator is about 0.30 of either, the rest this engine's own numpy and
 Python work.
 
 These functions only use ``theta_hat``, ``f_hat``, ``n``, ``hessian_at_opt``

@@ -12,12 +12,17 @@ stack.  The stacked evaluator with NaN at faulted rows is
 :meth:`~fungible.fit.FitResult.objectives`, against a fit's analyzed
 covariance.  Contours evaluate F only on a focal plane through a fit's
 theta-hat, where the non-focal parameters stay put: :class:`FocalPlane`
-takes the rows of Sigma the focal parameters move from a polynomial in
-their offsets (:func:`~fungible.model.plane_polynomial`, single-step
-models) or from :func:`~fungible.model.implied_stack` (any other), and
-gives the body the Schur complement of those rows in place of Sigma.
-Every entry point checks the analyzed covariance s by the one rule of
-:func:`~fungible.model.as_cov` and takes ln|s| from its Cholesky factor.
+gives the body the Schur complement K of the rows of Sigma the focal
+parameters move, and its partner N, in place of Sigma and s.  On a
+single-step model K and N are polynomials in the focal offsets, expanded
+once per plane from :func:`~fungible.model.plane_polynomial`; on any other
+model they come from :func:`~fungible.model.implied_stack` at every call.
+F there lies within a few 1e-13 relative of the kernel's.  Where K is
+1 x 1, as on the default gamma1/gamma2 plane, the body takes sqrt(K) and
+N / K, the bits of LAPACK's factor and solve, so a call makes no matrix
+product and no LAPACK call.  Every entry point checks the analyzed
+covariance s by the one rule of :func:`~fungible.model.as_cov` and takes
+ln|s| from its Cholesky factor.
 
 All functions are pure and reentrant.  Positive definiteness is always
 established by attempting a Cholesky factorization; there is no eigenvalue
@@ -90,10 +95,19 @@ def _f_stack(m, n, ld_const, tr_const):
     level; NaN where M fails its Cholesky test or its solve, or where the
     trace is not positive (for positive definite M and N it is positive: a
     nonpositive one is a solve lost next to the positive definite edge).
-    Every row is solved on its own.  Runs under its caller's errstate."""
-    trace = _lu_solve(m, n).trace(axis1=1, axis2=2)
+    Every row is solved on its own.  Where d is 1 the Cholesky factor is
+    sqrt(M) and the solve N / M: for one entry LAPACK's potrf and getrs
+    compute exactly these, so the bits are the same with no LAPACK call.
+    Where potrf fails there, so does F: sqrt gives NaN for M < 0 or NaN,
+    and at M = 0 ln|M| is -inf against a trace of +inf (F NaN), -inf or
+    NaN.  Runs under its caller's errstate."""
+    if m.shape[-1] == 1:
+        m = m[:, 0, 0]
+        log_det, trace = 2.0 * np.log(np.sqrt(m)), n[..., 0, 0] / m
+    else:
+        log_det, trace = _log_det(_cholesky(m)), _lu_solve(m, n).trace(axis1=1, axis2=2)
     trace[trace <= 0.0] = np.nan  # a NaN trace gives NaN anyway
-    return np.maximum(0.0, _log_det(_cholesky(m)) + ld_const + trace + tr_const)
+    return np.maximum(0.0, log_det + ld_const + trace + tr_const)
 
 
 def evaluate_stack(model: ModelSpec, thetas, s, ld_s):
@@ -135,95 +149,134 @@ class FocalPlane:
     Sigma_RR being positive definite, Sigma is exactly where K is, and F is
     :func:`_f_stack` of K and N, so only K is factored and solved.
 
-    The rows J of Sigma come from one of two places, split as
-    :func:`~fungible.model.implied_stack` splits on ``model.single_step``.
-    On a single-step model Sigma on the plane is a polynomial of degree at
-    most 3 in the offsets (2 for paths alone, such as the default
-    gamma1/gamma2), whose coefficients :func:`~fungible.model.plane_polynomial`
-    expands once at construction; a call evaluates the monomials at each
-    row and takes Sigma_JR and Sigma_JJ from one product of them with the
-    coefficients per row, with no parameter vector and no (A, S) stack.
-    Any other model takes each row's Sigma from ``implied_stack``.  Every
-    product is one matrix per row, so a row's F does not depend on the rows
-    beside it.  The polynomial's rows lie within 1e-15 of max|Sigma| of
-    ``implied_stack``'s at the same points, and F within a few 1e-13
-    relative of :func:`evaluate_stack`'s (2.0e-13 measured over every focal
-    pair of the single-step test models).
+    Where K and N come from splits as :func:`~fungible.model.implied_stack`
+    splits on ``model.single_step``.  On a single-step model Sigma on the
+    plane is a polynomial in the offsets
+    (:func:`~fungible.model.plane_polynomial`), Sigma_RR its constant
+    term, so K and N are polynomials too, of degree at most
+    max(deg Sigma_JJ, 2 deg Sigma_JR): two quadratics for paths alone, such
+    as the default gamma1/gamma2.  :meth:`_schur` expands their
+    coefficients once at construction, with the monomials whose
+    coefficients are exactly zero dropped.  A call evaluates the monomials
+    at each row and sums them against the coefficients elementwise, in one
+    order whatever the stack, so a row's F does not depend on the rows
+    beside it; where J is one row, as for gamma1/gamma2, :func:`_f_stack`
+    then takes no LAPACK call.  Any other model takes each row's Sigma from
+    ``implied_stack`` and applies :meth:`_schur` to it as a polynomial of
+    degree 0.  F lies within a few 1e-13 relative of
+    :func:`evaluate_stack`'s (2.1e-13 measured over every focal pair of the
+    single-step test models).
     """
 
     def __init__(self, model: ModelSpec, theta_hat, focal, s, ld_s):
         theta_hat = as_theta(model, theta_hat)
         p = model.n_observed
         moved = model.reached(focal)
-        rest = np.setdiff1d(np.arange(p), moved)
-        sigma_rr = sigma_of_theta(model, theta_hat)[np.ix_(rest, rest)]
-        with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
-            inv_rr = _inv(sigma_rr)
-            ld_rr = float(_log_det(_cholesky(sigma_rr)))
-        s_rr, s_rj = s[np.ix_(rest, rest)], s[np.ix_(rest, moved)]
-        self._shape = (p, len(moved), len(rest))
-        # Sigma_JR, then Sigma_JJ, as flat positions in a row's p x p Sigma
-        flat = np.concatenate([(p * moved[:, None] + cols).ravel() for cols in (rest, moved)])
+        outside = np.ones(p, dtype=bool)
+        outside[moved] = False
+        rest = np.flatnonzero(outside)
         if model.single_step:
-            monomials, coef = plane_polynomial(model, theta_hat, focal)
-            self._coef = coef.reshape(len(coef), p * p)[:, flat]
-            # each monomial of degree 2 and above, as its row in the stack
-            # of monomials, its parent's (less its first focal position) and
-            # the row of that position's offset
-            index = {key: j for j, key in enumerate(monomials)}
-            self._products = [(j, index[key[1:]], index[key[:1]])
-                              for j, key in enumerate(monomials) if len(key) > 1]
+            monomials, sigma = plane_polynomial(model, theta_hat, focal)
         else:
+            monomials, sigma = [()], sigma_of_theta(model, theta_hat)[None]
+        sigma_rr = sigma[0][rest][:, rest]
+        self._s_rr = s[rest][:, rest]
+        self._s_jr, self._s_jj = s[moved][:, rest], s[moved][:, moved]
+        self._moved, self._rest = moved, rest
+        with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
+            self._inv_rr = _inv(sigma_rr)
+            ld_rr = float(_log_det(_cholesky(sigma_rr)))
+            if model.single_step:
+                keys, coef = self._schur(monomials, sigma)
+        # the constant terms, split so that where R is empty F adds up as
+        # in evaluate_stack
+        self._ld_const = ld_rr - ld_s
+        self._tr_const = float(np.sum(self._s_rr * self._inv_rr.T)) - p
+        if not model.single_step:
             self._coef = None
-            self._model, self._theta_hat, self._flat = model, theta_hat, flat
+            self._model, self._theta_hat = model, theta_hat
             # offsets times this 0/1 matrix are the offsets in the focal
             # columns and zeros elsewhere, exactly
             self._embed = np.zeros((len(focal), model.q))
             self._embed[np.arange(len(focal)), list(focal)] = 1.0
-        # a row's Sigma_JR times these gives Sigma_JR Sigma_RR^-1 (for K),
-        # W's_RR Sigma_RR^-1 (for W's_RR W) and W's_RJ, in one product
-        self._right = np.concatenate([inv_rr, inv_rr @ s_rr @ inv_rr, inv_rr @ s_rj], axis=1)
-        self._s_jj = s[np.ix_(moved, moved)]
-        # the constant terms, split so that where R is empty F adds up as
-        # in evaluate_stack
-        self._ld_const = ld_rr - ld_s
-        self._tr_const = float(np.sum(s_rr * inv_rr.T)) - p
+            return
+        coef = coef.reshape(len(keys), -1)
+        # keep the monomials with a nonzero coefficient, 1 and each offset,
+        # and every monomial's tuple less its first position, from which a
+        # call builds it
+        kept = {key for key, nonzero in zip(keys, coef.any(axis=1).tolist()) if nonzero}
+        kept |= {()} | {(i,) for i in range(len(focal))}
+        for key in list(kept):
+            while key:
+                kept.add(key)
+                key = key[1:]
+        monomials = sorted(kept, key=lambda key: (len(key), key))
+        index, zero = {key: j for j, key in enumerate(keys)}, np.zeros(coef.shape[1])
+        self._coef = np.array([coef[index[key]] if key in index else zero for key in monomials])
+        # each monomial of degree 2 and above, as its row in the stack of
+        # monomials, its parent's (less its first focal position) and the
+        # row of that position's offset
+        rows = {key: j for j, key in enumerate(monomials)}
+        self._products = [(j, rows[key[1:]], rows[key[:1]])
+                          for j, key in enumerate(monomials) if len(key) > 1]
 
-    def _moved_rows(self, offsets):
-        """``(ok, Sigma_JR, Sigma_JJ)`` at the offsets, the blocks at the
-        rows of the mask ``ok`` only: from the polynomial, every row ok, or
-        else from :func:`~fungible.model.implied_stack`.  Runs under its
+    def _schur(self, monomials, sigma):
+        """K and N where Sigma is the polynomial with the monomials (as
+        :func:`~fungible.model.plane_polynomial` gives them) and the
+        ``(M, ..., p, p)`` coefficients: ``(keys, coef)``, the monomials of
+        K and N, ascending, and their ``(M', ..., 2, |J|, |J|)``
+        coefficients, K's first.  Each product of two of Sigma_JR's
+        coefficients adds to the monomial of their product.  Runs under its
         caller's errstate."""
-        p, n_j, n_r = self._shape
-        k = len(offsets)
-        if self._coef is not None:
-            # the monomials at every row: 1, the offsets, then each higher
-            # one as its parent times an offset
-            terms = np.empty((len(self._coef), k))
-            terms[0] = 1.0
-            terms[1 : 1 + offsets.shape[1]] = offsets.T
-            for row, parent, position in self._products:
-                np.multiply(terms[parent], terms[position], out=terms[row])
-            ok = np.ones(k, dtype=bool)
-            # one (1, M) @ (M, c) product per row
-            blocks = (terms.T[:, None, :] @ self._coef)[:, 0]
-        else:
+        rows = sigma[..., self._moved, :]
+        x, sigma_jj = rows[..., self._rest], rows[..., self._moved]
+        w = self._inv_rr @ x.swapaxes(-1, -2)  # W's coefficients
+        s_w = self._s_jr @ w
+        # the products of Sigma_JR's nonzero coefficients
+        used = np.flatnonzero(x.reshape(len(x), -1).any(axis=1)).tolist()
+        pair_keys = [tuple(sorted(monomials[a] + monomials[b])) for a in used for b in used]
+        x, w = x[used], w[used]
+        # each term's K and N parts, at its monomial: Sigma_JJ and
+        # -s_JR W - W's_RJ (s_JJ at 1), then -Sigma_JR W and W's_RR W
+        terms = np.empty((len(monomials) + len(pair_keys),) + x.shape[1:-2] + (2,) + sigma_jj.shape[-2:])
+        terms[: len(monomials), ..., 0, :, :] = sigma_jj
+        terms[: len(monomials), ..., 1, :, :] = -(s_w + s_w.swapaxes(-1, -2))
+        terms[0, ..., 1, :, :] += self._s_jj
+        pairs = terms[len(monomials) :].reshape((len(used), len(used)) + terms.shape[1:])
+        pairs[..., 0, :, :] = -(x[:, None] @ w[None])
+        pairs[..., 1, :, :] = w.swapaxes(-1, -2)[:, None] @ self._s_rr @ w[None]
+        keys = sorted(set(monomials) | set(pair_keys), key=lambda key: (len(key), key))
+        index = {key: j for j, key in enumerate(keys)}
+        coef = np.zeros((len(keys),) + terms.shape[1:])
+        np.add.at(coef, [index[key] for key in monomials + pair_keys], terms)
+        return keys, 0.5 * (coef + coef.swapaxes(-1, -2))
+
+    def _blocks(self, offsets):
+        """``(ok, K, N)`` at the offsets, K and N at the rows of the mask
+        ``ok`` only: from their polynomials, every row ok, or else from
+        :func:`~fungible.model.implied_stack`'s Sigma.  Runs under its
+        caller's errstate."""
+        k, n_j = len(offsets), len(self._moved)
+        if self._coef is None:
             ok, _, _, sigma = implied_stack(self._model, self._theta_hat + offsets @ self._embed)
-            blocks = sigma.reshape(len(sigma), p * p).take(self._flat, axis=1)
-        jr, jj = blocks[:, : n_j * n_r], blocks[:, n_j * n_r :]
-        return ok, jr.reshape(len(jr), n_j, n_r), jj.reshape(len(jj), n_j, n_j)
+            blocks = self._schur([()], sigma[None])[1][0]
+            return ok, blocks[:, 0], blocks[:, 1]
+        # the monomials at every row: 1, the offsets, then each higher one
+        # as its parent times an offset
+        terms = np.empty((len(self._coef), k))
+        terms[0] = 1.0
+        terms[1 : 1 + offsets.shape[1]] = offsets.T
+        for row, parent, position in self._products:
+            np.multiply(terms[parent], terms[position], out=terms[row])
+        # summed over the monomials, the first axis: the same order of
+        # additions at every row
+        blocks = (self._coef[:, :, None] * terms[:, None, :]).sum(axis=0)
+        blocks = blocks.reshape(2, n_j, n_j, k).transpose(0, 3, 1, 2)
+        return np.ones(k, dtype=bool), blocks[0], blocks[1]
 
     def __call__(self, offsets):
-        n_j, n_r = self._shape[1:]
         with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
-            ok, x, sigma_jj = self._moved_rows(offsets)
-            y = x @ self._right
-            # rows 2a and 2a + 1 of the product: row a of
-            # Sigma_JR Sigma_RR^-1 Sigma_RJ and of W's_RR W
-            quad = y[..., : 2 * n_r].reshape(len(x), 2 * n_j, n_r) @ x.swapaxes(1, 2)
-            w_s = y[..., 2 * n_r :]
-            k_mat = sigma_jj - quad[:, 0::2]
-            n_mat = self._s_jj - (w_s + w_s.swapaxes(1, 2)) + quad[:, 1::2]
+            ok, k_mat, n_mat = self._blocks(offsets)
             f = _f_stack(k_mat, n_mat, self._ld_const, self._tr_const)
         return _widen(ok, f, np.nan)
 

@@ -36,7 +36,7 @@ variances) are reported via ``FitResult.improper``, not prevented.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -84,6 +84,10 @@ class FitResult:
     converged: bool
     improper: bool
     f_trace: tuple[float, ...]
+    # the focal-plane evaluators built so far, by focal tuple.  A plane
+    # depends on the model, theta-hat and s, not on n, so the copies that
+    # ``dataclasses.replace(fit, n=...)`` makes share this dict
+    _focal_planes: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "s", _frozen_array(self.s, float))
@@ -117,20 +121,15 @@ class FitResult:
             raise ValueError("parameter vectors must be finite")
         return evaluate_stack(self.model, thetas, self.s, self._ld_s)[1]
 
-    @cached_property
-    def _focal_planes(self) -> dict:
-        """The focal-plane evaluators built so far, by focal tuple."""
-        return {}
-
     def focal_objectives(self, focal) -> FocalPlane:
         """The ML discrepancy against this fit's analyzed covariance on the
         plane through theta-hat along the parameters ``focal``: a callable
         that takes a ``(k, len(focal))`` stack of offsets of those
         parameters and returns F at each row, NaN where
         :func:`~fungible.discrepancy.f_ml` would raise a domain error.  It
-        is built once per focal tuple and fit
-        (:class:`~fungible.discrepancy.FocalPlane`); the contour engine
-        evaluates only this form."""
+        is built once per focal tuple and fit, and shared with the fit's
+        copies at other n (:class:`~fungible.discrepancy.FocalPlane`); the
+        contour engine evaluates only this form."""
         focal = tuple(int(i) for i in focal)
         if focal not in self._focal_planes:
             self._focal_planes[focal] = FocalPlane(

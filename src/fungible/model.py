@@ -392,7 +392,8 @@ def plane_polynomial(model: ModelSpec, theta, focal):
     ``(monomials, coef)``: the monomials, each the ascending tuple of the
     focal positions it multiplies (``()`` is 1, ``(0, 1)`` is
     delta_0 delta_1), and their ``(M, p, p)`` coefficients, expanded exactly
-    from the products of G(theta), S(theta) and the patterns and
+    from the products of G(theta), S(theta) and the patterns (each pattern
+    set by its entries, every product in one stacked matmul) and
     symmetrized as :func:`implied_stack` symmetrizes Sigma.  The monomials
     run by ascending degree, so 1 and then each delta_i in focal order come
     first, and every monomial's tuple less its first position is a monomial
@@ -401,27 +402,28 @@ def plane_polynomial(model: ModelSpec, theta, focal):
     a, s = model._assemble(theta[None])
     p = model.n_observed
 
-    def with_patterns(constant, param, rows):
-        terms = {(): constant}
+    def with_patterns(constant, param):
+        # the constant, then each focal parameter's 0/1 pattern, set by its
+        # entries, with their monomials
+        keys, mats = [()], [constant]
         for i, k in enumerate(focal):
-            if (param == k).any():
-                terms[(i,)] = (param[rows] == k).astype(float)
-        return terms
-
-    def product(x, y):
-        out = {}
-        for kx, mx in x.items():
-            for ky, my in y.items():
-                key = tuple(sorted(kx + ky))
-                out[key] = out[key] + mx @ my if key in out else mx @ my
-        return out
+            entries = np.nonzero(param == k)
+            if len(entries[0]):
+                keys.append((i,))
+                mats.append(np.zeros_like(constant))
+                mats[-1][entries] = 1.0
+        return keys, np.array(mats)
 
     # F G: the observed rows of I + A and of A's patterns
-    g = with_patterns((model._eye + a[0])[:p], model.directed_param, slice(0, p))
-    sigma = product(product(g, with_patterns(s[0], model.symmetric_param, slice(None))),
-                    {key: mat.T for key, mat in g.items()})
-    monomials = sorted(sigma, key=lambda key: (len(key), key))
-    coef = np.array([sigma[key] for key in monomials])
+    g_keys, g = with_patterns((model._eye + a[0])[:p], model.directed_param[:p])
+    s_keys, s_mats = with_patterns(s[0], model.symmetric_param)
+    # every product (F G_a) S_b (F G_c)' in one stacked product
+    terms = (g[:, None, None] @ s_mats[None, :, None]) @ g.swapaxes(1, 2)[None, None, :]
+    keys = [tuple(sorted(ka + kb + kc)) for ka in g_keys for kb in s_keys for kc in g_keys]
+    monomials = sorted(set(keys), key=lambda key: (len(key), key))
+    index = {key: j for j, key in enumerate(monomials)}
+    coef = np.zeros((len(monomials), p, p))
+    np.add.at(coef, [index[key] for key in keys], terms.reshape(-1, p, p))
     return monomials, 0.5 * (coef + coef.swapaxes(1, 2))
 
 

@@ -581,17 +581,19 @@ class TestLookaheadRefinement:
                             digest.update(np.asarray(v, dtype="<f8").tobytes())
                         digest.update(f"{w.skipped}|{w.partial}".encode())
         assert digest.hexdigest() == (
-            "339178b2984b1dba544962613e7a450adb30289e28f7ffdc1a270189c1c5c1bd"
+            "b1e2ad0ff43f1774d8434035831105002623c425693262455dd075e688f1e27c"
         )
 
     def test_stacked_evaluation_count(self, popfits, focal):
         # the criterion-05 fit at 90 directions: the step-by-step refinement
         # took 162 stacked evaluations (1,126 rows), a look-ahead of every
-        # state three steps deep 66 (1,862 rows)
+        # state three steps deep 66 (1,862 rows), a predicted path capped
+        # at 12 golden steps per call 24 (1,186 rows); a path predicted
+        # through x_tol takes 18 (1,441 rows)
         fit = _Counting(popfits["Sigma1"])
         t = f_target(ContourTarget(mode="confidence", confidence=0.95), fit, n_focal=2)
         axis_widths_exact(fit, t, focal, 90)
-        assert (len(fit.rows), sum(fit.rows)) == (24, 1186)
+        assert (len(fit.rows), sum(fit.rows)) == (18, 1441)
 
     @pytest.mark.parametrize("kind", ["nan", "jump"])
     def test_speculative_fault_is_discarded(self, monkeypatch, kind):

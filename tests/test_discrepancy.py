@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pickle
@@ -29,10 +30,12 @@ from fungible.discrepancy import (
     SINGULAR_STRUCTURE,
     FocalPlane,
     _analyzed,
+    _f_stack,
     _grad_from_implied,
+    _log_det,
     evaluate_stack,
 )
-from fungible.model import implied_stack
+from fungible.model import implied_stack, plane_polynomial
 from helpers import (
     diag_model,
     feedback_model,
@@ -215,7 +218,13 @@ class TestFmlStack:
 
         evaluate = res.focal_objectives(focal)
         monkeypatch.setattr(discrepancy, "_lu_solve", recording_solve)
-        for f, trace in zip((res.objectives(thetas), evaluate(offsets)), traces):
+        f_kernel = res.objectives(thetas)
+        # J is one row (x6): the plane's solve is N / K, with no LAPACK call
+        assert len(traces) == 1
+        with np.errstate(all="ignore"):
+            _, k_mat, n_mat = evaluate._blocks(offsets)
+            traces.append((n_mat / k_mat)[:, 0, 0])
+        for f, trace in zip((f_kernel, evaluate(offsets)), traces):
             assert len(trace) == len(f)  # every row is solved
             assert np.isnan(f[~(trace > 0.0)]).all()
             assert np.isfinite(f).any()
@@ -365,6 +374,80 @@ class TestLapack:
         stacked = [np.broadcast_to(arg, mats[good].shape) for arg in args]
         _assert_same_bytes(got[good], reference(mats[good], *stacked))
         assert failed == ([1, 3, 5, 7, 9] if name == "cholesky" else [3, 7])
+
+
+def _lapack_f(m, n, ld_const, tr_const):
+    """:func:`_f_stack`'s body for d >= 2, with LAPACK's Cholesky factor and
+    solve, at any d."""
+    trace = discrepancy._lu_solve(m, n).trace(axis1=1, axis2=2)
+    trace[trace <= 0.0] = np.nan
+    return np.maximum(0.0, _log_det(discrepancy._cholesky(m)) + ld_const + trace + tr_const)
+
+
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300]),
+    st.floats(-10.0, 10.0),
+)
+
+
+def _assert_same_values(got, want):
+    """The same NaN rows and the same bits elsewhere (a NaN's sign bit is
+    not a value: sqrt gives -NaN where LAPACK's failure fill is +NaN)."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    _assert_same_bytes(got[~nan], want[~nan])
+
+
+class TestOneByOneBody:
+    """Where M is 1 x 1, :func:`_f_stack` takes sqrt(M) and N / M in place of
+    LAPACK's Cholesky factor and solve: the same NaN rows and the same
+    bits as the LAPACK body, row by row."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        entries=st.lists(st.tuples(_ENTRIES, _ENTRIES), min_size=1, max_size=40),
+        consts=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+    )
+    def test_matches_the_lapack_body(self, entries, consts):
+        m, n = np.array(entries, dtype=float).T.reshape(2, -1, 1, 1)
+        with np.errstate(all="ignore"):
+            got = _f_stack(m, n, *consts)
+            want = _lapack_f(m, n, *consts)
+            # against one N, as the kernel calls it
+            one = _f_stack(m, n[0], *consts)
+            want_one = _lapack_f(m, n[0], *consts)
+        _assert_same_values(got, want)
+        _assert_same_values(one, want_one)
+
+    def test_edge_rows(self):
+        # K <= 0, K = 0, NaN and +-inf entries, and N / K <= 0, each NaN
+        # where the LAPACK body is; the positive rows finite
+        k_vals = [2.0, 0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 2.0, 2.0, 2.0, 1e-300, 3.0]
+        n_vals = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 0.0, np.nan, 1.0, np.inf]
+        m = np.array(k_vals)[:, None, None]
+        n = np.array(n_vals)[:, None, None]
+        with np.errstate(all="ignore"):
+            got, want = _f_stack(m, n, 0.5, -1.0), _lapack_f(m, n, 0.5, -1.0)
+        _assert_same_values(got, want)
+        assert list(np.isfinite(got)) == [True] + [False] * 9 + [True, False]
+
+    def test_row_independent_of_its_stack(self):
+        rng = np.random.default_rng(24)
+        k = 1000
+        m = rng.standard_normal(k) * rng.choice([1e-8, 1.0, 1e8], k)
+        n = rng.standard_normal(k) * rng.choice([1e-8, 1.0, 1e8], k)
+        m[::17], n[::23] = 0.0, np.nan
+        m, n = m[:, None, None], n[:, None, None]
+        with np.errstate(all="ignore"):
+            full = _f_stack(m, n, 0.3, -2.0)
+            _assert_same_values(full, _lapack_f(m, n, 0.3, -2.0))
+            for size in (1, 2, 3, 7, 64):
+                for start in range(0, k - size, 89):
+                    rows = slice(start, start + size)
+                    _assert_same_bytes(_f_stack(m[rows], n[rows], 0.3, -2.0), full[rows])
+            order = rng.permutation(k)
+            _assert_same_bytes(_f_stack(m[order], n[order], 0.3, -2.0), full[order])
 
 
 class TestGradientBytes:
@@ -582,26 +665,62 @@ class TestFocalPlane:
 
     @pytest.mark.parametrize("label", _PLANE_LABELS)
     def test_polynomial_rows_match_implied_stack(self, plane_cases, label):
-        # on a single-step model the moved rows of Sigma come from the
-        # plane's polynomial in the offsets: "shared" puts one parameter on
-        # A and S entries, whose coefficients add both; canonical pairs
-        # such as (phi, gamma1) mix an S entry with an A entry (a nonzero
+        # on a single-step model Sigma on the plane is plane_polynomial's
+        # polynomial in the offsets: "shared" puts one parameter on A and S
+        # entries, whose coefficients add both; canonical pairs such as
+        # (phi, gamma1) mix an S entry with an A entry (a nonzero
         # phi gamma1 coefficient); random models with a path between two
         # observed variables have cubic terms (path, its tail's variance,
-        # path).  Other models take the blocks from implied_stack itself
+        # path).  Only the constant term reaches the rows outside reach, so
+        # Sigma_RR is that term.  Other models take Sigma from
+        # implied_stack itself
         fit, offsets = plane_cases[label]
         model = fit.model
         rows = np.arange(model.n_observed)
         for pair in itertools.combinations(range(model.q), 2):
+            if not model.single_step:
+                assert fit.focal_objectives(pair)._coef is None
+                continue
+            rest = np.setdiff1d(rows, model.reached(pair))
+            monomials, coef = plane_polynomial(model, fit.theta_hat, pair)
+            assert monomials[:3] == [(), (0,), (1,)]
+            assert not coef[1:][:, rest][:, :, rest].any()
+            terms = np.array([offsets[:, list(key)].prod(axis=1) for key in monomials])
+            got = np.einsum("mk,mij->kij", terms, coef)
+            want_ok, _, _, sigma = implied_stack(model, _on_plane(fit, pair, offsets))
+            assert want_ok.all()
+            tol = 1e-14 * np.abs(sigma).max(axis=(1, 2))[:, None, None]
+            assert (np.abs(got - sigma) <= tol).all()
+
+    @pytest.mark.parametrize("label", _PLANE_LABELS)
+    def test_schur_blocks_match_the_algebra(self, plane_cases, label):
+        # K and N from their polynomials (single-step models) or from
+        # implied_stack (others) against the Schur algebra applied to
+        # implied_stack's Sigma at the same offsets, per row within 1e-13
+        # of the largest term each sums; R is empty for the canonical
+        # model's (phi, lam1)
+        fit, offsets = plane_cases[label]
+        model, s = fit.model, fit.s
+        rows = np.arange(model.n_observed)
+        for pair in itertools.combinations(range(model.q), 2):
             moved = model.reached(pair)
             rest = np.setdiff1d(rows, moved)
-            ok, sigma_jr, sigma_jj = fit.focal_objectives(pair)._moved_rows(offsets)
-            want_ok, _, _, sigma = implied_stack(model, _on_plane(fit, pair, offsets))
-            np.testing.assert_array_equal(ok, want_ok)
-            tol = 1e-14 * np.abs(sigma).max(axis=(1, 2))[:, None, None]
-            for got, cols in ((sigma_jr, rest), (sigma_jj, moved)):
-                want = sigma[:, moved][:, :, cols]
-                assert (np.abs(got - want) <= tol).all()
+            ok, _, _, sigma = implied_stack(model, _on_plane(fit, pair, offsets))
+            with np.errstate(all="ignore"):
+                got_ok, k_mat, n_mat = fit.focal_objectives(pair)._blocks(offsets)
+            np.testing.assert_array_equal(got_ok, ok)
+            sigma_rr = sigma_of_theta(model, fit.theta_hat)[np.ix_(rest, rest)]
+            x = sigma[:, moved][:, :, rest]
+            w = np.linalg.solve(sigma_rr, x.swapaxes(1, 2)) if len(rest) else x.swapaxes(1, 2)
+            s_w = s[np.ix_(moved, rest)] @ w
+            k_terms = (sigma[:, moved][:, :, moved], x @ w)
+            n_terms = (s[np.ix_(moved, moved)], s_w, s_w.swapaxes(1, 2),
+                       w.swapaxes(1, 2) @ s[np.ix_(rest, rest)] @ w)
+            want_k = k_terms[0] - k_terms[1]
+            want_n = n_terms[0] - n_terms[1] - n_terms[2] + n_terms[3]
+            for got, want, terms in ((k_mat, want_k, k_terms), (n_mat, want_n, n_terms)):
+                scale = np.max([np.abs(t).max(axis=(-2, -1)) * np.ones(len(x)) for t in terms], axis=0)
+                assert (np.abs(got - want) <= 1e-13 * scale[:, None, None]).all()
 
     @pytest.mark.parametrize("label", ["random5", "random9", "feedback", "shared", "canonical"])
     def test_row_independent_of_its_stack(self, plane_cases, label):
@@ -627,6 +746,22 @@ class TestFocalPlane:
         offsets = 0.1 * np.random.default_rng(3).standard_normal((20, 2))
         copy = pickle.loads(pickle.dumps(res))
         _assert_same_bytes(copy.focal_objectives(focal)(offsets), evaluate(offsets))
+
+    def test_shared_by_copies_at_other_n(self, popfits, focal):
+        # a plane depends on the model, theta-hat and s, not on n: the
+        # copies the study makes of a population fit per N share its
+        # planes, whichever copy builds one first
+        res = popfits["Sigma3"]
+        copies = [dataclasses.replace(res, n=n) for n in (200, 1000)]
+        evaluate = copies[0].focal_objectives(focal)
+        assert res.focal_objectives(focal) is evaluate
+        assert copies[1].focal_objectives(list(focal)) is evaluate
+        # a copy that has built a plane still pickles, and its copy
+        # evaluates the same bits
+        offsets = 0.1 * np.random.default_rng(4).standard_normal((20, 2))
+        again = pickle.loads(pickle.dumps(copies[1]))
+        assert again.n == 1000
+        _assert_same_bytes(again.focal_objectives(focal)(offsets), evaluate(offsets))
 
     def test_empty_and_all_singular_stacks(self):
         fit = _fit_at(feedback_model(), np.array([0.3, 0.2, 0.8]), np.array([[1.0, 0.3], [0.3, 1.0]]))
