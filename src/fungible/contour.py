@@ -30,12 +30,12 @@ angles ends that search alone, and the width raises for it.  A cached
 width comes from whichever stacked solve evaluated it, so a ray's radius
 must not depend on the rows beside it (a test pins this).  For a :class:`~fungible.fit.FitResult` that
 evaluation is :meth:`~fungible.fit.FitResult.focal_objectives`, the
-focal-plane evaluator :class:`~fungible.discrepancy.FocalPlane`: it factors
-only the Schur complement K of the rows of Sigma the focal parameters move
-(one row for the default gamma1/gamma2, so K is 1 x 1 and needs no LAPACK
-call), takes K and its partner N on a single-step model from polynomials
-in the focal offsets expanded once per plane, and its rows lie within a
-few 1e-13 of :func:`~fungible.discrepancy.f_ml`'s, relative.  On the
+focal-plane evaluator :class:`~fungible.discrepancy.FocalPlane`: on a
+single-step model it factors only the Schur complement K of the rows of
+Sigma the focal parameters move (one row for gamma1/gamma2: K is 1 x 1,
+with no LAPACK call), with K and N polynomials in the focal offsets, its
+rows within a few 1e-13 of :func:`~fungible.discrepancy.f_ml`'s,
+relative; on longer paths it is the discrepancy kernel itself.  On the
 ROADMAP Baseline fit (Sigma1, eps .03, N = 200; eps_tilde target; 2-core
 Xeon VM, one BLAS thread), a 90-direction width makes 18 stacked calls
 over about 1,350 rows and a 360-direction width 18 over about 2,570; the
@@ -68,6 +68,7 @@ import numpy as np
 from ._solve import UNDEFINED, bracket_level, bracketed_root, golden_max
 from .discrepancy import chisq_quantile, f_from_rmsea, rmsea_from_f
 from .errors import ContourEscapesDomain, NotPositiveDefinite
+from .model import check_focal
 
 DELTA_F = "delta_f"
 EPS_TILDE = "eps_tilde"
@@ -167,18 +168,6 @@ def f_target(target: ContourTarget, fit, *, n_focal: int = 2) -> float:
     else:
         level = f_hat + chisq_quantile(n_focal, target.confidence) / (fit.n - 1)
     return max(level, f_hat)
-
-
-def _focal(fit, focal):
-    """Focal parameter indices as a tuple; raises :class:`ValueError` for an
-    index outside 0..q-1 (a negative one included) or a repeated one."""
-    focal = tuple(int(i) for i in focal)
-    q = np.size(fit.theta_hat)
-    if not all(0 <= i < q for i in focal):
-        raise ValueError(f"focal indices must lie in 0..{q - 1}, got {focal}")
-    if len(set(focal)) != len(focal):
-        raise ValueError(f"focal indices must be distinct, got {focal}")
-    return focal
 
 
 def _units(angles):
@@ -286,7 +275,7 @@ def sweep_contour(fit, t_target: float, focal, n_directions: int = N_DIRECTIONS)
     rays (an odd count rounds up to even).  Returns the arrays ``(angles,
     radii, thetas)`` of the directions that reached the level, thetas the
     ``(k, q)`` stack theta_hat + r u(angle); escaped directions are absent."""
-    focal = _focal(fit, focal)
+    focal = check_focal(focal, np.size(fit.theta_hat))
     angles, units, radii, _ = _sweep(fit, t_target, focal, n_directions)
     solved = np.isfinite(radii)
     u_full = _embed(fit, units[solved], focal)
@@ -303,7 +292,7 @@ def axis_widths_quadratic(fit, t_target: float, focal) -> AxisWidths:
     when the focal block has a nonpositive eigenvalue (a flat or unidentified
     focal direction).
     """
-    focal = _focal(fit, focal)
+    focal = check_focal(focal, np.size(fit.theta_hat))
     c = _level_offset(fit, t_target)
     lam, major_direction, minor_direction = _hessian_axes(fit, focal)
     if lam[0] <= 0:
@@ -346,7 +335,7 @@ def axis_widths_exact(fit, t_target: float, focal, n_directions: int = N_DIRECTI
     golden section to :data:`ANGLE_TOL` radians.  Escaped directions are skipped
     and counted; the result is flagged ``partial`` when more than 5% skip.
     """
-    focal = _focal(fit, focal)
+    focal = check_focal(focal, np.size(fit.theta_hat))
     angles, _, radii, solve = _sweep(fit, t_target, focal, n_directions)
     if _level_offset(fit, t_target) == 0.0:
         # the axes' limit as T -> F-hat, where the contour is the quadratic

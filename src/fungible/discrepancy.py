@@ -11,16 +11,15 @@ domain error, and :func:`hessian` evaluates its 2q gradient points as one
 stack.  The stacked evaluator with NaN at faulted rows is
 :meth:`~fungible.fit.FitResult.objectives`, against a fit's analyzed
 covariance.  Contours evaluate F only on a focal plane through a fit's
-theta-hat, where the non-focal parameters stay put: :class:`FocalPlane`
-gives the body the Schur complement K of the rows of Sigma the focal
-parameters move, and its partner N, in place of Sigma and s.  On a
-single-step model K and N are polynomials in the focal offsets, expanded
-once per plane from :func:`~fungible.model.plane_polynomial`; on any other
-model they come from :func:`~fungible.model.implied_stack` at every call.
-F there lies within a few 1e-13 relative of the kernel's.  Where K is
-1 x 1, as on the default gamma1/gamma2 plane, the body takes sqrt(K) and
-N / K, the bits of LAPACK's factor and solve, so a call makes no matrix
-product and no LAPACK call.  Every entry point checks the analyzed
+theta-hat, where the non-focal parameters stay put: on a single-step
+model, :class:`FocalPlane` gives the body the Schur complement K of the
+rows of Sigma the focal parameters move, and its partner N, in place of
+Sigma and s, as polynomials in the focal offsets expanded once per plane
+from :func:`~fungible.model.plane_polynomial`, within a few 1e-13
+relative of the kernel.  Where K is 1 x 1, as on the default gamma1/gamma2
+plane, the body takes sqrt(K) and N / K, the bits of LAPACK's factor and
+solve, so a call makes no matrix product and no LAPACK call.  Any other
+plane is the kernel itself.  Every entry point checks the analyzed
 covariance s by the one rule of :func:`~fungible.model.as_cov` and takes
 ln|s| from its Cholesky factor.
 
@@ -49,6 +48,7 @@ from .model import (
     implied_stack,
     plane_polynomial,
     sigma_of_theta,
+    sum_by_monomial,
 )
 
 __all__ = [
@@ -133,13 +133,15 @@ class FocalPlane:
     """F against s, given ln|s|, on the plane through theta_hat along the
     focal parameters: calling it on a ``(k, len(focal))`` stack of offsets
     of those parameters gives F at theta_hat + delta for every row delta,
-    NaN where :func:`_f_stack` rejects K (below) or (I - A) is singular.  Raises
-    :class:`SingularStructure` when (I - A) is singular at theta_hat.
+    NaN where F is undefined.  Raises :class:`SingularStructure` when
+    (I - A) is singular at theta_hat.
 
     On that plane only the rows J = ``model.reached(focal)`` of Sigma move.
-    So with R the other observed rows, Sigma_RR (its inverse and ln|Sigma_RR|
-    taken once at theta_hat) and the blocks of s are fixed, and the
-    partitioned determinant and inverse (D. A. Harville, *Matrix Algebra
+    On a single-step model with J not empty, Sigma on the plane is a
+    polynomial in the offsets (:func:`~fungible.model.plane_polynomial`).
+    With R the other observed rows, Sigma_RR is its constant term (its
+    inverse and ln|Sigma_RR| taken once) and the blocks of s are fixed, and
+    the partitioned determinant and inverse (D. A. Harville, *Matrix Algebra
     From a Statistician's Perspective*, 1997, ch. 13) give
 
         F = ln|Sigma_RR| + ln|K| - ln|s| + tr(s_RR Sigma_RR^-1) + tr(K^-1 N) - p,
@@ -147,138 +149,99 @@ class FocalPlane:
     with W = Sigma_RR^-1 Sigma_RJ, the |J| x |J| Schur complement
     K = Sigma_JJ - Sigma_JR W and N = s_JJ - s_JR W - W's_RJ + W's_RR W.
     Sigma_RR being positive definite, Sigma is exactly where K is, and F is
-    :func:`_f_stack` of K and N, so only K is factored and solved.
+    :func:`_f_stack` of K and N, so only K is factored and solved.  K and N
+    are polynomials too, of degree at most max(deg Sigma_JJ,
+    2 deg Sigma_JR): two quadratics for paths alone, such as the default
+    gamma1/gamma2.  Their coefficients are expanded once at construction,
+    and the monomials whose coefficients are exactly zero are dropped.  A call evaluates the monomials at each row and sums them
+    against the coefficients elementwise, in one order whatever the stack,
+    so a row's F does not depend on the rows beside it; where J is one row,
+    as for gamma1/gamma2, :func:`_f_stack` then takes no LAPACK call.  F
+    lies within a few 1e-13 relative of :func:`evaluate_stack`'s (2.1e-13
+    measured over every focal pair of the single-step test models).
 
-    Where K and N come from splits as :func:`~fungible.model.implied_stack`
-    splits on ``model.single_step``.  On a single-step model Sigma on the
-    plane is a polynomial in the offsets
-    (:func:`~fungible.model.plane_polynomial`), Sigma_RR its constant
-    term, so K and N are polynomials too, of degree at most
-    max(deg Sigma_JJ, 2 deg Sigma_JR): two quadratics for paths alone, such
-    as the default gamma1/gamma2.  :meth:`_schur` expands their
-    coefficients once at construction, with the monomials whose
-    coefficients are exactly zero dropped.  A call evaluates the monomials
-    at each row and sums them against the coefficients elementwise, in one
-    order whatever the stack, so a row's F does not depend on the rows
-    beside it; where J is one row, as for gamma1/gamma2, :func:`_f_stack`
-    then takes no LAPACK call.  Any other model takes each row's Sigma from
-    ``implied_stack`` and applies :meth:`_schur` to it as a polynomial of
-    degree 0.  F lies within a few 1e-13 relative of
-    :func:`evaluate_stack`'s (2.1e-13 measured over every focal pair of the
-    single-step test models).
+    Any other plane, of a model with longer paths or one where the focal
+    parameters reach no observed row, is :func:`evaluate_stack` at
+    theta_hat + delta, the bits of
+    :meth:`~fungible.fit.FitResult.objectives`.
     """
 
     def __init__(self, model: ModelSpec, theta_hat, focal, s, ld_s):
         theta_hat = as_theta(model, theta_hat)
-        p = model.n_observed
         moved = model.reached(focal)
+        self._polynomial = model.single_step and len(moved) > 0
+        if not self._polynomial:
+            sigma_of_theta(model, theta_hat)  # raises where (I - A) is singular
+            self._model, self._theta_hat, self._focal = model, theta_hat, list(focal)
+            self._s, self._ld_s = s, ld_s
+            return
+        p = model.n_observed
         outside = np.ones(p, dtype=bool)
         outside[moved] = False
         rest = np.flatnonzero(outside)
-        if model.single_step:
-            monomials, sigma = plane_polynomial(model, theta_hat, focal)
-        else:
-            monomials, sigma = [()], sigma_of_theta(model, theta_hat)[None]
-        sigma_rr = sigma[0][rest][:, rest]
-        self._s_rr = s[rest][:, rest]
-        self._s_jr, self._s_jj = s[moved][:, rest], s[moved][:, moved]
-        self._moved, self._rest = moved, rest
+        monomials, sigma = plane_polynomial(model, theta_hat, focal)
+        sigma_rr, s_rr = sigma[0][rest][:, rest], s[rest][:, rest]
+        rows = sigma[:, moved]
+        x, sigma_jj = rows[:, :, rest], rows[:, :, moved]  # Sigma_JR, Sigma_JJ
         with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
-            self._inv_rr = _inv(sigma_rr)
+            inv_rr = _inv(sigma_rr)
             ld_rr = float(_log_det(_cholesky(sigma_rr)))
-            if model.single_step:
-                keys, coef = self._schur(monomials, sigma)
+            w = inv_rr @ x.swapaxes(1, 2)  # W's coefficients
+            s_w = s[moved][:, rest] @ w
+            # the products of Sigma_JR's nonzero coefficients, each at the
+            # product of their monomials
+            used = np.flatnonzero(x.reshape(len(x), -1).any(axis=1)).tolist()
+            keys = monomials + [monomials[a] + monomials[b] for a in used for b in used]
+            x, w = x[used], w[used]
+            # each term's K and N parts: Sigma_JJ and -s_JR W - W's_RJ
+            # (s_JJ at 1), then -Sigma_JR W and W's_RR W
+            terms = np.empty((len(keys), 2) + sigma_jj.shape[1:])
+            terms[: len(monomials), 0] = sigma_jj
+            terms[: len(monomials), 1] = -(s_w + s_w.swapaxes(1, 2))
+            terms[0, 1] += s[moved][:, moved]
+            pairs = terms[len(monomials) :].reshape((len(used), len(used)) + terms.shape[1:])
+            pairs[:, :, 0] = -(x[:, None] @ w[None])
+            pairs[:, :, 1] = w.swapaxes(1, 2)[:, None] @ s_rr @ w[None]
+            keys, coef = sum_by_monomial(keys, terms)
         # the constant terms, split so that where R is empty F adds up as
         # in evaluate_stack
         self._ld_const = ld_rr - ld_s
-        self._tr_const = float(np.sum(self._s_rr * self._inv_rr.T)) - p
-        if not model.single_step:
-            self._coef = None
-            self._model, self._theta_hat = model, theta_hat
-            # offsets times this 0/1 matrix are the offsets in the focal
-            # columns and zeros elsewhere, exactly
-            self._embed = np.zeros((len(focal), model.q))
-            self._embed[np.arange(len(focal)), list(focal)] = 1.0
-            return
+        self._tr_const = float(np.sum(s_rr * inv_rr.T)) - p
         coef = coef.reshape(len(keys), -1)
-        # keep the monomials with a nonzero coefficient, 1 and each offset,
-        # and every monomial's tuple less its first position, from which a
-        # call builds it
-        kept = {key for key, nonzero in zip(keys, coef.any(axis=1).tolist()) if nonzero}
-        kept |= {()} | {(i,) for i in range(len(focal))}
-        for key in list(kept):
-            while key:
-                kept.add(key)
-                key = key[1:]
-        monomials = sorted(kept, key=lambda key: (len(key), key))
-        index, zero = {key: j for j, key in enumerate(keys)}, np.zeros(coef.shape[1])
-        self._coef = np.array([coef[index[key]] if key in index else zero for key in monomials])
-        # each monomial of degree 2 and above, as its row in the stack of
-        # monomials, its parent's (less its first focal position) and the
-        # row of that position's offset
-        rows = {key: j for j, key in enumerate(monomials)}
-        self._products = [(j, rows[key[1:]], rows[key[:1]])
-                          for j, key in enumerate(monomials) if len(key) > 1]
-
-    def _schur(self, monomials, sigma):
-        """K and N where Sigma is the polynomial with the monomials (as
-        :func:`~fungible.model.plane_polynomial` gives them) and the
-        ``(M, ..., p, p)`` coefficients: ``(keys, coef)``, the monomials of
-        K and N, ascending, and their ``(M', ..., 2, |J|, |J|)``
-        coefficients, K's first.  Each product of two of Sigma_JR's
-        coefficients adds to the monomial of their product.  Runs under its
-        caller's errstate."""
-        rows = sigma[..., self._moved, :]
-        x, sigma_jj = rows[..., self._rest], rows[..., self._moved]
-        w = self._inv_rr @ x.swapaxes(-1, -2)  # W's coefficients
-        s_w = self._s_jr @ w
-        # the products of Sigma_JR's nonzero coefficients
-        used = np.flatnonzero(x.reshape(len(x), -1).any(axis=1)).tolist()
-        pair_keys = [tuple(sorted(monomials[a] + monomials[b])) for a in used for b in used]
-        x, w = x[used], w[used]
-        # each term's K and N parts, at its monomial: Sigma_JJ and
-        # -s_JR W - W's_RJ (s_JJ at 1), then -Sigma_JR W and W's_RR W
-        terms = np.empty((len(monomials) + len(pair_keys),) + x.shape[1:-2] + (2,) + sigma_jj.shape[-2:])
-        terms[: len(monomials), ..., 0, :, :] = sigma_jj
-        terms[: len(monomials), ..., 1, :, :] = -(s_w + s_w.swapaxes(-1, -2))
-        terms[0, ..., 1, :, :] += self._s_jj
-        pairs = terms[len(monomials) :].reshape((len(used), len(used)) + terms.shape[1:])
-        pairs[..., 0, :, :] = -(x[:, None] @ w[None])
-        pairs[..., 1, :, :] = w.swapaxes(-1, -2)[:, None] @ self._s_rr @ w[None]
-        keys = sorted(set(monomials) | set(pair_keys), key=lambda key: (len(key), key))
-        index = {key: j for j, key in enumerate(keys)}
-        coef = np.zeros((len(keys),) + terms.shape[1:])
-        np.add.at(coef, [index[key] for key in monomials + pair_keys], terms)
-        return keys, 0.5 * (coef + coef.swapaxes(-1, -2))
+        nonzero = coef.any(axis=1)
+        self._coef, self._n_j = coef[nonzero], len(moved)
+        # each kept monomial's focal positions, padded to one length with
+        # the position of a row of ones; N's constant term is never 0
+        kept = [key for key, keep in zip(keys, nonzero.tolist()) if keep]
+        width, ones = max(1, len(kept[-1])), len(focal)
+        self._positions = np.array([key + (ones,) * (width - len(key)) for key in kept]).T
 
     def _blocks(self, offsets):
-        """``(ok, K, N)`` at the offsets, K and N at the rows of the mask
-        ``ok`` only: from their polynomials, every row ok, or else from
-        :func:`~fungible.model.implied_stack`'s Sigma.  Runs under its
-        caller's errstate."""
-        k, n_j = len(offsets), len(self._moved)
-        if self._coef is None:
-            ok, _, _, sigma = implied_stack(self._model, self._theta_hat + offsets @ self._embed)
-            blocks = self._schur([()], sigma[None])[1][0]
-            return ok, blocks[:, 0], blocks[:, 1]
-        # the monomials at every row: 1, the offsets, then each higher one
-        # as its parent times an offset
-        terms = np.empty((len(self._coef), k))
-        terms[0] = 1.0
-        terms[1 : 1 + offsets.shape[1]] = offsets.T
-        for row, parent, position in self._products:
-            np.multiply(terms[parent], terms[position], out=terms[row])
+        """``(K, N)`` at the offsets, from their polynomials.  Runs under
+        its caller's errstate."""
+        k, n_j = len(offsets), self._n_j
+        # each monomial at every row: the product of its positions' rows,
+        # taken from the last position to the first
+        padded = np.empty((offsets.shape[1] + 1, k))
+        padded[:-1] = offsets.T
+        padded[-1] = 1.0
+        factors = padded.take(self._positions, axis=0)
+        terms = factors[-1]
+        for factor in factors[-2::-1]:
+            terms *= factor
         # summed over the monomials, the first axis: the same order of
         # additions at every row
         blocks = (self._coef[:, :, None] * terms[:, None, :]).sum(axis=0)
         blocks = blocks.reshape(2, n_j, n_j, k).transpose(0, 3, 1, 2)
-        return np.ones(k, dtype=bool), blocks[0], blocks[1]
+        return blocks[0], blocks[1]
 
     def __call__(self, offsets):
+        if not self._polynomial:
+            thetas = np.repeat(self._theta_hat[None], len(offsets), axis=0)
+            thetas[:, self._focal] += offsets
+            return evaluate_stack(self._model, thetas, self._s, self._ld_s)[1]
         with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
-            ok, k_mat, n_mat = self._blocks(offsets)
-            f = _f_stack(k_mat, n_mat, self._ld_const, self._tr_const)
-        return _widen(ok, f, np.nan)
+            return _f_stack(*self._blocks(offsets), self._ld_const, self._tr_const)
 
 
 def _raise_fault(fault):

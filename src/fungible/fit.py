@@ -16,7 +16,8 @@ minimization.  The Hessian at the optimum is one stacked evaluation of its
 Against the fit's S, F has two stacked forms.
 :meth:`FitResult.focal_objectives` is the one the contour engine calls: F on
 the plane through theta-hat along the focal parameters, from offsets of
-those parameters (:class:`~fungible.discrepancy.FocalPlane`).
+those parameters (:class:`~fungible.discrepancy.FocalPlane`; a polynomial
+form on single-step models, the kernel on any other).
 :meth:`FitResult.objectives` is the kernel itself at any ``(k, q)`` stack,
 bit for bit :func:`~fungible.discrepancy.f_ml` at each row: ``fungible
 fpe`` reports it at the contour points, and the tests hold the plane form
@@ -51,7 +52,7 @@ from .discrepancy import (
     rmsea_from_f,
 )
 from .errors import NoConvergence
-from .model import ModelSpec, _frozen_array
+from .model import ModelSpec, _frozen_array, check_focal
 
 
 STALL_TOL = 1e-12  # the loop stops once f changes by at most this, relative
@@ -129,8 +130,9 @@ class FitResult:
         :func:`~fungible.discrepancy.f_ml` would raise a domain error.  It
         is built once per focal tuple and fit, and shared with the fit's
         copies at other n (:class:`~fungible.discrepancy.FocalPlane`); the
-        contour engine evaluates only this form."""
-        focal = tuple(int(i) for i in focal)
+        contour engine evaluates only this form.  Raises what
+        :func:`~fungible.model.check_focal` raises."""
+        focal = check_focal(focal, self.model.q)
         if focal not in self._focal_planes:
             self._focal_planes[focal] = FocalPlane(
                 self.model, self.theta_hat, focal, self.s, self._ld_s

@@ -336,7 +336,7 @@ def as_cov(s, p: int | None = None, which: str = "s"):
 def focal_indices(model: ModelSpec, focal) -> tuple[int, ...]:
     """Focal parameters, each given by name or by index into
     ``theta_names``, as indices.  Raises :class:`ValueError` naming any
-    token that is neither; the contour functions check the indices' range
+    token that is neither; :func:`check_focal` checks the indices' range
     and distinctness."""
     indices = []
     for token in focal:
@@ -349,6 +349,17 @@ def focal_indices(model: ModelSpec, focal) -> tuple[int, ...]:
         except (TypeError, ValueError):
             raise ValueError(f"unknown parameter {token!r}") from None
     return tuple(indices)
+
+
+def check_focal(focal, q: int) -> tuple[int, ...]:
+    """Focal parameter indices as a tuple; raises :class:`ValueError` for an
+    index outside 0..q-1 (a negative one included) or a repeated one."""
+    focal = tuple(int(i) for i in focal)
+    if not all(0 <= i < q for i in focal):
+        raise ValueError(f"focal indices must lie in 0..{q - 1}, got {focal}")
+    if len(set(focal)) != len(focal):
+        raise ValueError(f"focal indices must be distinct, got {focal}")
+    return focal
 
 
 def implied_stack(model: ModelSpec, thetas):
@@ -380,6 +391,19 @@ def implied_stack(model: ModelSpec, thetas):
     return ok, g, c, 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
 
+def sum_by_monomial(keys, terms):
+    """Terms summed by monomial, ``keys[i]`` the focal positions term i
+    multiplies: ``(monomials, coef)``, each monomial the ascending tuple of
+    its positions (``()`` is 1), by degree and then tuple order, and their
+    terms summed in the order given, symmetrized over the last two axes."""
+    keys = [tuple(sorted(key)) for key in keys]
+    monomials = sorted(set(keys), key=lambda key: (len(key), key))
+    index = {key: j for j, key in enumerate(monomials)}
+    coef = np.zeros((len(monomials),) + terms.shape[1:])
+    np.add.at(coef, [index[key] for key in keys], terms)
+    return monomials, 0.5 * (coef + coef.swapaxes(-1, -2))
+
+
 def plane_polynomial(model: ModelSpec, theta, focal):
     """Sigma on the plane theta + E delta of a ``single_step`` model, where
     E places offsets delta of the parameters ``focal``, as a polynomial in
@@ -389,15 +413,11 @@ def plane_polynomial(model: ModelSpec, theta, focal):
     sum_i delta_i S_i, with A_i and S_i the 0/1 patterns of focal parameter
     i (every entry it sits on), so Sigma = F G S G' F' has degree at most 3:
     2 when no focal parameter sits on S, 1 when none sits on A.  Returns
-    ``(monomials, coef)``: the monomials, each the ascending tuple of the
-    focal positions it multiplies (``()`` is 1, ``(0, 1)`` is
-    delta_0 delta_1), and their ``(M, p, p)`` coefficients, expanded exactly
+    the monomials and their ``(M, p, p)`` coefficients as
+    :func:`sum_by_monomial` gives them, so 1 comes first, expanded exactly
     from the products of G(theta), S(theta) and the patterns (each pattern
     set by its entries, every product in one stacked matmul) and
-    symmetrized as :func:`implied_stack` symmetrizes Sigma.  The monomials
-    run by ascending degree, so 1 and then each delta_i in focal order come
-    first, and every monomial's tuple less its first position is a monomial
-    too.
+    symmetrized as :func:`implied_stack` symmetrizes Sigma.
     """
     a, s = model._assemble(theta[None])
     p = model.n_observed
@@ -419,12 +439,8 @@ def plane_polynomial(model: ModelSpec, theta, focal):
     s_keys, s_mats = with_patterns(s[0], model.symmetric_param)
     # every product (F G_a) S_b (F G_c)' in one stacked product
     terms = (g[:, None, None] @ s_mats[None, :, None]) @ g.swapaxes(1, 2)[None, None, :]
-    keys = [tuple(sorted(ka + kb + kc)) for ka in g_keys for kb in s_keys for kc in g_keys]
-    monomials = sorted(set(keys), key=lambda key: (len(key), key))
-    index = {key: j for j, key in enumerate(monomials)}
-    coef = np.zeros((len(monomials), p, p))
-    np.add.at(coef, [index[key] for key in keys], terms.reshape(-1, p, p))
-    return monomials, 0.5 * (coef + coef.swapaxes(1, 2))
+    keys = [ka + kb + kc for ka in g_keys for kb in s_keys for kc in g_keys]
+    return sum_by_monomial(keys, terms.reshape(-1, p, p))
 
 
 def sigma_of_theta(model: ModelSpec, theta) -> np.ndarray:

@@ -828,16 +828,19 @@ class TestLevelRule:
 
 
 class TestFocalIndices:
-    @pytest.mark.parametrize("name", sorted(_AT_LEVEL))
+    @pytest.mark.parametrize("name", sorted(_AT_LEVEL) + ["focal_objectives"])
     @pytest.mark.parametrize(
         "bad, match", [((0, 14), "0..13"), ((5, -1), "0..13"), ((5, 5), "distinct")]
     )
     def test_bad_focal_raises(self, popfits, name, bad, match):
         # -1 would wrap to the last parameter, a repeat would give a singular
-        # focal block: both are rejected before any ray is solved
+        # focal block: both are rejected before any ray is solved.  The fit's
+        # focal plane takes the same rule: there -1 would match every fixed
+        # entry of A and S, and an index past q would drop its offset
         res = popfits["Sigma3"]
+        at_level = _AT_LEVEL.get(name, lambda fit, t, focal: fit.focal_objectives(focal))
         with pytest.raises(ValueError, match=match):
-            _AT_LEVEL[name](res, res.f_hat + 0.01, bad)
+            at_level(res, res.f_hat + 0.01, bad)
 
 
 _TARGETS = st.one_of(

@@ -222,7 +222,7 @@ class TestFmlStack:
         # J is one row (x6): the plane's solve is N / K, with no LAPACK call
         assert len(traces) == 1
         with np.errstate(all="ignore"):
-            _, k_mat, n_mat = evaluate._blocks(offsets)
+            k_mat, n_mat = evaluate._blocks(offsets)
             traces.append((n_mat / k_mat)[:, 0, 0])
         for f, trace in zip((f_kernel, evaluate(offsets)), traces):
             assert len(trace) == len(f)  # every row is solved
@@ -598,6 +598,7 @@ class TestFocalPlane:
 
     @pytest.mark.parametrize("label", _PLANE_LABELS)
     def test_matches_objectives(self, plane_cases, label):
+        # a multi-step model's plane is the kernel: the bytes of objectives
         fit, offsets = plane_cases[label]
         model = fit.model
         for pair in itertools.combinations(range(model.q), 2):
@@ -609,14 +610,17 @@ class TestFocalPlane:
             want = fit.objectives(thetas)
             got = fit.focal_objectives(pair)(offsets_k)
             ok, _, _, sigma = implied_stack(model, thetas)
+            if label == "feedback" and pair == (0, 1):
+                assert np.isnan(got[-2:]).all() and not ok[-2:].any()
+            if not model.single_step:
+                _assert_same_bytes(got, want)
+                continue
             # rows within rounding of the positive definite edge may fall
             # either way
             near = np.zeros(len(thetas), dtype=bool)
             eig = np.linalg.eigvalsh(sigma)
             near[ok] = np.abs(eig).min(axis=1) <= 1e-10 * np.abs(eig).max(axis=1)
             np.testing.assert_array_equal(np.isnan(got[~near]), np.isnan(want[~near]))
-            if label == "feedback" and pair == (0, 1):
-                assert np.isnan(got[-2:]).all() and not ok[-2:].any()
             both = ~np.isnan(want) & ~np.isnan(got)
             assert both[0]  # theta-hat itself
             np.testing.assert_allclose(got[both], want[both], rtol=1e-12, atol=0.0)
@@ -663,6 +667,27 @@ class TestFocalPlane:
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
+    def test_no_reached_row_matches_objectives(self):
+        # f2 has no indicators: the path f2 <- f1 and f2's variance reach
+        # no observed row, so F on their plane is F at theta-hat
+        observed = ["x1", "x2", "x3", "x4"]
+        model = make_model(
+            observed, ["f1", "f2"],
+            [{"row": x, "col": "f1", "param": f"l{x}"} for x in observed]
+            + [{"row": "f2", "col": "f1", "param": "b"}],
+            [{"row": x, "col": x, "param": f"u{x}"} for x in observed]
+            + [{"row": "f1", "col": "f1", "value": 1.0}, {"row": "f2", "col": "f2", "param": "v"}],
+        )
+        pair = (model.theta_names.index("b"), model.theta_names.index("v"))
+        assert model.single_step and not len(model.reached(pair))
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((4, 7))
+        fit = _fit_at(model, model.default_start() + 0.2, a @ a.T / 7 + 0.5 * np.eye(4))
+        offsets = rng.standard_normal((20, 2))
+        got = fit.focal_objectives(pair)(offsets)
+        assert np.isfinite(got).all()
+        _assert_same_bytes(got, fit.objectives(_on_plane(fit, pair, offsets)))
+
     @pytest.mark.parametrize("label", _PLANE_LABELS)
     def test_polynomial_rows_match_implied_stack(self, plane_cases, label):
         # on a single-step model Sigma on the plane is plane_polynomial's
@@ -672,14 +697,14 @@ class TestFocalPlane:
         # phi gamma1 coefficient); random models with a path between two
         # observed variables have cubic terms (path, its tail's variance,
         # path).  Only the constant term reaches the rows outside reach, so
-        # Sigma_RR is that term.  Other models take Sigma from
-        # implied_stack itself
+        # Sigma_RR is that term.  Other models' planes are the kernel
+        # (test_matches_objectives)
         fit, offsets = plane_cases[label]
         model = fit.model
         rows = np.arange(model.n_observed)
         for pair in itertools.combinations(range(model.q), 2):
             if not model.single_step:
-                assert fit.focal_objectives(pair)._coef is None
+                assert not fit.focal_objectives(pair)._polynomial
                 continue
             rest = np.setdiff1d(rows, model.reached(pair))
             monomials, coef = plane_polynomial(model, fit.theta_hat, pair)
@@ -694,21 +719,24 @@ class TestFocalPlane:
 
     @pytest.mark.parametrize("label", _PLANE_LABELS)
     def test_schur_blocks_match_the_algebra(self, plane_cases, label):
-        # K and N from their polynomials (single-step models) or from
-        # implied_stack (others) against the Schur algebra applied to
-        # implied_stack's Sigma at the same offsets, per row within 1e-13
-        # of the largest term each sums; R is empty for the canonical
-        # model's (phi, lam1)
+        # K and N from their polynomials (single-step models) against the
+        # Schur algebra applied to implied_stack's Sigma at the same
+        # offsets, per row within 1e-13 of the largest term each sums; R is
+        # empty for the canonical model's (phi, lam1).  Other models'
+        # planes are the kernel (test_matches_objectives)
         fit, offsets = plane_cases[label]
         model, s = fit.model, fit.s
         rows = np.arange(model.n_observed)
         for pair in itertools.combinations(range(model.q), 2):
+            if not model.single_step:
+                assert not fit.focal_objectives(pair)._polynomial
+                continue
             moved = model.reached(pair)
             rest = np.setdiff1d(rows, moved)
             ok, _, _, sigma = implied_stack(model, _on_plane(fit, pair, offsets))
+            assert ok.all()
             with np.errstate(all="ignore"):
-                got_ok, k_mat, n_mat = fit.focal_objectives(pair)._blocks(offsets)
-            np.testing.assert_array_equal(got_ok, ok)
+                k_mat, n_mat = fit.focal_objectives(pair)._blocks(offsets)
             sigma_rr = sigma_of_theta(model, fit.theta_hat)[np.ix_(rest, rest)]
             x = sigma[:, moved][:, :, rest]
             w = np.linalg.solve(sigma_rr, x.swapaxes(1, 2)) if len(rest) else x.swapaxes(1, 2)
@@ -767,7 +795,12 @@ class TestFocalPlane:
         fit = _fit_at(feedback_model(), np.array([0.3, 0.2, 0.8]), np.array([[1.0, 0.3], [0.3, 1.0]]))
         evaluate = fit.focal_objectives((0, 1))
         assert evaluate(np.empty((0, 2))).shape == (0,)
-        assert np.isnan(evaluate(np.array([[1.7, 0.3], [0.2, 1.8]]))).all()
+        singular = np.array([[1.7, 0.3], [0.2, 1.8]])
+        assert np.isnan(evaluate(singular)).all()
+        # the kernel's plane of a multi-step model pickles with its fit
+        offsets = np.vstack([singular, [[0.1, -0.2]]])
+        copy = pickle.loads(pickle.dumps(fit))
+        _assert_same_bytes(copy.focal_objectives((0, 1))(offsets), evaluate(offsets))
 
     def test_singular_structure_at_theta_hat(self):
         fit = _fit_at(feedback_model(), np.array([2.0, 0.5, 0.8]), np.eye(2))
