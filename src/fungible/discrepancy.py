@@ -12,13 +12,14 @@ stack.  The stacked evaluator with NaN at faulted rows is
 :meth:`~fungible.fit.FitResult.objectives`, against a fit's analyzed
 covariance.  Contours evaluate F only on a focal plane through a fit's
 theta-hat, where the non-focal parameters stay put: on a single-step
-model, :class:`FocalPlane` gives the body the Schur complement K of the
-rows of Sigma the focal parameters move, and its partner N, in place of
-Sigma and s, as polynomials in the focal offsets expanded once per plane
-from :func:`~fungible.model.plane_polynomial`, within a few 1e-13
-relative of the kernel.  Where K is 1 x 1, as on the default gamma1/gamma2
-plane, the body takes sqrt(K) and N / K, the bits of LAPACK's factor and
-solve, so a call makes no matrix product and no LAPACK call.  Any other
+model, :class:`FocalPlane` expands Sigma there once as a polynomial in the
+focal offsets (:func:`~fungible.model.plane_polynomial`), and gives the
+body the Schur complement K of the rows whose entries move, and its
+partner N, in place of Sigma and s, as polynomials too, within a few
+1e-13 relative of the kernel.  Where K is 1 x 1, as on the default
+gamma1/gamma2 plane, the body takes sqrt(K) and N / K, the bits of
+LAPACK's factor and solve, so a call makes no matrix product and no
+LAPACK call.  Any other
 plane is the kernel itself.  Every entry point checks the analyzed
 covariance s by the one rule of :func:`~fungible.model.as_cov` and takes
 ln|s| from its Cholesky factor.
@@ -136,13 +137,15 @@ class FocalPlane:
     NaN where F is undefined.  Raises :class:`SingularStructure` when
     (I - A) is singular at theta_hat.
 
-    On that plane only the rows J = ``model.reached(focal)`` of Sigma move.
-    On a single-step model with J not empty, Sigma on the plane is a
-    polynomial in the offsets (:func:`~fungible.model.plane_polynomial`).
-    With R the other observed rows, Sigma_RR is its constant term (its
-    inverse and ln|Sigma_RR| taken once) and the blocks of s are fixed, and
-    the partitioned determinant and inverse (D. A. Harville, *Matrix Algebra
-    From a Statistician's Perspective*, 1997, ch. 13) give
+    On a single-step model, Sigma on that plane is a polynomial in the
+    offsets (:func:`~fungible.model.plane_polynomial`), and an entry moves
+    where a coefficient past the constant term is nonzero.  R is every
+    observed row whose diagonal does not move and which shares no moving
+    entry with another such row, J every other observed row: so Sigma_RR
+    is the constant term exactly (its inverse and ln|Sigma_RR| taken once)
+    and the blocks of s are fixed.  Where J is not empty, the partitioned
+    determinant and inverse (D. A. Harville, *Matrix Algebra From a
+    Statistician's Perspective*, 1997, ch. 13) give
 
         F = ln|Sigma_RR| + ln|K| - ln|s| + tr(s_RR Sigma_RR^-1) + tr(K^-1 N) - p,
 
@@ -153,33 +156,34 @@ class FocalPlane:
     are polynomials too, of degree at most max(deg Sigma_JJ,
     2 deg Sigma_JR): two quadratics for paths alone, such as the default
     gamma1/gamma2.  Their coefficients are expanded once at construction,
-    and the monomials whose coefficients are exactly zero are dropped.  A call evaluates the monomials at each row and sums them
-    against the coefficients elementwise, in one order whatever the stack,
-    so a row's F does not depend on the rows beside it; where J is one row,
-    as for gamma1/gamma2, :func:`_f_stack` then takes no LAPACK call.  F
-    lies within a few 1e-13 relative of :func:`evaluate_stack`'s (2.1e-13
+    and the monomials whose coefficients are exactly zero are dropped.  A
+    call evaluates the monomials at each row and sums them against the
+    coefficients elementwise, in one order whatever the stack, so a row's
+    F does not depend on the rows beside it; where J is one row, x6 for
+    gamma1/gamma2, :func:`_f_stack` then takes no LAPACK call.  F lies
+    within a few 1e-13 relative of :func:`evaluate_stack`'s (2.1e-13
     measured over every focal pair of the single-step test models).
 
-    Any other plane, of a model with longer paths or one where the focal
-    parameters reach no observed row, is :func:`evaluate_stack` at
-    theta_hat + delta, the bits of
+    Any other plane, of a model with longer paths or one where no entry of
+    Sigma moves, is :func:`evaluate_stack` at theta_hat + delta, the bits of
     :meth:`~fungible.fit.FitResult.objectives`.
     """
 
     def __init__(self, model: ModelSpec, theta_hat, focal, s, ld_s):
         theta_hat = as_theta(model, theta_hat)
-        moved = model.reached(focal)
-        self._polynomial = model.single_step and len(moved) > 0
+        if model.single_step:
+            monomials, sigma = plane_polynomial(model, theta_hat, focal)
+            # R, the rows whose block Sigma_RR stays put, as above
+            moving = sigma[1:].any(axis=0)
+            still = ~moving.diagonal()
+            outside = still & ~(moving & still).any(axis=1)
+        self._polynomial = model.single_step and not outside.all()
         if not self._polynomial:
             sigma_of_theta(model, theta_hat)  # raises where (I - A) is singular
             self._model, self._theta_hat, self._focal = model, theta_hat, list(focal)
             self._s, self._ld_s = s, ld_s
             return
-        p = model.n_observed
-        outside = np.ones(p, dtype=bool)
-        outside[moved] = False
-        rest = np.flatnonzero(outside)
-        monomials, sigma = plane_polynomial(model, theta_hat, focal)
+        moved, rest = np.flatnonzero(~outside), np.flatnonzero(outside)
         sigma_rr, s_rr = sigma[0][rest][:, rest], s[rest][:, rest]
         rows = sigma[:, moved]
         x, sigma_jj = rows[:, :, rest], rows[:, :, moved]  # Sigma_JR, Sigma_JJ
@@ -206,10 +210,10 @@ class FocalPlane:
         # the constant terms, split so that where R is empty F adds up as
         # in evaluate_stack
         self._ld_const = ld_rr - ld_s
-        self._tr_const = float(np.sum(s_rr * inv_rr.T)) - p
+        self._tr_const = float(np.sum(s_rr * inv_rr.T)) - model.n_observed
         coef = coef.reshape(len(keys), -1)
         nonzero = coef.any(axis=1)
-        self._coef, self._n_j = coef[nonzero], len(moved)
+        self._coef, self._moved = coef[nonzero], moved
         # each kept monomial's focal positions, padded to one length with
         # the position of a row of ones; N's constant term is never 0
         kept = [key for key, keep in zip(keys, nonzero.tolist()) if keep]
@@ -219,7 +223,7 @@ class FocalPlane:
     def _blocks(self, offsets):
         """``(K, N)`` at the offsets, from their polynomials.  Runs under
         its caller's errstate."""
-        k, n_j = len(offsets), self._n_j
+        k, n_j = len(offsets), len(self._moved)
         # each monomial at every row: the product of its positions' rows,
         # taken from the last position to the first
         padded = np.empty((offsets.shape[1] + 1, k))

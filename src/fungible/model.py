@@ -230,42 +230,13 @@ class ModelSpec:
         return fixed, free, param[free]
 
     @cached_property
-    def _edges(self) -> np.ndarray:
-        """A's pattern as an m x m 0/1 matrix: [h, t] = 1 for each free or
-        fixed nonzero entry, a path t -> h."""
-        return ((self.directed_param >= 0) | (self.directed_fixed != 0.0)).astype(int)
-
-    @cached_property
     def single_step(self) -> bool:
         """Whether no directed path of A's pattern (free or fixed nonzero
         entries) has two steps, a self-loop included.  Then A @ A = 0 at
-        every theta, and (I - A)^-1 is I + A exactly."""
-        return not (self._edges @ self._edges).any()
-
-    @cached_property
-    def _descendants(self) -> np.ndarray:
-        """m x m boolean: [t, h] when h is t or lies on a directed path of
-        A's pattern from t, cycles included."""
-        reach = np.eye(self.m, dtype=int) | self._edges.T
-        while True:
-            wider = (reach @ reach > 0).astype(int)
-            if (wider == reach).all():
-                return reach > 0
-            reach = wider
-
-    def reached(self, params) -> np.ndarray:
-        """The observed variables whose rows of Sigma can move with the
-        parameters ``params`` while every other parameter stays fixed,
-        ascending: the head of each of their A entries and both ends of
-        each of their S entries, with the observed descendants of those.
-        Every entry of Sigma between two other observed variables depends
-        on the other parameters alone."""
-        touched = np.zeros(self.m, dtype=bool)
-        params = set(int(k) for k in params)
-        for k, i, j, in_s in self._free:
-            if k in params:
-                touched[[i, j] if in_s else [i]] = True
-        return np.flatnonzero(self._descendants[touched].any(axis=0)[: self.n_observed])
+        every theta, (I - A)^-1 is I + A exactly, and Sigma on a focal plane
+        is the polynomial :func:`plane_polynomial` expands."""
+        edges = ((self.directed_param >= 0) | (self.directed_fixed != 0.0)).astype(int)
+        return not (edges @ edges).any()
 
     def _assemble(self, thetas) -> tuple[np.ndarray, np.ndarray]:
         """(A, S) stacks at the rows of a validated ``(k, q)`` stack."""

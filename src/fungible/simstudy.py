@@ -35,8 +35,8 @@ from .contour import (CONFIDENCE, DELTA_F, EPS_TILDE, N_DIRECTIONS, ContourTarge
                        axis_widths_exact, f_target)
 from .errors import DegenerateSample, FungibleError, NotPositiveDefinite
 from .fit import fit_ml
-from .model import (as_cov, canonical_model, condition_from_label, focal_indices,
-                    misspecify_to_epsilon)
+from .model import (as_cov, canonical_model, check_focal, condition_from_label,
+                    focal_indices, misspecify_to_epsilon)
 
 # The study's delta_f target uses relative scaling: only then do delta_f
 # widths grow with the population misfit level, the pattern the reference
@@ -111,11 +111,11 @@ class StudyDesign:
         stray = [mode for mode in self.population_analysis if mode not in modes]
         if stray:
             raise ValueError(f"population_analysis lists modes not in targets: {stray}")
+        if len(self.focal) != 2:
+            raise ValueError(f"focal must name two distinct parameters, got {list(self.focal)}")
         # every builtin condition analyzes the canonical model
         model = canonical_model()
-        focal = focal_indices(model, self.focal)
-        if len(focal) != 2 or len(set(focal) & set(range(model.q))) != 2:
-            raise ValueError(f"focal must name two distinct parameters, got {list(self.focal)}")
+        check_focal(focal_indices(model, self.focal), model.q)
 
 
 @dataclass(frozen=True)

@@ -370,7 +370,7 @@ def _one_error_line(capsys, prefix):
          "targets key 'delta_f_scaling': unknown delta_f scaling 'bogus'"),
         # failed only inside the first cell, without naming the key
         ({"directions": 3}, "directions must be at least 4, got 3"),
-        ({"focal": ["gamma1", "gamma1"]}, "focal must name two distinct parameters"),
+        ({"focal": ["gamma1", "gamma1"]}, "focal indices must be distinct, got (5, 5)"),
         ({"focal": ["gamma1"]}, "focal must name two distinct parameters"),
     ],
 )

@@ -627,32 +627,44 @@ class TestFocalPlane:
 
     @pytest.mark.parametrize("label", _PLANE_LABELS)
     def test_rows_outside_reach_never_move(self, plane_cases, label):
-        # the evaluator holds Sigma_RR at theta-hat.  Where (I - A)^-1 is
-        # I + A that block is the same bits at every row; where (I - A) is
-        # solved, the LU's rounding reaches every row (measured: at most
-        # 3.6e-15 of max|Sigma| over these models)
+        # the plane holds Sigma_RR at theta-hat, the rows R read off
+        # plane_polynomial's coefficients: the kernel's Sigma_RR is the same
+        # bits at every row, even far off theta-hat.  Where nothing moves
+        # the plane is the kernel, and so is every plane of a model with
+        # longer paths
         fit, offsets = plane_cases[label]
         model = fit.model
         rows = np.arange(model.n_observed)
         sigma_hat = sigma_of_theta(model, fit.theta_hat)
-        tol = 0.0 if model.single_step else 1e-14 * np.abs(sigma_hat).max()
         for pair in itertools.combinations(range(model.q), 2):
-            rest = np.setdiff1d(rows, model.reached(pair))
+            plane = fit.focal_objectives(pair)
+            if not model.single_step:
+                assert not plane._polynomial
+                continue
+            rest = np.setdiff1d(rows, plane._moved) if plane._polynomial else rows
             ok, _, _, sigma = implied_stack(model, _on_plane(fit, pair, 10.0 * offsets))
-            assert ok.any()
+            assert ok.all()
             block = sigma[np.ix_(np.arange(len(sigma)), rest, rest)]
-            assert (np.abs(block - sigma_hat[np.ix_(rest, rest)]) <= tol).all()
+            assert (block == sigma_hat[np.ix_(rest, rest)]).all()
 
-    def test_reach_of_the_default_pair(self, conditions, focal):
-        # gamma1 and gamma2 are paths into x6, which has no children; phi,
-        # the factor covariance, reaches every indicator and x6
-        model = conditions["Sigma1"].model
-        assert list(model.reached(focal)) == [5]
-        phi, lam1 = model.theta_names.index("phi"), model.theta_names.index("lam1")
-        assert list(model.reached((phi, lam1))) == [0, 1, 2, 3, 4, 5]
-        # a shared parameter reaches every end of every entry it sits on
+    def test_default_plane_is_one_by_one(self, popfits, focal):
+        # gamma1 and gamma2 are paths into x6, which has no children: K is
+        # 1 x 1, the plane that makes no LAPACK call
+        for res in popfits.values():
+            assert list(res.focal_objectives(focal)._moved) == [5]
+
+    def test_shared_parameter_plane_factors_two_rows(self):
+        # t and l2 move x1's and x2's diagonals and their entries with x3,
+        # but not x3's own diagonal: R is x3 alone, and K is 2 x 2
         shared = shared_entry_model()
-        assert list(shared.reached([shared.theta_names.index("t")])) == [0, 1, 2]
+        a = np.random.default_rng(2107).standard_normal((3, 6))
+        fit = _fit_at(shared, shared.default_start() + 0.3, a @ a.T / 6 + 0.5 * np.eye(3))
+        pair = (shared.theta_names.index("t"), shared.theta_names.index("l2"))
+        plane = fit.focal_objectives(pair)
+        assert list(plane._moved) == [0, 1]
+        with np.errstate(all="ignore"):
+            k_mat, _ = plane._blocks(np.zeros((1, 2)))
+        assert k_mat.shape == (1, 2, 2)
 
     def test_every_row_reached_matches_objectives(self, popfits):
         # where R is empty the Schur form is the plain formula, K = Sigma
@@ -660,7 +672,7 @@ class TestFocalPlane:
         res = popfits["Sigma2"]
         names = res.model.theta_names
         pair = (names.index("phi"), names.index("lam1"))
-        assert len(res.model.reached(pair)) == res.model.n_observed
+        assert len(res.focal_objectives(pair)._moved) == res.model.n_observed
         offsets = 0.2 * np.random.default_rng(5).standard_normal((50, 2))
         got = res.focal_objectives(pair)(offsets)
         want = res.objectives(_on_plane(res, pair, offsets))
@@ -679,10 +691,10 @@ class TestFocalPlane:
             + [{"row": "f1", "col": "f1", "value": 1.0}, {"row": "f2", "col": "f2", "param": "v"}],
         )
         pair = (model.theta_names.index("b"), model.theta_names.index("v"))
-        assert model.single_step and not len(model.reached(pair))
         rng = np.random.default_rng(11)
         a = rng.standard_normal((4, 7))
         fit = _fit_at(model, model.default_start() + 0.2, a @ a.T / 7 + 0.5 * np.eye(4))
+        assert model.single_step and not fit.focal_objectives(pair)._polynomial
         offsets = rng.standard_normal((20, 2))
         got = fit.focal_objectives(pair)(offsets)
         assert np.isfinite(got).all()
@@ -696,17 +708,19 @@ class TestFocalPlane:
         # (phi, gamma1) mix an S entry with an A entry (a nonzero
         # phi gamma1 coefficient); random models with a path between two
         # observed variables have cubic terms (path, its tail's variance,
-        # path).  Only the constant term reaches the rows outside reach, so
-        # Sigma_RR is that term.  Other models' planes are the kernel
+        # path).  Only the constant term reaches the plane's rows R, so
+        # Sigma_RR is that term; where the plane is the kernel, no entry
+        # moves.  Other models' planes are the kernel
         # (test_matches_objectives)
         fit, offsets = plane_cases[label]
         model = fit.model
         rows = np.arange(model.n_observed)
         for pair in itertools.combinations(range(model.q), 2):
+            plane = fit.focal_objectives(pair)
             if not model.single_step:
-                assert not fit.focal_objectives(pair)._polynomial
+                assert not plane._polynomial
                 continue
-            rest = np.setdiff1d(rows, model.reached(pair))
+            rest = np.setdiff1d(rows, plane._moved) if plane._polynomial else rows
             monomials, coef = plane_polynomial(model, fit.theta_hat, pair)
             assert monomials[:3] == [(), (0,), (1,)]
             assert not coef[1:][:, rest][:, :, rest].any()
@@ -728,15 +742,16 @@ class TestFocalPlane:
         model, s = fit.model, fit.s
         rows = np.arange(model.n_observed)
         for pair in itertools.combinations(range(model.q), 2):
+            plane = fit.focal_objectives(pair)
             if not model.single_step:
-                assert not fit.focal_objectives(pair)._polynomial
+                assert not plane._polynomial
                 continue
-            moved = model.reached(pair)
+            moved = plane._moved
             rest = np.setdiff1d(rows, moved)
             ok, _, _, sigma = implied_stack(model, _on_plane(fit, pair, offsets))
             assert ok.all()
             with np.errstate(all="ignore"):
-                k_mat, n_mat = fit.focal_objectives(pair)._blocks(offsets)
+                k_mat, n_mat = plane._blocks(offsets)
             sigma_rr = sigma_of_theta(model, fit.theta_hat)[np.ix_(rest, rest)]
             x = sigma[:, moved][:, :, rest]
             w = np.linalg.solve(sigma_rr, x.swapaxes(1, 2)) if len(rest) else x.swapaxes(1, 2)

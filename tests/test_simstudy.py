@@ -224,7 +224,7 @@ class TestRunDesign:
     def test_bad_sweep_setting_names_its_key(self, field, value):
         # directions 3 once failed only inside the first cell, with a message
         # that did not name the config key
-        with pytest.raises(ValueError, match=f"^{field} must "):
+        with pytest.raises(ValueError, match=f"^{field} (indices )?must "):
             StudyDesign(**{field: value})
 
     @pytest.mark.parametrize("threads", [0, -3])
