@@ -68,7 +68,7 @@ import numpy as np
 from ._solve import UNDEFINED, bracket_level, bracketed_root, golden_max
 from .discrepancy import chisq_quantile, f_from_rmsea, rmsea_from_f
 from .errors import ContourEscapesDomain, NotPositiveDefinite
-from .model import check_focal
+from .model import as_int, check_focal
 
 DELTA_F = "delta_f"
 EPS_TILDE = "eps_tilde"
@@ -258,7 +258,7 @@ def _sweep(fit, t_target, focal, n_directions):
     Raises for any faulted ray."""
     if len(focal) != 2:
         raise ValueError("direction sweeps need exactly two focal parameters")
-    n = int(n_directions)
+    n = as_int(n_directions, "n_directions")
     if n < 4:
         raise ValueError("n_directions must be at least 4")
     n += n % 2

@@ -52,7 +52,7 @@ from .discrepancy import (
     rmsea_from_f,
 )
 from .errors import NoConvergence
-from .model import ModelSpec, _frozen_array, check_focal
+from .model import ModelSpec, _frozen_array, as_int, check_focal
 
 
 STALL_TOL = 1e-12  # the loop stops once f changes by at most this, relative
@@ -147,14 +147,15 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
     when the model has none.  Convergence is declared at gradient max-norm
     < ``opts.grad_tol``; the loop also stops when the relative change in f
     drops below :data:`STALL_TOL`.
-    Raises :class:`NoConvergence` after ``opts.max_iter`` iterations, and
-    the errors of :func:`~fungible.model.as_cov` for an ``s`` that fails its
-    check.
+    Raises :class:`NoConvergence` after ``opts.max_iter`` iterations, the
+    errors of :func:`~fungible.model.as_cov` for an ``s`` that fails its
+    check, and :class:`ValueError` for an ``n`` that is not an integer
+    (:func:`~fungible.model.as_int`) of at least 2.
     """
     opts = opts or FitOptions()
     s, ld_s = _analyzed(model, s)
     if n is not None:
-        n = int(n)
+        n = as_int(n, "n")
         if n < 2:
             raise ValueError("n must be at least 2")
     theta = model.default_start(s) if model.start is None else model.start.copy()

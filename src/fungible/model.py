@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -263,6 +264,20 @@ class ModelSpec:
             else:
                 start[k] = 0.5
         return start
+
+
+def is_int(value) -> bool:
+    """Whether a count is an integer: a :class:`numbers.Integral` other
+    than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def as_int(value, name: str) -> int:
+    """A count given to the package as an int; raises :class:`ValueError`
+    naming ``name`` for a value that fails :func:`is_int`."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_theta(model: ModelSpec, theta) -> np.ndarray:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -35,8 +34,8 @@ from .contour import (CONFIDENCE, DELTA_F, EPS_TILDE, N_DIRECTIONS, ContourTarge
                        axis_widths_exact, f_target)
 from .errors import DegenerateSample, FungibleError, NotPositiveDefinite
 from .fit import fit_ml
-from .model import (as_cov, canonical_model, check_focal, condition_from_label,
-                    focal_indices, misspecify_to_epsilon)
+from .model import (as_cov, as_int, canonical_model, check_focal, condition_from_label,
+                    focal_indices, is_int, misspecify_to_epsilon)
 
 # The study's delta_f target uses relative scaling: only then do delta_f
 # widths grow with the population misfit level, the pattern the reference
@@ -47,10 +46,6 @@ DEFAULT_TARGETS = (
     ContourTarget(mode=EPS_TILDE, epsilon_tilde=0.005),
     ContourTarget(mode=DELTA_F, delta_f=0.05, scaling="relative"),
 )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_str(value) -> bool:
@@ -71,11 +66,10 @@ class StudyDesign:
 
     def __post_init__(self):
         for name in ("replications", "seed", "directions"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            as_int(getattr(self, name), name)
         for name, is_kind, kind in (
             ("conditions", _is_str, "strings"),
-            ("sample_sizes", _is_int, "integers"),
+            ("sample_sizes", is_int, "integers"),
             ("epsilons", _is_real, "finite real numbers"),
             ("focal", _is_str, "strings"),
             ("population_analysis", _is_str, "strings"),
@@ -151,7 +145,8 @@ class StudyTable:
 def replication_rng(seed: int, condition: str, n: int, epsilon: float, rep: int) -> np.random.Generator:
     """Counter-based generator for one replication, keyed by a stable hash of
     the cell coordinates so streams never collide or depend on run order."""
-    tag = f"{int(seed)}|{condition}|{int(n)}|{float(epsilon)!r}|{int(rep)}"
+    seed, n, rep = as_int(seed, "seed"), as_int(n, "n"), as_int(rep, "rep")
+    tag = f"{seed}|{condition}|{n}|{float(epsilon)!r}|{rep}"
     digest = hashlib.blake2b(tag.encode(), digest_size=16).digest()
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
 
@@ -168,6 +163,7 @@ def wishart_sample(sigma, n: int, rng: np.random.Generator) -> np.ndarray:
     """
     chol = as_cov(sigma, which="sigma")[1]
     p = len(chol)
+    n = as_int(n, "n")
     if n <= p:
         raise ValueError("wishart sampling needs n > p")
 
@@ -238,7 +234,7 @@ def run_cell(design: StudyDesign, condition: str, n: int, epsilon: float, mode: 
     (condition, n, epsilon); see the module docstring.
     """
     target = {t.mode: t for t in design.targets}[mode]
-    n, epsilon = int(n), float(epsilon)
+    n, epsilon = as_int(n, "n"), float(epsilon)
     model = condition_at(condition, epsilon).model
     focal = focal_indices(model, design.focal)
     if mode in design.population_analysis:

@@ -923,10 +923,40 @@ class TestRmseaConversions:
             f_from_rmsea(-0.1, 5, population=True)
 
 
+# df 2000 is where e^(-x/2) alone underflows; there the tail's error is the
+# rounding of ln(x/2) taken j times, bounded by about 4e-16 df
+_CHISQ_DFS = list(range(1, 41)) + [100, 2000]
+_CHISQ_PROBS = (1e-9, 0.05, 0.5, 0.95, 0.99, 1 - 1e-9)
+
+
+def _chisq_tol(df):
+    return 1e-13 if df <= 300 else 4e-16 * df
+
+
 class TestChisqQuantile:
     def test_closed_form_two_df(self):
-        # exponential case: quantile = -2 ln(1 - p)
-        assert chisq_quantile(2, 0.95) == pytest.approx(-2 * math.log(0.05), abs=1e-8)
+        # exponential case: quantile = -2 ln(1 - p), to the last few bits
+        for p in (0.5, 0.9, 0.95, 0.99):
+            want = -2.0 * math.log1p(-p)
+            assert abs(chisq_quantile(2, p) - want) <= 8 * math.ulp(want)
+
+    @pytest.mark.parametrize("df", _CHISQ_DFS)
+    def test_tail_matches_gammaincc(self, df):
+        from scipy.special import gammaincc
+        from scipy.stats import chi2
+
+        for x in df * np.array([1e-6, 0.01, 0.3, 0.8, 1.0, 1.2, 2.0, 4.0]) + 1e-3:
+            tail, density = discrepancy._chisq_tail(df, x)
+            assert abs(tail - gammaincc(df / 2, x / 2)) <= _chisq_tol(df)
+            assert density == pytest.approx(chi2.pdf(x, df), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("df", _CHISQ_DFS)
+    def test_quantile_residual_on_grid(self, df):
+        from scipy.special import gammainc
+
+        for prob in _CHISQ_PROBS:
+            x = chisq_quantile(df, prob)
+            assert abs(gammainc(df / 2, x / 2) - prob) <= _chisq_tol(df)
 
     def test_one_df(self):
         from scipy.special import gammainc

@@ -8,16 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fungible import (
+    CONFIDENCE,
     FIXED,
+    ContourTarget,
     ModelSpec,
     NoConvergence,
     NotPositiveDefinite,
     SingularStructure,
+    StudyDesign,
     TargetUnreachable,
+    axis_widths_exact,
     canonical_model,
+    chisq_quantile,
     condition_at,
     condition_from_label,
     f_ml,
+    f_target,
     fit_ml,
     gradient,
     hessian,
@@ -27,6 +33,7 @@ from fungible import (
     model_to_dict,
     population_rmsea,
     replication_rng,
+    run_cell,
     save_model,
     sigma_of_theta,
     wishart_sample,
@@ -422,6 +429,42 @@ class TestCovarianceRule:
         s, chol = as_cov(sigma, 6)
         assert s.tobytes() == np.asarray(sigma).tobytes()
         np.testing.assert_array_equal(chol, np.linalg.cholesky(sigma))
+
+
+# each public count, with the name its error gives it and a call that
+# passes it the value; f_target's n_focal is chisq_quantile's df
+_COUNT_CALLERS = {
+    "chisq_quantile": ("df", lambda fit, v: chisq_quantile(v, 0.95)),
+    "f_target": ("df", lambda fit, v: f_target(ContourTarget(mode=CONFIDENCE), fit, n_focal=v)),
+    "fit_ml": ("n", lambda fit, v: fit_ml(fit.model, fit.s, n=v)),
+    "axis_widths_exact": ("n_directions", lambda fit, v: axis_widths_exact(
+        fit, fit.f_hat + 0.1, (5, 6), v)),  # gamma1, gamma2
+    "wishart_sample": ("n", lambda fit, v: wishart_sample(fit.s, v, replication_rng(1, "Sigma1", 50, 0.0, 0))),
+    "replication_rng seed": ("seed", lambda fit, v: replication_rng(v, "Sigma1", 200, 0.0, 0)),
+    "replication_rng n": ("n", lambda fit, v: replication_rng(1, "Sigma1", v, 0.0, 0)),
+    "replication_rng rep": ("rep", lambda fit, v: replication_rng(1, "Sigma1", 200, 0.0, v)),
+    "run_cell": ("n", lambda fit, v: run_cell(StudyDesign(replications=1), "Sigma1", v, 0.0, CONFIDENCE)),
+}
+
+
+class TestCountRule:
+    """Every count the package takes is an integer by one rule, ``as_int``:
+    a bool or a value that is not a :class:`numbers.Integral` raises one
+    error naming the argument, and is never truncated."""
+
+    @pytest.mark.parametrize("value", [200.5, 200.0, "200", True, np.float64(200.0)])
+    @pytest.mark.parametrize("caller", list(_COUNT_CALLERS))
+    def test_non_integer_count_named(self, popfits, caller, value):
+        name, call = _COUNT_CALLERS[caller]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(popfits["Sigma1"], value)
+
+    def test_numpy_integer_keeps_its_bytes(self, popfits):
+        fit = popfits["Sigma1"]
+        assert chisq_quantile(np.int64(2), 0.95) == chisq_quantile(2, 0.95)
+        assert fit_ml(fit.model, fit.s, n=np.int32(200)).n == 200
+        draws = [replication_rng(1, "Sigma1", n, 0.0, 0).random(4) for n in (200, np.int64(200))]
+        assert draws[0].tobytes() == draws[1].tobytes()
 
 
 class TestBuiltinConditions:
