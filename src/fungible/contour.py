@@ -140,7 +140,7 @@ class AxisWidths:
     partial: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "focal", tuple(int(i) for i in self.focal))
+        object.__setattr__(self, "focal", tuple(as_int(i, "focal index") for i in self.focal))
         object.__setattr__(self, "major_direction", np.asarray(self.major_direction, float))
         object.__setattr__(self, "minor_direction", np.asarray(self.minor_direction, float))
         if not (self.major >= self.minor >= 0.0):

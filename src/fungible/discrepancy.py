@@ -5,10 +5,11 @@ F comes from one body, :func:`_f_stack`: ln|M| + tr(M^-1 N) plus two
 constants, clamped at 0, NaN where M fails its Cholesky test or its solve
 or where that trace is not positive.  The kernel :func:`evaluate_stack`
 gives it Sigma and s at every row of a ``(k, q)`` stack of parameter
-vectors, with one fault code per row; the gradient needs no trace solve.
-:func:`f_ml` and :func:`gradient` are one-row views and raise the fault as a
-domain error, and :func:`hessian` evaluates its 2q gradient points as one
-stack.  The stacked evaluator with NaN at faulted rows is
+vectors, and returns every row: the mask of rows whose (I - A)^-1 is
+usable, and F and the implied matrices, NaN where a row fails.  The
+gradient needs no trace solve.  :func:`f_ml` and :func:`gradient` are
+one-row views and raise a NaN row as a domain error, and :func:`hessian`
+evaluates its 2q gradient points as one stack.  The stacked evaluator with NaN at faulted rows is
 :meth:`~fungible.fit.FitResult.objectives`, against a fit's analyzed
 covariance.  Contours evaluate F only on a focal plane through a fit's
 theta-hat, where the non-focal parameters stay put: on a single-step
@@ -62,11 +63,6 @@ __all__ = [
     "chisq_quantile",
 ]
 
-# per-row fault codes of :func:`evaluate_stack`
-SINGULAR_STRUCTURE = 1  # (I - A) numerically singular
-SIGMA_NOT_PD = 2        # Sigma fails its Cholesky test, its solve or the trace sign
-
-
 def _log_det(chol):
     """ln|M| from the Cholesky factor of M, or per matrix of a stack of
     factors; NaN where M failed its factorization."""
@@ -80,15 +76,6 @@ def _analyzed(model: ModelSpec, s):
     it for the model's p, and ln|s| from its Cholesky factor."""
     s, chol = as_cov(s, model.n_observed)
     return s, float(_log_det(chol))
-
-
-def _widen(ok, values, fill):
-    """Values at the ok rows, widened to every row with ``fill``."""
-    if len(values) == len(ok):
-        return values
-    out = np.full(len(ok), fill)
-    out[ok] = values
-    return out
 
 
 def _f_stack(m, n, ld_const, tr_const):
@@ -115,10 +102,11 @@ def _f_stack(m, n, ld_const, tr_const):
 def evaluate_stack(model: ModelSpec, thetas, s, ld_s):
     """F against s, given ln|s|, at every row of a validated ``(k, q)`` stack.
 
-    Returns ``(fault, f, implied)``: per row 0, ``SINGULAR_STRUCTURE`` or
-    ``SIGMA_NOT_PD`` (Sigma fails :func:`_f_stack`'s tests); F, NaN where
-    faulted; the ``(G, GSG', Sigma)`` stacks of the rows whose (I - A)^-1
-    is usable.
+    Returns ``(ok, f, implied)``, each row for row with the stack:
+    :func:`~fungible.model.implied_stack`'s mask of the rows whose
+    (I - A)^-1 is usable; F, NaN where ``ok`` is false or Sigma fails
+    :func:`_f_stack`'s tests; the ``(G, GSG', Sigma)`` stacks, NaN where
+    ``ok`` is false.
 
     A one-row call, which every line-search trial of a fit makes, costs
     about 27-30 us on a 2-core Xeon VM, mostly numpy's per-call overhead;
@@ -127,8 +115,7 @@ def evaluate_stack(model: ModelSpec, thetas, s, ld_s):
     with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
         ok, g_mat, c_mat, sigma = implied_stack(model, thetas)
         f = _f_stack(sigma, s, -ld_s, -model.n_observed)
-    fault = _widen(ok, SIGMA_NOT_PD * np.isnan(f), SINGULAR_STRUCTURE)
-    return fault, _widen(ok, f, np.nan), (g_mat, c_mat, sigma)
+    return ok, f, (g_mat, c_mat, sigma)
 
 
 class FocalPlane:
@@ -249,21 +236,14 @@ class FocalPlane:
             return _f_stack(*self._blocks(offsets), self._ld_const, self._tr_const)
 
 
-def _raise_fault(fault):
-    """The domain error of a stack's first faulted row, if any."""
-    codes = fault[fault != 0]
-    if len(codes):
-        if codes[0] == SINGULAR_STRUCTURE:
+def _raise_fault(ok, bad):
+    """The domain error of a stack's first ``bad`` row, if any: where
+    :func:`~fungible.model.implied_stack`'s ``ok`` is false there, (I - A)
+    is singular, else Sigma is not positive definite."""
+    if bad.any():
+        if not ok[bad.argmax()]:
             raise SingularStructure("(I - A) is numerically singular")
         raise NotPositiveDefinite("sigma_theta")
-
-
-def _evaluate_one(model, theta, s, ld_s):
-    """:func:`evaluate_stack` at one parameter vector: F and the one-row
-    stacks of ``(G, GSG', Sigma)`` there, or the domain error of its fault."""
-    fault, f, implied = evaluate_stack(model, as_theta(model, theta)[None], s, ld_s)
-    _raise_fault(fault)
-    return float(f[0]), implied
 
 
 def f_ml(model: ModelSpec, theta, s) -> float:
@@ -278,7 +258,9 @@ def f_ml(model: ModelSpec, theta, s) -> float:
     positive, and :class:`SingularStructure` when (I - A) is numerically
     singular.
     """
-    return _evaluate_one(model, theta, *_analyzed(model, s))[0]
+    ok, f, _ = evaluate_stack(model, as_theta(model, theta)[None], *_analyzed(model, s))
+    _raise_fault(ok, np.isnan(f))
+    return float(f[0])
 
 
 def _grad_from_implied(model, s, g_mat, c_mat, sigma):
@@ -303,6 +285,8 @@ def _grad_from_implied(model, s, g_mat, c_mat, sigma):
     ], axis=-1)
     params, flat, factor = model._gradient_gather
     terms = factor * both.take(flat, axis=-1)
+    # the one-point form is fit_ml's: its gradient through one-row stacks
+    # made a fit of the builtin conditions' model 4-10% slower
     if terms.ndim == 1:
         return np.bincount(params, terms, minlength=model.q)
     k, q = len(terms), model.q
@@ -317,8 +301,7 @@ def _gradients(model, thetas, s):
         ok, g_mat, c_mat, sigma = implied_stack(model, thetas)
         not_pd = np.isnan(_log_det(_cholesky(sigma)))
         grads = _grad_from_implied(model, s, g_mat, c_mat, sigma)
-    not_pd |= np.isnan(grads).any(axis=1)
-    _raise_fault(_widen(ok, SIGMA_NOT_PD * not_pd, SINGULAR_STRUCTURE))
+    _raise_fault(ok, not_pd | np.isnan(grads).any(axis=1))
     return grads
 
 
@@ -363,28 +346,29 @@ def rmsea_from_f(f: float, df: int, n: int | None = None, *, population: bool = 
     """RMSEA from a discrepancy value.
 
     Population mode: sqrt(f/df).  Sample mode: sqrt(max(f/df - 1/(n-1), 0)),
-    the (n-1)-convention noncentrality rescaling (truncated at zero).
+    the (n-1)-convention noncentrality rescaling (truncated at zero).  The
+    counts df and n follow :func:`~fungible.model.as_int`'s rule.
     """
-    if df < 1:
+    if as_int(df, "df") < 1:
         raise ValueError("df must be at least 1")
     if f < 0:
         raise ValueError("f must be nonnegative")
     if population:
         return math.sqrt(f / df)
-    if n is None or n < 2:
+    if n is None or as_int(n, "n") < 2:
         raise ValueError("sample mode needs n >= 2")
     return math.sqrt(max(f / df - 1.0 / (n - 1), 0.0))
 
 
 def f_from_rmsea(epsilon: float, df: int, n: int | None = None, *, population: bool = False) -> float:
     """Exact inverse of :func:`rmsea_from_f` on the non-truncated branch."""
-    if df < 1:
+    if as_int(df, "df") < 1:
         raise ValueError("df must be at least 1")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     if population:
         return df * epsilon * epsilon
-    if n is None or n < 2:
+    if n is None or as_int(n, "n") < 2:
         raise ValueError("sample mode needs n >= 2")
     return df * (epsilon * epsilon + 1.0 / (n - 1))
 
@@ -417,7 +401,10 @@ def chisq_quantile(df: int, prob: float) -> float:
 
     Returns x with P(df/2, x/2) = prob, where P is the regularized lower
     incomplete gamma function, within 1e-13 up to df 300 (past that, within
-    :func:`_chisq_tail`'s error): Newton steps on that tail from x = df,
+    :func:`_chisq_tail`'s error).  The bound is absolute in P: it solves
+    (1 - prob) - tail = 0, where 1 - prob rounds, so a prob below about
+    1e-11 has few correct digits (at df 10 and prob 1e-14, x is 21% off).
+    Newton steps on that tail from x = df,
     safeguarded inside a maintained bracket, then one Newton step more for
     x's last bits (at df 2, x lies within a few ulps of -2 ln(1 - prob)).
     Raises :class:`ValueError` for a df that is not such an integer or a

@@ -3,16 +3,17 @@
 A hand-rolled quasi-Newton loop (BFGS secant updates on the inverse Hessian,
 backtracking Armijo line search) minimizes the ML discrepancy.  Steps that
 lose positive definiteness of the implied covariance are rejected by the
-line search (treated as an infinite objective) rather than penalized, so the
-objective stays the exact ML discrepancy.
+line search rather than penalized, so the objective stays the exact ML
+discrepancy.
 
 Each line-search trial is a one-row evaluation of the discrepancy kernel
-(:func:`~fungible.discrepancy.evaluate_stack`): a fault code rejects the
-trial, and an accepted trial's implied matrices give its gradient, so an
-accepted step costs one evaluation of the model.  S is checked by the one
-covariance rule, :func:`~fungible.model.as_cov`, and factored once per
-minimization.  The Hessian at the optimum is one stacked evaluation of its
-2q gradients (:func:`~fungible.discrepancy.hessian`).
+(:func:`~fungible.discrepancy.evaluate_stack`): F is NaN at a trial that
+leaves the domain, which fails the Armijo test as an infinite F would, and
+an accepted trial's implied matrices give its gradient, so an accepted step
+costs one evaluation of the model.  S is checked by the one covariance
+rule, :func:`~fungible.model.as_cov`, and factored once per minimization.
+The Hessian at the optimum is one stacked evaluation of its 2q gradients
+(:func:`~fungible.discrepancy.hessian`).
 Against the fit's S, F has two stacked forms.
 :meth:`FitResult.focal_objectives` is the one the contour engine calls: F on
 the plane through theta-hat along the focal parameters, from offsets of
@@ -45,8 +46,8 @@ import numpy as np
 from .discrepancy import (
     FocalPlane,
     _analyzed,
-    _evaluate_one,
     _grad_from_implied,
+    _raise_fault,
     evaluate_stack,
     hessian,
     rmsea_from_f,
@@ -160,7 +161,9 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
             raise ValueError("n must be at least 2")
     theta = model.default_start(s) if model.start is None else model.start.copy()
 
-    f, implied = _evaluate_one(model, theta, s, ld_s)
+    ok, f_row, implied = evaluate_stack(model, theta[None], s, ld_s)
+    _raise_fault(ok, np.isnan(f_row))
+    f = float(f_row[0])
     g = _grad_from_implied(model, s, *(mat[0] for mat in implied))
     f_trace = [f]
     q = model.q
@@ -186,8 +189,8 @@ def fit_ml(model: ModelSpec, s, n: int | None = None, opts: FitOptions | None = 
         accepted = False
         for _ in range(60):
             candidate = theta + step * direction
-            fault, f_row, implied = evaluate_stack(model, candidate[None], s, ld_s)
-            f_new = float(f_row[0]) if fault[0] == 0 else np.inf
+            f_row, implied = evaluate_stack(model, candidate[None], s, ld_s)[1:]
+            f_new = float(f_row[0])  # NaN where the trial leaves the domain
             if f_new <= f + 1e-4 * step * slope:
                 accepted = True
                 break

@@ -18,11 +18,12 @@ misfit at a target RMSEA via an omitted residual covariance.
 
 Sigma(theta) at a parameter vector is computed only by
 :func:`implied_stack`, over a ``(k, q)`` stack of parameter vectors with a
-per-row mask of the rows where (I - A)^-1 is usable; :func:`sigma_of_theta`
-is its one-row view.  When no directed path of A's pattern has two steps,
-as in the builtin conditions (:attr:`ModelSpec.single_step`), (I - A)^-1 is
-exactly I + A: there is no solve, and (I - A) is never singular.  Every
-other model solves (I - A) and tests each row for singularity.  The choice
+per-row mask of the rows where (I - A)^-1 is usable and NaN at the others;
+:func:`sigma_of_theta` is its one-row view.  When no directed path of A's
+pattern has two steps, as in the builtin conditions
+(:attr:`ModelSpec.single_step`), (I - A)^-1 is exactly I + A: there is no
+solve, and (I - A) is never singular.  Every other model solves (I - A)
+and tests each row for singularity.  The choice
 is made once per model from its pattern.  On the plane through one
 parameter vector along a few focal parameters, Sigma of a single-step model
 is a polynomial in their offsets, whose coefficients
@@ -321,9 +322,10 @@ def as_cov(s, p: int | None = None, which: str = "s"):
 
 def focal_indices(model: ModelSpec, focal) -> tuple[int, ...]:
     """Focal parameters, each given by name or by index into
-    ``theta_names``, as indices.  Raises :class:`ValueError` naming any
-    token that is neither; :func:`check_focal` checks the indices' range
-    and distinctness."""
+    ``theta_names`` (an integer, :func:`as_int`'s rule, or a string of
+    one), as indices.  Raises :class:`ValueError` naming any token that is
+    neither; :func:`check_focal` checks the indices' range and
+    distinctness."""
     indices = []
     for token in focal:
         token = token.strip() if isinstance(token, str) else token
@@ -331,16 +333,19 @@ def focal_indices(model: ModelSpec, focal) -> tuple[int, ...]:
             indices.append(model.theta_names.index(token))
             continue
         try:
-            indices.append(int(token))
-        except (TypeError, ValueError):
+            indices.append(int(token) if isinstance(token, str) else as_int(token, "focal index"))
+        except ValueError:
             raise ValueError(f"unknown parameter {token!r}") from None
     return tuple(indices)
 
 
 def check_focal(focal, q: int) -> tuple[int, ...]:
-    """Focal parameter indices as a tuple; raises :class:`ValueError` for an
-    index outside 0..q-1 (a negative one included) or a repeated one."""
-    focal = tuple(int(i) for i in focal)
+    """Focal parameter indices as a tuple; raises :class:`ValueError` for no
+    index, one that fails :func:`as_int`, one outside 0..q-1 (a negative
+    one included) or a repeated one."""
+    focal = tuple(as_int(i, "focal index") for i in focal)
+    if not focal:
+        raise ValueError("focal parameters must not be empty")
     if not all(0 <= i < q for i in focal):
         raise ValueError(f"focal indices must lie in 0..{q - 1}, got {focal}")
     if len(set(focal)) != len(focal):
@@ -351,11 +356,11 @@ def check_focal(focal, q: int) -> tuple[int, ...]:
 def implied_stack(model: ModelSpec, thetas):
     """Sigma(theta) at every row of a validated ``(k, q)`` parameter stack.
 
-    Returns ``(ok, G, GSG', Sigma)``, G = (I - A)^-1, and the matrix stacks
-    hold the rows of the ``(k,)`` mask ``ok`` only.  For a ``single_step``
-    model G = I + A, finite at a finite theta, so every row is ok;
-    otherwise G is the stacked (I - A) solve, and ``ok`` marks the rows
-    whose solve is finite with residual at most 1e-8 max(1, max|G|).
+    Returns ``(ok, G, GSG', Sigma)``, G = (I - A)^-1, each stack with all k
+    rows, NaN at the rows that the ``(k,)`` mask ``ok`` rejects.  For a
+    ``single_step`` model G = I + A, finite at a finite theta, so every row
+    is ok; otherwise G is the stacked (I - A) solve, and ``ok`` marks the
+    rows whose solve is finite with residual at most 1e-8 max(1, max|G|).
     """
     a, s = model._assemble(thetas)
     eye = model._eye
@@ -369,8 +374,7 @@ def implied_stack(model: ModelSpec, thetas):
         resid = np.abs(im_a @ g - eye).max(axis=(1, 2))
         g_max = np.abs(g).max(axis=(1, 2))
         ok = np.isfinite(g_max) & (resid <= 1e-8 * np.maximum(1.0, g_max))
-        if not ok.all():
-            g, s = g[ok], s[ok]
+        g[~ok] = np.nan
     c = g @ s @ g.transpose(0, 2, 1)
     p = model.n_observed
     sigma = c[:, :p, :p]
@@ -450,7 +454,7 @@ def _resolve(name_to_index, entry, key):
     if key not in entry:
         raise ValueError(f"entry {entry!r} lacks the key {key!r}")
     value = entry[key]
-    if isinstance(value, (int, np.integer)):
+    if is_int(value):
         idx = int(value)
         if not 0 <= idx < len(name_to_index):
             raise ValueError(f"variable index {idx} out of range")
@@ -640,13 +644,13 @@ class PopulationCondition:
         p = self.model.n_observed
         sigma = as_cov(self.sigma_pop, p, which="sigma_pop")[0]
         object.__setattr__(self, "sigma_pop", _frozen_array(sigma, float))
-        if self.epsilon_pop < 0:
-            raise ValueError("epsilon_pop must be nonnegative")
+        if not 0.0 <= self.epsilon_pop < math.inf:
+            raise ValueError(f"epsilon_pop must be finite and nonnegative, got {self.epsilon_pop!r}")
         if self.misfit_pair is not None:
-            i, j = self.misfit_pair
+            i, j = (as_int(index, "misfit_pair index") for index in self.misfit_pair)
             if not (0 <= i < p and 0 <= j < p and i != j):
                 raise ValueError("misfit_pair must be two distinct observed indices")
-            object.__setattr__(self, "misfit_pair", (int(i), int(j)))
+            object.__setattr__(self, "misfit_pair", (i, j))
 
 
 def canonical_model() -> ModelSpec:
@@ -739,8 +743,8 @@ def misspecify_to_epsilon(cond: PopulationCondition, epsilon_target: float) -> P
     """
     from .fit import population_rmsea
 
-    if epsilon_target < 0:
-        raise ValueError("epsilon_target must be nonnegative")
+    if not 0.0 <= epsilon_target < math.inf:
+        raise ValueError(f"epsilon_target must be finite and nonnegative, got {epsilon_target!r}")
     if cond.model.df < 1:
         raise ValueError("df must be at least 1")
     if epsilon_target == 0.0:

@@ -294,7 +294,7 @@ def _jobs(design: StudyDesign):
 def _worker_count(n_jobs, threads):
     if threads is None:
         threads = os.cpu_count() or 1
-    elif threads < 1:
+    elif as_int(threads, "threads") < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     return max(1, min(int(threads), n_jobs))
 
@@ -306,11 +306,11 @@ def _run_cells(design: StudyDesign, jobs) -> list[StudyCell]:
 
 def run_design(design: StudyDesign, threads: int | None = None) -> StudyTable:
     """Run every cell of the design.  ``threads`` caps the worker processes
-    (at least 1; raises :class:`ValueError` below) and defaults to the
-    processor count.  Each worker process
-    takes the cells of one (condition, n, epsilon) together, so they share
-    its draws and fits; the merge keeps the job order whatever the worker
-    count."""
+    (an integer of at least 1, :func:`~fungible.model.as_int`'s rule; raises
+    :class:`ValueError` otherwise) and defaults to the processor count.
+    Each worker process takes the cells of one (condition, n, epsilon)
+    together, so they share its draws and fits; the merge keeps the job
+    order whatever the worker count."""
     jobs = _jobs(design)
     groups: dict[tuple, list] = {}
     for job in jobs:

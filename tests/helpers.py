@@ -155,8 +155,8 @@ def reference_f_ml(model, theta, s):
 def reference_implied(model, thetas):
     """``(ok, G, GSG', Sigma)`` at every row of a ``(k, q)`` stack, with G
     from the stacked solve of (I - A) against I for every model, recursive
-    or not, and ``ok`` the rows whose solve is finite with residual at most
-    1e-8 max(1, max|G|); numpy only.  The oracle for ``implied_stack``,
+    or not, ``ok`` the rows whose solve is finite with residual at most
+    1e-8 max(1, max|G|), and NaN where it is false; numpy only.  The oracle for ``implied_stack``,
     whose single-step path must match it byte for byte on the builtin
     conditions."""
     thetas = np.asarray(thetas, dtype=float)
@@ -177,7 +177,7 @@ def reference_implied(model, thetas):
     resid = np.abs(im_a @ g - eye).max(axis=(1, 2))
     g_max = np.abs(g).max(axis=(1, 2))
     ok = np.isfinite(g_max) & (resid <= 1e-8 * np.maximum(1.0, g_max))
-    g, sym = g[ok], sym[ok]
+    g[~ok] = np.nan
     c = g @ sym @ g.transpose(0, 2, 1)
     p = model.n_observed
     sigma = c[:, :p, :p]

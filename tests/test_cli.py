@@ -293,6 +293,28 @@ def test_missing_file_exits_two(workdir, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+# each input check of the commands with the arguments that fail it, the
+# exit code and the message; {model}, {cov} and {tmp} are filled in
+_INPUT_CASES = {
+    "fpe missing model": (["fpe", "--model", "{tmp}/none.json", "--cov", "{cov}", "--n", "200"],
+                          2, "file not found: "),
+    "confset missing cov": (["confset", "--model", "{model}", "--cov", "{tmp}/none.csv",
+                             "--n", "200"], 2, "file not found: "),
+    "study missing config": (["study", "--config", "{tmp}/none.json"], 2, "file not found: "),
+    "study config not an object": (["study", "--config", "{tmp}/list.json"], 1,
+                                   "study config must be a JSON object, got list"),
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_CASES))
+def test_input_checks(workdir, tmp_path, capsys, case):
+    argv, code, message = _INPUT_CASES[case]
+    (tmp_path / "list.json").write_text("[1]")
+    paths = {"model": workdir / "model.json", "cov": workdir / "cov.csv", "tmp": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_domain_error_exits_one(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     s = np.asarray(condition_from_label("Sigma1").sigma_pop).copy()

@@ -830,13 +830,18 @@ class TestLevelRule:
 class TestFocalIndices:
     @pytest.mark.parametrize("name", sorted(_AT_LEVEL) + ["focal_objectives"])
     @pytest.mark.parametrize(
-        "bad, match", [((0, 14), "0..13"), ((5, -1), "0..13"), ((5, 5), "distinct")]
+        "bad, match",
+        [((0, 14), "0..13"), ((5, -1), "0..13"), ((5, 5), "distinct"),
+         ((5.5, 6.9), "focal index must be an integer"),
+         ((True, 6), "focal index must be an integer"), ((), "must not be empty")],
     )
     def test_bad_focal_raises(self, popfits, name, bad, match):
         # -1 would wrap to the last parameter, a repeat would give a singular
         # focal block: both are rejected before any ray is solved.  The fit's
         # focal plane takes the same rule: there -1 would match every fixed
-        # entry of A and S, and an index past q would drop its offset
+        # entry of A and S, and an index past q would drop its offset.  A
+        # float index was truncated, True read as 1, and an empty tuple
+        # ended in an IndexError or an empty plane
         res = popfits["Sigma3"]
         at_level = _AT_LEVEL.get(name, lambda fit, t, focal: fit.focal_objectives(focal))
         with pytest.raises(ValueError, match=match):

@@ -26,8 +26,6 @@ from fungible import (
 )
 from fungible import FitResult, discrepancy
 from fungible.discrepancy import (
-    SIGMA_NOT_PD,
-    SINGULAR_STRUCTURE,
     FocalPlane,
     _analyzed,
     _f_stack,
@@ -455,8 +453,8 @@ class TestGradientBytes:
     order, from 0.0, as ``np.add.at`` does: same sums, same signed zeros."""
 
     def _assert_matches_add_at(self, model, thetas, s):
-        fault, _, implied = evaluate_stack(model, thetas, *_analyzed(model, s))
-        assert not fault.any()
+        ok, f, implied = evaluate_stack(model, thetas, *_analyzed(model, s))
+        assert ok.all() and not np.isnan(f).any()
         _assert_same_bytes(_grad_from_implied(model, s, *implied),
                            reference_grad_from_implied(model, s, *implied))
         for row in range(len(thetas)):
@@ -505,31 +503,31 @@ def _mixed_rows(model, theta, k, rng, singular=None):
 
 class TestStackRowsBytes:
     """Every row of a stacked evaluation is that row's one-row evaluation,
-    byte for byte: F, fault code and implied matrices."""
+    byte for byte: the ok mask, F and the implied matrices, which are NaN
+    where ok is false."""
 
     def _assert_rows_match(self, model, thetas, s):
         s, ld_s = _analyzed(model, s)
-        fault, f, implied = evaluate_stack(model, thetas, s, ld_s)
-        assert fault.shape == f.shape == (len(thetas),)
-        kept = 0  # the implied stacks hold the rows whose (I - A) is usable
+        ok, f, implied = evaluate_stack(model, thetas, s, ld_s)
+        assert ok.shape == f.shape == (len(thetas),)
+        assert all(len(mat) == len(thetas) for mat in implied)
         for row in range(len(thetas)):
-            fault_1, f_1, implied_1 = evaluate_stack(model, thetas[row:row + 1], s, ld_s)
-            assert fault[row] == fault_1[0]
+            ok_1, f_1, implied_1 = evaluate_stack(model, thetas[row:row + 1], s, ld_s)
+            assert ok[row] == ok_1[0]
             _assert_same_bytes(f[row], f_1[0])
-            if fault_1[0] != SINGULAR_STRUCTURE:
-                for mat, mat_1 in zip(implied, implied_1):
-                    _assert_same_bytes(mat[kept], mat_1[0])
-                kept += 1
-        assert all(len(mat) == kept for mat in implied)
-        return fault
+            for mat, mat_1 in zip(implied, implied_1):
+                _assert_same_bytes(mat[row], mat_1[0])
+        assert np.isnan(f[~ok]).all()
+        assert all(np.isnan(mat[~ok]).all() for mat in implied)
+        return ok, f
 
     @pytest.mark.parametrize("k", [1, 2, 28, 300])
     def test_single_step_model(self, conditions, k):
         cond = conditions["Sigma1"]
         rng = np.random.default_rng(k)
         thetas = _mixed_rows(cond.model, cond.theta_star, k, rng)
-        fault = self._assert_rows_match(cond.model, thetas, cond.sigma_pop)
-        assert (fault == SIGMA_NOT_PD).sum() == len(thetas[1::3])
+        ok, f = self._assert_rows_match(cond.model, thetas, cond.sigma_pop)
+        assert ok.all() and np.isnan(f).sum() == len(thetas[1::3])
 
     @pytest.mark.parametrize("k", [1, 2, 28, 300])
     def test_solved_model(self, k):
@@ -541,9 +539,9 @@ class TestStackRowsBytes:
         if k > 2:
             # Sigma passes its Cholesky test, then its solve meets a zero pivot
             thetas[2] = [1.00001, 0.99999, 1e-6]
-        fault = self._assert_rows_match(model, thetas, s)
-        assert (fault == SINGULAR_STRUCTURE).sum() == len(thetas[3::5])
-        assert (fault == SIGMA_NOT_PD).sum() >= len(thetas[1::3]) - len(thetas[3::5])
+        ok, f = self._assert_rows_match(model, thetas, s)
+        assert (~ok).sum() == len(thetas[3::5])
+        assert (ok & np.isnan(f)).sum() >= len(thetas[1::3]) - len(thetas[3::5])
 
 
 def _fit_at(model, theta, s):
@@ -921,6 +919,22 @@ class TestRmseaConversions:
             rmsea_from_f(1.0, 5)
         with pytest.raises(ValueError):
             f_from_rmsea(-0.1, 5, population=True)
+
+
+# each validation branch of the RMSEA conversions with a call that takes it
+# and the message it raises
+_VALIDATION_CASES = {
+    "rmsea_from_f negative f": (lambda: rmsea_from_f(-0.1, 8, 200), "f must be nonnegative"),
+    "f_from_rmsea df 0": (lambda: f_from_rmsea(0.05, 0, 200), "df must be at least 1"),
+    "f_from_rmsea n 1": (lambda: f_from_rmsea(0.05, 8, 1), "sample mode needs n >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(_VALIDATION_CASES))
+def test_validation_raises(case):
+    call, message = _VALIDATION_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # df 2000 is where e^(-x/2) alone underflows; there the tail's error is the

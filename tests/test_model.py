@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from fungible import (
     CONFIDENCE,
     FIXED,
+    AxisWidths,
     ContourTarget,
     ModelSpec,
     NoConvergence,
     NotPositiveDefinite,
+    PopulationCondition,
     SingularStructure,
     StudyDesign,
     TargetUnreachable,
@@ -22,6 +24,7 @@ from fungible import (
     chisq_quantile,
     condition_at,
     condition_from_label,
+    f_from_rmsea,
     f_ml,
     f_target,
     fit_ml,
@@ -33,12 +36,14 @@ from fungible import (
     model_to_dict,
     population_rmsea,
     replication_rng,
+    rmsea_from_f,
     run_cell,
+    run_design,
     save_model,
     sigma_of_theta,
     wishart_sample,
 )
-from fungible.discrepancy import SINGULAR_STRUCTURE, evaluate_stack
+from fungible.discrepancy import evaluate_stack
 from fungible.model import (STRUCTURAL_EFFECT_LEVELS, UNIQUE_VARIANCE_LEVELS, as_cov,
                             implied_stack)
 from helpers import (
@@ -162,17 +167,19 @@ class TestImpliedStack:
             else:
                 for got, want in ((g, g_ref), (c, c_ref), (sigma, sigma_ref)):
                     assert got.tobytes() == want.tobytes()
-            fault = evaluate_stack(model, thetas, s, np.linalg.slogdet(s)[1])[0]
-            assert not (fault == SINGULAR_STRUCTURE).any()
+            assert evaluate_stack(model, thetas, s, np.linalg.slogdet(s)[1])[0].all()
         assert kinds == {True, False}
 
     def test_feedback_model_keeps_singularity_test(self):
         model = feedback_model()
         s = np.array([[1.0, 0.3], [0.3, 1.0]])
         thetas = np.array([[0.3, 0.2, 1.0], [2.0, 0.5, 1.0], [1.0, 1.0, 1.0]])
-        fault = evaluate_stack(model, thetas, s, np.linalg.slogdet(s)[1])[0]
-        assert list(fault == SINGULAR_STRUCTURE) == [False, True, True]
-        assert list(implied_stack(model, thetas)[0]) == [True, False, False]
+        ok, f, implied = evaluate_stack(model, thetas, s, np.linalg.slogdet(s)[1])
+        assert list(ok) == [True, False, False]
+        # every stack keeps all three rows, NaN at the singular ones
+        assert np.isfinite(f[0]) and np.isnan(f[1:]).all()
+        for mat in implied:
+            assert len(mat) == 3 and np.isfinite(mat[0]).all() and np.isnan(mat[1:]).all()
         with pytest.raises(SingularStructure):
             f_ml(model, thetas[1], s)
 
@@ -268,6 +275,85 @@ class TestModelSpecValidation:
         fields[label] = fixed
         with pytest.raises(ValueError, match=f"{label} must be finite"):
             ModelSpec(**fields)
+
+
+def _canonical_spec(**changes):
+    """The canonical model's ModelSpec with some fields replaced."""
+    model = canonical_model()
+    names = ("observed", "latent", "directed_fixed", "directed_param", "symmetric_fixed",
+             "symmetric_param", "theta_names")
+    return ModelSpec(**{**{name: getattr(model, name) for name in names}, **changes})
+
+
+def _asymmetric_fixed():
+    fixed = canonical_model().symmetric_fixed.copy()
+    fixed[0, 1] = 0.3  # x1 with x2, and not x2 with x1
+    return fixed
+
+
+def _df_zero_condition():
+    # x -> y with both variances free: q = 3 = p(p + 1)/2
+    return PopulationCondition("df0", two_var_path(fixed_exogenous=False), [0.5, 1.0, 0.75],
+                               [[1.0, 0.5], [0.5, 1.0]], misfit_pair=(0, 1))
+
+
+# make_model arguments for x -> y with free variances, and entry lists
+_VARS = (["x", "y"], [])
+_PATH = [{"row": "y", "col": "x", "param": "b"}]
+_VARIANCES = [{"row": v, "col": v, "param": f"v{v}"} for v in ("x", "y")]
+
+# each validation branch of the module with a call that takes it and the
+# message it raises
+_VALIDATION_CASES = {
+    "spec duplicate names": (lambda: _canonical_spec(observed=("x1",) * 6),
+                             "variable names must be unique"),
+    "spec wrong shape": (lambda: _canonical_spec(directed_fixed=np.zeros((7, 7))),
+                         r"directed_fixed must have shape \(8, 8\)"),
+    "spec asymmetric fixed values": (lambda: _canonical_spec(symmetric_fixed=_asymmetric_fixed()),
+                                     "symmetric pattern values are not symmetric"),
+    "spec no free parameters": (lambda: _canonical_spec(
+        directed_param=np.full((8, 8), FIXED), symmetric_param=np.full((8, 8), FIXED),
+        symmetric_fixed=np.eye(8), theta_names=()), "model has no free parameters"),
+    "index out of range": (lambda: make_model(*_VARS, [{"row": 5, "col": "x", "param": "b"}],
+                                              _VARIANCES), "variable index 5 out of range"),
+    "unknown variable": (lambda: make_model(*_VARS, [{"row": "z", "col": "x", "param": "b"}],
+                                            _VARIANCES), "unknown variable 'z'"),
+    "directed entry without param or value": (
+        lambda: make_model(*_VARS, [{"row": "y", "col": "x"}], _VARIANCES),
+        "directed entry needs 'param' or 'value'"),
+    "symmetric entry without param or value": (
+        lambda: make_model(*_VARS, _PATH, _VARIANCES + [{"row": "x", "col": "y"}]),
+        "symmetric entry needs 'param' or 'value'"),
+    "conflicting symmetric value": (lambda: make_model(*_VARS, _PATH, _VARIANCES + [
+        {"row": "x", "col": "y", "value": 0.3}, {"row": "y", "col": "x", "value": 0.4}]),
+        r"conflicting symmetric entry at \(1, 0\)"),
+    "start value without value": (lambda: make_model(*_VARS, _PATH, _VARIANCES, [{"param": "b"}]),
+                                  "needs 'param' and 'value'"),
+    "start value of unknown parameter": (
+        lambda: make_model(*_VARS, _PATH, _VARIANCES, [{"param": "c", "value": 1.0}]),
+        "start value for unknown parameter 'c'"),
+    "model key not a list": (lambda: load_model({"observed": "xy", "latent": []}),
+                             "the model key 'observed' must be a list, got str"),
+    "model entries not objects": (
+        lambda: load_model({"observed": ["x"], "latent": [], "directed": [1]}),
+        "every entry of the model key 'directed' must be a JSON object"),
+    "negative epsilon_pop": (lambda: dataclasses.replace(_df_zero_condition(), epsilon_pop=-0.1),
+                             "epsilon_pop must be finite and nonnegative"),
+    "nan epsilon_pop": (lambda: dataclasses.replace(_df_zero_condition(), epsilon_pop=math.nan),
+                        "epsilon_pop must be finite and nonnegative"),
+    "misfit_pair not distinct": (lambda: dataclasses.replace(_df_zero_condition(), misfit_pair=(1, 1)),
+                                 "misfit_pair must be two distinct observed indices"),
+    # at target 0, where no fit would reach rmsea_from_f's own df check
+    "misspecify at df 0": (lambda: misspecify_to_epsilon(_df_zero_condition(), 0.0),
+                           "df must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_VALIDATION_CASES))
+def test_validation_raises(case):
+    call, message = _VALIDATION_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestModelJson:
@@ -444,6 +530,15 @@ _COUNT_CALLERS = {
     "replication_rng n": ("n", lambda fit, v: replication_rng(1, "Sigma1", v, 0.0, 0)),
     "replication_rng rep": ("rep", lambda fit, v: replication_rng(1, "Sigma1", 200, 0.0, v)),
     "run_cell": ("n", lambda fit, v: run_cell(StudyDesign(replications=1), "Sigma1", v, 0.0, CONFIDENCE)),
+    "run_design": ("threads", lambda fit, v: run_design(StudyDesign(replications=1), threads=v)),
+    "rmsea_from_f df": ("df", lambda fit, v: rmsea_from_f(0.1, v, 200)),
+    "rmsea_from_f n": ("n", lambda fit, v: rmsea_from_f(0.1, 8, v)),
+    "f_from_rmsea df": ("df", lambda fit, v: f_from_rmsea(0.05, v, 200)),
+    "f_from_rmsea n": ("n", lambda fit, v: f_from_rmsea(0.05, 8, v)),
+    "focal_objectives": ("focal index", lambda fit, v: fit.focal_objectives((5, v))),
+    "AxisWidths": ("focal index", lambda fit, v: AxisWidths(1.0, 0.5, [1.0, 0.0], [0.0, 1.0], (5, v))),
+    "PopulationCondition": ("misfit_pair index", lambda fit, v: dataclasses.replace(
+        condition_at("Sigma1", 0.0), misfit_pair=(0, v))),
 }
 
 
@@ -465,6 +560,13 @@ class TestCountRule:
         assert fit_ml(fit.model, fit.s, n=np.int32(200)).n == 200
         draws = [replication_rng(1, "Sigma1", n, 0.0, 0).random(4) for n in (200, np.int64(200))]
         assert draws[0].tobytes() == draws[1].tobytes()
+
+    @pytest.mark.parametrize("value", [True, 1.0, np.float64(1.0)])
+    def test_variable_index_is_an_integer(self, value):
+        # a JSON true or 1.0 names no variable; it is never read as index 1
+        with pytest.raises(ValueError, match="unknown variable"):
+            make_model(["a", "b"], [], [{"row": value, "col": "a", "param": "b1"}],
+                       [{"row": v, "col": v, "param": f"v{v}"} for v in ("a", "b")])
 
 
 class TestBuiltinConditions:
@@ -583,6 +685,13 @@ class TestMisspecify:
     def test_negative_target_rejected(self, conditions):
         with pytest.raises(ValueError):
             misspecify_to_epsilon(conditions["Sigma1"], -0.01)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_target_rejected(self, conditions, eps):
+        # NaN once failed the search as NotPositiveDefinite, and inf as
+        # TargetUnreachable with a RuntimeWarning
+        with pytest.raises(ValueError, match="epsilon_target must be finite and nonnegative"):
+            misspecify_to_epsilon(conditions["Sigma1"], eps)
 
     def test_missing_direction_rejected(self, conditions):
         cond = dataclasses.replace(conditions["Sigma1"], misfit_pair=None)

@@ -515,3 +515,21 @@ class TestPaperFixture:
         ok, lines = check_fixture_scaling(bad)
         assert not ok
         assert any("FAIL" in ln for ln in lines)
+
+
+# each validation branch of the module with a call that takes it and the
+# message it raises
+_VALIDATION_CASES = {
+    "duplicate modes": (lambda: StudyDesign(targets=(contour.ContourTarget(mode="confidence"),) * 2),
+                        "duplicate contour modes in targets"),
+    "fixture without N 200": (lambda: check_fixture_scaling(
+        dataclasses.replace(paper_fixture(), sample_sizes=(1000, 50))),
+        "scaling check needs sample sizes 1000 and 200"),
+}
+
+
+@pytest.mark.parametrize("case", list(_VALIDATION_CASES))
+def test_validation_raises(case):
+    call, message = _VALIDATION_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -356,3 +357,19 @@ class TestBracketLevel:
         assert (lo[bracketed] < hi[bracketed]).all()
         assert escaped[kinds == EDGE_BEYOND].all() and (g_hi[kinds == EDGE_BEYOND] < 0).all()
         assert escaped[kinds == EXHAUSTED].all() and np.isnan(g_hi[kinds == EXHAUSTED]).all()
+
+
+# each validation branch of the module with a call that takes it and the
+# message it raises
+_VALIDATION_CASES = {
+    "bracket not straddling": (lambda: bracketed_root(lambda x, which: x - 2.0, [0.0], [1.0], [-2.0],
+                                                      [-1.0], f_tol=1e-12),
+                               "bracket does not straddle the root"),
+}
+
+
+@pytest.mark.parametrize("case", list(_VALIDATION_CASES))
+def test_validation_raises(case):
+    call, message = _VALIDATION_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
