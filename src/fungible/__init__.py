@@ -8,6 +8,7 @@ from .contour import (
     AxisWidths,
     ContourTarget,
     axis_widths_exact,
+    axis_widths_group,
     axis_widths_quadratic,
     f_target,
     fpe_sample,

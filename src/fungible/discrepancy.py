@@ -155,6 +155,14 @@ class FocalPlane:
     Any other plane, of a model with longer paths or one where no entry of
     Sigma moves, is :func:`evaluate_stack` at theta_hat + delta, the bits of
     :meth:`~fungible.fit.FitResult.objectives`.
+
+    The polynomial planes of fits of one model along the same focal
+    parameters share their monomials and rows J, and :meth:`stack` stacks
+    them along a fit axis, a fit's own plane being the one-fit stack.  A
+    stack's call takes, besides the offsets, each row's index into its
+    fits, gathers that fit's coefficients and constants per row and sums
+    them in its own plane's order, so each row has the F of its fit's plane
+    (a NaN's sign bit aside).
     """
 
     def __init__(self, model: ModelSpec, theta_hat, focal, s, ld_s):
@@ -196,21 +204,47 @@ class FocalPlane:
             pairs[:, :, 1] = w.swapaxes(1, 2)[:, None] @ s_rr @ w[None]
             keys, coef = sum_by_monomial(keys, terms)
         # the constant terms, split so that where R is empty F adds up as
-        # in evaluate_stack
+        # in evaluate_stack; a stack holds one per fit
         self._ld_const = ld_rr - ld_s
         self._tr_const = float(np.sum(s_rr * inv_rr.T)) - model.n_observed
         coef = coef.reshape(len(keys), -1)
         nonzero = coef.any(axis=1)
-        self._coef, self._moved = coef[nonzero], moved
+        # the coefficients with a fit axis, last: one fit here
+        self._coef, self._moved = coef[nonzero][:, :, None], moved
         # each kept monomial's focal positions, padded to one length with
         # the position of a row of ones; N's constant term is never 0
         kept = [key for key, keep in zip(keys, nonzero.tolist()) if keep]
         width, ones = max(1, len(kept[-1])), len(focal)
         self._positions = np.array([key + (ones,) * (width - len(key)) for key in kept]).T
 
-    def _blocks(self, offsets):
-        """``(K, N)`` at the offsets, from their polynomials.  Runs under
-        its caller's errstate."""
+    @classmethod
+    def stack(cls, planes):
+        """The polynomial planes of fits of one model along the same focal
+        parameters, stacked along a fit axis: a plane whose call takes each
+        row's index into ``planes``.  The coefficients and constants of
+        every fit sit side by side, so a row is summed exactly as on its
+        fit's own plane, the one-fit stack.  Returns the plane itself for
+        one plane, and None where the planes do not all share their
+        monomials and moved rows (or one is the kernel)."""
+        first = planes[0]
+        if len(planes) == 1:
+            return first if isinstance(first, cls) else None
+        if not all(isinstance(plane, cls) and plane._polynomial for plane in planes):
+            return None
+        if not all(np.array_equal(plane._positions, first._positions)
+                   and np.array_equal(plane._moved, first._moved) for plane in planes):
+            return None
+        stacked = object.__new__(cls)
+        stacked.__dict__.update(first.__dict__)
+        stacked._coef = np.concatenate([plane._coef for plane in planes], axis=-1)
+        stacked._ld_const = np.array([plane._ld_const for plane in planes])
+        stacked._tr_const = np.array([plane._tr_const for plane in planes])
+        return stacked
+
+    def _blocks(self, offsets, coef=None):
+        """``(K, N)`` at the offsets, from their polynomials with the
+        coefficients ``coef``, one fit's or one per row (the plane's own
+        where None).  Runs under its caller's errstate."""
         k, n_j = len(offsets), len(self._moved)
         # each monomial at every row: the product of its positions' rows,
         # taken from the last position to the first
@@ -223,17 +257,21 @@ class FocalPlane:
             terms *= factor
         # summed over the monomials, the first axis: the same order of
         # additions at every row
-        blocks = (self._coef[:, :, None] * terms[:, None, :]).sum(axis=0)
+        blocks = ((self._coef if coef is None else coef) * terms[:, None, :]).sum(axis=0)
         blocks = blocks.reshape(2, n_j, n_j, k).transpose(0, 3, 1, 2)
         return blocks[0], blocks[1]
 
-    def __call__(self, offsets):
+    def __call__(self, offsets, fit=None):
         if not self._polynomial:
             thetas = np.repeat(self._theta_hat[None], len(offsets), axis=0)
             thetas[:, self._focal] += offsets
             return evaluate_stack(self._model, thetas, self._s, self._ld_s)[1]
+        coef, ld_const, tr_const = self._coef, self._ld_const, self._tr_const
+        if coef.shape[-1] > 1:  # a stack: each row's own fit's
+            coef, ld_const, tr_const = (coef.take(fit, axis=-1), ld_const.take(fit),
+                                        tr_const.take(fit))
         with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
-            return _f_stack(*self._blocks(offsets), self._ld_const, self._tr_const)
+            return _f_stack(*self._blocks(offsets, coef), ld_const, tr_const)
 
 
 def _raise_fault(ok, bad):

@@ -273,6 +273,12 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether a level is a real number: a finite :class:`numbers.Real`
+    other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def as_int(value, name: str) -> int:
     """A count given to the package as an int; raises :class:`ValueError`
     naming ``name`` for a value that fails :func:`is_int`."""
@@ -644,10 +650,16 @@ class PopulationCondition:
         p = self.model.n_observed
         sigma = as_cov(self.sigma_pop, p, which="sigma_pop")[0]
         object.__setattr__(self, "sigma_pop", _frozen_array(sigma, float))
-        if not 0.0 <= self.epsilon_pop < math.inf:
+        if not (is_real(self.epsilon_pop) and self.epsilon_pop >= 0.0):
             raise ValueError(f"epsilon_pop must be finite and nonnegative, got {self.epsilon_pop!r}")
         if self.misfit_pair is not None:
-            i, j = (as_int(index, "misfit_pair index") for index in self.misfit_pair)
+            try:
+                i, j = self.misfit_pair
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"misfit_pair must be two observed indices, got {self.misfit_pair!r}"
+                ) from None
+            i, j = as_int(i, "misfit_pair index"), as_int(j, "misfit_pair index")
             if not (0 <= i < p and 0 <= j < p and i != j):
                 raise ValueError("misfit_pair must be two distinct observed indices")
             object.__setattr__(self, "misfit_pair", (i, j))
@@ -743,7 +755,7 @@ def misspecify_to_epsilon(cond: PopulationCondition, epsilon_target: float) -> P
     """
     from .fit import population_rmsea
 
-    if not 0.0 <= epsilon_target < math.inf:
+    if not (is_real(epsilon_target) and epsilon_target >= 0.0):
         raise ValueError(f"epsilon_target must be finite and nonnegative, got {epsilon_target!r}")
     if cond.model.df < 1:
         raise ValueError("df must be at least 1")

@@ -7,15 +7,20 @@ hash(seed, condition, n, epsilon, replication index), so cells are
 order-independent and can run in parallel without shared state.
 
 The stream is keyed without the contour mode, so the sampled modes of one
-(condition, n, epsilon) draw the same S: each process draws and fits it once
-and every sampled mode measures its widths on that fit.  The replications'
-fits are cached per (seed, condition, n, epsilon, replications), at most 8
-such entries (about 3.5 KB per fit: 14 MB at 500 replications each).  The
-population fit is cached per (condition, epsilon) and shared across N, since
-the fit's iterates do not depend on N.  A cached fit is the same computation
-as a fresh one, so the table is byte-identical in any cell order;
-:func:`run_design` hands each worker process the cells of one (condition, n,
-epsilon) together.
+(condition, n, epsilon) draw the same S.  The first sampled cell of such a
+group draws and fits its replications once and solves every sampled mode's
+widths on those fits in one engine run per chunk of :data:`GROUP_CHUNK`
+replications (:func:`~fungible.contour.axis_widths_group`); each cell then
+reads its own mode's widths.  A width that fails excludes its replication
+from its own cell alone, and an error the package does not declare is
+raised by that cell alone.  The group widths are cached per (design,
+condition, n, epsilon), at most 8 such entries (about 0.7 KB per width: at
+500 replications an entry holds 1,000 widths, about 0.7 MB).  The
+population fit is cached per (condition, epsilon) and shared across N,
+since the fit's iterates do not depend on N.  Every width of a run is the
+one-width computation bit for bit, so the table is byte-identical in any
+cell order; :func:`run_design` hands each worker process the cells of one
+(condition, n, epsilon) together.
 """
 
 from __future__ import annotations
@@ -30,12 +35,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .contour import (CONFIDENCE, DELTA_F, EPS_TILDE, N_DIRECTIONS, ContourTarget, _is_real,
-                       axis_widths_exact, f_target)
+from .contour import (CONFIDENCE, DELTA_F, EPS_TILDE, N_DIRECTIONS, ContourTarget,
+                       axis_widths_group, f_target)
 from .errors import DegenerateSample, FungibleError, NotPositiveDefinite
 from .fit import fit_ml
 from .model import (as_cov, as_int, canonical_model, check_focal, condition_from_label,
-                    focal_indices, is_int, misspecify_to_epsilon)
+                    focal_indices, is_int, is_real, misspecify_to_epsilon)
 
 # The study's delta_f target uses relative scaling: only then do delta_f
 # widths grow with the population misfit level, the pattern the reference
@@ -46,6 +51,14 @@ DEFAULT_TARGETS = (
     ContourTarget(mode=EPS_TILDE, epsilon_tilde=0.005),
     ContourTarget(mode=DELTA_F, delta_f=0.05, scaling="relative"),
 )
+
+
+# replications whose widths share one engine run.  A chunk's rays stack,
+# 360 per level of each fit at the default sweep.  On a 2-core Xeon VM, a
+# one-process run of 500 replications (Sigma1 and Sigma4, N 1000, eps 0 and
+# .09) peaked at 52.7 MB RSS at 20 and 75.5 MB at 60, against 48.9 MB with
+# every width run alone; widths took the same time at 20 and 60
+GROUP_CHUNK = 20
 
 
 def _is_str(value) -> bool:
@@ -70,7 +83,7 @@ class StudyDesign:
         for name, is_kind, kind in (
             ("conditions", _is_str, "strings"),
             ("sample_sizes", is_int, "integers"),
-            ("epsilons", _is_real, "finite real numbers"),
+            ("epsilons", is_real, "finite real numbers"),
             ("focal", _is_str, "strings"),
             ("population_analysis", _is_str, "strings"),
         ):
@@ -206,15 +219,35 @@ def _usable_fit(cond, n, rng):
     return res if res.converged and not res.improper else None
 
 
+def _widths(fits, targets, focal, directions):
+    """Per fit, the exact widths at each target's level from one
+    :func:`~fungible.contour.axis_widths_group` run, each an
+    :class:`~fungible.contour.AxisWidths` or the error it failed with; None
+    for each target of a fit that is None."""
+    usable = [fit for fit in fits if fit is not None]
+    levels = [[f_target(target, fit, n_focal=len(focal)) for target in targets] for fit in usable]
+    widths = iter(axis_widths_group(usable, levels, focal, directions))
+    return [[None] * len(targets) if fit is None else next(widths) for fit in fits]
+
+
 @lru_cache(maxsize=8)
-def _sample_fits(seed: int, condition: str, n: int, epsilon: float, replications: int):
-    """:func:`_usable_fit` of every replication's draw, shared by the sampled
-    modes.  Mode-major cell order needs one live entry per epsilon."""
+def _group_widths(design: StudyDesign, condition: str, n: int, epsilon: float):
+    """The widths of every sampled mode of one (condition, n, epsilon), by
+    mode, one per replication as :func:`_widths` gives them: the
+    replications' :func:`_usable_fit` fits, GROUP_CHUNK at a time, each
+    chunk's widths in one engine run.  Mode-major cell order needs one live
+    entry per epsilon."""
     cond = condition_at(condition, epsilon)
-    return tuple(
-        _usable_fit(cond, n, replication_rng(seed, condition, n, epsilon, rep))
-        for rep in range(replications)
-    )
+    focal = focal_indices(cond.model, design.focal)
+    targets = [t for t in design.targets if t.mode not in design.population_analysis]
+    widths = []
+    for start in range(0, design.replications, GROUP_CHUNK):
+        fits = [
+            _usable_fit(cond, n, replication_rng(design.seed, condition, n, epsilon, rep))
+            for rep in range(start, min(start + GROUP_CHUNK, design.replications))
+        ]
+        widths += _widths(fits, targets, focal, design.directions)
+    return {target.mode: tuple(row[k] for row in widths) for k, target in enumerate(targets)}
 
 
 @lru_cache(maxsize=None)
@@ -230,31 +263,28 @@ def run_cell(design: StudyDesign, condition: str, n: int, epsilon: float, mode: 
     Modes listed in ``design.population_analysis`` analyze the population
     covariance directly instead (one replication, SD exactly 0).  Failed,
     nonconverged, improper, and partial-sweep replications are excluded and
-    counted.  Draws and fits are cached and shared by the cells of one
-    (condition, n, epsilon); see the module docstring.
+    counted; a width error the package does not declare is raised.  The
+    sampled modes' widths are computed together and cached for the cells of
+    one (condition, n, epsilon); see the module docstring.
     """
     target = {t.mode: t for t in design.targets}[mode]
     n, epsilon = as_int(n, "n"), float(epsilon)
-    model = condition_at(condition, epsilon).model
-    focal = focal_indices(model, design.focal)
+    focal = focal_indices(condition_at(condition, epsilon).model, design.focal)
     if mode in design.population_analysis:
         fit = _population_fit(condition, epsilon)
-        fits = (None if fit is None else replace(fit, n=n),)
+        fits = [None if fit is None else replace(fit, n=n)]
+        results = [row[0] for row in _widths(fits, [target], focal, design.directions)]
     else:
-        fits = _sample_fits(design.seed, condition, n, epsilon, design.replications)
+        results = _group_widths(design, condition, n, epsilon)[mode]
 
     majors, minors = [], []
     excluded = 0
-    for res in fits:
-        if res is None:
+    for widths in results:
+        if widths is None or isinstance(widths, FungibleError):
             excluded += 1
             continue
-        try:
-            level = f_target(target, res, n_focal=len(focal))
-            widths = axis_widths_exact(res, level, focal, design.directions)
-        except FungibleError:
-            excluded += 1
-            continue
+        if isinstance(widths, Exception):
+            raise widths
         if widths.partial:
             excluded += 1
             continue

@@ -30,6 +30,8 @@ from fungible import (
 )
 from fungible import contour
 from fungible._solve import golden_max
+from fungible.contour import axis_widths_group
+from fungible.discrepancy import FocalPlane
 from fungible.errors import FungibleError
 from fungible.simstudy import DEFAULT_TARGETS
 from helpers import (
@@ -438,23 +440,34 @@ class TestLockstepEngine:
 
     def test_ray_radius_independent_of_its_stack(self):
         # golden_max caches each angle's value from whichever stacked solve
-        # evaluated it, so a ray's radius and fault must be the same bits
-        # alone, in a stack and in a permuted stack (no SIMD-tail rounding)
+        # evaluated it, and a group's contours share each solve, so a ray's
+        # radius and fault must be the same bits alone on its own contour,
+        # in a stack, in a permuted stack and among another fit's rays on a
+        # stacked plane (no SIMD-tail rounding)
         edge_fit, focal_pair, delta_f = _selftest_case()
         cond = condition_at("Sigma3", 0.09)
         s = wishart_sample(cond.sigma_pop, 200, replication_rng(1, "Sigma3", 200, 0.09, 0))
         res = fit_ml(cond.model, s, n=200)
         confidence = f_target(ContourTarget(mode="confidence"), res, n_focal=2)
         rng = np.random.default_rng(37)
-        for fit, t in ((edge_fit, delta_f), (res, confidence)):
-            solve = contour._ray_solver(fit, focal_pair, t)
+        pairs = [(0, delta_f), (1, confidence), (1, delta_f)]
+        solvers = [contour._ray_solver([fit], focal_pair, [(0, t)])[0]
+                   for fit, t in ((edge_fit, delta_f), (res, confidence), (res, delta_f))]
+        group = contour._ray_solver([edge_fit, res], focal_pair, pairs)[0]
+        for _ in range(2):
             units = contour._units(rng.uniform(0.0, 2.0 * math.pi, 37))
+            pair = rng.integers(0, len(pairs), 37)
             order = rng.permutation(37)
-            alone = [np.concatenate(v) for v in zip(*(solve(units[k : k + 1]) for k in range(37)))]
-            stacked, permuted = solve(units), solve(units[order])
+            alone = [np.concatenate(v) for v in zip(*(
+                solvers[p](units[k : k + 1], np.zeros(1, dtype=int)) for k, p in enumerate(pair)))]
+            stacked, permuted = group(units, pair), group(units[order], pair[order])
             for one, many, shuffled in zip(alone, stacked, permuted):
                 assert many.tobytes() == one.tobytes()
                 assert shuffled.tobytes() == one[order].tobytes()
+            for p, solve in enumerate(solvers):  # each contour's rays as one stack
+                own = np.flatnonzero(pair == p)
+                for one, many in zip(alone, solve(units[own], np.zeros(len(own), dtype=int))):
+                    assert many.tobytes() == one[own].tobytes()
 
     def test_domain_edge_case_solves(self):
         # this case used to end in numpy's LinAlgError during the domain-edge
@@ -519,7 +532,8 @@ def _sequential_golden(f, a, b, *, x_tol, max_iter=200, known=None):
     no use for the prior points ``known``."""
     def values(x, which):
         out, fault = f(x, which)
-        contour._raise_faults(fault)
+        if (err := contour._fault_error(fault.max())) is not None:
+            raise err
         return out
 
     x_best, f_best = reference_golden_max(values, a, b, x_tol=x_tol, max_iter=max_iter)
@@ -631,6 +645,137 @@ class TestLookaheadRefinement:
         monkeypatch.setattr(contour, "golden_max", _sequential_golden)
         with pytest.raises(error):
             axis_widths_exact(fit, _FAULTY_LEVEL, (0, 1), _FAULTY_DIRECTIONS)
+
+
+class _FaultyAt(_Faulty):
+    """:class:`_Faulty` on the focal pair ``focal`` of a ``q``-parameter
+    vector, so that it can share a group with fits of the canonical model."""
+
+    def __init__(self, focal, q, *args):
+        super().__init__(*args)
+        self.focal = list(focal)
+        self.theta_hat, self.hessian_at_opt = np.zeros(q), np.zeros((q, q))
+
+    def objective(self, theta):
+        return super().objective(np.asarray(theta)[self.focal])
+
+
+class _WalledAt(_FaultyAt):
+    """An isotropic bowl on the focal pair whose F is NaN past 0.1 along the
+    second focal parameter: at level 0.02 (radius 0.2) the rays within 60
+    degrees of that axis escape (6 of 8), so its width is partial."""
+
+    def objective(self, theta):
+        d = np.asarray(theta)[self.focal]
+        return math.nan if abs(d[1]) > 0.1 else 0.5 * float(d @ d)
+
+
+def _outcome(width):
+    """A width's bits (major, minor, both directions, skipped, partial), or
+    its error's class."""
+    if isinstance(width, Exception):
+        return type(width).__name__
+    return (width.major.hex(), width.minor.hex(), width.major_direction.tobytes(),
+            width.minor_direction.tobytes(), width.skipped, width.partial)
+
+
+def _alone(fit, t, focal, n_directions):
+    try:
+        return _outcome(axis_widths_exact(fit, t, focal, n_directions))
+    except Exception as err:  # noqa: BLE001 - the class is compared
+        return type(err).__name__
+
+
+@pytest.fixture(scope="module")
+def group_case(focal):
+    """Sample fits of Sigma1-4 x N 50/200 at eps .09 and the raw delta_f 2.0
+    domain-edge fit, each with its levels: the three default targets, raw
+    delta_f 2.0, the degenerate level F-hat and, for the first fit, a
+    level below F-hat; at raw delta_f 8.0, an N=50 fit of Sigma3 whose
+    rays meet a Sigma failure inside a bracket."""
+    edge_fit, edge_focal, edge_level = _selftest_case()
+    assert edge_focal == focal
+    fits, levels = [], []
+    for label in ("Sigma1", "Sigma2", "Sigma3", "Sigma4"):
+        cond = condition_at(label, 0.09)
+        for n in (50, 200):
+            s = wishart_sample(cond.sigma_pop, n, replication_rng(5, label, n, 0.09, 0))
+            fits.append(fit_ml(cond.model, s, n=n))
+    targets = DEFAULT_TARGETS + (ContourTarget(mode="delta_f", delta_f=2.0, scaling="raw"),)
+    for res in fits:
+        levels.append([f_target(target, res, n_focal=2) for target in targets] + [res.f_hat])
+    levels[0].append(fits[0].f_hat - 1e-3)
+    cond = condition_at("Sigma3", 0.09)
+    s = wishart_sample(cond.sigma_pop, 50, replication_rng(0, "Sigma3", 50, 0.09, 0))
+    fits.append(fit_ml(cond.model, s, n=50))
+    levels.append([fits[-1].f_hat + 8.0, fits[-1].f_hat + 2.0])
+    fits.append(edge_fit)
+    levels.append([edge_level, edge_fit.f_hat])
+    return fits, levels
+
+
+class TestGroupRun:
+    """Every (fit, level) width of a group run is its one-width call's, bit
+    for bit, or raises the same class: on a stacked plane, on per-fit planes
+    next to faulting stand-ins, and in any group order."""
+
+    @pytest.mark.parametrize("n_directions", [90, 360])
+    def test_each_width_is_its_one_width_call(self, group_case, focal, n_directions):
+        fits, levels = group_case
+        assert FocalPlane.stack([res.focal_objectives(focal) for res in fits]) is not None
+        got = axis_widths_group(fits, levels, focal, n_directions)
+        outcomes = []
+        for res, fit_levels, widths in zip(fits, levels, got):
+            assert len(widths) == len(fit_levels)
+            for t, width in zip(fit_levels, widths):
+                outcomes.append(_outcome(width))
+                assert outcomes[-1] == _alone(res, t, focal, n_directions)
+        # the cases the group must carry: a level below F-hat, a faulted
+        # ray and degenerate widths
+        assert {"ValueError", "NotPositiveDefinite"} <= set(outcomes)
+        assert any(w.major == 0.0 for row in got for w in row if not isinstance(w, Exception))
+
+    def test_group_order(self, group_case, focal):
+        fits, levels = group_case
+        want = axis_widths_group(fits, levels, focal, 90)
+        order = np.random.default_rng(29).permutation(len(fits))
+        got = axis_widths_group([fits[i] for i in order], [levels[i][::-1] for i in order],
+                                focal, 90)
+        for i, widths in zip(order, got):
+            assert [_outcome(w) for w in widths[::-1]] == [_outcome(w) for w in want[i]]
+
+    def test_fault_stays_with_its_fit(self, monkeypatch, group_case, focal):
+        # stand-ins whose sweep ray at angle 0 meets NaN (a Sigma failure)
+        # or a jump over the level (no root within tolerance) inside
+        # radius 1, one whose golden search commits a NaN angle, next to a
+        # walled stand-in (skipped rays, partial), a healthy one and the
+        # sample fits: each width is still its one-width call's
+        fits, levels = group_case
+        q, n_dir = np.size(fits[0].theta_hat), _FAULTY_DIRECTIONS
+        committed, _ = _golden_angles(monkeypatch, _sequential_golden, _Faulty())
+        faulty = [_FaultyAt(focal, q, 0.0, 0.3, "nan"), _FaultyAt(focal, q, 0.0, 0.3, "jump"),
+                  _FaultyAt(focal, q, committed[4 + 2 * 7], 1e-7, "nan"),
+                  _WalledAt(focal, q), _FaultyAt(focal, q)]
+        group = fits[:3] + faulty[:3] + fits[3:] + faulty[3:]
+        group_levels = levels[:3] + [[_FAULTY_LEVEL]] * 3 + levels[3:] + [[_FAULTY_LEVEL]] * 2
+        got = axis_widths_group(group, group_levels, focal, n_dir)
+        assert [_outcome(w[0]) for w in got[3:6]] == [
+            "NotPositiveDefinite", "RuntimeError", "NotPositiveDefinite"]
+        walled, healthy = got[-2][0], got[-1][0]
+        assert walled.skipped == 6 and walled.partial
+        assert not isinstance(healthy, Exception) and not healthy.skipped
+        for res, fit_levels, widths in zip(group, group_levels, got):
+            for t, width in zip(fit_levels, widths):
+                assert _outcome(width) == _alone(res, t, focal, n_dir)
+
+    def test_empty_group_and_argument_errors(self, group_case, focal):
+        fits, levels = group_case
+        assert axis_widths_group([], [], focal, 90) == []
+        assert axis_widths_group(fits[:2], [[], []], focal, 90) == [[], []]
+        with pytest.raises(ValueError, match="one sequence of levels per fit"):
+            axis_widths_group(fits[:2], levels[:1], focal, 90)
+        with pytest.raises(ValueError, match="n_directions must be at least 4"):
+            axis_widths_group(fits[:2], levels[:2], focal, 2)
 
 
 @pytest.fixture(scope="module")

@@ -777,6 +777,34 @@ class TestFocalPlane:
             order = rng.permutation(1000)
             _assert_same_bytes(evaluate(offsets[order]), full[order])
 
+    def test_stack_rows_match_each_fit_plane(self, plane_cases):
+        # the planes of sample fits of one model, stacked along the fit
+        # axis, give each row its own fit's plane bits (a NaN's sign aside),
+        # at every focal pair and in any row order; planes of another focal
+        # pair, or of a multi-step model (the kernel), do not stack
+        cond = condition_at("Sigma2", 0.09)
+        fits = [fit_ml(cond.model, wishart_sample(cond.sigma_pop, n,
+                                                  replication_rng(3, "Sigma2", n, 0.09, rep)), n=n)
+                for n in (50, 200, 1000) for rep in range(2)]
+        rng = np.random.default_rng(13)
+        offsets = rng.standard_normal((600, 2)) * rng.choice([0.01, 0.3, 2.0], (600, 1))
+        which = rng.integers(0, len(fits), 600)
+        for pair in itertools.combinations(range(cond.model.q), 2):
+            planes = [res.focal_objectives(pair) for res in fits]
+            stack = FocalPlane.stack(planes)
+            assert stack is not None
+            got = stack(offsets, which)
+            for j, plane in enumerate(planes):
+                rows = np.flatnonzero(which == j)
+                _assert_same_values(got[rows], plane(offsets[rows]))
+            order = rng.permutation(600)
+            _assert_same_bytes(stack(offsets[order], which[order]), got[order])
+        assert FocalPlane.stack([planes[0]]) is planes[0]
+        assert FocalPlane.stack([planes[0], fits[1].focal_objectives((0, 1))]) is None
+        multi = next(fit for fit, _ in plane_cases.values() if not fit.model.single_step)
+        kernel = multi.focal_objectives((0, 1))
+        assert FocalPlane.stack([kernel, kernel]) is None
+
     def test_built_once_per_focal_tuple(self, popfits, focal):
         res = popfits["Sigma1"]
         evaluate = res.focal_objectives(focal)

@@ -343,6 +343,18 @@ _VALIDATION_CASES = {
                         "epsilon_pop must be finite and nonnegative"),
     "misfit_pair not distinct": (lambda: dataclasses.replace(_df_zero_condition(), misfit_pair=(1, 1)),
                                  "misfit_pair must be two distinct observed indices"),
+    "misfit_pair an integer": (lambda: dataclasses.replace(_df_zero_condition(), misfit_pair=5),
+                               "misfit_pair must be two observed indices, got 5"),
+    "misfit_pair of three": (lambda: dataclasses.replace(_df_zero_condition(), misfit_pair=(0, 1, 2)),
+                             r"misfit_pair must be two observed indices, got \(0, 1, 2\)"),
+    "string epsilon_pop": (lambda: dataclasses.replace(_df_zero_condition(), epsilon_pop="0.1"),
+                           "epsilon_pop must be finite and nonnegative, got '0.1'"),
+    "bool epsilon_pop": (lambda: dataclasses.replace(_df_zero_condition(), epsilon_pop=True),
+                         "epsilon_pop must be finite and nonnegative, got True"),
+    "string epsilon_target": (lambda: misspecify_to_epsilon(_df_zero_condition(), "0.03"),
+                              "epsilon_target must be finite and nonnegative, got '0.03'"),
+    "bool epsilon_target": (lambda: misspecify_to_epsilon(_df_zero_condition(), True),
+                            "epsilon_target must be finite and nonnegative, got True"),
     # at target 0, where no fit would reach rmsea_from_f's own df check
     "misspecify at df 0": (lambda: misspecify_to_epsilon(_df_zero_condition(), 0.0),
                            "df must be at least 1"),

@@ -322,8 +322,8 @@ class TestSharedFits:
 
 class TestExclusions:
     """Each exclusion branch of run_cell, driven by stand-ins for the draw and
-    the width; every cell must equal the reference loop under the same
-    stand-ins."""
+    for the group's width results; every cell must equal the reference loop
+    under the same stand-ins."""
 
     DESIGN = StudyDesign(
         conditions=("Sigma1",), sample_sizes=(200,), epsilons=(0.0,), replications=3,
@@ -345,10 +345,22 @@ class TestExclusions:
         cond = condition_at("Sigma1", 0.0)
         return key, fit.fit_ml(cond.model, wishart_sample(cond.sigma_pop, 200, rng), n=200).f_hat
 
-    def _check(self, monkeypatch, draw=wishart_sample, widths=simstudy.axis_widths_exact):
+    @staticmethod
+    def _results(monkeypatch, stand_in):
+        """Every group run's result for level k of a fit replaced by
+        ``stand_in(fit, k, result)``, in run_cell and in the reference
+        loop's one-width view alike."""
+        group = contour.axis_widths_group
+
+        def widths(fits, levels, *args):
+            out = group(fits, levels, *args)
+            return [[stand_in(res, k, w) for k, w in enumerate(row)] for res, row in zip(fits, out)]
+
+        monkeypatch.setattr(simstudy, "axis_widths_group", widths)
+        monkeypatch.setattr(contour, "axis_widths_group", widths)
+
+    def _check(self, monkeypatch, draw=wishart_sample):
         monkeypatch.setattr(simstudy, "wishart_sample", draw)
-        monkeypatch.setattr(simstudy, "axis_widths_exact", widths)
-        monkeypatch.setattr(contour, "axis_widths_exact", widths)
         cell = run_cell(self.DESIGN, *self.JOB)
         assert (cell.n_converged, cell.n_excluded) == (2, 1)
         clear_fit_caches()
@@ -374,24 +386,33 @@ class TestExclusions:
 
     def test_width_raises(self, monkeypatch):
         _, f_hat = self._rep1()
-        exact = simstudy.axis_widths_exact
-
-        def widths(res, *args):
-            if res.f_hat == f_hat:
-                raise ContourEscapesDomain("stand-in width")
-            return exact(res, *args)
-
-        self._check(monkeypatch, widths=widths)
+        self._results(monkeypatch, lambda res, k, w: (
+            ContourEscapesDomain("stand-in width") if res.f_hat == f_hat else w))
+        self._check(monkeypatch)
 
     def test_partial_sweep(self, monkeypatch):
         _, f_hat = self._rep1()
-        exact = simstudy.axis_widths_exact
+        self._results(monkeypatch, lambda res, k, w: (
+            dataclasses.replace(w, partial=True) if res.f_hat == f_hat else w))
+        self._check(monkeypatch)
 
-        def widths(res, *args):
-            out = exact(res, *args)
-            return dataclasses.replace(out, partial=True) if res.f_hat == f_hat else out
-
-        self._check(monkeypatch, widths=widths)
+    def test_undeclared_error_stays_in_its_cell(self, monkeypatch):
+        # an error the package does not declare, at replication 1's delta_f
+        # level, ends the delta_f cell alone, whichever cell of the group
+        # runs the group
+        _, f_hat = self._rep1()
+        self._results(monkeypatch, lambda res, k, w: (
+            RuntimeError("stand-in") if res.f_hat == f_hat and k == 1 else w))
+        delta_f = self.JOB[:3] + ("delta_f",)
+        for first in (self.JOB, delta_f):
+            clear_fit_caches()
+            if first == delta_f:
+                with pytest.raises(RuntimeError, match="stand-in"):
+                    run_cell(self.DESIGN, *delta_f)
+            cell = run_cell(self.DESIGN, *self.JOB)
+            assert (cell.n_converged, cell.n_excluded) == (3, 0)
+            with pytest.raises(RuntimeError, match="stand-in"):
+                run_cell(self.DESIGN, *delta_f)
 
 
 class TestTableEmission:
