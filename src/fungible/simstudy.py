@@ -7,20 +7,19 @@ hash(seed, condition, n, epsilon, replication index), so cells are
 order-independent and can run in parallel without shared state.
 
 The stream is keyed without the contour mode, so the sampled modes of one
-(condition, n, epsilon) draw the same S.  The first sampled cell of such a
-group draws and fits its replications once and solves every sampled mode's
-widths on those fits in one engine run per chunk of :data:`GROUP_CHUNK`
-replications (:func:`~fungible.contour.axis_widths_group`); each cell then
-reads its own mode's widths.  A width that fails excludes its replication
-from its own cell alone, and an error the package does not declare is
-raised by that cell alone.  The group widths are cached per (design,
-condition, n, epsilon), at most 8 such entries (about 0.7 KB per width: at
-500 replications an entry holds 1,000 widths, about 0.7 MB).  The
+(condition, n, epsilon) draw the same S.  The first cell of a (condition,
+n) row fits the row's population fit(s) and every epsilon's replications
+once and solves every cell's widths on those fits, each fit at its own
+cells' levels, :data:`GROUP_CHUNK` fits per engine run
+(:func:`~fungible.contour.axis_widths_group`); each cell then reads its
+own (mode, epsilon).  A width that fails excludes its replication from its
+own cell alone, and an error the package does not declare is raised by
+that cell alone.  The widths are cached for one row (about 0.7 KB per
+width: at 500 replications a row holds 3,000 widths, about 2.1 MB).  The
 population fit is cached per (condition, epsilon) and shared across N,
 since the fit's iterates do not depend on N.  Every width of a run is the
 one-width computation bit for bit, so the table is byte-identical in any
-cell order; :func:`run_design` hands each worker process the cells of one
-(condition, n, epsilon) together.
+cell order; :func:`run_design` hands each worker process one row.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -53,8 +52,8 @@ DEFAULT_TARGETS = (
 )
 
 
-# replications whose widths share one engine run.  A chunk's rays stack,
-# 360 per level of each fit at the default sweep.  On a 2-core Xeon VM, a
+# fits whose widths share one engine run.  A chunk's rays stack, 360 per
+# level of each fit at the default sweep.  On a 2-core Xeon VM, a
 # one-process run of 500 replications (Sigma1 and Sigma4, N 1000, eps 0 and
 # .09) peaked at 52.7 MB RSS at 20 and 75.5 MB at 60, against 48.9 MB with
 # every width run alone; widths took the same time at 20 and 60
@@ -219,41 +218,48 @@ def _usable_fit(cond, n, rng):
     return res if res.converged and not res.improper else None
 
 
-def _widths(fits, targets, focal, directions):
-    """Per fit, the exact widths at each target's level from one
-    :func:`~fungible.contour.axis_widths_group` run, each an
-    :class:`~fungible.contour.AxisWidths` or the error it failed with; None
-    for each target of a fit that is None."""
-    usable = [fit for fit in fits if fit is not None]
-    levels = [[f_target(target, fit, n_focal=len(focal)) for target in targets] for fit in usable]
-    widths = iter(axis_widths_group(usable, levels, focal, directions))
-    return [[None] * len(targets) if fit is None else next(widths) for fit in fits]
-
-
-@lru_cache(maxsize=8)
-def _group_widths(design: StudyDesign, condition: str, n: int, epsilon: float):
-    """The widths of every sampled mode of one (condition, n, epsilon), by
-    mode, one per replication as :func:`_widths` gives them: the
-    replications' :func:`_usable_fit` fits, GROUP_CHUNK at a time, each
-    chunk's widths in one engine run.  Mode-major cell order needs one live
-    entry per epsilon."""
-    cond = condition_at(condition, epsilon)
-    focal = focal_indices(cond.model, design.focal)
-    targets = [t for t in design.targets if t.mode not in design.population_analysis]
-    widths = []
-    for start in range(0, design.replications, GROUP_CHUNK):
-        fits = [
-            _usable_fit(cond, n, replication_rng(design.seed, condition, n, epsilon, rep))
-            for rep in range(start, min(start + GROUP_CHUNK, design.replications))
-        ]
-        widths += _widths(fits, targets, focal, design.directions)
-    return {target.mode: tuple(row[k] for row in widths) for k, target in enumerate(targets)}
-
-
 @lru_cache(maxsize=None)
 def _population_fit(condition: str, epsilon: float):
     """:func:`_usable_fit` of the population covariance, analyzed at no N."""
     return _usable_fit(condition_at(condition, epsilon), None, None)
+
+
+def _row_fit(design: StudyDesign, condition: str, n: int, epsilon: float, rep):
+    """Replication ``rep``'s :func:`_usable_fit`, or the population fit at N ``n`` for None."""
+    if rep is None:
+        fit = _population_fit(condition, epsilon)
+        return None if fit is None else replace(fit, n=n)
+    return _usable_fit(condition_at(condition, epsilon), n,
+                       replication_rng(design.seed, condition, n, epsilon, rep))
+
+
+@lru_cache(maxsize=1)
+def _row_widths(design: StudyDesign, condition: str, n: int):
+    """Every cell's widths of one (condition, n) row by (mode, epsilon), per
+    fit an :class:`~fungible.contour.AxisWidths`, its error, or None for an
+    unusable fit.  A fit is the population's at an epsilon with population
+    cells, or a replication's, at its own cells' levels; GROUP_CHUNK fits
+    share one engine run.  Cells are asked for row by row: one entry."""
+    targets = {target.mode: target for target in design.targets}
+    cells = _cells(design)
+    modes: dict[tuple, list] = {}  # (epsilon, population fit?) -> its cells' modes
+    for mode, eps in cells:
+        modes.setdefault((eps, mode in design.population_analysis), []).append(mode)
+    units = [(eps, rep, unit_modes) for (eps, population), unit_modes in modes.items()
+             for rep in ([None] if population else range(design.replications))]
+    focal = focal_indices(canonical_model(), design.focal)
+    results = {cell: [] for cell in cells}
+    for start in range(0, len(units), GROUP_CHUNK):
+        chunk = units[start:start + GROUP_CHUNK]
+        fits = [_row_fit(design, condition, n, eps, rep) for eps, rep, _ in chunk]
+        usable = [(fit, unit_modes) for fit, (*_, unit_modes) in zip(fits, chunk) if fit is not None]
+        levels = [[f_target(targets[mode], fit, n_focal=len(focal)) for mode in unit_modes]
+                  for fit, unit_modes in usable]
+        widths = iter(axis_widths_group([fit for fit, _ in usable], levels, focal, design.directions))
+        for fit, (eps, _, unit_modes) in zip(fits, chunk):
+            for mode, width in zip(unit_modes, repeat(None) if fit is None else next(widths)):
+                results[mode, eps].append(width)
+    return {cell: tuple(widths) for cell, widths in results.items()}
 
 
 def run_cell(design: StudyDesign, condition: str, n: int, epsilon: float, mode: str) -> StudyCell:
@@ -263,23 +269,17 @@ def run_cell(design: StudyDesign, condition: str, n: int, epsilon: float, mode: 
     Modes listed in ``design.population_analysis`` analyze the population
     covariance directly instead (one replication, SD exactly 0).  Failed,
     nonconverged, improper, and partial-sweep replications are excluded and
-    counted; a width error the package does not declare is raised.  The
-    sampled modes' widths are computed together and cached for the cells of
-    one (condition, n, epsilon); see the module docstring.
+    counted; a width error the package does not declare is raised, and a
+    ``(mode, epsilon)`` that is not a cell column of the design raises
+    :class:`ValueError`.  A row's widths are computed together and cached.
     """
-    target = {t.mode: t for t in design.targets}[mode]
     n, epsilon = as_int(n, "n"), float(epsilon)
-    focal = focal_indices(condition_at(condition, epsilon).model, design.focal)
-    if mode in design.population_analysis:
-        fit = _population_fit(condition, epsilon)
-        fits = [None if fit is None else replace(fit, n=n)]
-        results = [row[0] for row in _widths(fits, [target], focal, design.directions)]
-    else:
-        results = _group_widths(design, condition, n, epsilon)[mode]
-
+    cells = _cells(design)
+    if (mode, epsilon) not in cells:
+        raise ValueError(f"the design has no cell ({mode!r}, {epsilon!r}); its cells are {list(cells)}")
     majors, minors = [], []
     excluded = 0
-    for widths in results:
+    for widths in _row_widths(design, condition, n)[mode, epsilon]:
         if widths is None or isinstance(widths, FungibleError):
             excluded += 1
             continue
@@ -311,14 +311,18 @@ def run_cell(design: StudyDesign, condition: str, n: int, epsilon: float, mode: 
     )
 
 
-def _jobs(design: StudyDesign):
-    """(condition, n, epsilon, mode) of every cell the table holds for the
-    modes the design targets: per (condition, n), the (mode, epsilon) of
-    each :func:`_columns` entry in table order."""
+def _cells(design: StudyDesign) -> dict:
+    """(mode, epsilon) of every cell of a row, in table order, as dict keys:
+    the :func:`_columns` entries of the modes the design targets."""
     modes = {target.mode for target in design.targets}
-    cells = dict.fromkeys((mode, eps) for _, mode, eps, _ in _columns(design.epsilons) if mode in modes)
+    return dict.fromkeys((mode, eps) for _, mode, eps, _ in _columns(design.epsilons) if mode in modes)
+
+
+def _jobs(design: StudyDesign):
+    """(condition, n, epsilon, mode) of every cell the table holds, row by
+    row: per (condition, n), the :func:`_cells` in table order."""
     return [(condition, n, eps, mode) for condition in design.conditions
-            for n in design.sample_sizes for mode, eps in cells]
+            for n in design.sample_sizes for mode, eps in _cells(design)]
 
 
 def _worker_count(n_jobs, threads):
@@ -338,27 +342,21 @@ def run_design(design: StudyDesign, threads: int | None = None) -> StudyTable:
     """Run every cell of the design.  ``threads`` caps the worker processes
     (an integer of at least 1, :func:`~fungible.model.as_int`'s rule; raises
     :class:`ValueError` otherwise) and defaults to the processor count.
-    Each worker process takes the cells of one (condition, n, epsilon)
-    together, so they share its draws and fits; the merge keeps the job
+    Each worker process takes the cells of one (condition, n) row together,
+    so they share its draws, fits and engine runs; the merge keeps the job
     order whatever the worker count."""
-    jobs = _jobs(design)
-    groups: dict[tuple, list] = {}
-    for job in jobs:
-        groups.setdefault(job[:3], []).append(job)
-    workers = _worker_count(len(groups), threads)
+    rows = [list(row) for _, row in groupby(_jobs(design), key=lambda job: job[:2])]
+    workers = _worker_count(len(rows), threads)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_cells, repeat(design), groups.values()))
+            done = list(pool.map(_run_cells, repeat(design), rows))
     else:
-        done = [_run_cells(design, group) for group in groups.values()]
-    cell_of = {
-        job: cell for group, cells in zip(groups.values(), done) for job, cell in zip(group, cells)
-    }
+        done = [_run_cells(design, row) for row in rows]
     return StudyTable(
         conditions=design.conditions,
         sample_sizes=design.sample_sizes,
         epsilons=design.epsilons,
-        cells=tuple(cell_of[job] for job in jobs),
+        cells=tuple(cell for row in done for cell in row),
     )
 
 

@@ -419,7 +419,7 @@ def reference_run_cell(design, condition, n, epsilon, mode):
 
 
 def clear_fit_caches():
-    """Empty the study's cached group widths and population fits, so that
+    """Empty the study's cached row widths and population fits, so that
     the next run computes them again."""
-    simstudy._group_widths.cache_clear()
+    simstudy._row_widths.cache_clear()
     simstudy._population_fit.cache_clear()

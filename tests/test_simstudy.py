@@ -145,6 +145,22 @@ class TestRunCell:
     def test_condition_cache(self):
         assert condition_at("Sigma1", 0.03) is condition_at("Sigma1", 0.03)
 
+    @pytest.mark.parametrize(
+        "untargeted, mode, epsilon, message",
+        [
+            # an unknown mode once raised a bare KeyError
+            (None, "bogus", 0.0, "the design has no cell ('bogus', 0.0); its cells are [("),
+            # an epsilon outside the design once ran a group of its own
+            (None, "eps_tilde", 0.05, "the design has no cell ('eps_tilde', 0.05); its cells are [("),
+            (None, "confidence", 0.03, "the design has no cell ('confidence', 0.03); its cells are [("),
+            (contour.EPS_TILDE, "eps_tilde", 0.0, "the design has no cell ('eps_tilde', 0.0); its cells are [("),
+        ],
+    )
+    def test_cell_not_in_design_raises(self, untargeted, mode, epsilon, message):
+        targets = tuple(t for t in SMALL_DESIGN.targets if t.mode != untargeted)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_cell(dataclasses.replace(SMALL_DESIGN, targets=targets), "Sigma1", 200, epsilon, mode)
+
 
 class TestRunDesign:
     def test_cell_layout(self):
@@ -279,8 +295,8 @@ EXCLUDING_DESIGN = StudyDesign(
 
 
 def _grouped(jobs):
-    """The jobs of each (condition, n, epsilon) together, as run_design
-    hands them to a worker."""
+    """The jobs of each (condition, n, epsilon) together: a row's cells
+    epsilon by epsilon instead of in table order."""
     keys = [job[:3] for job in jobs]
     return sorted(jobs, key=lambda job: keys.index(job[:3]))
 
@@ -318,6 +334,65 @@ class TestSharedFits:
         run_design(design, threads=1)
         # 4 conditions x 2 N x 3 epsilons sampled draws, 4 population fits
         assert len(calls) == 28
+
+
+# Four rows of 3 replications at 3 epsilons (Sigma1 at N=200, epsilon .09
+# excludes a replication); ALL_POPULATION_DESIGN is criterion 09's variant,
+# with a population fit at every epsilon
+ROW_DESIGN = dataclasses.replace(
+    EXCLUDING_DESIGN, conditions=("Sigma1", "Sigma3"), sample_sizes=(1000, 200),
+    epsilons=(0.0, 0.03, 0.09),
+)
+ALL_POPULATION_DESIGN = dataclasses.replace(
+    ROW_DESIGN, population_analysis=(contour.CONFIDENCE, contour.EPS_TILDE, contour.DELTA_F),
+)
+
+
+@pytest.fixture(scope="module")
+def reference_tables():
+    """Each row design's CSV from the reference loop, every width alone."""
+    tables = {}
+    for design in (ROW_DESIGN, ALL_POPULATION_DESIGN):
+        cells = tuple(reference_run_cell(design, *job) for job in _jobs(design))
+        tables[design] = emit_table(StudyTable(design.conditions, design.sample_sizes,
+                                               design.epsilons, cells))
+    return tables
+
+
+class TestRowRun:
+    """A (condition, n) row solves every cell's widths GROUP_CHUNK fits per
+    engine run; the chunks split rows and cross epsilons, and no chunking
+    may move a byte."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        clear_fit_caches()
+        yield
+        clear_fit_caches()
+
+    @pytest.mark.parametrize("design", [ROW_DESIGN, ALL_POPULATION_DESIGN],
+                             ids=["population-confidence", "all-population"])
+    @pytest.mark.parametrize("chunk", [1, 7, 20])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_table_bytes_at_any_chunk(self, monkeypatch, reference_tables, design, chunk, threads):
+        monkeypatch.setattr(simstudy, "GROUP_CHUNK", chunk)
+        assert emit_table(run_design(design, threads=threads)) == reference_tables[design]
+
+    # a row holds one population fit and 3 x 3 replications: 10 fits, so at
+    # the default chunk every row is one engine run
+    @pytest.mark.parametrize("chunk, runs", [(1, 10), (3, 4), (7, 2), (simstudy.GROUP_CHUNK, 1)])
+    def test_runs_per_row(self, monkeypatch, chunk, runs):
+        monkeypatch.setattr(simstudy, "GROUP_CHUNK", chunk)
+        calls = []
+        group = simstudy.axis_widths_group
+
+        def counted(*args):
+            calls.append(args)
+            return group(*args)
+
+        monkeypatch.setattr(simstudy, "axis_widths_group", counted)
+        run_design(ROW_DESIGN, threads=1)
+        assert len(calls) == 4 * runs
 
 
 class TestExclusions:
@@ -395,6 +470,33 @@ class TestExclusions:
         self._results(monkeypatch, lambda res, k, w: (
             dataclasses.replace(w, partial=True) if res.f_hat == f_hat else w))
         self._check(monkeypatch)
+
+    @pytest.mark.parametrize("failure", ["error", "partial", "undeclared"])
+    def test_population_failure_stays_in_its_cell(self, monkeypatch, failure):
+        # the confidence cell's population fit shares the row's engine run
+        # with the sample fits; its failure must reach no other cell
+        jobs = _jobs(self.DESIGN)
+        want = {job: run_cell(self.DESIGN, *job) for job in jobs}
+        clear_fit_caches()
+        sigma = condition_at("Sigma1", 0.0).sigma_pop
+        stand_in = {
+            "error": lambda w: ContourEscapesDomain("stand-in width"),
+            "partial": lambda w: dataclasses.replace(w, partial=True),
+            "undeclared": lambda w: RuntimeError("stand-in"),
+        }[failure]
+        self._results(monkeypatch, lambda res, k, w: (
+            stand_in(w) if np.array_equal(res.s, sigma) else w))
+        assert jobs[0][3] == contour.CONFIDENCE  # so it runs the row
+        for job in jobs:
+            if job[3] != contour.CONFIDENCE:
+                assert run_cell(self.DESIGN, *job) == want[job], job
+            elif failure == "undeclared":
+                with pytest.raises(RuntimeError, match="stand-in"):
+                    run_cell(self.DESIGN, *job)
+            else:
+                cell = run_cell(self.DESIGN, *job)
+                assert (cell.n_converged, cell.n_excluded) == (0, 1)
+                assert math.isnan(cell.major_mean) and math.isnan(cell.minor_mean)
 
     def test_undeclared_error_stays_in_its_cell(self, monkeypatch):
         # an error the package does not declare, at replication 1's delta_f
