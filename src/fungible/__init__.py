@@ -31,7 +31,7 @@ from .errors import (
     SingularStructure,
     TargetUnreachable,
 )
-from .fit import FitOptions, FitResult, fit_ml, population_rmsea
+from .fit import FitOptions, FitResult, fit_ml, fit_stack, population_rmsea
 from .model import (
     FIXED,
     ModelSpec,

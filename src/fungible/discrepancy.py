@@ -108,9 +108,9 @@ def evaluate_stack(model: ModelSpec, thetas, s, ld_s):
     :func:`_f_stack`'s tests; the ``(G, GSG', Sigma)`` stacks, NaN where
     ``ok`` is false.
 
-    A one-row call, which every line-search trial of a fit makes, costs
-    about 27-30 us on a 2-core Xeon VM, mostly numpy's per-call overhead;
-    the cost per row falls to about 2.2 us in stacks of 64 rows.
+    A one-row call costs about 27-30 us on a 2-core Xeon VM, mostly numpy's
+    per-call overhead; the cost per row falls to about 2.2 us in stacks of
+    64 rows, so a lockstep fit evaluates all its rows' trials at once.
     """
     with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
         ok, g_mat, c_mat, sigma = implied_stack(model, thetas)
@@ -274,14 +274,14 @@ class FocalPlane:
             return _f_stack(*self._blocks(offsets, coef), ld_const, tr_const)
 
 
-def _raise_fault(ok, bad):
-    """The domain error of a stack's first ``bad`` row, if any: where
-    :func:`~fungible.model.implied_stack`'s ``ok`` is false there, (I - A)
-    is singular, else Sigma is not positive definite."""
+def _fault(ok, bad):
+    """The domain error of a stack's first ``bad`` row, None where no row
+    is bad: where :func:`~fungible.model.implied_stack`'s ``ok`` is false
+    there, (I - A) is singular, else Sigma is not positive definite."""
     if bad.any():
         if not ok[bad.argmax()]:
-            raise SingularStructure("(I - A) is numerically singular")
-        raise NotPositiveDefinite("sigma_theta")
+            return SingularStructure("(I - A) is numerically singular")
+        return NotPositiveDefinite("sigma_theta")
 
 
 def f_ml(model: ModelSpec, theta, s) -> float:
@@ -297,7 +297,8 @@ def f_ml(model: ModelSpec, theta, s) -> float:
     singular.
     """
     ok, f, _ = evaluate_stack(model, as_theta(model, theta)[None], *_analyzed(model, s))
-    _raise_fault(ok, np.isnan(f))
+    if error := _fault(ok, np.isnan(f)):
+        raise error
     return float(f[0])
 
 
@@ -323,8 +324,10 @@ def _grad_from_implied(model, s, g_mat, c_mat, sigma):
     ], axis=-1)
     params, flat, factor = model._gradient_gather
     terms = factor * both.take(flat, axis=-1)
-    # the one-point form is fit_ml's: its gradient through one-row stacks
-    # made a fit of the builtin conditions' model 4-10% slower
+    # the one-point form is a lockstep round's with one accepted row, so
+    # every step of fit_ml's: through one-row stacks, fit_ml of the builtin
+    # conditions' model read 8-9% slower than before the lockstep driver,
+    # and within 0.5% of it with this form (paired, on a 2-core Xeon VM)
     if terms.ndim == 1:
         return np.bincount(params, terms, minlength=model.q)
     k, q = len(terms), model.q
@@ -333,14 +336,14 @@ def _grad_from_implied(model, s, g_mat, c_mat, sigma):
 
 
 def _gradients(model, thetas, s):
-    """Gradients of F at every row of a validated stack, with no trace
-    solve; raises the domain error of the first row that has none."""
+    """Gradients of F at every row of a validated stack against s (one, or
+    one per row), with no trace solve, and the masks for :func:`_fault`
+    of the rows' ``ok`` and of those that have no gradient."""
     with np.errstate(all="ignore"):  # a failing matrix comes back as NaN
         ok, g_mat, c_mat, sigma = implied_stack(model, thetas)
         not_pd = np.isnan(_log_det(_cholesky(sigma)))
         grads = _grad_from_implied(model, s, g_mat, c_mat, sigma)
-    _raise_fault(ok, not_pd | np.isnan(grads).any(axis=1))
-    return grads
+    return grads, ok, not_pd | np.isnan(grads).any(axis=1)
 
 
 def gradient(model: ModelSpec, theta, s) -> np.ndarray:
@@ -353,7 +356,10 @@ def gradient(model: ModelSpec, theta, s) -> np.ndarray:
     the sign of tr(s Sigma^-1) as :func:`f_ml` does: next to the positive
     definite edge it can return a gradient where :func:`f_ml` raises."""
     s = as_cov(s, model.n_observed)[0]
-    return _gradients(model, as_theta(model, theta)[None], s)[0]
+    grads, ok, bad = _gradients(model, as_theta(model, theta)[None], s)
+    if error := _fault(ok, bad):
+        raise error
+    return grads[0]
 
 
 def hessian(model: ModelSpec, theta, s) -> np.ndarray:
@@ -366,14 +372,26 @@ def hessian(model: ModelSpec, theta, s) -> np.ndarray:
     +e_1, -e_1, +e_2, -e_2, ...
     """
     s = as_cov(s, model.n_observed)[0]
-    theta = as_theta(model, theta)
-    h = 1e-5 * np.maximum(1.0, np.abs(theta))
-    points = np.empty((2 * model.q, model.q))
-    points[0::2] = theta + np.diag(h)
-    points[1::2] = theta - np.diag(h)
-    grads = _gradients(model, points, s)
-    h_mat = ((grads[0::2] - grads[1::2]) / (2.0 * h)[:, None]).T
-    return 0.5 * (h_mat + h_mat.T)
+    h_mat, ok, bad = _hessian_stack(model, as_theta(model, theta)[None], s[None])
+    if error := _fault(ok[0], bad[0]):
+        raise error
+    return h_mat[0]
+
+
+def _hessian_stack(model, thetas, s):
+    """:func:`hessian` at each row of a ``(k, q)`` stack against its own s,
+    as one evaluation of every row's 2q points: the Hessians and the
+    points' ``(k, 2q)`` masks for :func:`_fault`."""
+    k, q = thetas.shape
+    h = 1e-5 * np.maximum(1.0, np.abs(thetas))
+    steps = h[:, :, None] * np.eye(q)  # each row's np.diag(h)
+    points = np.empty((k, 2 * q, q))
+    points[:, 0::2] = thetas[:, None] + steps
+    points[:, 1::2] = thetas[:, None] - steps
+    grads, ok, bad = _gradients(model, points.reshape(-1, q), np.repeat(s, 2 * q, axis=0))
+    grads = grads.reshape(k, 2 * q, q)
+    h_mat = ((grads[:, 0::2] - grads[:, 1::2]) / (2.0 * h)[:, :, None]).swapaxes(1, 2)
+    return 0.5 * (h_mat + h_mat.swapaxes(1, 2)), ok.reshape(k, -1), bad.reshape(k, -1)
 
 
 # ---------------------------------------------------------------------------

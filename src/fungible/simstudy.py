@@ -10,7 +10,9 @@ The stream is keyed without the contour mode, so the sampled modes of one
 (condition, n, epsilon) draw the same S.  The first cell of a (condition,
 n) row fits the row's population fit(s) and every epsilon's replications
 once and solves every cell's widths on those fits, each fit at its own
-cells' levels, :data:`GROUP_CHUNK` fits per engine run
+cells' levels, in chunks of :data:`GROUP_CHUNK` fits: a chunk's draws are
+fitted in one lockstep run (:func:`~fungible.fit.fit_stack`, each fit its
+one-row fit bit for bit) and its widths solved in one engine run
 (:func:`~fungible.contour.axis_widths_group`); each cell then reads its
 own (mode, epsilon).  A width that fails excludes its replication from its
 own cell alone, and an error the package does not declare is raised by
@@ -28,6 +30,7 @@ import hashlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import groupby, repeat
@@ -37,7 +40,7 @@ import numpy as np
 from .contour import (CONFIDENCE, DELTA_F, EPS_TILDE, N_DIRECTIONS, ContourTarget,
                        axis_widths_group, f_target)
 from .errors import DegenerateSample, FungibleError, NotPositiveDefinite
-from .fit import fit_ml
+from .fit import FitResult, fit_stack
 from .model import (as_cov, as_int, canonical_model, check_focal, condition_from_label,
                     focal_indices, is_int, is_real, misspecify_to_epsilon)
 
@@ -206,31 +209,37 @@ def condition_at(label: str, epsilon: float):
     return misspecify_to_epsilon(cond, epsilon)
 
 
-def _usable_fit(cond, n, rng):
-    """ML fit of the population covariance (``rng`` None) or of a sample of
-    size ``n`` drawn with ``rng``; None where the draw or the fit raises a
-    :class:`FungibleError`, or the fit is nonconverged or improper."""
-    try:
-        s = cond.sigma_pop if rng is None else wishart_sample(cond.sigma_pop, n, rng)
-        res = fit_ml(cond.model, s, n=n)
-    except FungibleError:
-        return None
-    return res if res.converged and not res.improper else None
+def _usable(fit):
+    """A :func:`~fungible.fit.fit_stack` row if it is a converged, proper fit."""
+    return fit if isinstance(fit, FitResult) and fit.converged and not fit.improper else None
 
 
 @lru_cache(maxsize=None)
 def _population_fit(condition: str, epsilon: float):
-    """:func:`_usable_fit` of the population covariance, analyzed at no N."""
-    return _usable_fit(condition_at(condition, epsilon), None, None)
+    """:func:`_usable` fit of the population covariance, analyzed at no N."""
+    cond = condition_at(condition, epsilon)
+    return _usable(*fit_stack(cond.model, [cond.sigma_pop]))
 
 
-def _row_fit(design: StudyDesign, condition: str, n: int, epsilon: float, rep):
-    """Replication ``rep``'s :func:`_usable_fit`, or the population fit at N ``n`` for None."""
-    if rep is None:
-        fit = _population_fit(condition, epsilon)
-        return None if fit is None else replace(fit, n=n)
-    return _usable_fit(condition_at(condition, epsilon), n,
-                       replication_rng(design.seed, condition, n, epsilon, rep))
+def _chunk_fits(design: StudyDesign, condition: str, n: int, chunk):
+    """The :func:`_usable` fit of each ``(epsilon, rep, modes)`` unit of a
+    row, None where its draw fails: the population fit at N ``n`` for a
+    ``rep`` of None, else replication ``rep``'s.  The draws are fitted in
+    one :func:`~fungible.fit.fit_stack` call, since every builtin condition
+    analyzes one model."""
+    fits, draws = [None] * len(chunk), {}
+    for k, (eps, rep, _) in enumerate(chunk):
+        cond = condition_at(condition, eps)
+        if rep is None:
+            fit = _population_fit(condition, eps)
+            fits[k] = None if fit is None else replace(fit, n=n)
+            continue
+        with suppress(FungibleError):
+            draws[k] = wishart_sample(cond.sigma_pop, n,
+                                      replication_rng(design.seed, condition, n, eps, rep))
+    for k, fit in zip(draws, fit_stack(cond.model, list(draws.values()), n)):
+        fits[k] = _usable(fit)
+    return fits
 
 
 @lru_cache(maxsize=1)
@@ -239,7 +248,8 @@ def _row_widths(design: StudyDesign, condition: str, n: int):
     fit an :class:`~fungible.contour.AxisWidths`, its error, or None for an
     unusable fit.  A fit is the population's at an epsilon with population
     cells, or a replication's, at its own cells' levels; GROUP_CHUNK fits
-    share one engine run.  Cells are asked for row by row: one entry."""
+    share one lockstep fit and one engine run.  Cells are asked for row by
+    row: one entry."""
     targets = {target.mode: target for target in design.targets}
     cells = _cells(design)
     modes: dict[tuple, list] = {}  # (epsilon, population fit?) -> its cells' modes
@@ -251,7 +261,7 @@ def _row_widths(design: StudyDesign, condition: str, n: int):
     results = {cell: [] for cell in cells}
     for start in range(0, len(units), GROUP_CHUNK):
         chunk = units[start:start + GROUP_CHUNK]
-        fits = [_row_fit(design, condition, n, eps, rep) for eps, rep, _ in chunk]
+        fits = _chunk_fits(design, condition, n, chunk)
         usable = [(fit, unit_modes) for fit, (*_, unit_modes) in zip(fits, chunk) if fit is not None]
         levels = [[f_target(targets[mode], fit, n_focal=len(focal)) for mode in unit_modes]
                   for fit, unit_modes in usable]

@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from fungible import ModelSpec, f_ml, gradient, make_model
-from fungible import contour, fit, simstudy
-from fungible.errors import FungibleError
+from fungible import contour, discrepancy, fit, simstudy
+from fungible.errors import FungibleError, NoConvergence
 
 
 def saturated_1var():
@@ -273,6 +273,93 @@ class QuadraticSurrogate(RowMapped):
     def objective(self, theta):
         d = np.asarray(theta, dtype=float) - self.theta_hat
         return self.f_hat + 0.5 * float(d @ self.hessian_at_opt @ d)
+
+
+def reference_fit_ml(model, s, n=None, opts=None):
+    """One fit by the one-row BFGS loop that ``fit.fit_ml`` ran before the
+    lockstep driver: one kernel call per line-search trial and one gradient
+    per accepted step, then ``hessian``.  The oracle for
+    ``fit.fit_stack``, every row of which must equal this fit bit for bit,
+    or raise the same error."""
+    opts = opts or fit.FitOptions()
+    s, ld_s = discrepancy._analyzed(model, s)
+    theta = model.default_start(s) if model.start is None else model.start.copy()
+
+    ok, f_row, implied = discrepancy.evaluate_stack(model, theta[None], s, ld_s)
+    if error := discrepancy._fault(ok, np.isnan(f_row)):
+        raise error
+    f = float(f_row[0])
+    g = discrepancy._grad_from_implied(model, s, *(mat[0] for mat in implied))
+    f_trace = [f]
+    eye = np.eye(model.q)
+    h_inv = eye.copy()
+    g_max = float(np.abs(g).max())
+    iterations = 0
+    converged = g_max < opts.grad_tol
+    reset_used = False
+
+    while not converged:
+        if iterations >= opts.max_iter:
+            raise NoConvergence(iterations, g_max)
+        iterations += 1
+
+        direction = -h_inv.dot(g)
+        if float(direction.dot(g)) >= 0.0:
+            h_inv = eye.copy()
+            direction = -g
+        slope = float(g.dot(direction))
+
+        step = 1.0
+        accepted = False
+        for _ in range(60):
+            candidate = theta + step * direction
+            f_row, implied = discrepancy.evaluate_stack(model, candidate[None], s, ld_s)[1:]
+            f_new = float(f_row[0])
+            if f_new <= f + 1e-4 * step * slope:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            if not reset_used:
+                reset_used = True
+                h_inv = eye.copy()
+                continue
+            break
+
+        g_new = discrepancy._grad_from_implied(model, s, *(mat[0] for mat in implied))
+        s_vec = candidate - theta
+        y_vec = g_new - g
+        sy = float(s_vec.dot(y_vec))
+        if iterations == 1 and sy > 0:
+            h_inv = (sy / float(y_vec.dot(y_vec))) * eye
+        if sy > 1e-10 * math.sqrt(s_vec.dot(s_vec)) * math.sqrt(y_vec.dot(y_vec)):
+            rho = 1.0 / sy
+            v = eye - rho * (s_vec[:, None] * y_vec)
+            h_inv = v.dot(h_inv).dot(v.T) + rho * (s_vec[:, None] * s_vec)
+
+        stalled = abs(f - f_new) <= fit.STALL_TOL * max(1.0, abs(f))
+        theta, f, g = candidate, f_new, g_new
+        f_trace.append(f)
+        g_max = float(np.abs(g).max())
+        if g_max < opts.grad_tol:
+            converged = True
+            break
+        if stalled:
+            break
+
+    return fit.FitResult(
+        model=model,
+        s=s,
+        n=n,
+        theta_hat=theta,
+        f_hat=f,
+        grad_norm=g_max,
+        hessian_at_opt=discrepancy.hessian(model, theta, s),
+        iterations=iterations,
+        converged=converged,
+        improper=bool(np.any(theta[model.variance_param_mask] < 0)),
+        f_trace=tuple(f_trace),
+    )
 
 
 def reference_golden_max(f, a, b, *, x_tol, max_iter=200):

@@ -496,6 +496,20 @@ def test_bad_start_file_exits_one(workdir, tmp_path, capsys, values, message):
 
 
 @pytest.mark.parametrize(
+    "option, value, message",
+    [("--grad-tol", "inf", "grad_tol must be a finite real number above 0, got inf"),
+     ("--grad-tol", "0", "grad_tol must be a finite real number above 0, got 0.0"),
+     ("--max-iter", "0", "max_iter must be at least 1, got 0")],
+)
+def test_bad_fit_option_exits_one(workdir, capsys, option, value, message):
+    # an infinite tolerance once returned the start vector as a converged fit
+    code = main(["fit", "--model", str(workdir / "model.json"), "--cov", str(workdir / "cov.csv"),
+                 "--n", "200", option, value])
+    assert code == 1
+    assert message in _one_error_line(capsys, "error:")
+
+
+@pytest.mark.parametrize(
     "text",
     ["", "# a comment\n\n", "a,b\n1,2\n", "1,2\n3\n"],
     ids=["empty", "comment-only", "text-cell", "ragged"],

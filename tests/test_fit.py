@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,17 +7,23 @@ import pytest
 
 from fungible import (
     FitOptions,
+    FitResult,
+    FungibleError,
     NoConvergence,
     NotPositiveDefinite,
+    condition_at,
     f_ml,
     fit_ml,
+    fit_stack,
     gradient,
     make_model,
     misspecify_to_epsilon,
     population_rmsea,
     replication_rng,
+    sigma_of_theta,
     wishart_sample,
 )
+from helpers import reference_fit_ml
 
 
 class TestFitMl:
@@ -164,3 +171,130 @@ class TestPopulationRmsea:
             mis = misspecify_to_epsilon(cond, eps) if eps else cond
             values.append(population_rmsea(mis.model, mis.sigma_pop))
         assert values[0] < values[1] < values[2]
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"grad_tol": float("inf")}, "grad_tol must be a finite real number above 0, got inf"),
+        ({"grad_tol": float("nan")}, "grad_tol must be a finite real number above 0, got nan"),
+        ({"grad_tol": True}, "grad_tol must be a finite real number above 0, got True"),
+        ({"grad_tol": "1e-6"}, "grad_tol must be a finite real number above 0, got '1e-6'"),
+        ({"grad_tol": 0.0}, "grad_tol must be a finite real number above 0, got 0.0"),
+        ({"grad_tol": -3}, "grad_tol must be a finite real number above 0, got -3"),
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"max_iter": True}, "max_iter must be an integer, got True"),
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"max_iter": -3}, "max_iter must be at least 1, got -3"),
+    ])
+    def test_rejects(self, kwargs, message):
+        # an infinite grad_tol once returned the start as a converged fit
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FitOptions(**kwargs)
+
+    def test_accepts_smallest_budget_and_integer_tolerance(self):
+        assert FitOptions(max_iter=1, grad_tol=1) == FitOptions(1, 1)
+
+
+# a factor of fixed variance -50 over three indicators: at a small S the
+# default start leaves the domain, and its fits converge, stall or run out
+# of iterations; the last row fits S that lies 1e-9 (relative) inside the
+# domain exactly, so a Hessian point leaves it
+NEGATIVE_FACTOR = make_model(
+    ["x1", "x2", "x3"],
+    ["f"],
+    [{"row": f"x{i}", "col": "f", "param": f"l{i}"} for i in (1, 2, 3)],
+    [{"row": "f", "col": "f", "value": -50.0}]
+    + [{"row": f"x{i}", "col": f"x{i}", "param": f"u{i}"} for i in (1, 2, 3)],
+)
+
+
+def _negative_factor_rows():
+    rng = np.random.default_rng(0)
+    rows = []
+    for scale in [1.0] * 3 + [10.0] * 15:
+        a = rng.standard_normal((3, 3))
+        rows.append(scale * (a @ a.T + 0.05 * np.eye(3)))
+    rows.insert(5, -np.eye(3))  # fails as_cov
+    rows.append(sigma_of_theta(NEGATIVE_FACTOR, np.r_[np.full(3, 0.2), np.full(3, 6.0 + 6e-9)]))
+    return rows
+
+
+def _kind(model, s, result):
+    if isinstance(result, NotPositiveDefinite):
+        if result.which == "s":
+            return "as_cov"
+        try:
+            f_ml(model, model.default_start(s), s)
+        except NotPositiveDefinite:
+            return "start"
+        return "hessian"
+    if isinstance(result, NoConvergence):
+        return "no_convergence"
+    return "converged" if result.converged else "stalled"
+
+
+def _outcome(result):
+    """Every field the driver must reproduce, as bytes, or the error's type
+    and message."""
+    if isinstance(result, FungibleError):
+        return type(result), str(result)
+    assert isinstance(result, FitResult)
+    return (
+        result.theta_hat.tobytes(), float(result.f_hat).hex(), float(result.grad_norm).hex(),
+        result.hessian_at_opt.tobytes(), result.iterations, result.converged, result.improper,
+        tuple(float(f).hex() for f in result.f_trace), result.s.tobytes(), result.n,
+    )
+
+
+class TestFitStack:
+    """Every row of a lockstep chunk is its own one-row fit, bit for bit."""
+
+    def _check(self, model, rows, n, opts):
+        want = []
+        for s in rows:
+            try:
+                want.append(reference_fit_ml(model, s, n, opts))
+            except FungibleError as exc:
+                want.append(exc)
+        for size in (1, 7, 20):
+            got = []
+            for start in range(0, len(rows), size):
+                got += fit_stack(model, rows[start:start + size], n, opts)
+            assert [_outcome(g) for g in got] == [_outcome(w) for w in want], size
+        return {_kind(model, s, w) for s, w in zip(rows, want)}
+
+    def test_sample_chunk(self):
+        # Sigma4 at eps .03 and N 1000 stalls at replications 2 and 15; at
+        # 22 iterations some rows converge, some stall and the rest run out
+        cond = condition_at("Sigma4", 0.03)
+        rows = [wishart_sample(cond.sigma_pop, 1000, replication_rng(3, "Sigma4", 1000, 0.03, rep))
+                for rep in range(19)]
+        rows.insert(9, -np.eye(6))
+        kinds = self._check(cond.model, rows, 1000, None)
+        assert kinds == {"converged", "stalled", "as_cov"}
+        kinds = self._check(cond.model, rows, 1000, FitOptions(max_iter=22))
+        assert kinds == {"converged", "stalled", "no_convergence", "as_cov"}
+
+    def test_failing_rows(self):
+        rows = _negative_factor_rows()
+        kinds = self._check(NEGATIVE_FACTOR, rows, None, FitOptions(max_iter=100))
+        assert kinds == {"as_cov", "start", "converged", "stalled", "no_convergence", "hessian"}
+
+    def test_fit_ml_is_the_one_row_view(self):
+        for s in _negative_factor_rows():
+            (want,) = fit_stack(NEGATIVE_FACTOR, [s], None, FitOptions(max_iter=100))
+            try:
+                got = fit_ml(NEGATIVE_FACTOR, s, opts=FitOptions(max_iter=100))
+            except FungibleError as exc:
+                got = exc
+            assert _outcome(got) == _outcome(want)
+
+    def test_arguments(self, conditions):
+        cond = conditions["Sigma1"]
+        assert fit_stack(cond.model, []) == []
+        with pytest.raises(ValueError, match="at least 2"):
+            fit_stack(cond.model, [cond.sigma_pop], n=1)
+        s = np.array(cond.sigma_pop)
+        s[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            fit_stack(cond.model, [cond.sigma_pop, s], n=200)

@@ -322,18 +322,19 @@ class TestSharedFits:
             for epsilon in design.epsilons:
                 condition_at(condition, epsilon)  # the misfit search fits, not counted
         clear_fit_caches()
-        calls = []
-        fit_ml = fit.fit_ml
+        rows = []
+        fit_stack = fit.fit_stack
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return fit_ml(*args, **kwargs)
+        def counted(model, covariances, *args, **kwargs):
+            rows.extend(covariances)
+            return fit_stack(model, covariances, *args, **kwargs)
 
-        monkeypatch.setattr(fit, "fit_ml", counted)
-        monkeypatch.setattr(simstudy, "fit_ml", counted)
+        # every fit, fit_ml's one row included, is a row of the lockstep driver
+        monkeypatch.setattr(fit, "fit_stack", counted)
+        monkeypatch.setattr(simstudy, "fit_stack", counted)
         run_design(design, threads=1)
         # 4 conditions x 2 N x 3 epsilons sampled draws, 4 population fits
-        assert len(calls) == 28
+        assert len(rows) == 28
 
 
 # Four rows of 3 replications at 3 epsilons (Sigma1 at N=200, epsilon .09
