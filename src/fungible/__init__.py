@@ -28,6 +28,7 @@ from .errors import (
     FungibleError,
     NoConvergence,
     NotPositiveDefinite,
+    RootAboveTolerance,
     SingularStructure,
     TargetUnreachable,
 )

@@ -77,7 +77,7 @@ import numpy as np
 
 from ._solve import UNDEFINED, bracket_level, bracketed_root, golden_max
 from .discrepancy import FocalPlane, chisq_quantile, f_from_rmsea, rmsea_from_f
-from .errors import ContourEscapesDomain, NotPositiveDefinite
+from .errors import ContourEscapesDomain, NotPositiveDefinite, RootAboveTolerance
 from .model import as_int, check_focal, is_real
 
 DELTA_F = "delta_f"
@@ -311,7 +311,7 @@ def _fault_error(code):
     if code == UNDEFINED:
         return NotPositiveDefinite("sigma_theta", "Sigma fails inside a bracketed ray")
     if code:
-        return RuntimeError(f"root residual above tolerance {F_TOL:.1e}")
+        return RootAboveTolerance(f"root residual above tolerance {F_TOL:.1e}")
     return None
 
 

@@ -59,5 +59,10 @@ class ContourEscapesDomain(FungibleError):
     """
 
 
+class RootAboveTolerance(FungibleError):
+    """A bracketed root search ended with its residual above the tolerance:
+    the function jumps over the target inside the bracket."""
+
+
 class DegenerateSample(FungibleError):
     """A sampled covariance matrix failed its positive-definiteness check."""

@@ -53,6 +53,7 @@ from ._solve import UNDEFINED, bracket_level, bracketed_root
 from .errors import (
     NoConvergence,
     NotPositiveDefinite,
+    RootAboveTolerance,
     SingularStructure,
     TargetUnreachable,
 )
@@ -806,7 +807,7 @@ def misspecify_to_epsilon(cond: PopulationCondition, epsilon_target: float) -> P
             "s", "the perturbed covariance cannot be fit inside the misfit root bracket"
         )
     if fault[0]:
-        raise RuntimeError("misfit root residual above tolerance 2.0e-07")
+        raise RootAboveTolerance("misfit root residual above tolerance 2.0e-07")
     t = roots[0]
     return replace(
         cond,

@@ -7,21 +7,21 @@ hash(seed, condition, n, epsilon, replication index), so cells are
 order-independent and can run in parallel without shared state.
 
 The stream is keyed without the contour mode, so the sampled modes of one
-(condition, n, epsilon) draw the same S.  The first cell of a (condition,
-n) row fits the row's population fit(s) and every epsilon's replications
-once and solves every cell's widths on those fits, each fit at its own
-cells' levels, in chunks of :data:`GROUP_CHUNK` fits: a chunk's draws are
-fitted in one lockstep run (:func:`~fungible.fit.fit_stack`, each fit its
-one-row fit bit for bit) and its widths solved in one engine run
-(:func:`~fungible.contour.axis_widths_group`); each cell then reads its
-own (mode, epsilon).  A width that fails excludes its replication from its
-own cell alone, and an error the package does not declare is raised by
-that cell alone.  The widths are cached for one row (about 0.7 KB per
-width: at 500 replications a row holds 3,000 widths, about 2.1 MB).  The
-population fit is cached per (condition, epsilon) and shared across N,
-since the fit's iterates do not depend on N.  Every width of a run is the
-one-width computation bit for bit, so the table is byte-identical in any
-cell order; :func:`run_design` hands each worker process one row.
+(condition, n, epsilon) draw the same S.  A (condition, n) row is the work
+unit: its run fits the row's population fit(s) and every epsilon's
+replications once and solves every cell's widths on those fits, each fit at
+its own cells' levels, in chunks of :data:`GROUP_CHUNK` fits.  A chunk's
+draws are fitted in one lockstep run (:func:`~fungible.fit.fit_stack`, each
+fit its one-row fit bit for bit) and its widths solved in one engine run
+(:func:`~fungible.contour.axis_widths_group`); each width is counted into
+its cell when its chunk ends, and none is kept.  A width that fails
+excludes its replication from its own cell alone, and an error the package
+does not declare is that cell's outcome alone.  The last row run is cached,
+so :func:`run_cell` reads a row's cells from one run.  The population fit
+is cached per (condition, epsilon) and shared across N, since the fit's
+iterates do not depend on N.  Every width of a run is the one-width
+computation bit for bit, so the table is byte-identical in any cell order;
+:func:`run_design` hands each worker process one row.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import groupby, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -41,8 +41,8 @@ from .contour import (CONFIDENCE, DELTA_F, EPS_TILDE, N_DIRECTIONS, ContourTarge
                        axis_widths_group, f_target)
 from .errors import DegenerateSample, FungibleError, NotPositiveDefinite
 from .fit import FitResult, fit_stack
-from .model import (as_cov, as_int, canonical_model, check_focal, condition_from_label,
-                    focal_indices, is_int, is_real, misspecify_to_epsilon)
+from .model import (CONDITION_LABELS, as_cov, as_int, canonical_model, check_focal,
+                    condition_from_label, focal_indices, is_int, is_real, misspecify_to_epsilon)
 
 # The study's delta_f target uses relative scaling: only then do delta_f
 # widths grow with the population misfit level, the pattern the reference
@@ -55,11 +55,11 @@ DEFAULT_TARGETS = (
 )
 
 
-# fits whose widths share one engine run.  A chunk's rays stack, 360 per
-# level of each fit at the default sweep.  On a 2-core Xeon VM, a
-# one-process run of 500 replications (Sigma1 and Sigma4, N 1000, eps 0 and
-# .09) peaked at 52.7 MB RSS at 20 and 75.5 MB at 60, against 48.9 MB with
-# every width run alone; widths took the same time at 20 and 60
+# fits per lockstep fit and engine run.  A chunk's rays stack, 360 per level
+# of each fit at the default sweep.  On a 2-core VM, a one-process run of 500
+# replications (Sigma1 and Sigma4, N 1000, eps 0 and .09) peaked at 50.5 MB
+# RSS at 20 and 75.3 MB at 60, against 40.4 MB at 1; its wall time, 6.3-8.0 s
+# at 20 and 4.9-6.8 s at 60, was too noisy there to choose by
 GROUP_CHUNK = 20
 
 
@@ -83,23 +83,21 @@ class StudyDesign:
         for name in ("replications", "seed", "directions"):
             as_int(getattr(self, name), name)
         for name, is_kind, kind in (
-            ("conditions", _is_str, "strings"),
+            ("conditions", lambda label: _is_str(label) and label in CONDITION_LABELS,
+             f"builtin labels {list(CONDITION_LABELS)}"),
             ("sample_sizes", is_int, "integers"),
             ("epsilons", is_real, "finite real numbers"),
             ("focal", _is_str, "strings"),
             ("population_analysis", _is_str, "strings"),
+            ("targets", lambda target: isinstance(target, ContourTarget), "contour targets"),
         ):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)) or not all(map(is_kind, values)):
                 raise ValueError(f"{name} must be a list of {kind}, got {values!r}")
-        object.__setattr__(self, "conditions", tuple(self.conditions))
+        for name in ("conditions", "targets", "focal", "population_analysis"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "focal", tuple(self.focal))
-        object.__setattr__(
-            self, "population_analysis", tuple(self.population_analysis)
-        )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.directions < 4:
@@ -125,6 +123,10 @@ class StudyDesign:
         # every builtin condition analyzes the canonical model
         model = canonical_model()
         check_focal(focal_indices(model, self.focal), model.q)
+        p = len(model.observed)
+        if set(modes) - set(self.population_analysis) and any(n <= p for n in self.sample_sizes):
+            raise ValueError(f"sample_sizes must exceed the {p} observed variables where a mode "
+                             f"is sampled, got {list(self.sample_sizes)}")
 
 
 @dataclass(frozen=True)
@@ -243,13 +245,14 @@ def _chunk_fits(design: StudyDesign, condition: str, n: int, chunk):
 
 
 @lru_cache(maxsize=1)
-def _row_widths(design: StudyDesign, condition: str, n: int):
-    """Every cell's widths of one (condition, n) row by (mode, epsilon), per
-    fit an :class:`~fungible.contour.AxisWidths`, its error, or None for an
-    unusable fit.  A fit is the population's at an epsilon with population
-    cells, or a replication's, at its own cells' levels; GROUP_CHUNK fits
-    share one lockstep fit and one engine run.  Cells are asked for row by
-    row: one entry."""
+def _row(design: StudyDesign, condition: str, n: int) -> tuple:
+    """The cells of one (condition, n) row in :func:`_cells` order, each a
+    :class:`StudyCell` or the first error the package does not declare among
+    its replications' widths.  A fit is the population's at an epsilon with
+    population cells, or a replication's, at its own cells' levels;
+    GROUP_CHUNK fits share one lockstep fit and one engine run, and each
+    width is counted into its cell when its chunk ends.  Cells are asked
+    for row by row: one entry."""
     targets = {target.mode: target for target in design.targets}
     cells = _cells(design)
     modes: dict[tuple, list] = {}  # (epsilon, population fit?) -> its cells' modes
@@ -258,7 +261,8 @@ def _row_widths(design: StudyDesign, condition: str, n: int):
     units = [(eps, rep, unit_modes) for (eps, population), unit_modes in modes.items()
              for rep in ([None] if population else range(design.replications))]
     focal = focal_indices(canonical_model(), design.focal)
-    results = {cell: [] for cell in cells}
+    axes = {cell: [] for cell in cells}  # (major, minor) of each counted width
+    errors = {}
     for start in range(0, len(units), GROUP_CHUNK):
         chunk = units[start:start + GROUP_CHUNK]
         fits = _chunk_fits(design, condition, n, chunk)
@@ -268,8 +272,22 @@ def _row_widths(design: StudyDesign, condition: str, n: int):
         widths = iter(axis_widths_group([fit for fit, _ in usable], levels, focal, design.directions))
         for fit, (eps, _, unit_modes) in zip(fits, chunk):
             for mode, width in zip(unit_modes, repeat(None) if fit is None else next(widths)):
-                results[mode, eps].append(width)
-    return {cell: tuple(widths) for cell, widths in results.items()}
+                cell = mode, eps
+                if isinstance(width, Exception) and not isinstance(width, FungibleError):
+                    errors.setdefault(cell, width)
+                elif not (width is None or isinstance(width, FungibleError) or width.partial):
+                    axes[cell].append((width.major, width.minor))
+
+    def aggregate(mode, eps):
+        counted, stats = axes[mode, eps], []  # mean and SD of the major, then the minor axis
+        for xs in zip(*counted) if counted else ((), ()):
+            stats += [float(np.mean(xs)) if xs else math.nan,
+                      float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0]
+        runs = 1 if mode in design.population_analysis else design.replications
+        return StudyCell(condition, n, eps, mode, *stats, n_converged=len(counted),
+                         n_excluded=runs - len(counted))
+
+    return tuple(errors[cell] if cell in errors else aggregate(*cell) for cell in cells)
 
 
 def run_cell(design: StudyDesign, condition: str, n: int, epsilon: float, mode: str) -> StudyCell:
@@ -281,44 +299,17 @@ def run_cell(design: StudyDesign, condition: str, n: int, epsilon: float, mode: 
     nonconverged, improper, and partial-sweep replications are excluded and
     counted; a width error the package does not declare is raised, and a
     ``(mode, epsilon)`` that is not a cell column of the design raises
-    :class:`ValueError`.  A row's widths are computed together and cached.
+    :class:`ValueError`.  The cell is read from its row's run, which is
+    cached for the last row asked for.
     """
     n, epsilon = as_int(n, "n"), float(epsilon)
-    cells = _cells(design)
+    cells = list(_cells(design))
     if (mode, epsilon) not in cells:
-        raise ValueError(f"the design has no cell ({mode!r}, {epsilon!r}); its cells are {list(cells)}")
-    majors, minors = [], []
-    excluded = 0
-    for widths in _row_widths(design, condition, n)[mode, epsilon]:
-        if widths is None or isinstance(widths, FungibleError):
-            excluded += 1
-            continue
-        if isinstance(widths, Exception):
-            raise widths
-        if widths.partial:
-            excluded += 1
-            continue
-        majors.append(widths.major)
-        minors.append(widths.minor)
-
-    def mean(xs):
-        return float(np.mean(xs)) if xs else math.nan
-
-    def sd(xs):
-        return float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0
-
-    return StudyCell(
-        condition=condition,
-        n=n,
-        epsilon=epsilon,
-        mode=mode,
-        major_mean=mean(majors),
-        major_sd=sd(majors),
-        minor_mean=mean(minors),
-        minor_sd=sd(minors),
-        n_converged=len(majors),
-        n_excluded=excluded,
-    )
+        raise ValueError(f"the design has no cell ({mode!r}, {epsilon!r}); its cells are {cells}")
+    cell = _row(design, condition, n)[cells.index((mode, epsilon))]
+    if isinstance(cell, Exception):
+        raise cell
+    return cell
 
 
 def _cells(design: StudyDesign) -> dict:
@@ -326,13 +317,6 @@ def _cells(design: StudyDesign) -> dict:
     the :func:`_columns` entries of the modes the design targets."""
     modes = {target.mode for target in design.targets}
     return dict.fromkeys((mode, eps) for _, mode, eps, _ in _columns(design.epsilons) if mode in modes)
-
-
-def _jobs(design: StudyDesign):
-    """(condition, n, epsilon, mode) of every cell the table holds, row by
-    row: per (condition, n), the :func:`_cells` in table order."""
-    return [(condition, n, eps, mode) for condition in design.conditions
-            for n in design.sample_sizes for mode, eps in _cells(design)]
 
 
 def _worker_count(n_jobs, threads):
@@ -343,31 +327,34 @@ def _worker_count(n_jobs, threads):
     return max(1, min(int(threads), n_jobs))
 
 
-def _run_cells(design: StudyDesign, jobs) -> list[StudyCell]:
-    """:func:`run_cell` for each job in turn, in one process."""
-    return [run_cell(design, *job) for job in jobs]
-
-
 def run_design(design: StudyDesign, threads: int | None = None) -> StudyTable:
     """Run every cell of the design.  ``threads`` caps the worker processes
     (an integer of at least 1, :func:`~fungible.model.as_int`'s rule; raises
     :class:`ValueError` otherwise) and defaults to the processor count.
-    Each worker process takes the cells of one (condition, n) row together,
-    so they share its draws, fits and engine runs; the merge keeps the job
-    order whatever the worker count."""
-    rows = [list(row) for _, row in groupby(_jobs(design), key=lambda job: job[:2])]
-    workers = _worker_count(len(rows), threads)
+    Each worker process runs one (condition, n) row at a time, so its cells
+    share the row's draws, fits and engine runs; the merge keeps the table
+    order whatever the worker count, and the first cell error in that order
+    is raised."""
+    conditions = [condition for condition in design.conditions for _ in design.sample_sizes]
+    sizes = [n for _ in design.conditions for n in design.sample_sizes]
+    workers = _worker_count(len(sizes), threads)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_cells, repeat(design), rows))
+            rows = list(pool.map(_checked_row, repeat(design), conditions, sizes))
     else:
-        done = [_run_cells(design, row) for row in rows]
-    return StudyTable(
-        conditions=design.conditions,
-        sample_sizes=design.sample_sizes,
-        epsilons=design.epsilons,
-        cells=tuple(cell for row in done for cell in row),
-    )
+        rows = list(map(_checked_row, repeat(design), conditions, sizes))
+    cells = tuple(cell for row in rows for cell in row)
+    return StudyTable(design.conditions, design.sample_sizes, design.epsilons, cells)
+
+
+def _checked_row(design: StudyDesign, condition: str, n: int) -> tuple:
+    """:func:`_row`, raising the first error among its cells: a run stops at
+    the first row that fails, as a pool cancels the rows not yet started."""
+    row = _row(design, condition, n)
+    for cell in row:
+        if isinstance(cell, Exception):
+            raise cell
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -506,7 +506,7 @@ def reference_run_cell(design, condition, n, epsilon, mode):
 
 
 def clear_fit_caches():
-    """Empty the study's cached row widths and population fits, so that
-    the next run computes them again."""
-    simstudy._row_widths.cache_clear()
+    """Empty the study's cached row run and population fits, so that the
+    next run computes them again."""
+    simstudy._row.cache_clear()
     simstudy._population_fit.cache_clear()

@@ -7,6 +7,7 @@ import pytest
 
 from fungible import (
     canonical_model,
+    contour,
     condition_from_label,
     model_to_dict,
     replication_rng,
@@ -197,6 +198,15 @@ def test_confset_smoke(workdir, capsys):
     assert code == 0
     assert out.startswith("method,major,minor")
     assert "quadratic," in out and "exact," in out
+
+
+def test_unmet_root_tolerance_exits_one(workdir, capsys, monkeypatch):
+    # no ray root meets a tolerance of 0: a declared fault, one error line
+    monkeypatch.setattr(contour, "F_TOL", 0.0)
+    code = main(["confset", "--model", str(workdir / "model.json"),
+                 "--cov", str(workdir / "cov.csv"), "--n", "200", "--directions", "16"])
+    assert code == 1
+    assert "root residual above tolerance" in _one_error_line(capsys, "error:")
 
 
 def test_study_deterministic_files(workdir, tmp_path):

@@ -13,6 +13,7 @@ from fungible import (
     ContourEscapesDomain,
     ContourTarget,
     NotPositiveDefinite,
+    RootAboveTolerance,
     SingularStructure,
     axis_widths_exact,
     axis_widths_quadratic,
@@ -631,7 +632,7 @@ class TestLookaheadRefinement:
         np.testing.assert_array_equal(got.major_direction, want.major_direction)
         np.testing.assert_array_equal(got.minor_direction, want.minor_direction)
 
-    @pytest.mark.parametrize("kind, error", [("nan", NotPositiveDefinite), ("jump", RuntimeError)])
+    @pytest.mark.parametrize("kind, error", [("nan", NotPositiveDefinite), ("jump", RootAboveTolerance)])
     def test_committed_fault_raises(self, monkeypatch, kind, error):
         clean = _Faulty()
         committed, _ = _golden_angles(monkeypatch, _sequential_golden, clean)
@@ -645,6 +646,15 @@ class TestLookaheadRefinement:
         monkeypatch.setattr(contour, "golden_max", _sequential_golden)
         with pytest.raises(error):
             axis_widths_exact(fit, _FAULTY_LEVEL, (0, 1), _FAULTY_DIRECTIONS)
+
+    def test_unmet_root_tolerance_is_declared(self, monkeypatch, popfits, focal):
+        # no ray root meets a tolerance of 0; it once raised a bare
+        # RuntimeError, which ended a whole study
+        monkeypatch.setattr(contour, "F_TOL", 0.0)
+        fit = popfits["Sigma1"]
+        level = f_target(ContourTarget(mode="confidence"), fit, n_focal=2)
+        with pytest.raises(RootAboveTolerance, match="root residual above tolerance 0.0e"):
+            axis_widths_exact(fit, level, focal, 16)
 
 
 class _FaultyAt(_Faulty):
@@ -760,7 +770,7 @@ class TestGroupRun:
         group_levels = levels[:3] + [[_FAULTY_LEVEL]] * 3 + levels[3:] + [[_FAULTY_LEVEL]] * 2
         got = axis_widths_group(group, group_levels, focal, n_dir)
         assert [_outcome(w[0]) for w in got[3:6]] == [
-            "NotPositiveDefinite", "RuntimeError", "NotPositiveDefinite"]
+            "NotPositiveDefinite", "RootAboveTolerance", "NotPositiveDefinite"]
         walled, healthy = got[-2][0], got[-1][0]
         assert walled.skipped == 6 and walled.partial
         assert not isinstance(healthy, Exception) and not healthy.skipped

@@ -16,6 +16,7 @@ from fungible import (
     NoConvergence,
     NotPositiveDefinite,
     PopulationCondition,
+    RootAboveTolerance,
     SingularStructure,
     StudyDesign,
     TargetUnreachable,
@@ -693,6 +694,17 @@ class TestMisspecify:
         monkeypatch.setattr("fungible.fit.population_rmsea", stand_in)
         with pytest.raises(error, match=match):
             misspecify_to_epsilon(cond, eps)
+
+    def test_jump_over_target_is_declared(self, conditions, monkeypatch):
+        # a stand-in RMSEA that jumps from 0 to 0.1 at t = 0.3, so no root
+        # meets the search's tolerance; it once raised a bare RuntimeError
+        cond = conditions["Sigma1"]
+        i, j = cond.misfit_pair
+        base = cond.sigma_pop[i, j]
+        monkeypatch.setattr("fungible.fit.population_rmsea",
+                            lambda model, sigma, df=None: 0.1 * float(sigma[i, j] - base >= 0.3))
+        with pytest.raises(RootAboveTolerance, match="misfit root residual above tolerance"):
+            misspecify_to_epsilon(cond, 0.03)
 
     def test_negative_target_rejected(self, conditions):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 import re
 
 import numpy as np
@@ -22,8 +23,16 @@ from fungible import (
     wishart_sample,
 )
 from fungible import contour, fit, simstudy
-from fungible.simstudy import PAPER_TABLE_CSV, _columns, _jobs, condition_at
+from fungible.simstudy import PAPER_TABLE_CSV, _cells, _columns, condition_at
 from helpers import clear_fit_caches, reference_run_cell
+
+
+def _jobs(design):
+    """(condition, n, epsilon, mode) of every cell the table holds, row by
+    row: per (condition, n), the design's cells in table order."""
+    return [(condition, n, eps, mode) for condition in design.conditions
+            for n in design.sample_sizes for mode, eps in _cells(design)]
+
 
 SMALL_DESIGN = StudyDesign(
     conditions=("Sigma1",),
@@ -447,6 +456,15 @@ class TestExclusions:
         cell = run_cell(self.DESIGN, *self.JOB)
         assert (cell.n_converged, cell.n_excluded) == (3, 0)
 
+    def test_unmet_root_tolerance_excludes(self, monkeypatch):
+        # no ray root meets a tolerance of 0: every width raises the declared
+        # fault, so every replication is excluded and no cell raises
+        monkeypatch.setattr(contour, "F_TOL", 0.0)
+        for job in _jobs(self.DESIGN):
+            cell = run_cell(self.DESIGN, *job)
+            runs = 1 if job[3] in self.DESIGN.population_analysis else self.DESIGN.replications
+            assert (cell.n_converged, cell.n_excluded) == (0, runs), job
+
     @pytest.mark.parametrize("failure", ["draw", "fit"])
     def test_failed_draw_or_fit(self, monkeypatch, failure):
         key, _ = self._rep1()
@@ -516,6 +534,22 @@ class TestExclusions:
             assert (cell.n_converged, cell.n_excluded) == (3, 0)
             with pytest.raises(RuntimeError, match="stand-in"):
                 run_cell(self.DESIGN, *delta_f)
+
+    @pytest.mark.parametrize("sizes", [(1000, 200), (200, 1000)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_row_error_is_raised(self, monkeypatch, sizes, threads):
+        # both rows carry an undeclared error naming their N; the design
+        # raises the first row's, whichever worker ends first, and a serial
+        # run never starts the second row.  The workers see the stand-in
+        # only if they inherit it by fork.
+        if threads > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("worker processes are not forked")
+        self._results(monkeypatch, lambda res, k, w: RuntimeError(f"stand-in at N {res.n}"))
+        design = dataclasses.replace(self.DESIGN, sample_sizes=sizes)
+        clear_fit_caches()
+        with pytest.raises(RuntimeError, match=f"^stand-in at N {sizes[0]}$"):
+            run_design(design, threads=threads)
+        assert simstudy._row.cache_info().misses == (1 if threads == 1 else 0)
 
 
 class TestTableEmission:
@@ -646,6 +680,18 @@ class TestPaperFixture:
 _VALIDATION_CASES = {
     "duplicate modes": (lambda: StudyDesign(targets=(contour.ContourTarget(mode="confidence"),) * 2),
                         "duplicate contour modes in targets"),
+    # the four below once passed or failed outside the design's checks: a
+    # mode name raised AttributeError, a lone target TypeError, and an
+    # unknown label or a draw of n <= p failed only inside a worker
+    "mode name as target": (lambda: StudyDesign(targets=("confidence",)),
+                            "targets must be a list of contour targets"),
+    "lone target": (lambda: StudyDesign(targets=contour.ContourTarget()),
+                    "targets must be a list of contour targets"),
+    "unknown condition": (lambda: StudyDesign(conditions=("Sigma9",)),
+                          re.escape("conditions must be a list of builtin labels ['Sigma1',")),
+    "sampled n <= p": (lambda: StudyDesign(sample_sizes=(6,)),
+                       re.escape("sample_sizes must exceed the 6 observed variables where a mode is "
+                                 "sampled, got [6]")),
     "fixture without N 200": (lambda: check_fixture_scaling(
         dataclasses.replace(paper_fixture(), sample_sizes=(1000, 50))),
         "scaling check needs sample sizes 1000 and 200"),
@@ -657,3 +703,9 @@ def test_validation_raises(case):
     call, message = _VALIDATION_CASES[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_population_modes_alone_run_at_n_up_to_p():
+    # no draw is made, so n <= p is no error when every mode is the population's
+    design = dataclasses.replace(SMALL_DESIGN, sample_sizes=(6,), targets=SMALL_DESIGN.targets[:1])
+    assert run_cell(design, "Sigma1", 6, 0.0, contour.CONFIDENCE).n_converged == 1
