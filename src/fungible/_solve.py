@@ -16,10 +16,12 @@ its steps on every problem that needs it.
 :func:`golden_max` keeps one cache of evaluated points per bracket and
 resumes the step-by-step golden-section search over it; where the replay
 meets a point not yet evaluated, it names that point and those of the
-following steps along the branches a parabola through the best known points
-predicts (R. P. Brent, *Algorithms for Minimization without Derivatives*,
-1973, ch. 5), so one call of its ``fun`` serves several steps.  Its result
-is the step-by-step search's by construction; its docstring says how.
+following steps along predicted branches, so one call of its ``fun`` serves
+several steps: the first path of a bracket walks toward the caller's guess
+of its argmax, and each later one toward the vertex of a parabola through
+the best points seen (R. P. Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 5).  Its result is the step-by-step search's by
+construction, whatever the guess; its docstring says how.
 """
 
 from __future__ import annotations
@@ -95,24 +97,25 @@ def _vertex(points, a, b):
     return x
 
 
-def _walk(w, cache, max_iter, x_tol):
+def _walk(w, cache, guess, max_iter, x_tol):
     """Replay one bracket's step-by-step golden search over ``cache``, which
     maps x to ``(f(x), fault code)``, resuming from ``w`` = ``[t, a, b, c,
     d, f(c), f(d), x_best, f_best, seen]``, the state before step t, and
     leave ``w`` at the step where the replay stops.  Step 0 evaluates the
     interior pair c < d and seeds x_best, f_best; step t >= 1 is the t-th
-    golden step; ``seen`` holds the prior points and those of the steps
-    taken.  The cache only grows, so a resumed walk is the same walk.
+    golden step; ``seen`` holds the points of the steps taken.  The cache
+    only grows, so a resumed walk is the same walk.
 
     Returns ``(code, missing)``.  At the bracket's first step with a
     nonzero code the replay ends before taking the step (the pair is
     taken) and stays there: ``code`` is the step's largest code.  At the
     first step whose point the cache lacks, the walk goes on along the
-    branches that :func:`_vertex` of ``seen`` predicts, through step
-    ``max_iter`` or until the bracket is no wider than ``x_tol``:
-    ``missing`` is the points of those steps that the cache lacks, the
-    first step's (the pair's) first.  After step ``max_iter``, or once the
-    bracket is no wider than ``x_tol``, the search is done: ``(0, [])``.
+    branches toward ``guess`` where that step is the pair, else toward
+    :func:`_vertex` of ``seen``, through step ``max_iter`` or until the
+    bracket is no wider than ``x_tol``: ``missing`` is the points of those
+    steps that the cache lacks, the first step's (the pair's) first.  After
+    step ``max_iter``, or once the bracket is no wider than ``x_tol``, the
+    search is done: ``(0, [])``.
     """
     t, a, b, c, d, fc, fd, x_best, f_best, seen = w
     code, missing = 0, [] if t else [x for x in (c, d) if x not in cache]
@@ -123,8 +126,8 @@ def _walk(w, cache, max_iter, x_tol):
         code = max(code_c, code_d)
         t = int(not code)  # the pair is taken even where it faults
     vertex = None
-    if missing:  # the pair: predict from step 1
-        t, vertex = 1, _vertex(seen, a, b)
+    if missing:  # the pair: predict from step 1, toward the guess
+        t, vertex = 1, guess
     while 0 < t <= max_iter and b - a > x_tol:
         # left: keep [a, d], the new point below c; else keep [c, b], above d
         left = fc >= fd if vertex is None else abs(c - vertex) <= abs(d - vertex)
@@ -149,7 +152,7 @@ def _walk(w, cache, max_iter, x_tol):
     return code, []
 
 
-def golden_max(f, a, b, *, x_tol, max_iter=200, known=None):
+def golden_max(f, a, b, guess, *, x_tol, max_iter=200):
     """Golden-section maximization of f on each [a, b].
 
     Assumes f is unimodal on each bracket (the use here is a local refinement
@@ -168,27 +171,23 @@ def golden_max(f, a, b, *, x_tol, max_iter=200, known=None):
     last replay stopped.  Each round, :func:`_walk` resumes every bracket's
     search from that state over its cache, up to the first point the cache
     lacks, and names that point and those of every later step, through
-    step ``max_iter`` or to ``x_tol``, along the branches that the vertex
-    of a parabola through the bracket's known points predicts.
-    The known points are those of the steps taken and ``known``, an optional
-    pair ``(x, f)`` of ``(n, m)`` arrays of prior points per bracket (such
-    as a caller's grid values), used only for the prediction.  One call of
+    step ``max_iter`` or to ``x_tol``, keeping at each step the side
+    nearer a predicted argmax: ``guess``, one point per bracket, for the
+    first round's path, and for later ones the vertex of a parabola through
+    the best points of the steps taken (a NaN guess takes the right branch
+    throughout; the first path is only as good as the guess).  One call of
     f evaluates the named points of every bracket that needs values; a
     point off the search's path stays cached for any later path that meets
     it.  The result is the step-by-step search's by construction, whatever
     the predictions.  Brackets are Python floats: their + - * are numpy's
     IEEE double operations, without its cost per call.
     """
-    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
-    prior = [[] for _ in a]
-    if known is not None:
-        kx, kf = np.asarray(known, dtype=float).tolist()
-        prior = [list(zip(xs, fs)) for xs, fs in zip(kx, kf)]
-    walks = [[0, a, b, b - _INVPHI * (b - a), a + _INVPHI * (b - a), None, None, None, None, p]
-             for a, b, p in zip(a, b, prior)]
+    a, b, guess = (np.asarray(v, dtype=float).tolist() for v in (a, b, guess))
+    walks = [[0, a, b, b - _INVPHI * (b - a), a + _INVPHI * (b - a), None, None, None, None, []]
+             for a, b in zip(a, b)]
     caches = [{} for _ in walks]
     while True:
-        found = [_walk(w, cache, max_iter, x_tol) for w, cache in zip(walks, caches)]
+        found = [_walk(*bracket, max_iter, x_tol) for bracket in zip(walks, caches, guess)]
         which = [j for j, (_, missing) in enumerate(found) for _ in missing]
         if not which:
             break

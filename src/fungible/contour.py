@@ -27,9 +27,10 @@ each ray takes the iterates its own scalar search would take.  A ray whose
 root fails gets a fault code and leaves the others to finish; a sweep
 raises for any faulted ray, and a width fails for its own rays alone.  The
 golden searches replay the step-by-step search over a cache of widths per
-extremum, evaluating several predicted steps per ray solve seeded with the
-swept widths around it; a fault at one search's angles ends that search
-alone, and its width fails for it.  A cached width comes from whichever
+extremum, evaluating several predicted steps per ray solve, the first
+toward the stationary point of the sextic through 7 swept widths; a
+fault at one search's angles ends that search alone, and its width
+fails for it.  A cached width comes from whichever
 stacked solve evaluated it, so a ray's radius must not depend on the rows
 beside it, its own contour's or another's (a test pins this).  For a
 :class:`~fungible.fit.FitResult` that evaluation is
@@ -43,13 +44,13 @@ paths it is the discrepancy kernel itself.  The planes of a group's fits
 stack along a fit axis (:meth:`~fungible.discrepancy.FocalPlane.stack`),
 so a group step is one call.  On the ROADMAP Baseline fit (Sigma1, eps .03,
 N = 200; eps_tilde target; 2-core Xeon VM, one BLAS thread), a 90-direction
-width alone makes 18 stacked calls over about 1,350 rows and a
-360-direction width 18 over about 2,570; the evaluator is about 0.30 of
+width alone makes 18 stacked calls over about 1,140 rows and a
+360-direction width 12 over about 2,490; the evaluator is about 0.30 of
 either, the rest this engine's own numpy and Python work.  The 20 usable
 sample fits of that cell (seed 1) at the eps_tilde and delta_f levels, 40
-widths, take 24 stacked calls over 91,048 rows at 360 directions as one
-group, against 688 calls over the same rows one width at a time (29
-against 726 at 90 directions).
+widths, take 18 stacked calls over 88,696 rows at 360 directions as one
+group, against 516 calls over the same rows one width at a time (28
+against 700 at 90 directions).
 
 These functions only use ``theta_hat``, ``f_hat``, ``n``, ``hessian_at_opt``
 and ``focal_objectives(focal)`` from the fit argument, and
@@ -89,6 +90,10 @@ N_DIRECTIONS = 360  # rays per contour sweep unless a caller says otherwise
 
 F_TOL = 1e-9  # every ray root: |F - T| <= F_TOL
 ANGLE_TOL = 1e-6  # golden refinement of the extremal width angles, radians
+
+# w @ _SLOPE: the coefficients of p', in powers of s, for the sextic p that
+# interpolates the widths w at s = -3..3 grid steps (an inverse Vandermonde)
+_SLOPE = np.linalg.inv(np.vander(np.arange(-3.0, 4.0), increasing=True))[1:].T * np.arange(1, 7)
 
 
 @dataclass(frozen=True)
@@ -411,10 +416,14 @@ def axis_widths_group(fits, levels, focal, n_directions: int = N_DIRECTIONS):
     Each contour is solved along ``n_directions`` rays and its
     through-center width w(phi) = r(phi) + r(phi + pi) measured; the
     extremal angles are refined by golden section to :data:`ANGLE_TOL`
-    radians.  Escaped directions are skipped and counted; a width is flagged
-    ``partial`` when more than 5% skip.  A width fails with
-    :class:`ContourEscapesDomain` when every direction escapes, with the
-    error of :func:`_fault_error` for a faulted ray of its sweep or
+    radians, each search's first predicted path walking toward the
+    stationary point of the sextic through the 7 swept widths around its
+    extremum (w is pi-periodic), or toward the extremum itself where fewer
+    than 7 angles per pi are swept or that point is not finite (a NaN width)
+    or over one grid step away.  Escaped directions are skipped and counted;
+    a width is flagged ``partial`` when more than 5% skip.  A width fails
+    with :class:`ContourEscapesDomain` when every direction escapes, with
+    the error of :func:`_fault_error` for a faulted ray of its sweep or
     refinement, and with a level below F-hat's :class:`ValueError` or any
     error its fit's focal plane raises.  Every contour's rays share one
     lockstep engine run: one stacked sweep solve, and one
@@ -479,14 +488,19 @@ def axis_widths_group(fits, levels, focal, n_directions: int = N_DIRECTIONS):
         return signed, np.maximum(codes[:m], codes[m:])
 
     if len(refine):
+        # the sextic's stationary point: two Newton steps on p', in grid steps
         centers = angles.take(extrema)
-        # the swept widths at each bracket's ends and center (w is
-        # pi-periodic) predict the searches' first steps
-        offsets = np.array([-1, 0, 1])
-        near = (extrema[:, None] + offsets) % half
-        known = centers[:, None] + delta * offsets, sign[:, None] * widths[rows[:, None], near]
+        stencil = widths[rows[:, None], (extrema[:, None] + np.arange(-3, 4)) % half]
+        with np.errstate(all="ignore"):
+            slope = stencil @ _SLOPE
+            curvature = slope[:, 1:] * np.arange(1, 6)
+            step = -slope[:, 0] / curvature[:, 0]  # the first, from 0
+            powers = np.vander(step, 6, increasing=True)
+            step -= (slope * powers).sum(1) / (curvature * powers[:, :5]).sum(1)
+            usable = (half >= 7) & (np.abs(step) <= 1.0)
+            guess = centers + delta * np.where(usable, step, 0.0)
         phi, best, codes = golden_max(
-            signed_widths, centers - delta, centers + delta, x_tol=ANGLE_TOL, known=known
+            signed_widths, centers - delta, centers + delta, guess, x_tol=ANGLE_TOL
         )
     for b, j in enumerate(refine.tolist()):
         p = todo[j]

@@ -293,9 +293,10 @@ def fit_stack(model: ModelSpec, covariances, n: int | None = None,
         thetas = np.array([theta for _, (theta, *_) in done])
         h_opt, ok, bad = _hessian_stack(model, thetas, s_all[[j for j, _ in done]])
         for k, (j, (theta, f, g_max, iterations, converged, f_trace)) in enumerate(done):
-            results[index[j]] = _fault(ok[k], bad[k]) or FitResult(
-                model, s_all[j], n, theta, f, g_max, h_opt[k], iterations, converged,
-                bool(np.any(theta[model.variance_param_mask] < 0)), f_trace)
+            fit = FitResult(model, s_all[j], n, theta, f, g_max, h_opt[k], iterations, converged,
+                            bool(np.any(theta[model.variance_param_mask] < 0)), f_trace)
+            fit.__dict__["_ld_s"] = analyzed[j][1]  # S is checked: its cached ln|S|
+            results[index[j]] = _fault(ok[k], bad[k]) or fit
     return results
 
 

@@ -524,13 +524,24 @@ class _Faulty(RowMapped):
         return value
 
 
+class _Edged(_Faulty):
+    """The bowl of :class:`_Faulty`, undefined beyond radius 0.1 within
+    ``half_width`` of ``bad_angle``, so the rays there escape."""
+
+    def objective(self, theta):
+        off = math.remainder(math.atan2(theta[1], theta[0]) - self.bad_angle, 2.0 * math.pi)
+        if abs(off) < self.half_width and math.hypot(theta[0], theta[1]) > 0.1:
+            return math.nan
+        return 0.5 * float(theta @ self.hessian @ theta)
+
+
 _FAULTY_LEVEL, _FAULTY_DIRECTIONS = 0.02, 8
 
 
-def _sequential_golden(f, a, b, *, x_tol, max_iter=200, known=None):
+def _sequential_golden(f, a, b, guess, *, x_tol, max_iter=200):
     """The step-by-step refinement: ``helpers.reference_golden_max`` over the
     engine's stacked widths, raising as soon as a step's rays fault; it has
-    no use for the prior points ``known``."""
+    no use for the ``guess`` of each argmax."""
     def values(x, which):
         out, fault = f(x, which)
         if (err := contour._fault_error(fault.max())) is not None:
@@ -546,14 +557,14 @@ def _golden_angles(monkeypatch, search, fit):
     sum of the fault codes the stacked ray solves reported."""
     seen, faults = [], [0]
 
-    def recording(f, a, b, **kw):
+    def recording(f, *args, **kw):
         def wrapped(x, which):
             seen.extend(x)
             out, fault = f(x, which)
             faults[0] += int(np.sum(fault))
             return out, fault
 
-        return search(wrapped, a, b, **kw)
+        return search(wrapped, *args, **kw)
 
     monkeypatch.setattr(contour, "golden_max", recording)
     axis_widths_exact(fit, _FAULTY_LEVEL, (0, 1), _FAULTY_DIRECTIONS)
@@ -599,19 +610,55 @@ class TestLookaheadRefinement:
             "b1e2ad0ff43f1774d8434035831105002623c425693262455dd075e688f1e27c"
         )
 
+    @staticmethod
+    def _stacked_calls(fit, focal, n_directions):
+        counting = _Counting(fit)
+        t = f_target(ContourTarget(mode="confidence", confidence=0.95), counting, n_focal=2)
+        axis_widths_exact(counting, t, focal, n_directions)
+        return len(counting.rows), sum(counting.rows)
+
     def test_stacked_evaluation_count(self, popfits, focal):
         # the criterion-05 fit at 90 directions: the step-by-step refinement
         # took 162 stacked evaluations (1,126 rows), a look-ahead of every
         # state three steps deep 66 (1,862 rows), a predicted path capped
-        # at 12 golden steps per call 24 (1,186 rows); a path predicted
-        # through x_tol takes 18 (1,441 rows)
-        fit = _Counting(popfits["Sigma1"])
-        t = f_target(ContourTarget(mode="confidence", confidence=0.95), fit, n_focal=2)
-        axis_widths_exact(fit, t, focal, 90)
-        assert (len(fit.rows), sum(fit.rows)) == (18, 1441)
+        # at 12 golden steps per call 24 (1,186 rows), a path predicted
+        # through x_tol from a parabola through three swept widths 18
+        # (1,441 rows); its first path walked toward the stationary point
+        # of the sextic through seven swept widths takes 18 (1,210 rows)
+        assert self._stacked_calls(popfits["Sigma1"], focal, 90) == (18, 1210)
+
+    def test_stacked_evaluation_count_at_360_directions(self, popfits, focal):
+        # the same fit at 360 directions: the parabola's first path took 18
+        # stacked evaluations (2,596 rows), the sextic's takes 12
+        assert self._stacked_calls(popfits["Sigma1"], focal, 360) == (12, 2572)
+
+    @pytest.mark.parametrize("n_directions, edged", [(8, False), (360, False), (360, True)])
+    def test_guess_falls_back_to_the_swept_extremum(self, monkeypatch, n_directions, edged):
+        # the guess is a swept angle itself where fewer than 7 angles per pi
+        # are swept (8 directions) or a stencil width is NaN: with edged,
+        # the ray two grid steps past the major axis escapes.  Elsewhere it
+        # is the sextic's stationary point, off the grid
+        delta = 2.0 * math.pi / n_directions
+        vec = np.linalg.eigh(_Faulty.hessian)[1]
+        major = math.atan2(vec[1, 0], vec[0, 0])  # the smaller curvature's axis
+        fit = _Edged(major + 2.0 * delta, 0.6 * delta) if edged else _Faulty()
+        guesses = []
+
+        def spying(f, a, b, guess, **kw):
+            guesses.append(np.asarray(guess))
+            return golden_max(f, a, b, guess, **kw)
+
+        monkeypatch.setattr(contour, "golden_max", spying)
+        widths = axis_widths_exact(fit, _FAULTY_LEVEL, (0, 1), n_directions)
+        assert widths.skipped == (1 if edged else 0)
+        swept = 2.0 * math.pi * np.arange(n_directions) / n_directions
+        on_grid = np.isin(guesses[0], swept).tolist()
+        assert on_grid == ([True, True] if n_directions == 8 else [edged, False])
 
     @pytest.mark.parametrize("kind", ["nan", "jump"])
     def test_speculative_fault_is_discarded(self, monkeypatch, kind):
+        # at 8 directions each first path walks toward the swept extremum
+        # (the guess's fallback), so it strays from the committed path
         clean = _Faulty()
         committed, _ = _golden_angles(monkeypatch, _sequential_golden, clean)
         evaluated, _ = _golden_angles(monkeypatch, golden_max, clean)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fungible.fit
 from fungible import (
     FitOptions,
     FitResult,
@@ -23,6 +24,7 @@ from fungible import (
     sigma_of_theta,
     wishart_sample,
 )
+from fungible.discrepancy import _analyzed
 from helpers import reference_fit_ml
 
 
@@ -279,6 +281,19 @@ class TestFitStack:
         rows = _negative_factor_rows()
         kinds = self._check(NEGATIVE_FACTOR, rows, None, FitOptions(max_iter=100))
         assert kinds == {"as_cov", "start", "converged", "stalled", "no_convergence", "hessian"}
+
+    def test_fits_keep_the_checked_ln_det_s(self, monkeypatch):
+        # each fit holds the ln|S| that fit_stack checked its S with, the
+        # bits a second check gives, so its evaluators check S no more
+        cond = condition_at("Sigma1", 0.03)
+        rows = [wishart_sample(cond.sigma_pop, 200, replication_rng(1, "Sigma1", 200, 0.03, rep))
+                for rep in range(3)]
+        fits = fit_stack(cond.model, rows, 200)
+        want = [_analyzed(cond.model, fit.s)[1] for fit in fits]
+        monkeypatch.setattr(fungible.fit, "_analyzed", None)  # a second check raises
+        for fit, ld_s in zip(fits, want):
+            assert np.float64(fit._ld_s).tobytes() == np.float64(ld_s).tobytes()
+            fit.focal_objectives((0, 1))(np.zeros((1, 2)))
 
     def test_fit_ml_is_the_one_row_view(self):
         for s in _negative_factor_rows():
