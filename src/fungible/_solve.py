@@ -13,15 +13,19 @@ code and dropped, so it never stops the others.
 rays and the misfit perturbation search; its domain-edge bisection runs all
 its steps on every problem that needs it.
 
-:func:`golden_max` keeps one cache of evaluated points per bracket and
-resumes the step-by-step golden-section search over it; where the replay
-meets a point not yet evaluated, it names that point and those of the
-following steps along predicted branches, so one call of its ``fun`` serves
-several steps: the first path of a bracket walks toward the caller's guess
-of its argmax, and each later one toward the vertex of a parabola through
-the best points seen (R. P. Brent, *Algorithms for Minimization without
+:func:`golden_max` runs each bracket as a row, like each fit of
+:func:`~fungible.fit.fit_stack`: a generator that yields its requests and,
+last, its outcome.  Each round the lockstep loop makes one call for the
+requests of every live row and resumes those rows; it holds no row's state
+and catches no row's exception.  A bracket's row is the step-by-step
+golden-section search over a cache of evaluated points; where a step's
+point is not cached it requests that point and those of the following
+steps along predicted branches, so one call of ``fun`` serves several
+steps: the first path of a bracket walks toward the caller's guess of its
+argmax, and each later one toward the vertex of a parabola through the
+best points seen (R. P. Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 5).  Its result is the step-by-step search's by
-construction, whatever the guess; its docstring says how.
+construction, whatever the guess.
 """
 
 from __future__ import annotations
@@ -97,59 +101,55 @@ def _vertex(points, a, b):
     return x
 
 
-def _walk(w, cache, guess, max_iter, x_tol):
-    """Replay one bracket's step-by-step golden search over ``cache``, which
-    maps x to ``(f(x), fault code)``, resuming from ``w`` = ``[t, a, b, c,
-    d, f(c), f(d), x_best, f_best, seen]``, the state before step t, and
-    leave ``w`` at the step where the replay stops.  Step 0 evaluates the
-    interior pair c < d and seeds x_best, f_best; step t >= 1 is the t-th
-    golden step; ``seen`` holds the points of the steps taken.  The cache
-    only grows, so a resumed walk is the same walk.
-
-    Returns ``(code, missing)``.  At the bracket's first step with a
-    nonzero code the replay ends before taking the step (the pair is
-    taken) and stays there: ``code`` is the step's largest code.  At the
-    first step whose point the cache lacks, the walk goes on along the
-    branches toward ``guess`` where that step is the pair, else toward
-    :func:`_vertex` of ``seen``, through step ``max_iter`` or until the
-    bracket is no wider than ``x_tol``: ``missing`` is the points of those
-    steps that the cache lacks, the first step's (the pair's) first.  After
-    step ``max_iter``, or once the bracket is no wider than ``x_tol``, the
-    search is done: ``(0, [])``.
-    """
-    t, a, b, c, d, fc, fd, x_best, f_best, seen = w
-    code, missing = 0, [] if t else [x for x in (c, d) if x not in cache]
-    if not (t or missing):
-        (fc, code_c), (fd, code_d) = cache[c], cache[d]
-        x_best, f_best = (c, fc) if fc >= fd else (d, fd)
-        seen += (c, fc), (d, fd)
-        code = max(code_c, code_d)
-        t = int(not code)  # the pair is taken even where it faults
-    vertex = None
-    if missing:  # the pair: predict from step 1, toward the guess
-        t, vertex = 1, guess
-    while 0 < t <= max_iter and b - a > x_tol:
-        # left: keep [a, d], the new point below c; else keep [c, b], above d
-        left = fc >= fd if vertex is None else abs(c - vertex) <= abs(d - vertex)
+def _ahead(a, b, c, d, toward, cache, steps, x_tol):
+    """The points that ``cache`` lacks of the interior pair c < d of [a, b]
+    and of the next ``steps`` golden steps, each keeping the side nearer
+    ``toward``, while the bracket is wider than ``x_tol``: the pair's
+    first, then the steps' in order."""
+    missing = [x for x in (c, d) if x not in cache]
+    while steps > 0 and b - a > x_tol:
+        left = abs(c - toward) <= abs(d - toward)
         x = d - _INVPHI * (d - a) if left else c + _INVPHI * (b - c)
-        fx, code = cache.get(x, (None, 0))
-        if vertex is None and fx is None:  # the replay stops here: predict on
-            w[:9] = t, a, b, c, d, fc, fd, x_best, f_best
-            vertex = _vertex(seen, a, b)
-        if vertex is None:
-            if code:
-                break
-            if fx > f_best:
-                x_best, f_best = x, fx
-            seen.append((x, fx))
-        elif fx is None:
+        if x not in cache:
             missing.append(x)
-        a, b, c, d, fc, fd = (a, d, x, c, fx, fc) if left else (c, b, d, x, fd, fx)
+        a, b, c, d = (a, d, x, c) if left else (c, b, d, x)
+        steps -= 1
+    return missing
+
+
+def _bracket(a, b, cache, guess, max_iter, x_tol):
+    """One bracket of :func:`golden_max`: the step-by-step golden search on
+    [a, b] over ``cache``, which maps x to ``(f(x), fault code)``.  Step 0
+    takes the interior pair c < d, step t >= 1 the t-th golden step.  Where
+    the cache lacks a step's point, the search yields :func:`_ahead`'s
+    points of that step and the following ones, along the branches toward
+    ``guess`` from the pair, else toward :func:`_vertex` of the points of
+    the steps taken, and resumes once they are cached.  Its last yield is
+    its outcome ``(x_best, f_best, code)``: at the first step with a
+    nonzero code the search ends before taking it (the pair is taken),
+    ``code`` the step's largest; after step ``max_iter``, or once the
+    bracket is no wider than ``x_tol``, the search is done, code 0."""
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    while c not in cache or d not in cache:
+        yield _ahead(a, b, c, d, guess, cache, max_iter, x_tol)
+    (fc, code_c), (fd, code_d) = cache[c], cache[d]
+    x_best, f_best = (c, fc) if fc >= fd else (d, fd)
+    seen, code, t = [(c, fc), (d, fd)], max(code_c, code_d), 1
+    while not code and t <= max_iter and b - a > x_tol:
+        left = fc >= fd  # keep [a, d], the new point below c; else [c, b], above d
+        x = d - _INVPHI * (d - a) if left else c + _INVPHI * (b - c)
+        step = (a, d, x, c) if left else (c, b, d, x)
+        while x not in cache:
+            yield _ahead(*step, _vertex(seen, a, b), cache, max_iter - t, x_tol)
+        fx, code = cache[x]
+        if code:
+            break
+        if fx > f_best:
+            x_best, f_best = x, fx
+        seen.append((x, fx))
+        (a, b, c, d), (fc, fd) = step, (fx, fc) if left else (fd, fx)
         t += 1
-    if vertex is not None:
-        return 0, missing
-    w[:9] = t, a, b, c, d, fc, fd, x_best, f_best
-    return code, []
+    yield x_best, f_best, code
 
 
 def golden_max(f, a, b, guess, *, x_tol, max_iter=200):
@@ -166,38 +166,31 @@ def golden_max(f, a, b, guess, *, x_tol, max_iter=200):
     steps before t (the initial pair's, for a fault in it), and its
     ``fault`` is the largest code among its points of step t.
 
-    Between calls of f the search keeps, per bracket, a cache mapping x to
-    (f(x), fault code) and the state of its step-by-step search where the
-    last replay stopped.  Each round, :func:`_walk` resumes every bracket's
-    search from that state over its cache, up to the first point the cache
-    lacks, and names that point and those of every later step, through
-    step ``max_iter`` or to ``x_tol``, keeping at each step the side
-    nearer a predicted argmax: ``guess``, one point per bracket, for the
-    first round's path, and for later ones the vertex of a parabola through
-    the best points of the steps taken (a NaN guess takes the right branch
-    throughout; the first path is only as good as the guess).  One call of
-    f evaluates the named points of every bracket that needs values; a
-    point off the search's path stays cached for any later path that meets
-    it.  The result is the step-by-step search's by construction, whatever
-    the predictions.  Brackets are Python floats: their + - * are numpy's
-    IEEE double operations, without its cost per call.
+    Each bracket is a :func:`_bracket` row over its own cache, mapping x to
+    (f(x), fault code), and each round one call of f evaluates every live
+    bracket's requested points: at each step the side nearer a predicted
+    argmax, through step ``max_iter`` or to ``x_tol``, that is ``guess``
+    (one point per bracket) for the first path and the vertex of a parabola
+    through the best points of the steps taken for later ones (a NaN guess
+    takes the right branch throughout; the first path is only as good as
+    the guess).  A point off the search's path stays cached for any later
+    path that meets it.  The result is the step-by-step search's by
+    construction, whatever the predictions.  Brackets are Python floats:
+    their + - * are numpy's IEEE double operations, without its cost per call.
     """
     a, b, guess = (np.asarray(v, dtype=float).tolist() for v in (a, b, guess))
-    walks = [[0, a, b, b - _INVPHI * (b - a), a + _INVPHI * (b - a), None, None, None, None, []]
-             for a, b in zip(a, b)]
-    caches = [{} for _ in walks]
-    while True:
-        found = [_walk(*bracket, max_iter, x_tol) for bracket in zip(walks, caches, guess)]
-        which = [j for j, (_, missing) in enumerate(found) for _ in missing]
-        if not which:
-            break
-        xs = [x for _, missing in found for x in missing]
+    caches = [{} for _ in a]
+    rows = [_bracket(*row, max_iter, x_tol) for row in zip(a, b, caches, guess)]
+    asks = [next(row) for row in rows]
+    while which := [j for j, ask in enumerate(asks) if type(ask) is list for _ in ask]:
+        xs = [x for ask in asks if type(ask) is list for x in ask]
         values, codes = f(np.array(xs, dtype=float), np.array(which, dtype=int))
         for j, x, fx, code in zip(which, xs, np.asarray(values, dtype=float).tolist(),
                                   np.asarray(codes).tolist()):
             caches[j][x] = fx, code
-    x_best, f_best = np.array([w[7:9] for w in walks], dtype=float).reshape(-1, 2).T
-    return x_best, f_best, np.array([code for code, _ in found], dtype=int)
+        asks = [next(row) if type(ask) is list else ask for row, ask in zip(rows, asks)]
+    x_best, f_best, fault = np.array(asks, dtype=float).reshape(-1, 3).T
+    return x_best, f_best, fault.astype(int)
 
 
 def bracket_level(g, lo, hi, g_lo, *, doublings, edge_iters):

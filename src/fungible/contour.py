@@ -9,12 +9,12 @@ half-length), measured either from the focal Hessian block (quadratic
 approximation) or by sweeping rays and solving each crossing exactly.
 
 One level rule holds throughout: :func:`f_target` never returns a level
-below the fitted discrepancy F-hat, a level T below F-hat raises
-:class:`ValueError` elsewhere, and T == F-hat is the degenerate contour (no
-ray solved: radius 0, widths 0 along the focal Hessian's eigenvectors,
-theta-hat as the point).  Contour points come from one direction sweep,
-:func:`sweep_contour`.  Ray roots meet the fixed tolerance :data:`F_TOL` and
-refined angles :data:`ANGLE_TOL`.
+below the fitted discrepancy F-hat, a level T that is not a finite real
+number or lies below F-hat raises :class:`ValueError` elsewhere, and T ==
+F-hat is the degenerate contour (no ray solved: radius 0, widths 0 along
+the focal Hessian's eigenvectors, theta-hat as the point).  Contour points
+come from one direction sweep, :func:`sweep_contour`.  Ray roots meet the
+fixed tolerance :data:`F_TOL` and refined angles :data:`ANGLE_TOL`.
 
 Every ray solve goes through one lockstep engine, and one engine run
 covers the widths of many (fit, level) pairs: :func:`axis_widths_group`
@@ -25,15 +25,15 @@ together, one stacked evaluation of F per step over a ``(k, len(focal))``
 stack of offsets r u from theta-hat, each row on its own pair's contour, and
 each ray takes the iterates its own scalar search would take.  A ray whose
 root fails gets a fault code and leaves the others to finish; a sweep
-raises for any faulted ray, and a width fails for its own rays alone.  The
-golden searches replay the step-by-step search over a cache of widths per
-extremum, evaluating several predicted steps per ray solve, the first
-toward the stationary point of the sextic through 7 swept widths; a
-fault at one search's angles ends that search alone, and its width
-fails for it.  A cached width comes from whichever
-stacked solve evaluated it, so a ray's radius must not depend on the rows
-beside it, its own contour's or another's (a test pins this).  For a
-:class:`~fungible.fit.FitResult` that evaluation is
+raises for any faulted ray, and a width fails for its own rays alone.  Each
+extremum's golden search is a row of :func:`~fungible._solve.golden_max`,
+the step-by-step search over a cache of widths that requests several
+predicted steps per ray solve, the first toward the stationary point of
+the sextic through 7 swept widths; a fault at one search's angles ends
+that search alone, and its width fails for it.  A cached width comes from
+whichever stacked solve evaluated it, so a ray's radius must not depend on
+the rows beside it, its own contour's or another's (a test pins this).  For
+a :class:`~fungible.fit.FitResult` that evaluation is
 :meth:`~fungible.fit.FitResult.focal_objectives`, the focal-plane evaluator
 :class:`~fungible.discrepancy.FocalPlane`: on a single-step model it
 factors only the Schur complement K of the rows of Sigma the focal
@@ -194,7 +194,10 @@ def _embed(fit, units, focal):
 
 def _level_offset(fit, t_target):
     """The level rule of every contour function: c = T - F-hat, raising
-    when T lies below the minimum; c == 0 is the degenerate contour."""
+    when T is not a real number (:func:`~fungible.model.is_real`) or lies
+    below the minimum; c == 0 is the degenerate contour."""
+    if not is_real(t_target):
+        raise ValueError(f"t_target must be a finite real number, got {t_target!r}")
     c = t_target - fit.f_hat
     if c < 0:
         raise ValueError("t_target must not be below the fitted discrepancy")
@@ -231,12 +234,11 @@ def _ray_solver(fits, focal, pairs):
     its rows, so a ray's bits do not depend on the rows beside it.
     """
     fit_of = np.array([i for i, _ in pairs], dtype=int)
-    t = np.array([level for _, level in pairs], dtype=float)
-    c = np.full(len(pairs), np.nan)
+    t, c = np.full((2, len(pairs)), np.nan)
     failed = [None] * len(pairs)
     for p, (i, level) in enumerate(pairs):
         try:
-            c[p] = _level_offset(fits[i], level)
+            c[p], t[p] = _level_offset(fits[i], level), level
         except Exception as err:  # noqa: BLE001 - this pair's own error
             failed[p] = err
     # per fit with a contour to solve: its focal plane and Hessian block,

@@ -8,13 +8,14 @@ discrepancy.  There are no parameter bounds: improper solutions (negative
 unique variances) are reported via ``FitResult.improper``, not prevented.
 
 :func:`fit_stack` fits a list of covariances in lockstep, and :func:`fit_ml`
-is its one-row view.  Each row runs its own BFGS loop, and each round makes
-one kernel call at every row's pending point, against the row's own S
-(checked by :func:`~fungible.model.as_cov` and factored once): F is NaN at
-a trial that leaves the domain, which fails the Armijo test as an infinite
-F would, and the implied matrices of the accepted trials give their
-gradients in one more call.  The Hessians at the optima are one stacked
-evaluation of every row's 2q gradient points.  A step costs little
+is its one-row view.  Each row is a BFGS generator that yields its
+requests and, last, its outcome (the row protocol of :mod:`fungible._solve`).
+Each round makes one kernel call at every row's pending point, against the
+row's own S (checked by :func:`~fungible.model.as_cov`, factored once): F
+is NaN at a trial that leaves the domain, which fails the Armijo test as
+an infinite F would, and the implied matrices of the accepted trials give
+their gradients in one more call.  The Hessians at the optima are one
+stacked evaluation of every row's 2q gradient points.  A step costs little
 arithmetic and many numpy calls, so rows that share the calls are cheaper:
 on a 2-core Xeon VM a fit of the builtin conditions' model (q = 14, about
 26 iterations) takes about 2.0 ms alone, 1.4 ms per fit at 3 rows and
@@ -155,12 +156,14 @@ def _bfgs(theta, opts, eye):
     """One row of :func:`fit_stack`: BFGS from ``theta``.  Yields each point
     to evaluate, the start first, and is sent its F (NaN outside the
     domain), then at the start and at an accepted trial yields
-    :data:`_GRADIENT` and is sent the gradient.  Returns ``(theta, f,
-    g_max, iterations, converged, f_trace)``, None where F is NaN at the
-    start; raises :class:`NoConvergence` after ``opts.max_iter`` iterations."""
+    :data:`_GRADIENT` and is sent the gradient.  Its last yield is its
+    outcome: ``(theta, f, g_max, iterations, converged, f_trace)``, None
+    where F is NaN at the start, or a :class:`NoConvergence` after
+    ``opts.max_iter`` iterations."""
     f = yield theta
     if math.isnan(f):
-        return None
+        yield None
+        return
     g = yield _GRADIENT
     f_trace = [f]
     h_inv = eye.copy()
@@ -170,7 +173,8 @@ def _bfgs(theta, opts, eye):
 
     while not g_max < opts.grad_tol:
         if iterations >= opts.max_iter:
-            raise NoConvergence(iterations, g_max)
+            yield NoConvergence(iterations, g_max)
+            return
         iterations += 1
 
         direction = -h_inv.dot(g)
@@ -213,17 +217,7 @@ def _bfgs(theta, opts, eye):
         g_max = float(np.abs(g).max())
         if stalled:
             break
-    return theta, f, g_max, iterations, g_max < opts.grad_tol, f_trace
-
-
-def _send(row, value):
-    """A row's next request after ``value``, or its outcome once it stops."""
-    try:
-        return row.send(value)
-    except StopIteration as stop:
-        return stop.value
-    except NoConvergence as exc:
-        return exc
+    yield theta, f, g_max, iterations, g_max < opts.grad_tol, f_trace
 
 
 def fit_stack(model: ModelSpec, covariances, n: int | None = None,
@@ -264,7 +258,7 @@ def fit_stack(model: ModelSpec, covariances, n: int | None = None,
             f_new = _f_stack(implied[2], s_live, ld_live, tr_const)
             asked, ended = [], []
             for k, f in enumerate(f_new.tolist()):
-                trial = trials[k] = _send(rows[k], f)
+                trial = trials[k] = rows[k].send(f)
                 if trial is _GRADIENT:
                     asked.append(k)
                 elif type(trial) is not np.ndarray:
@@ -273,7 +267,7 @@ def fit_stack(model: ModelSpec, covariances, n: int | None = None,
                 at = asked[0] if len(asked) == 1 else asked
                 grads = _grad_from_implied(model, s_live[at], *(mat[at] for mat in implied))
                 for k, g in zip(asked, grads if len(asked) > 1 else (grads,)):
-                    trial = trials[k] = _send(rows[k], g)
+                    trial = trials[k] = rows[k].send(g)
                     if type(trial) is not np.ndarray:
                         ended.append(k)
             for k in ended:  # None: F is NaN at the start
@@ -284,8 +278,6 @@ def fit_stack(model: ModelSpec, covariances, n: int | None = None,
                     done.append((live[k], outcome))
             if ended:
                 going = [k for k in range(len(rows)) if k not in ended]
-                if not going:
-                    break
                 live, rows, trials = ([seq[k] for k in going] for seq in (live, rows, trials))
                 s_live, ld_live = s_all[live], neg_ld[live]
 

@@ -112,6 +112,10 @@ class StudyDesign:
         eps = self.epsilons
         if any(e < 0 for e in eps) or any(a >= b for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be nonnegative and strictly ascending")
+        names = [name for name, *_ in _columns(eps)]
+        if len(set(names)) != len(names):
+            raise ValueError("epsilons must differ in their first 6 significant digits, "
+                             f"which name the table's columns, got {list(eps)}")
         modes = [t.mode for t in self.targets]
         if len(set(modes)) != len(modes):
             raise ValueError("duplicate contour modes in targets")
@@ -412,14 +416,16 @@ def parse_table(text: str) -> StudyTable:
 
     FPE cells carry only means in the table, so their SDs parse as 0 and the
     replication counts are placeholders.  Raises :class:`ValueError` naming
-    the problem when the text has no ``condition,n,...`` header, lacks a
-    column of the layout, has a row whose field count differs from the
-    header's, or holds a value that is not a number.
+    the problem when the text has no ``condition,n,...`` header, repeats or
+    lacks a column of the layout, has a row whose field count differs from
+    the header's, or holds a value that is not a number.
     """
     lines = [ln.split(",") for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0][:2] != ["condition", "n"]:
         raise ValueError("no study table header: the first line must start with condition,n")
     header = lines[0]
+    if repeated := list(dict.fromkeys(name for name in header if header.count(name) > 1)):
+        raise ValueError(f"the header repeats the column(s): {', '.join(repeated)}")
     prefix = f"{EPS_TILDE}_major_"
     epsilons = tuple(
         _number(name[len(prefix):], f"column {name!r}") for name in header if name.startswith(prefix)

@@ -189,6 +189,12 @@ class TestRadialContourPoint:
         with pytest.raises(ContourEscapesDomain):
             axis_widths_exact(BoundedFit(), 0.02, (0, 1), 8)
 
+    @pytest.mark.parametrize("kind, error", [("nan", NotPositiveDefinite), ("jump", RootAboveTolerance)])
+    def test_faulted_sweep_ray_raises(self, kind, error):
+        # the swept ray at angle 0 meets the fault inside its bracket [0, 1]
+        with pytest.raises(error):
+            sweep_contour(_Faulty(0.0, 0.3, kind), _FAULTY_LEVEL, (0, 1), _FAULTY_DIRECTIONS)
+
 
 class TestAxisWidthsQuadratic:
     def test_closed_form(self):
@@ -825,6 +831,21 @@ class TestGroupRun:
             for t, width in zip(fit_levels, widths):
                 assert _outcome(width) == _alone(res, t, focal, n_dir)
 
+    def test_singular_plane_fails_its_own_fit(self, group_case, focal):
+        # a fit whose focal plane raises: its widths are that error, and the
+        # fit beside it keeps its one-fit widths
+        fits, levels = group_case
+
+        class _Singular(_FaultyAt):
+            def focal_objectives(self, focal):
+                raise SingularStructure("(I - A) is numerically singular")
+
+        singular = _Singular(focal, np.size(fits[0].theta_hat))
+        (wrong,), right = axis_widths_group([singular, fits[1]], [[_FAULTY_LEVEL], levels[1]],
+                                            focal, 90)
+        assert isinstance(wrong, SingularStructure)
+        assert [_outcome(w) for w in right] == [_alone(fits[1], t, focal, 90) for t in levels[1]]
+
     def test_empty_group_and_argument_errors(self, group_case, focal):
         fits, levels = group_case
         assert axis_widths_group([], [], focal, 90) == []
@@ -1011,6 +1032,29 @@ class TestLevelRule:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="must not be below the fitted discrepancy"):
                 _AT_LEVEL[name](res, res.f_hat - 1e-3, focal)
+
+    @pytest.mark.parametrize("name", sorted(_AT_LEVEL))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.1", None, True])
+    def test_unreal_level_raises(self, popfits, focal, name, bad):
+        # a NaN level failed inside a bracketed ray or the widths' own check,
+        # inf gave infinite quadratic widths, a string or None a TypeError,
+        # and True was the level 1.0
+        res = popfits["Sigma1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t_target must be a finite real number"):
+                _AT_LEVEL[name](res, bad, focal)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "0.1", None, True])
+    def test_unreal_level_fails_its_own_width(self, popfits, focal, bad):
+        res = popfits["Sigma1"]
+        level = res.f_hat + 0.01
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (wrong, right), (alone,) = axis_widths_group([res, res], [[bad, level], [level]],
+                                                         focal, 8)
+        assert isinstance(wrong, ValueError) and "t_target must be a finite real" in str(wrong)
+        assert _outcome(right) == _outcome(alone) == _alone(res, level, focal, 8)
 
     @pytest.mark.parametrize("name", sorted(_AT_LEVEL))
     def test_at_minimum_is_degenerate(self, popfits, focal, name):

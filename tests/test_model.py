@@ -328,6 +328,13 @@ _VALIDATION_CASES = {
     "conflicting symmetric value": (lambda: make_model(*_VARS, _PATH, _VARIANCES + [
         {"row": "x", "col": "y", "value": 0.3}, {"row": "y", "col": "x", "value": 0.4}]),
         r"conflicting symmetric entry at \(1, 0\)"),
+    "conflicting symmetric param": (lambda: make_model(*_VARS, _PATH, _VARIANCES + [
+        {"row": "x", "col": "y", "param": "c"}, {"row": "y", "col": "x", "param": "d"}]),
+        r"conflicting symmetric entry at \(1, 0\)"),
+    "repeated variable name": (lambda: make_model(["x", "y"], ["x"], _PATH, _VARIANCES),
+                               "variable names must be unique"),
+    "condition already misfit": (lambda: misspecify_to_epsilon(condition_at("Sigma1", 0.09), 0.03),
+                                 "condition already exceeds the target misfit"),
     "start value without value": (lambda: make_model(*_VARS, _PATH, _VARIANCES, [{"param": "b"}]),
                                   "needs 'param' and 'value'"),
     "start value of unknown parameter": (

@@ -623,8 +623,13 @@ class TestTableEmission:
             (PAPER_TABLE_CSV.replace("0.19,0,0.18", "0.19,0"), "row 1 has 17 fields"),
             (PAPER_TABLE_CSV.replace("0.19,0,0.18", "0.19,wide,0.18"), "'wide' is not a number"),
             (PAPER_TABLE_CSV.replace("Sigma1,1000", "Sigma1,many"), "'many' is not a number"),
+            # the table of epsilons .03 and .03000001 once parsed as (.03, .03)
+            (emit_table(StudyTable(("Sigma1",), (200,), (0.03, 0.03000001), ())),
+             "the header repeats the column(s): eps_tilde_major_0.03, eps_tilde_minor_0.03, "
+             "delta_f_major_0.03, delta_f_minor_0.03"),
         ],
-        ids=["empty", "markdown", "missing-column", "ragged-row", "value", "sample-size"],
+        ids=["empty", "markdown", "missing-column", "ragged-row", "value", "sample-size",
+             "repeated-column"],
     )
     def test_parse_rejects_malformed_text(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -674,6 +679,14 @@ class TestPaperFixture:
         assert not ok
         assert any("FAIL" in ln for ln in lines)
 
+    def test_scaling_check_without_confidence_cells(self):
+        table = paper_fixture()
+        cells = tuple(cell for cell in table.cells if cell.mode != "confidence")
+        ok, lines = check_fixture_scaling(dataclasses.replace(table, cells=cells))
+        assert not ok
+        assert lines[1:-1] == [f"{c}: missing confidence-set cells" for c in table.conditions]
+        assert lines[-1] == "CHECK FAILED"
+
 
 # each validation branch of the module with a call that takes it and the
 # message it raises
@@ -692,6 +705,11 @@ _VALIDATION_CASES = {
     "sampled n <= p": (lambda: StudyDesign(sample_sizes=(6,)),
                        re.escape("sample_sizes must exceed the 6 observed variables where a mode is "
                                  "sampled, got [6]")),
+    # these once named four table columns twice each
+    "epsilons sharing a column name": (lambda: StudyDesign(epsilons=(0.03, 0.03000001)),
+                                       re.escape("epsilons must differ in their first 6 "
+                                                 "significant digits, which name the table's "
+                                                 "columns, got [0.03, 0.03000001]")),
     "fixture without N 200": (lambda: check_fixture_scaling(
         dataclasses.replace(paper_fixture(), sample_sizes=(1000, 50))),
         "scaling check needs sample sizes 1000 and 200"),
