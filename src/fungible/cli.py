@@ -6,8 +6,14 @@ study), and ``table-check`` (internal-consistency check of the embedded
 reference table).  Numeric output is CSV (or markdown for ``study``) written
 to ``--out`` or standard out; nothing else is written anywhere.
 
-Exit codes: 0 success, 1 domain errors (one-line diagnostic on stderr),
-2 usage errors.
+There is one path from the command line to the output.  :func:`main`
+checks usage before any work: the command's input files, ``--out`` and
+``--threads``.  A command then maps its parsed arguments to its text and
+exit code and writes nothing; :func:`main` writes the text to ``--out`` or
+standard out and returns the code.
+
+Exit codes: 0 success, 1 domain errors (one-line diagnostic on stderr,
+nothing written), 2 usage errors (one line, before any work).
 """
 
 from __future__ import annotations
@@ -40,34 +46,30 @@ from .model import focal_indices, load_model
 from .simstudy import (
     DEFAULT_TARGETS,
     StudyDesign,
+    _csv_number,
     check_fixture_scaling,
     emit_table,
     run_design,
 )
 
 _MODE_NAMES = {"delta-f": DELTA_F, "eps-tilde": EPS_TILDE, "confset": CONFIDENCE}
+# the input-file arguments of every command, in the order they are checked
+_INPUT_FILES = ("model", "cov", "start", "config")
 
 
-def _write(text, out):
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _check_files(args, names):
-    """Check, before any work, that the input files exist and that ``--out``
-    names a file in an existing directory; prints one usage error if not."""
-    for name in names:
-        path = getattr(args, name, None)
-        if path and not Path(path).exists():
-            print(f"usage error: file not found: {path}", file=sys.stderr)
-            return False
+def _usage_problem(args):
+    """The usage error of the parsed arguments, None where there is none:
+    in order, an input file of the command that does not exist, an
+    ``--out`` that does not name a file in an existing directory, and a
+    ``--threads`` below 1."""
+    for name in _INPUT_FILES:
+        if (path := getattr(args, name, None)) and not Path(path).exists():
+            return f"file not found: {path}"
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
-        print(f"usage error: --out must name a file in an existing directory: {args.out}",
-              file=sys.stderr)
-        return False
-    return True
+        return f"--out must name a file in an existing directory: {args.out}"
+    if (threads := getattr(args, "threads", None)) is not None and threads < 1:
+        return f"--threads must be at least 1, got {threads}"
+    return None
 
 
 def _read_numbers(path, ndmin):
@@ -95,62 +97,49 @@ def _do_fit(args):
     return fit_ml(model, s, n=args.n, opts=opts)
 
 
-def _number(value):
-    """The one format of a numeric CSV cell: the shortest round-trip repr."""
-    return repr(float(value))
+def _contour_inputs(args, **target):
+    """The fit, the ``--focal`` indices and the contour level that ``fpe``
+    and ``confset`` share, the level of a :class:`ContourTarget` of the
+    fields ``target``, built in that order."""
+    res = _do_fit(args)
+    focal = focal_indices(res.model, args.focal.split(","))
+    return res, focal, f_target(ContourTarget(**target), res, n_focal=len(focal))
+
+
+def _text(lines):
+    return "\n".join(lines) + "\n"
 
 
 def cmd_fit(args):
-    if not _check_files(args, ("model", "cov", "start")):
-        return 2
     res = _do_fit(args)
     stats = {"f_hat": res.f_hat, "rmsea": rmsea_from_f(res.f_hat, res.df, res.n),
              "grad_norm": res.grad_norm}
     lines = ["quantity,name,value"]
-    lines += [f"param,{name},{_number(v)}" for name, v in zip(res.model.theta_names, res.theta_hat)]
-    lines += [f"stat,{name},{_number(v)}" for name, v in stats.items()]
+    lines += [f"param,{name},{_csv_number(v)}" for name, v in zip(res.model.theta_names, res.theta_hat)]
+    lines += [f"stat,{name},{_csv_number(v)}" for name, v in stats.items()]
     lines += [f"stat,{name},{getattr(res, name)}" for name in ("iterations", "converged", "improper")]
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return _text(lines), 0
 
 
 def cmd_fpe(args):
-    if not _check_files(args, ("model", "cov", "start")):
-        return 2
-    res = _do_fit(args)
-    focal = focal_indices(res.model, args.focal.split(","))
-    target = ContourTarget(
-        mode=_MODE_NAMES[args.mode],
-        delta_f=args.delta_f,
-        epsilon_tilde=args.eps_tilde,
-        confidence=args.level,
-        scaling=args.scaling,
-    )
-    level = f_target(target, res, n_focal=len(focal))
+    res, focal, level = _contour_inputs(
+        args, mode=_MODE_NAMES[args.mode], delta_f=args.delta_f, epsilon_tilde=args.eps_tilde,
+        confidence=args.level, scaling=args.scaling)
     angles, radii, thetas = sweep_contour(res, level, focal, args.directions)
     header = ["angle", "r"] + [f"theta_{k + 1}" for k in range(res.model.q)] + ["f_value"]
     rows = np.column_stack([angles, radii, thetas, res.objectives(thetas)])
-    lines = [",".join(header)] + [",".join(map(_number, row)) for row in rows]
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return _text([",".join(header)] + [",".join(map(_csv_number, row)) for row in rows]), 0
 
 
 def cmd_confset(args):
-    if not _check_files(args, ("model", "cov", "start")):
-        return 2
-    res = _do_fit(args)
-    focal = focal_indices(res.model, args.focal.split(","))
-    target = ContourTarget(mode=CONFIDENCE, confidence=args.level)
-    level = f_target(target, res, n_focal=len(focal))
+    res, focal, level = _contour_inputs(args, mode=CONFIDENCE, confidence=args.level)
     quad = axis_widths_quadratic(res, level, focal)
     exact = axis_widths_exact(res, level, focal, args.directions)
-    lines = [
+    return _text([
         "method,major,minor",
-        f"quadratic,{_number(quad.major)},{_number(quad.minor)}",
-        f"exact,{_number(exact.major)},{_number(exact.minor)}",
-    ]
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+        f"quadratic,{_csv_number(quad.major)},{_csv_number(quad.minor)}",
+        f"exact,{_csv_number(exact.major)},{_csv_number(exact.minor)}",
+    ]), 0
 
 
 _DESIGN_KEYS = tuple(field.name for field in fields(StudyDesign))
@@ -196,24 +185,14 @@ def _design_from_config(doc, seed=None):
 
 
 def cmd_study(args):
-    if not _check_files(args, ("config",)):
-        return 2
-    if args.threads is not None and args.threads < 1:
-        print(f"usage error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return 2
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
     design = _design_from_config(doc, seed=args.seed)
-    table = run_design(design, threads=args.threads)
-    _write(emit_table(table, args.format), args.out)
-    return 0
+    return emit_table(run_design(design, threads=args.threads), args.format), 0
 
 
 def cmd_table_check(args):
-    if not _check_files(args, ()):
-        return 2
     ok, lines = check_fixture_scaling()
-    _write("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
+    return _text(lines), 0 if ok else 1
 
 
 def _add_fit_arguments(sub):
@@ -280,11 +259,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if problem := _usage_problem(args):
+        print(f"usage error: {problem}", file=sys.stderr)
+        return 2
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except (FungibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -241,10 +241,10 @@ class FocalPlane:
         stacked._tr_const = np.array([plane._tr_const for plane in planes])
         return stacked
 
-    def _blocks(self, offsets, coef=None):
+    def _blocks(self, offsets, coef):
         """``(K, N)`` at the offsets, from their polynomials with the
-        coefficients ``coef``, one fit's or one per row (the plane's own
-        where None).  Runs under its caller's errstate."""
+        coefficients ``coef``, one fit's or one per row.  Runs under its
+        caller's errstate."""
         k, n_j = len(offsets), len(self._moved)
         # each monomial at every row: the product of its positions' rows,
         # taken from the last position to the first
@@ -257,7 +257,7 @@ class FocalPlane:
             terms *= factor
         # summed over the monomials, the first axis: the same order of
         # additions at every row
-        blocks = ((self._coef if coef is None else coef) * terms[:, None, :]).sum(axis=0)
+        blocks = (coef * terms[:, None, :]).sum(axis=0)
         blocks = blocks.reshape(2, n_j, n_j, k).transpose(0, 3, 1, 2)
         return blocks[0], blocks[1]
 

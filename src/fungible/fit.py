@@ -252,9 +252,8 @@ def fit_stack(model: ModelSpec, covariances, n: int | None = None,
     # a failing matrix comes back as NaN; the rows' BFGS steps run under
     # this errstate too, which one entry per fit keeps off every round
     with np.errstate(all="ignore"):
-        while rows:  # a one-row round takes a view: np.array costs more
-            ok, *implied = implied_stack(
-                model, trials[0][None] if len(trials) == 1 else np.array(trials))
+        while rows:
+            ok, *implied = implied_stack(model, np.array(trials))
             f_new = _f_stack(implied[2], s_live, ld_live, tr_const)
             asked, ended = [], []
             for k, f in enumerate(f_new.tolist()):

@@ -399,7 +399,7 @@ def emit_table(table: StudyTable, format: str = "csv") -> str:
     if format == "csv":
         lines = [",".join(header)]
         for condition, n, values in rows:
-            lines.append(",".join([condition, str(n)] + [repr(float(v)) for v in values]))
+            lines.append(",".join([condition, str(n)] + [_csv_number(v) for v in values]))
         return "\n".join(lines) + "\n"
     if format == "markdown":
         lines = ["| " + " | ".join(header) + " |"]
@@ -411,6 +411,11 @@ def emit_table(table: StudyTable, format: str = "csv") -> str:
     raise ValueError(f"unknown table format {format!r}")
 
 
+def _csv_number(value) -> str:
+    """The one format of a numeric CSV cell: the shortest round-trip repr."""
+    return repr(float(value))
+
+
 def parse_table(text: str) -> StudyTable:
     """Parse the CSV of :func:`emit_table` back into a :class:`StudyTable`.
 
@@ -418,7 +423,8 @@ def parse_table(text: str) -> StudyTable:
     replication counts are placeholders.  Raises :class:`ValueError` naming
     the problem when the text has no ``condition,n,...`` header, repeats or
     lacks a column of the layout, has a row whose field count differs from
-    the header's, or holds a value that is not a number.
+    the header's, repeats the (condition, N) of an earlier row, or holds a
+    value that is not a number.
     """
     lines = [ln.split(",") for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0][:2] != ["condition", "n"]:
@@ -440,6 +446,8 @@ def parse_table(text: str) -> StudyTable:
             raise ValueError(f"row {number} has {len(row)} fields, the header has {len(header)}")
         values = dict(zip(header, row))
         n = _number(row[1], f"row {number}, column 'n'", int)
+        if (row[0], n, 0.0, CONFIDENCE) in fields:  # every row fills its confidence cell
+            raise ValueError(f"row {number} repeats the row of ({row[0]}, {n})")
         for name, mode, eps, field in columns:
             cell = fields.setdefault((row[0], n, eps, mode), {"major_sd": 0.0, "minor_sd": 0.0})
             cell[field] = _number(values[name], f"row {number}, column {name!r}")

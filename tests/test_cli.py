@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +337,17 @@ def test_domain_error_exits_one(workdir, tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_text_exits_one(workdir, tmp_path, capsys, monkeypatch):
+    # the write is part of the command: a parameter name that stdout cannot
+    # encode ends in one error line, as a domain error does
+    model = tmp_path / "model.json"
+    model.write_text((workdir / "model.json").read_text().replace('"lam1"', '"lam\u00e91"'))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    code = main(["fit", "--model", str(model), "--cov", str(workdir / "cov.csv"), "--n", "200"])
+    assert code == 1
+    assert _one_error_line(capsys, "error: 'ascii' codec can't encode")
 
 
 def test_cov_within_relative_symmetry_accepted(workdir, tmp_path, capsys):

@@ -220,7 +220,7 @@ class TestFmlStack:
         # J is one row (x6): the plane's solve is N / K, with no LAPACK call
         assert len(traces) == 1
         with np.errstate(all="ignore"):
-            k_mat, n_mat = evaluate._blocks(offsets)
+            k_mat, n_mat = evaluate._blocks(offsets, evaluate._coef)
             traces.append((n_mat / k_mat)[:, 0, 0])
         for f, trace in zip((f_kernel, evaluate(offsets)), traces):
             assert len(trace) == len(f)  # every row is solved
@@ -661,7 +661,7 @@ class TestFocalPlane:
         plane = fit.focal_objectives(pair)
         assert list(plane._moved) == [0, 1]
         with np.errstate(all="ignore"):
-            k_mat, _ = plane._blocks(np.zeros((1, 2)))
+            k_mat, _ = plane._blocks(np.zeros((1, 2)), plane._coef)
         assert k_mat.shape == (1, 2, 2)
 
     def test_every_row_reached_matches_objectives(self, popfits):
@@ -749,7 +749,7 @@ class TestFocalPlane:
             ok, _, _, sigma = implied_stack(model, _on_plane(fit, pair, offsets))
             assert ok.all()
             with np.errstate(all="ignore"):
-                k_mat, n_mat = plane._blocks(offsets)
+                k_mat, n_mat = plane._blocks(offsets, plane._coef)
             sigma_rr = sigma_of_theta(model, fit.theta_hat)[np.ix_(rest, rest)]
             x = sigma[:, moved][:, :, rest]
             w = np.linalg.solve(sigma_rr, x.swapaxes(1, 2)) if len(rest) else x.swapaxes(1, 2)

@@ -189,6 +189,8 @@ class TestRunDesign:
         serial = run_design(SMALL_DESIGN, threads=1)
         threaded = run_design(SMALL_DESIGN, threads=2)
         assert serial == threaded
+        # no threads: the processor count, capped at the design's one row
+        assert run_design(SMALL_DESIGN) == serial
 
     def test_target_order_does_not_change_the_table(self):
         reverse = dataclasses.replace(SMALL_DESIGN, targets=SMALL_DESIGN.targets[::-1])
@@ -623,13 +625,16 @@ class TestTableEmission:
             (PAPER_TABLE_CSV.replace("0.19,0,0.18", "0.19,0"), "row 1 has 17 fields"),
             (PAPER_TABLE_CSV.replace("0.19,0,0.18", "0.19,wide,0.18"), "'wide' is not a number"),
             (PAPER_TABLE_CSV.replace("Sigma1,1000", "Sigma1,many"), "'many' is not a number"),
+            # a second Sigma1,1000 row once replaced the first without a word
+            (PAPER_TABLE_CSV + PAPER_TABLE_CSV.splitlines()[1].replace("0.19", "9.99") + "\n",
+             "row 9 repeats the row of (Sigma1, 1000)"),
             # the table of epsilons .03 and .03000001 once parsed as (.03, .03)
             (emit_table(StudyTable(("Sigma1",), (200,), (0.03, 0.03000001), ())),
              "the header repeats the column(s): eps_tilde_major_0.03, eps_tilde_minor_0.03, "
              "delta_f_major_0.03, delta_f_minor_0.03"),
         ],
         ids=["empty", "markdown", "missing-column", "ragged-row", "value", "sample-size",
-             "repeated-column"],
+             "repeated-row", "repeated-column"],
     )
     def test_parse_rejects_malformed_text(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
